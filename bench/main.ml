@@ -760,53 +760,24 @@ let run_e15 () =
         ~unit_:"bytes";
       print_newline ()
 
-(* ---- E16: incremental re-weave and the joinpoint index -------------------- *)
+(* ---- E16: the aspect-major weave and the pointcut deciders ----------------- *)
 
 (* Whole-weave wall time, measured directly like E14/E15 (warmup run, then
-   best of three): 8 logging aspects over a 100-class program, with a
-   single-method edit between weaves. Four arms separate the two
-   optimizations: [full-indexed] is the production path, [full-scan] drops
-   the joinpoint index (the weave_one fold), [initial] is the incremental
-   weaver paying its cache-building cost cold, and [reweave] re-weaves
-   after the one-method edit against a warm state. The acceptance
-   criterion is the reweave-vs-full speedup row (target: >= 5x). *)
+   best of three): 8 logging aspects over a 100-class program, then 8
+   literal-pointcut aspects over the same program, then each pointcut
+   kind's staged decider against the AST walk it is checked against. *)
 let run_e16 () =
   let experiment = "E16" in
   match selected_experiments with
   | Some only when not (List.mem experiment only) -> ()
   | _ ->
       Printf.printf
-        "== E16 weaver: incremental re-weave and joinpoint index ==\n%!";
+        "== E16 weaver: aspect-major weave and pointcut deciders ==\n%!";
       settle_gc ();
       let t0 = Obs.Clock.now_ns () in
       let a0 = Gc.allocated_bytes () in
       let program = Code.Generator.generate (synthetic 100) in
       let aspects = List.init 8 (fun i -> logging_aspect (i + 1)) in
-      let target =
-        match Code.Junit.classes program with
-        | c :: _ -> c.Code.Jdecl.class_name
-        | [] -> failwith "synthetic program has no classes"
-      in
-      (* one-joinpoint edit: append a statement to the target's first
-         bodied method; untouched classes stay physically shared *)
-      let edited =
-        Code.Junit.update_class program target (fun c ->
-            {
-              c with
-              Code.Jdecl.methods =
-                (match c.Code.Jdecl.methods with
-                | m :: rest ->
-                    {
-                      m with
-                      Code.Jdecl.body =
-                        Some
-                          (Option.value ~default:[] m.Code.Jdecl.body
-                          @ [ Code.Jstmt.S_comment "edited" ]);
-                    }
-                    :: rest
-                | [] -> []);
-            })
-      in
       let time f =
         ignore (f ());
         let best = ref Int64.max_int in
@@ -827,25 +798,9 @@ let run_e16 () =
         add_row ~experiment ~metric:name ~value:ns ~unit_:"ns/run";
         Printf.printf "  %-55s %12.1f ns/run\n%!" name ns
       in
-      let st = Weaver.Weave.initial aspects program in
-      let full_ns = time (fun () -> Weaver.Weave.weave aspects edited) in
-      row "weave/full-indexed:8-aspects-100-classes" full_ns;
-      let scan_ns = time (fun () -> Weaver.Weave.weave_scan aspects edited) in
-      row "weave/full-scan:no-index-ablation" scan_ns;
-      let init_ns = time (fun () -> Weaver.Weave.initial aspects edited) in
-      row "weave/initial:cold-incremental-ablation" init_ns;
-      let re_ns = time (fun () -> Weaver.Weave.reweave st edited) in
-      row "weave/reweave:one-method-edit" re_ns;
-      let ratio name v =
-        add_row ~experiment ~metric:name ~value:v ~unit_:"x";
-        Printf.printf "  %-55s %12.1fx\n%!" name v
-      in
-      ratio "weave/speedup:reweave-vs-full-indexed" (full_ns /. re_ns);
-      ratio "weave/speedup:reweave-vs-full-scan" (scan_ns /. re_ns);
-      ratio "weave/speedup:indexed-vs-scan" (scan_ns /. full_ns);
-      (* the logging concern is all-wildcard, so the arm above never
-         probes; a literal-pointcut set shows what the index buys when
-         the probe path engages *)
+      row "weave/full:8-aspects-100-classes"
+        (time (fun () -> Weaver.Weave.weave aspects program));
+      (* literal pointcuts: each aspect advises one method of one class *)
       let literal_aspects =
         List.init 8 (fun i ->
             {
@@ -866,20 +821,16 @@ let run_e16 () =
               seq = i + 1;
             })
       in
-      let lit_full_ns =
-        time (fun () -> Weaver.Weave.weave literal_aspects edited)
+      row "weave/full:literal-pointcuts"
+        (time (fun () -> Weaver.Weave.weave literal_aspects program));
+      let ratio name v =
+        add_row ~experiment ~metric:name ~value:v ~unit_:"x";
+        Printf.printf "  %-55s %12.1fx\n%!" name v
       in
-      row "weave/full-indexed:literal-pointcuts" lit_full_ns;
-      let lit_scan_ns =
-        time (fun () -> Weaver.Weave.weave_scan literal_aspects edited)
-      in
-      row "weave/full-scan:literal-pointcuts" lit_scan_ns;
-      ratio "weave/speedup:indexed-vs-scan:literal"
-        (lit_scan_ns /. lit_full_ns);
       (* per-pointcut-kind matcher breakdown: one compiled/tree pair per
          kind over the program's full shadow set, so a slowdown in one
          decider specialization can't hide inside an aggregate row *)
-      let shadows = Weaver.Joinpoint.all_shadows edited in
+      let shadows = Weaver.Joinpoint.all_shadows program in
       let n_shadows = float_of_int (List.length shadows) in
       let kind_rows =
         [
@@ -896,9 +847,9 @@ let run_e16 () =
       List.iter
         (fun (kind, pc) ->
           let sweeps = 100. in
-          (* partial application stages the decider-cache lookup (and the
-             tree baseline's no-op staging) once per sweep, like the
-             weaver's own [List.filter (Matcher.matches pc)] call sites *)
+          (* partial application stages the decider (and the tree
+             baseline's no-op staging) once per sweep, like the weaver's
+             own per-aspect staging *)
           let sweep matches () =
             for _ = 1 to 100 do
               let d = matches pc in
@@ -906,7 +857,7 @@ let run_e16 () =
             done
           in
           let dec_ns =
-            time (sweep Weaver.Matcher.decider) /. (sweeps *. n_shadows)
+            time (sweep Weaver.Matcher.matches) /. (sweeps *. n_shadows)
           in
           row (Printf.sprintf "match/%s:compiled" kind) dec_ns;
           let tree_ns =

@@ -639,12 +639,11 @@ let pp_weave_case ppf { program; aspects } =
     aspects;
   Format.fprintf ppf "program:@.%s@." (Code.Printer.program_to_string program)
 
-(* One structural edit to a program, for the incremental-weave oracle.
+(* One structural edit to a program, for the class-locality oracle.
    Edits go through [Code.Junit.update_class] or rebuild a single unit, so
    every declaration the edit does not touch is returned physically
-   unchanged — exactly the sharing the incremental weaver's watermark
-   fast-path keys on. Degenerate draws (no class, no method to hit) fall
-   back to the identity, which the oracle tolerates. *)
+   unchanged. Degenerate draws (no class, no method to hit) fall back to
+   the identity, which the oracle tolerates. *)
 let program_edit rng (program : Code.Junit.program) =
   let classes = Code.Junit.classes program in
   let pick_class () =

@@ -40,9 +40,8 @@ val random_pointcut : Prng.t -> Aspects.Pointcut.t
 val program_edit : Prng.t -> Code.Junit.program -> Code.Junit.program
 (** One random structural edit: replace a method body, add/remove a
     method, add a field, add/remove/rename a class. Declarations the edit
-    does not touch are returned physically unchanged — the sharing the
-    incremental weaver's watermark keys on — and degenerate draws fall
-    back to the identity. Drives the [weave-inc] oracle. *)
+    does not touch are returned physically unchanged, and degenerate draws
+    fall back to the identity. Drives the [weave-local] oracle. *)
 
 val armor : Prng.t -> Xmi.Xml.t -> string
 (** Renders an XML tree with a random subset of the characters in text and

@@ -283,100 +283,109 @@ let check_weave ~aux (wc : Gen.weave_case) =
   else if r1.Weaver.Weave.applications <> r2.Weaver.Weave.applications then
     Error "[weave] application report changed under aspect-list shuffle"
   else
-    let ordered = Weaver.Precedence.order wc.aspects in
-    let manual =
-      List.fold_left
-        (fun prog (g : Aspects.Generator.generated) ->
-          (Weaver.Weave.weave_one g.Aspects.Generator.aspect prog)
-            .Weaver.Weave.program)
-        wc.program (List.rev ordered)
+    (* The interference analysis makes a strong claim only one way:
+       [Independent] promises the two weaves commute. Hold it to that —
+       every reported-independent pair must produce the same program in
+       either order. (Conflicting is conservative and never checked.) *)
+    let report = Weaver.Interference.analyze wc.aspects wc.program in
+    let aspect_named name =
+      List.find_map
+        (fun (g : Aspects.Generator.generated) ->
+          let a = g.Aspects.Generator.aspect in
+          if String.equal a.Aspects.Aspect.aspect_name name then Some a
+          else None)
+        wc.aspects
     in
-    if not (Code.Junit.equal r1.Weaver.Weave.program manual) then
-      Error
-        "[weave] weave differs from the weave_one fold over reverse \
-         precedence order"
-    else
-      (* The interference analysis makes a strong claim only one way:
-         [Independent] promises the two weaves commute. Hold it to that —
-         every reported-independent pair must produce the same program in
-         either order. (Conflicting is conservative and never checked.) *)
-      let report = Weaver.Interference.analyze wc.aspects wc.program in
-      let aspect_named name =
-        List.find_map
-          (fun (g : Aspects.Generator.generated) ->
-            let a = g.Aspects.Generator.aspect in
-            if String.equal a.Aspects.Aspect.aspect_name name then Some a
-            else None)
-          wc.aspects
-      in
-      let commutes a b =
-        let once x p = (Weaver.Weave.weave_one x p).Weaver.Weave.program in
-        Code.Junit.equal
-          (once a (once b wc.program))
-          (once b (once a wc.program))
-      in
-      let rec pairs_ok = function
-        | [] -> Ok ()
-        | (p : Weaver.Interference.pair) :: rest -> (
-            match p.Weaver.Interference.verdict with
-            | Weaver.Interference.Conflicting _ -> pairs_ok rest
-            | Weaver.Interference.Independent -> (
-                match (aspect_named p.left, aspect_named p.right) with
-                | Some a, Some b when not (commutes a b) ->
-                    Error
-                      (Printf.sprintf
-                         "[weave] pair %s / %s reported independent but the \
-                          weaves do not commute"
-                         p.Weaver.Interference.left p.Weaver.Interference.right)
-                | _ -> pairs_ok rest))
-      in
-      pairs_ok report.Weaver.Interference.pairs
+    let commutes a b =
+      let once x p = (Weaver.Weave.weave_one x p).Weaver.Weave.program in
+      Code.Junit.equal
+        (once a (once b wc.program))
+        (once b (once a wc.program))
+    in
+    let rec pairs_ok = function
+      | [] -> Ok ()
+      | (p : Weaver.Interference.pair) :: rest -> (
+          match p.Weaver.Interference.verdict with
+          | Weaver.Interference.Conflicting _ -> pairs_ok rest
+          | Weaver.Interference.Independent -> (
+              match (aspect_named p.left, aspect_named p.right) with
+              | Some a, Some b when not (commutes a b) ->
+                  Error
+                    (Printf.sprintf
+                       "[weave] pair %s / %s reported independent but the \
+                        weaves do not commute"
+                       p.Weaver.Interference.left p.Weaver.Interference.right)
+              | _ -> pairs_ok rest))
+    in
+    pairs_ok report.Weaver.Interference.pairs
 
-(* ---- R9: incremental re-weave ≡ full weave ------------------------------ *)
+(* ---- R9: weaving is class-local ---------------------------------------- *)
 
-(* An incremental weaver earns its keep only if its output is
-   indistinguishable from throwing the cache away: same program, same
-   application report, after any sequence of edits. Edits come from
-   [Gen.program_edit], which preserves physical sharing on untouched
-   declarations (the watermark fast path) but may also rebuild, rename,
-   duplicate or delete classes — the hostile cases for cache keying. *)
+(* A method's weave reads only its own class, so the aspect-major fold must
+   equal weaving each class alone through the whole aspect chain, with the
+   applications regrouped aspect-major. Edits from [Gen.program_edit]
+   (rebuilt, renamed, duplicated or deleted classes) vary the programs the
+   two weaves see. *)
+let weave_class_major (generated : Aspects.Generator.generated list) program =
+  let ordered =
+    List.rev_map
+      (fun (g : Aspects.Generator.generated) -> g.Aspects.Generator.aspect)
+      (Weaver.Precedence.order generated)
+  in
+  let per_aspect = Array.make (List.length ordered) [] in
+  let weave_alone c =
+    List.fold_left
+      (fun (i, c) aspect ->
+        let r =
+          Weaver.Weave.weave_one aspect
+            [ Code.Junit.unit_ ~package:"fuzz" [ Code.Jdecl.Class c ] ]
+        in
+        per_aspect.(i) <- r.Weaver.Weave.applications :: per_aspect.(i);
+        match Code.Junit.classes r.Weaver.Weave.program with
+        | [ c ] -> (i + 1, c)
+        | _ -> invalid_arg "weave_one changed the number of classes")
+      (0, c) ordered
+    |> snd
+  in
+  let program = Code.Junit.map_classes weave_alone program in
+  {
+    Weaver.Weave.program;
+    applications =
+      List.concat_map (fun l -> List.concat (List.rev l)) (Array.to_list per_aspect);
+  }
 
-let weave_results_agree tag (r1 : Weaver.Weave.result)
-    (r2 : Weaver.Weave.result) =
-  if not (Code.Junit.equal r1.Weaver.Weave.program r2.Weaver.Weave.program)
-  then
-    Error
-      (Printf.sprintf "[weave-inc] %s: woven program differs from full weave"
-         tag)
-  else if r1.Weaver.Weave.applications <> r2.Weaver.Weave.applications then
-    Error
-      (Printf.sprintf
-         "[weave-inc] %s: application report differs from full weave" tag)
-  else Ok ()
-
-let check_weave_inc ~aux (wc : Gen.weave_case) =
+let check_weave_local ~aux (wc : Gen.weave_case) =
   let rng = Prng.make aux in
-  let scan p = Weaver.Weave.weave_scan wc.aspects p in
+  let agree tag program =
+    let r1 = Weaver.Weave.weave wc.aspects program in
+    let r2 = weave_class_major wc.aspects program in
+    if not (Code.Junit.equal r1.Weaver.Weave.program r2.Weaver.Weave.program)
+    then
+      Error
+        (Printf.sprintf
+           "[weave-local] %s: woven program differs from the class-by-class \
+            weave"
+           tag)
+    else if r1.Weaver.Weave.applications <> r2.Weaver.Weave.applications then
+      Error
+        (Printf.sprintf
+           "[weave-local] %s: application report differs from the \
+            class-by-class weave"
+           tag)
+    else Ok ()
+  in
   let steps = Prng.range rng 1 3 in
-  let rec go st program i =
+  let rec go program i =
     if i > steps then Ok ()
     else
       let program = Gen.program_edit rng program in
-      let st = Weaver.Weave.reweave st program in
-      match
-        weave_results_agree
-          (Printf.sprintf "after edit %d" i)
-          (Weaver.Weave.result_of st) (scan program)
-      with
+      match agree (Printf.sprintf "after edit %d" i) program with
       | Error _ as e -> e
-      | Ok () -> go st program (i + 1)
+      | Ok () -> go program (i + 1)
   in
-  let st = Weaver.Weave.initial wc.aspects wc.program in
-  match
-    weave_results_agree "initial" (Weaver.Weave.result_of st) (scan wc.program)
-  with
+  match agree "initial" wc.program with
   | Error _ as e -> e
-  | Ok () -> go st wc.program 1
+  | Ok () -> go wc.program 1
 
 (* ---- R7: batch-parallel ≡ per-item sequential --------------------------- *)
 
@@ -412,7 +421,7 @@ let counter_totals (shard : Obs.Metric.shard) =
               (fun p ->
                 String.length name >= String.length p
                 && String.sub name 0 (String.length p) = p)
-              [ "ocl.parse."; "ocl.extent."; "weave.matcher.compile" ]
+              [ "ocl.parse."; "ocl.extent." ]
           in
           if warmth then None else Some ((name, labels), total)
       | _ -> None)
@@ -813,7 +822,7 @@ let all =
     { name = "query"; check = Model_check check_query };
     { name = "ocl"; check = Model_check check_ocl };
     { name = "weave"; check = Weave_check check_weave };
-    { name = "weave-inc"; check = Weave_check check_weave_inc };
+    { name = "weave-local"; check = Weave_check check_weave_local };
     { name = "par"; check = Model_check check_par };
     { name = "repo"; check = Model_check check_repo };
     { name = "matcher"; check = Weave_check check_matcher };

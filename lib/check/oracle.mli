@@ -19,17 +19,16 @@
       over the base and the edited model, checked in that order so stale
       cache state would be caught;
     - [weave]: {!Weaver.Weave.weave} is invariant under aspect-list
-      shuffling and equals the fold of {!Weaver.Weave.weave_one} over the
-      reverse precedence order; additionally every aspect pair the
-      interference analysis ({!Weaver.Interference.analyze}) reports
-      [Independent] must commute under [weave_one] — the one direction in
-      which the conservative analysis makes a strong claim;
-    - [weave-inc]: {!Weaver.Weave.initial} followed by
-      {!Weaver.Weave.reweave} over 1–3 random structural edits
-      ({!Gen.program_edit}) ≡ {!Weaver.Weave.weave_scan} from scratch on
-      every intermediate program — same woven program {e and} same
-      application report, so the watermark cache may never skip a class it
-      should re-weave nor distort the report's order;
+      shuffling; additionally every aspect pair the interference analysis
+      ({!Weaver.Interference.analyze}) reports [Independent] must commute
+      under {!Weaver.Weave.weave_one} — the one direction in which the
+      conservative analysis makes a strong claim;
+    - [weave-local]: {!Weaver.Weave.weave} ≡ weaving each class alone
+      through the whole aspect chain, with the applications regrouped
+      aspect-major — on the case program and after each of 1–3 random
+      structural edits ({!Gen.program_edit}). Same woven program {e and}
+      same application report, so no class's weave may read another
+      class;
     - [par]: a batch of refinements pushed through a {!Par.Pool} of 2 and 3
       domains ≡ the same batch applied sequentially in the submitting
       domain — per-item outcomes ({!Mof.Model.equal} on success, rendered
@@ -45,11 +44,14 @@
       must equal both its scan form and the naive recompute, the binary
       snapshot must round-trip as a byte fixpoint, identical commits must
       not grow the object store, and concurrent sessions through a cached
-      pool must linearize per branch.
+      pool must linearize per branch;
+    - [matcher]: every staged decider {!Weaver.Matcher.matches} ≡ the
+      pointcut AST walk {!Weaver.Matcher.matches_tree}, over every shadow
+      of the case program × its advice pointcuts plus four random ones.
 
     Failure messages begin with a bracketed tag ([[diff]], [[wf]], [[xmi]],
-    [[query]], [[ocl]], [[weave]], [[weave-inc]], [[par]], [[repo]],
-    [[gen]]); the shrinker only accepts candidates failing with the
+    [[query]], [[ocl]], [[weave]], [[weave-local]], [[par]], [[repo]],
+    [[matcher]], [[gen]]); the shrinker only accepts candidates failing with the
     original tag. *)
 
 type check =

@@ -2,8 +2,8 @@
 
    Two aspects interfere when their weave order is observable in the woven
    program. The analysis works per aspect pair: it computes where each
-   aspect's advice applies (resolved through the joinpoint index and gated
-   exactly like the weaver), classifies advice effects, and searches for a
+   aspect's advice applies (every shadow of the program, gated exactly
+   like the weaver), classifies advice effects, and searches for a
    critical overlap — a shared shadow with non-commuting advice, statement
    wrapping colliding in one method, shadows one aspect's woven bodies or
    inter-type members introduce that the other may match, or declarations
@@ -147,23 +147,22 @@ type aspect_info = {
       (* inter-type methods with a body: new execution shadows *)
 }
 
-let info_of index (g : Aspects.Generator.generated) =
+(* [shadows]: every shadow of the program, program order. *)
+let info_of shadows (g : Aspects.Generator.generated) =
   let aspect = g.Aspects.Generator.aspect in
   let exec_apps = ref [] and stmt_apps = ref [] in
   List.iter
     (fun (a : Aspects.Advice.t) ->
       let wants_exec, wants_stmt = Matcher.kinds a.Aspects.Advice.pointcut in
+      let decide = Matcher.matches a.Aspects.Advice.pointcut in
       List.iter
-        (fun ((_ : Code.Jdecl.class_), (e : Index.entry)) ->
-          if wants_exec then
-            List.iter
-              (fun s -> exec_apps := (s, a) :: !exec_apps)
-              (Index.exec_matching e.Index.exec a.Aspects.Advice.pointcut);
-          if wants_stmt then
-            List.iter
-              (fun s -> stmt_apps := (s, a) :: !stmt_apps)
-              (Index.stmt_matching e.Index.stmts a.Aspects.Advice.pointcut))
-        (Index.entries index))
+        (fun s ->
+          match s with
+          | Joinpoint.Sh_execution _ ->
+              if wants_exec && decide s then exec_apps := (s, a) :: !exec_apps
+          | Joinpoint.Sh_call _ | Joinpoint.Sh_field_set _ ->
+              if wants_stmt && decide s then stmt_apps := (s, a) :: !stmt_apps)
+        shadows)
     aspect.Aspects.Aspect.advices;
   let exec_apps = List.rev !exec_apps and stmt_apps = List.rev !stmt_apps in
   (* bodies the weave can splice in: advice bodies of advice that applies
@@ -479,8 +478,8 @@ let rec pairs_of = function
 
 let analyze generated program =
   let ordered = Precedence.order generated in
-  let index = Index.build program in
-  let infos = List.map (info_of index) ordered in
+  let shadows = Joinpoint.all_shadows program in
+  let infos = List.map (info_of shadows) ordered in
   (* invert the per-aspect applications into per-shadow adviser lists;
      consecutive duplicate occurrences of one structural shadow would
      otherwise double their advisers *)
@@ -519,7 +518,7 @@ let analyze generated program =
               List.sort_uniq String.compare (List.map (fun a -> a.concern) advs)
             in
             Some { at = shadow; advisers = advs; shared = List.length concerns > 1 })
-      (Index.all_shadows index)
+      shadows
   in
   {
     entries;

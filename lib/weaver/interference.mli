@@ -68,8 +68,8 @@ type report = {
 
 val analyze :
   Aspects.Generator.generated list -> Code.Junit.program -> report
-(** Resolves every generated aspect's advice against the joinpoint index
-    ({!Index}), gated by {!Matcher.kinds} exactly as the weaver applies it
+(** Resolves every generated aspect's advice against every shadow of the
+    program, gated by {!Matcher.kinds} exactly as the weaver applies it
     (so inert pure-[within] advice is not reported), and runs the
     critical-pair rules over every aspect pair. *)
 

@@ -36,8 +36,8 @@ val execution_shadows : Code.Junit.program -> shadow list
 
     Call and field-set shadows live inside method bodies; resolving them
     needs the lexical scope (parameter, field and local types) of the
-    enclosing method. The weaver and the joinpoint index both extract
-    through these functions, so they agree on what a shadow is. *)
+    enclosing method. The weaver and the interference analysis both
+    extract through these functions, so they agree on what a shadow is. *)
 
 type scope
 (** The receiver-resolution scope of one method: its class plus a map from

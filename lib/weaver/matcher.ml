@@ -1,7 +1,7 @@
 (* Which shadow domains a pointcut can match: [(wants_exec, wants_stmt)].
    A pure [within] pointcut constrains but never selects, so it wants
-   neither — advice gated on it is inert, and the weaver, the joinpoint
-   index and the interference analysis must all agree on that. *)
+   neither — advice gated on it is inert, and the weaver and the
+   interference analysis must agree on that. *)
 let rec kinds = function
   | Aspects.Pointcut.Execution _ -> (true, false)
   | Aspects.Pointcut.Call _ | Aspects.Pointcut.Set_field _ -> (false, true)
@@ -84,7 +84,10 @@ let compile_pattern p =
     fun name -> contains_sub name core
   else Aspects.Pattern.matches p
 
-let rec compile pc =
+(* Staged on the pointcut: [matches pc] compiles the decider once, and
+   the returned closure is applied per shadow. The weaver stages each
+   advice once per aspect traversal. *)
+let rec matches pc =
   match pc with
   | Aspects.Pointcut.Execution mp -> (
       let cls = compile_pattern mp.Aspects.Pattern.mp_class in
@@ -113,38 +116,11 @@ let rec compile pc =
       let cls = compile_pattern cls_pat in
       fun shadow -> cls (Joinpoint.enclosing_class shadow)
   | Aspects.Pointcut.And (a, b) ->
-      let da = compile a and db = compile b in
+      let da = matches a and db = matches b in
       fun shadow -> da shadow && db shadow
   | Aspects.Pointcut.Or (a, b) ->
-      let da = compile a and db = compile b in
+      let da = matches a and db = matches b in
       fun shadow -> da shadow || db shadow
   | Aspects.Pointcut.Not a ->
-      let da = compile a in
+      let da = matches a in
       fun shadow -> not (da shadow)
-
-(* Deciders are cached per pointcut value, domain-locally (a shared table
-   would race under Par.Pool): one compile per distinct pointcut per
-   domain, then every weave/index probe reuses the closure. The table is
-   dropped wholesale on pathological churn, like the OCL parse cache. *)
-let capacity = 512
-
-let cache_key : (Aspects.Pointcut.t, Joinpoint.shadow -> bool) Hashtbl.t Domain.DLS.key
-    =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
-
-let decider pc =
-  let table = Domain.DLS.get cache_key in
-  match Hashtbl.find_opt table pc with
-  | Some d -> d
-  | None ->
-      Obs.incr "weave.matcher.compile" [];
-      let d = compile pc in
-      if Hashtbl.length table >= capacity then Hashtbl.reset table;
-      Hashtbl.add table pc d;
-      d
-
-(* Staged on the pointcut: [matches pc] pays the decider-cache lookup (a
-   structural hash of the pointcut AST) once, and the returned closure is
-   applied per shadow. The weaver's [List.filter (Matcher.matches pc)]
-   call sites stage automatically. *)
-let matches pc = decider pc

@@ -14,25 +14,20 @@ val matches : Aspects.Pointcut.t -> Joinpoint.shadow -> bool
     match is too broad. Calls with a resolved receiver match the class
     pattern against that class, as before.
 
-    [matches pc] is {!decider}[ pc]. Staged: it performs the cache lookup
-    once and returns the decider closure, so partially apply it outside
-    loops over shadows. *)
+    Staged: [matches pc] compiles a pattern-specialized decider —
+    literal, ["*"], prefix, suffix and infix patterns skip the generic
+    wildcard DP — and returns it, so partially apply it outside loops
+    over shadows. *)
 
 val matches_tree : Aspects.Pointcut.t -> Joinpoint.shadow -> bool
 (** The reference semantics: a direct walk over the pointcut AST, with no
-    decider compilation and no cache. The [matcher] oracle checks
-    {!matches} against it. *)
-
-val decider : Aspects.Pointcut.t -> Joinpoint.shadow -> bool
-(** The compiled decider for [pc] (compiling and caching on first use):
-    pattern-specialized closures — literal, ["*"], prefix, suffix and
-    infix patterns skip the generic wildcard DP. Counter:
-    [weave.matcher.compile] on compile. *)
+    decider compilation. The [matcher] oracle checks {!matches} against
+    it. *)
 
 val kinds : Aspects.Pointcut.t -> bool * bool
 (** [(wants_exec, wants_stmt)]: which shadow domains advice on this
     pointcut applies to. Execution advice weaves at execution shadows,
     statement advice wraps statements at call/set shadows; a pure
     [within] pointcut wants neither (it constrains, it does not select),
-    so advice gated on it is inert. The weaver, the joinpoint index and
-    the interference analysis all share this gate. *)
+    so advice gated on it is inert. The weaver and the interference
+    analysis share this gate. *)

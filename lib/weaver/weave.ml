@@ -1,5 +1,3 @@
-module Sm = Map.Make (String)
-
 type application = {
   aspect_name : string;
   advice_name : string;
@@ -84,9 +82,7 @@ let weave_execution_advice (a : Aspects.Advice.t) shadow body =
   | Aspects.Advice.Around -> splice_proceed body advice_body
 
 (* Wrap individual statements that contain matching call/set shadows.
-   [decide] is the staged [Matcher.matches a.pointcut] — resolved once per
-   (class, advice) by the caller so the rewrite recursion below never pays
-   the decider-cache lookup per statement group. *)
+   [decide] is the advice's staged decider (see [weave_one]). *)
 let weave_statement_advice (a : Aspects.Advice.t) decide scope ~within_method
     record body =
   let rec rewrite stmts =
@@ -125,13 +121,9 @@ let weave_statement_advice (a : Aspects.Advice.t) decide scope ~within_method
   in
   rewrite body
 
-let is_execution_advice (a : Aspects.Advice.t) =
-  Matcher.kinds a.Aspects.Advice.pointcut
-
 (* Apply every inter-type declaration of an aspect to one class
-   (declaration order preserved). Returns the class physically unchanged
-   when nothing applied. *)
-let apply_intertypes_to_class intertypes (c : Code.Jdecl.class_) =
+   (declaration order preserved). *)
+let apply_intertypes intertypes (c : Code.Jdecl.class_) =
   List.fold_left
     (fun c it ->
       match it with
@@ -145,37 +137,18 @@ let apply_intertypes_to_class intertypes (c : Code.Jdecl.class_) =
           else c)
     c intertypes
 
-(* One traversal of the program applies every inter-type declaration to each
-   class it reaches, instead of one full rebuild of the program per
-   declaration. *)
-let apply_intertypes (aspect : Aspects.Aspect.t) program =
-  match aspect.Aspects.Aspect.intertypes with
-  | [] -> program
-  | intertypes ->
-      Code.Junit.map_classes (apply_intertypes_to_class intertypes) program
-
-(* Weave one aspect's advice into one class; [record] receives each advice
-   application. The scope of a method only reads the class itself, so
-   per-class weaving is a pure function of (class, aspect). *)
-let weave_class_with (aspect : Aspects.Aspect.t) record (c : Code.Jdecl.class_)
-    =
-  (* Stage each advice's decider once per class: [Matcher.matches pc] pays
-     the decider-cache lookup (a structural hash of the pointcut AST) at
-     partial application, so resolving it here keeps the per-method and
-     per-statement loops below lookup-free. *)
-  let advices =
-    List.map
-      (fun (a : Aspects.Advice.t) ->
-        let wants_exec, wants_stmt = is_execution_advice a in
-        (a, wants_exec, wants_stmt, Matcher.matches a.Aspects.Advice.pointcut))
-      aspect.Aspects.Aspect.advices
-  in
+(* Weave one aspect's staged advices [(advice, wants_exec, wants_stmt,
+   decide)] into one class; [record] receives each advice application.
+   The scope of a method only reads the class itself, so per-class weaving
+   is a pure function of (class, aspect). *)
+let weave_class advices record (c : Code.Jdecl.class_) =
   Code.Jdecl.map_methods
     (fun m ->
       match m.Code.Jdecl.body with
       | None -> m
       | Some body ->
-          let scope = Joinpoint.scope_of_method c m in
+          (* only statement advice reads the scope *)
+          let scope = lazy (Joinpoint.scope_of_method c m) in
           let within_method = m.Code.Jdecl.method_name in
           let exec_shadow =
             Joinpoint.Sh_execution
@@ -190,7 +163,8 @@ let weave_class_with (aspect : Aspects.Aspect.t) record (c : Code.Jdecl.class_)
                  ->
                 let body =
                   if wants_stmt then
-                    weave_statement_advice a decide scope ~within_method
+                    weave_statement_advice a decide (Lazy.force scope)
+                      ~within_method
                       (record a.Aspects.Advice.advice_name)
                       body
                   else body
@@ -217,112 +191,26 @@ let weave_one (aspect : Aspects.Aspect.t) program =
       }
       :: !applications
   in
-  let program = apply_intertypes aspect program in
+  (* Stage each advice's decider once per traversal: [Matcher.matches pc]
+     compiles at partial application, so the per-class, per-method and
+     per-statement loops only apply closures. *)
+  let advices =
+    List.map
+      (fun (a : Aspects.Advice.t) ->
+        let pc = a.Aspects.Advice.pointcut in
+        let wants_exec, wants_stmt = Matcher.kinds pc in
+        (a, wants_exec, wants_stmt, Matcher.matches pc))
+      aspect.Aspects.Aspect.advices
+  in
+  let intertypes = aspect.Aspects.Aspect.intertypes in
   let program =
-    Code.Junit.map_classes (weave_class_with aspect record) program
+    Code.Junit.map_classes
+      (fun c -> weave_class advices record (apply_intertypes intertypes c))
+      program
   in
   { program; applications = List.rev !applications }
 
-(* The pre-index weaver, kept as the differential baseline (like
-   [Repository.Naive]): one full program traversal per aspect, every
-   advice tested against every shadow. The [weave] oracle pins
-   [weave ≡ weave_scan ≡ fold of weave_one]. *)
-let weave_scan generated program =
-  List.fold_left
-    (fun acc (g : Aspects.Generator.generated) ->
-      let r = weave_one g.Aspects.Generator.aspect acc.program in
-      { program = r.program; applications = acc.applications @ r.applications })
-    { program; applications = [] }
-    (List.rev (Precedence.order generated))
-
-(* --- the indexed, class-major weaver --------------------------------- *)
-
-(* Weave the whole ordered aspect chain into one class. The per-class
-   joinpoint index answers "can this aspect apply here at all" — when it
-   cannot, the class is not traversed for that aspect. The execution table
-   survives advice weaving (statement rewrites never add or remove
-   methods); only inter-type declarations invalidate it. Returns the woven
-   class and the applications per aspect position. *)
-let weave_class_chain (ordered : Aspects.Aspect.t array)
-    (c0 : Code.Jdecl.class_) =
-  let n = Array.length ordered in
-  let apps = Array.make n [] in
-  let c = ref c0 in
-  let exec_ix = ref None in
-  let stmt_ix = ref None in
-  let exec_index () =
-    match !exec_ix with
-    | Some ix -> ix
-    | None ->
-        let ix = Index.exec_index_of_class !c in
-        exec_ix := Some ix;
-        ix
-  in
-  let stmt_index () =
-    match !stmt_ix with
-    | Some ix -> ix
-    | None ->
-        let ix = Index.stmt_index_of_class !c in
-        stmt_ix := Some ix;
-        ix
-  in
-  for i = 0 to n - 1 do
-    let aspect = ordered.(i) in
-    (match aspect.Aspects.Aspect.intertypes with
-    | [] -> ()
-    | intertypes ->
-        let c' = apply_intertypes_to_class intertypes !c in
-        if c' != !c then begin
-          c := c';
-          exec_ix := None;
-          stmt_ix := None
-        end);
-    let touches =
-      List.exists
-        (fun (a : Aspects.Advice.t) ->
-          let wants_exec, wants_stmt = is_execution_advice a in
-          (wants_exec
-          && Index.exec_touches (exec_index ()) a.Aspects.Advice.pointcut)
-          || wants_stmt
-             && Index.stmt_touches (stmt_index ()) a.Aspects.Advice.pointcut)
-        aspect.Aspects.Aspect.advices
-    in
-    if touches then begin
-      let recorded = ref [] in
-      let record advice_name shadow =
-        Obs.incr "weave.joinpoint.match" [];
-        recorded :=
-          {
-            aspect_name = aspect.Aspects.Aspect.aspect_name;
-            advice_name;
-            at = Joinpoint.describe shadow;
-          }
-          :: !recorded
-      in
-      c := weave_class_with aspect record !c;
-      apps.(i) <- List.rev !recorded;
-      (* statement rewrites invalidate the call/set tables only *)
-      stmt_ix := None
-    end
-  done;
-  (!c, apps)
-
-type cached = {
-  src : Code.Jdecl.class_;  (* the class as it was before weaving *)
-  woven : Code.Jdecl.class_;
-  apps : application list array;  (* per aspect position *)
-}
-
-let class_equal a b =
-  a == b || Code.Jdecl.equal_type_decl (Code.Jdecl.Class a) (Code.Jdecl.Class b)
-
-let ordered_aspects generated =
-  Array.of_list
-    (List.map
-       (fun (g : Aspects.Generator.generated) -> g.Aspects.Generator.aspect)
-       (List.rev (Precedence.order generated)))
-
-let emit_precedence generated =
+let emit_precedence ordered =
   if Obs.enabled () then
     (* the precedence decision, as one structured event: position in the
        model-level transformation order -> aspect woven at that rank *)
@@ -333,90 +221,23 @@ let emit_precedence generated =
              ( string_of_int (i + 1),
                Obs.Event.V_string
                  g.Aspects.Generator.aspect.Aspects.Aspect.aspect_name ))
-           (Precedence.order generated))
+           ordered)
 
-(* Weave every class of a program through the aspect chain, consulting
-   [lookup] for a cached result first. Applications are reassembled
-   aspect-major (aspect, then class, then method — the order the
-   aspect-major baseline reports them in). *)
-let weave_classes (ordered : Aspects.Aspect.t array) ~lookup program =
-  let n = Array.length ordered in
-  let per_aspect = Array.make n [] in
-  let cache = ref Sm.empty in
-  let program' =
-    Code.Junit.map_classes
-      (fun c ->
-        let entry =
-          match lookup c with
-          | Some e -> e
-          | None ->
-              let woven, apps = weave_class_chain ordered c in
-              { src = c; woven; apps }
-        in
-        cache :=
-          Sm.update entry.src.Code.Jdecl.class_name
-            (function Some l -> Some (entry :: l) | None -> Some [ entry ])
-            !cache;
-        for i = 0 to n - 1 do
-          match entry.apps.(i) with
-          | [] -> ()
-          | l -> per_aspect.(i) <- l :: per_aspect.(i)
-        done;
-        entry.woven)
-      program
-  in
-  let applications =
-    List.concat
-      (List.init n (fun i ->
-           let apps = List.concat (List.rev per_aspect.(i)) in
-           Obs.incr "weave.applications" []
-             ~by:(float_of_int (List.length apps));
-           apps))
-  in
-  ({ program = program'; applications }, !cache)
-
+(* The aspect-major fold: one program traversal per aspect, lowest
+   precedence first, so the highest-precedence aspect wraps the others. *)
 let weave generated program =
   Obs.span ~cat:"weaver" "weave"
     ~args:[ ("aspects", Obs.Event.V_int (List.length generated)) ]
   @@ fun () ->
-  emit_precedence generated;
-  let ordered = ordered_aspects generated in
-  fst (weave_classes ordered ~lookup:(fun _ -> None) program)
-
-(* --- incremental re-weave -------------------------------------------- *)
-
-type state = {
-  generated : Aspects.Generator.generated list;
-  ordered : Aspects.Aspect.t array;
-  cache : cached list Sm.t;  (* by class name; lists cover duplicates *)
-  last : result;
-}
-
-let initial generated program =
-  Obs.span ~cat:"weaver" "weave"
-    ~args:[ ("aspects", Obs.Event.V_int (List.length generated)) ]
-  @@ fun () ->
-  emit_precedence generated;
-  let ordered = ordered_aspects generated in
-  let last, cache = weave_classes ordered ~lookup:(fun _ -> None) program in
-  { generated; ordered; cache; last }
-
-let result_of st = st.last
-
-let reweave st program =
-  Obs.span ~cat:"weaver" "weave.reweave"
-    ~args:[ ("aspects", Obs.Event.V_int (List.length st.generated)) ]
-  @@ fun () ->
-  let lookup (c : Code.Jdecl.class_) =
-    let hit =
-      match Sm.find_opt c.Code.Jdecl.class_name st.cache with
-      | None -> None
-      | Some entries -> List.find_opt (fun e -> class_equal e.src c) entries
-    in
-    (match hit with
-    | Some _ -> Obs.incr "weave.inc.skipped" []
-    | None -> Obs.incr "weave.inc.rewoven" []);
-    hit
+  let ordered = Precedence.order generated in
+  emit_precedence ordered;
+  let program, applications =
+    List.fold_left
+      (fun (program, applications) (g : Aspects.Generator.generated) ->
+        let r = weave_one g.Aspects.Generator.aspect program in
+        Obs.incr "weave.applications" []
+          ~by:(float_of_int (List.length r.applications));
+        (r.program, List.rev_append r.applications applications))
+      (program, []) (List.rev ordered)
   in
-  let last, cache = weave_classes st.ordered ~lookup program in
-  { st with cache; last }
+  { program; applications = List.rev applications }

@@ -17,22 +17,12 @@
     shadow: [thisJoinPoint] becomes a string literal describing the join
     point and [targetName] the enclosing class name.
 
-    {!weave} resolves pointcuts against the per-class joinpoint index
-    ({!Index}) and weaves class-major: each class runs the full aspect
-    chain, skipping aspects the index proves cannot apply. Because a
-    method's weave only reads its own class, this produces the same
-    program and the same application list as the aspect-major full scan,
-    which is kept as {!weave_scan} — the differential baseline pinned by
-    the [weave] fuzz oracle.
-
-    {!initial}/{!reweave} keep weaving incremental across model edits: the
-    {!state} caches, per class, the source declaration, its woven form and
-    its applications. The cached source declaration is the watermark — on
-    re-weave, a class whose declaration is unchanged (physically, the O(1)
-    fast path when the editor shares untouched declarations, or
-    structurally) reuses its cached result; only changed, added or renamed
-    classes are re-woven. The [weave-inc] oracle pins
-    [reweave ≡ full weave] across random edit scripts. *)
+    {!weave} is an aspect-major fold of {!weave_one}: one traversal of the
+    program per aspect, lowest precedence first. Each traversal stages
+    every advice's pointcut decider ({!Matcher.matches}) once, then tests
+    it at every shadow. A method's weave reads only its own class, so
+    weaving is class-local; the [weave-local] oracle pins the fold against
+    a class-by-class weave of the same program. *)
 
 (** One advice application, for reports. *)
 type application = {
@@ -47,34 +37,11 @@ type result = {
 }
 
 val weave_one : Aspects.Aspect.t -> Code.Junit.program -> result
-(** Weaves a single aspect (full scan). *)
+(** Weaves a single aspect into every class: its inter-type declarations
+    first, then its advice. *)
 
 val weave :
   Aspects.Generator.generated list -> Code.Junit.program -> result
-(** Orders the generated aspects by precedence and weaves them all,
-    index-driven. *)
-
-val weave_scan :
-  Aspects.Generator.generated list -> Code.Junit.program -> result
-(** The pre-index baseline: a fold of {!weave_one} over the ordered
-    aspects, one full program traversal each. Semantically identical to
-    {!weave}; kept for the differential oracle and the bench ablation
-    arm. *)
-
-(** {1 Incremental re-weave} *)
-
-type state
-(** A woven program plus the per-class cache that makes the next weave
-    incremental. *)
-
-val initial :
-  Aspects.Generator.generated list -> Code.Junit.program -> state
-(** Full weave, retaining the cache. *)
-
-val result_of : state -> result
-
-val reweave : state -> Code.Junit.program -> state
-(** Re-weave after a model edit: classes whose source declaration still
-    equals the cached one ([weave.inc.skipped]) reuse their woven form and
-    applications; the rest ([weave.inc.rewoven]) run the aspect chain
-    again. Equivalent to [initial st.generated program] for any program. *)
+(** Orders the generated aspects by precedence and folds {!weave_one}
+    over them, lowest precedence first. The application report is
+    aspect-major: aspect, then class, then method. *)

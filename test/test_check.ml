@@ -106,7 +106,7 @@ let oracle_tests =
     Alcotest.test_case "all ten oracles are registered" `Quick (fun () ->
         check (Alcotest.list Alcotest.string) "names"
           [
-            "diff"; "wf"; "xmi"; "query"; "ocl"; "weave"; "weave-inc"; "par";
+            "diff"; "wf"; "xmi"; "query"; "ocl"; "weave"; "weave-local"; "par";
             "repo"; "matcher";
           ]
           (List.map (fun (o : Check.Oracle.t) -> o.name) Check.Oracle.all));

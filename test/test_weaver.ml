@@ -213,22 +213,6 @@ let matcher_properties =
           let (_ : bool) = Weaver.Matcher.matches pc s in
           Weaver.Matcher.kinds (Aspects.Pointcut.Not pc)
           = Weaver.Matcher.kinds pc);
-      QCheck2.Test.make ~name:"index candidates are a sound upper bound"
-        ~count:300 Gen.pointcut_gen (fun pc ->
-          (* probe-not-scan must never lose a match: resolving through the
-             joinpoint index equals filtering every shadow directly *)
-          let program = mk_program () in
-          let index = Weaver.Index.build program in
-          let via_index = Weaver.Index.matching index pc in
-          let direct =
-            List.filter
-              (Weaver.Matcher.matches pc)
-              (Weaver.Index.all_shadows index)
-          in
-          (* [matching] lists execution shadows before statement shadows
-             per class, [all_shadows] interleaves per method — compare as
-             multisets *)
-          List.sort compare via_index = List.sort compare direct);
     ]
 
 (* ---- weaving semantics ------------------------------------------------------ *)
@@ -721,94 +705,6 @@ let interference_tests =
         check cb "conflict line marked" true (contains text "[!] A x B:"));
   ]
 
-(* ---- incremental re-weave ------------------------------------------------- *)
-
-let incremental_tests =
-  let before name pc =
-    Aspects.Advice.make Aspects.Advice.Before pc [ marker name ]
-  in
-  let g seq name advices =
-    {
-      Aspects.Generator.aspect =
-        Aspects.Aspect.make ~name ~concern:name ~advices ();
-      from_transformation = "T." ^ name;
-      seq;
-    }
-  in
-  let aspects () =
-    [
-      g 1 "A" [ before "A" (Aspects.Pointcut.execution "Service" "*") ];
-      g 2 "B" [ before "B" (Aspects.Pointcut.call "Helper" "run") ];
-    ]
-  in
-  let agree msg (r1 : Weaver.Weave.result) (r2 : Weaver.Weave.result) =
-    check cb (msg ^ ": program") true
-      (Code.Junit.equal r1.Weaver.Weave.program r2.Weaver.Weave.program);
-    check cb (msg ^ ": applications") true
-      (r1.Weaver.Weave.applications = r2.Weaver.Weave.applications)
-  in
-  [
-    Alcotest.test_case "initial state equals the scan baseline" `Quick
-      (fun () ->
-        let program = mk_program () in
-        let gs = aspects () in
-        let st = Weaver.Weave.initial gs program in
-        agree "initial" (Weaver.Weave.result_of st)
-          (Weaver.Weave.weave_scan gs program));
-    Alcotest.test_case "reweave after an edit equals a fresh full weave"
-      `Quick (fun () ->
-        let program = mk_program () in
-        let gs = aspects () in
-        let st = Weaver.Weave.initial gs program in
-        (* touch only Service: empty handle's body *)
-        let edited =
-          Code.Junit.update_class program "Service" (fun c ->
-              {
-                c with
-                Code.Jdecl.methods =
-                  List.map
-                    (fun m ->
-                      if m.Code.Jdecl.method_name = "handle" then
-                        { m with Code.Jdecl.body = Some [ marker "edited" ] }
-                      else m)
-                    c.Code.Jdecl.methods;
-              })
-        in
-        let st = Weaver.Weave.reweave st edited in
-        agree "after edit" (Weaver.Weave.result_of st)
-          (Weaver.Weave.weave_scan gs edited);
-        (* a second reweave with no changes is still the same answer *)
-        let st = Weaver.Weave.reweave st edited in
-        agree "no-op reweave" (Weaver.Weave.result_of st)
-          (Weaver.Weave.weave_scan gs edited));
-    Alcotest.test_case "reweave tracks class addition and removal" `Quick
-      (fun () ->
-        let program = mk_program () in
-        let gs = aspects () in
-        let st = Weaver.Weave.initial gs program in
-        let smaller =
-          List.map
-            (fun u ->
-              {
-                u with
-                Code.Junit.decls =
-                  List.filter
-                    (function
-                      | Code.Jdecl.Class c ->
-                          c.Code.Jdecl.class_name <> "Helper"
-                      | Code.Jdecl.Interface _ -> true)
-                    u.Code.Junit.decls;
-              })
-            program
-        in
-        let st = Weaver.Weave.reweave st smaller in
-        agree "after removal" (Weaver.Weave.result_of st)
-          (Weaver.Weave.weave_scan gs smaller);
-        let st = Weaver.Weave.reweave st program in
-        agree "after re-adding" (Weaver.Weave.result_of st)
-          (Weaver.Weave.weave_scan gs program));
-  ]
-
 let () =
   Alcotest.run "weaver"
     [
@@ -817,5 +713,4 @@ let () =
       ("weaving", weave_tests @ weave_properties);
       ("precedence", precedence_tests);
       ("interference", interference_tests);
-      ("incremental", incremental_tests);
     ]
