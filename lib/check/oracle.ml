@@ -631,9 +631,15 @@ let repo_script rng cas naive =
   in
   go 0 cas naive
 
+(* Commit ids are allocated in order and never deleted. *)
+let repo_commit_ids cas = List.init (R.size cas) Fun.id
+
+(* Every (from, to) pair of the script's commits, at most 26²: the forks an
+   undo-then-commit leaves put the lowest-common-ancestor walk on the hook,
+   not only the root-to-head path. *)
 let repo_check_diffs cas naive =
-  let head = (R.head cas).Repository.Commit.id in
-  let pairs = [ (0, head); (head, 0); (0, 0) ] in
+  let ids = repo_commit_ids cas in
+  let pairs = List.concat_map (fun a -> List.map (fun b -> (a, b)) ids) ids in
   List.fold_left
     (fun acc (from_id, to_id) ->
       let* () = acc in
@@ -656,6 +662,65 @@ let repo_check_diffs cas naive =
           else Ok ()
       | _ -> Error "[repo] diff_between availability differs")
     (Ok ()) pairs
+
+(* Every stored version as [model_at] derives it from the head must equal
+   the model the naive repository embedded for that commit, and answer
+   every index lookup like a model rebuilt from its own elements. The keys
+   probed are those of every version, so a bucket left stale by an earlier
+   version shows up too. *)
+let repo_check_versions cas naive =
+  let ids = repo_commit_ids cas in
+  let all_elements =
+    List.concat_map
+      (fun id ->
+        match N.find naive id with
+        | Some c -> Mof.Model.elements c.N.model
+        | None -> [])
+      ids
+  in
+  let names = List.map (fun (e : Mof.Element.t) -> e.name) all_elements in
+  let stereotypes =
+    List.concat_map (fun (e : Mof.Element.t) -> e.stereotypes) all_elements
+  in
+  let targets =
+    List.concat_map
+      (fun (e : Mof.Element.t) ->
+        (e.id :: Option.to_list e.owner) @ Mof.Kind.refs e.kind)
+      all_elements
+  in
+  let index_disagreement m =
+    let fresh =
+      Mof.Model.of_elements ~root:(Mof.Model.root m) ~next:(Mof.Model.next m)
+        (Mof.Model.elements m)
+    in
+    let agree lookup keys =
+      List.for_all (fun k -> Mof.Id.Set.equal (lookup m k) (lookup fresh k)) keys
+    in
+    if not (agree Mof.Model.by_kind Mof.Kind.all_names) then Some "by_kind"
+    else if not (agree Mof.Model.by_name names) then Some "by_name"
+    else if not (agree Mof.Model.by_stereotype stereotypes) then Some "by_stereotype"
+    else if not (agree Mof.Model.owned_by targets) then Some "owned_by"
+    else if not (agree Mof.Model.referrers targets) then Some "referrers"
+    else None
+  in
+  List.fold_left
+    (fun acc id ->
+      let* () = acc in
+      match (R.model_at cas id, N.find naive id) with
+      | Some m, Some c ->
+          if not (Mof.Model.equal m c.N.model) then
+            Error (Printf.sprintf "[repo] model_at %d differs from the naive model" id)
+          else (
+            match index_disagreement m with
+            | Some index ->
+                Error
+                  (Printf.sprintf
+                     "[repo] model_at %d: %s disagrees with a model rebuilt \
+                      from its elements"
+                     id index)
+            | None -> Ok ())
+      | _ -> Error (Printf.sprintf "[repo] model_at %d availability differs" id))
+    (Ok ()) ids
 
 let repo_check_snapshot cas =
   let s1 = R.save cas in
@@ -773,6 +838,7 @@ let check_repo ~aux ~base ~edits =
   let* () = repo_agree (-1) cas naive in
   let* cas, naive = repo_script rng cas naive in
   let* () = repo_check_diffs cas naive in
+  let* () = repo_check_versions cas naive in
   let* () = repo_check_snapshot cas in
   let* () = repo_check_sharing cas in
   repo_check_sessions cas

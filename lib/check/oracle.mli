@@ -40,9 +40,12 @@
     - [repo]: the content-addressed {!Repository.Repo} ≡ the full-copy
       {!Repository.Naive} baseline over random commit/undo/redo/tag/
       checkout scripts — head model, sizes, undo/redo availability, tags,
-      and log must agree at every step, composed {!Repository.Repo.diff_between}
-      must equal both its scan form and the naive recompute, the binary
-      snapshot must round-trip as a byte fixpoint, identical commits must
+      and log must agree at every step; for every pair of the script's
+      commits, composed {!Repository.Repo.diff_between} must equal both its
+      scan form and the naive recompute; every commit's
+      {!Repository.Repo.model_at} must equal the naive embedded model and
+      answer every index lookup like a model rebuilt from its elements; the
+      binary snapshot must round-trip as a byte fixpoint, identical commits must
       not grow the object store, and concurrent sessions through a cached
       pool must linearize per branch;
     - [matcher]: every staged decider {!Weaver.Matcher.matches} ≡ the

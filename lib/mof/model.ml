@@ -119,6 +119,64 @@ let unindex_element e idx =
         (Kind.refs e.Element.kind);
   }
 
+(* [key_changes compare olds news] is the pair (keys only in [olds], keys only
+   in [news]), each without duplicates: a sort-merge in O(k log k). Pairwise
+   [List.mem] would be quadratic in a package's owned refs, which run past a
+   hundred in a large model's root. *)
+let key_changes compare olds news =
+  let rec merge gone came olds news =
+    match (olds, news) with
+    | [], [] -> (gone, came)
+    | o :: olds, [] -> merge (o :: gone) came olds []
+    | [], n :: news -> merge gone (n :: came) [] news
+    | o :: olds', n :: news' ->
+        let c = compare o n in
+        if c = 0 then merge gone came olds' news'
+        else if c < 0 then merge (o :: gone) came olds' news
+        else merge gone (n :: came) olds news'
+  in
+  merge [] [] (List.sort_uniq compare olds) (List.sort_uniq compare news)
+
+(* Move [e]'s id from the buckets of the keys [e] had to those [e'] has, for
+   the keys that differ and only those: an update typically changes one key
+   (a rename, a stereotype, one ref appended to a containment list), and
+   dropping and re-adding every other bucket was most of its cost. *)
+let reindex_element e e' idx =
+  let id = e.Element.id in
+  let moved drop add compare olds news acc =
+    let gone, came = key_changes compare olds news in
+    let acc = List.fold_left (fun acc k -> drop k id acc) acc gone in
+    List.fold_left (fun acc k -> add k id acc) acc came
+  in
+  let kind = Kind.name e.Element.kind and kind' = Kind.name e'.Element.kind in
+  let name = e.Element.name and name' = e'.Element.name in
+  {
+    ix_kind =
+      (if String.equal kind kind' then idx.ix_kind
+       else sbucket_add kind' id (sbucket_drop kind id idx.ix_kind));
+    ix_name =
+      (if String.equal name name' then idx.ix_name
+       else sbucket_add name' id (sbucket_drop name id idx.ix_name));
+    ix_stereotype =
+      (if e.Element.stereotypes == e'.Element.stereotypes then idx.ix_stereotype
+       else
+         moved sbucket_drop sbucket_add String.compare e.Element.stereotypes
+           e'.Element.stereotypes idx.ix_stereotype);
+    ix_owner =
+      (match (e.Element.owner, e'.Element.owner) with
+      | Some o, Some o' when Id.equal o o' -> idx.ix_owner
+      | None, None -> idx.ix_owner
+      | o, o' ->
+          let drop = match o with Some o -> ibucket_drop o id | None -> Fun.id in
+          let add = match o' with Some o' -> ibucket_add o' id | None -> Fun.id in
+          add (drop idx.ix_owner));
+    ix_referrers =
+      (if e.Element.kind == e'.Element.kind then idx.ix_referrers
+       else
+         moved ibucket_drop ibucket_add Id.compare (Kind.refs e.Element.kind)
+           (Kind.refs e'.Element.kind) idx.ix_referrers);
+  }
+
 (* One journal entry per mutation, even when the new element is equal to the
    old one: consumers classify journal candidates against both models, so a
    spurious entry costs one comparison, never a wrong diff. *)
@@ -196,12 +254,17 @@ let update m id f =
   let e = find_exn m id in
   let e' = f e in
   touch
-    {
-      m with
-      store = Id.Map.add id e' m.store;
-      idx = index_element e' (unindex_element e m.idx);
-    }
+    { m with store = Id.Map.add id e' m.store; idx = reindex_element e e' m.idx }
     id
+
+let with_root ~root ~next m =
+  if not (mem m root) then invalid_arg "Mof.Model.with_root: root element missing"
+  else
+    match Id.Map.max_binding_opt m.store with
+    | Some (id, _) when Id.to_int id >= next ->
+        invalid_arg
+          ("Mof.Model.with_root: id " ^ Id.to_string id ^ " exceeds the next-id counter")
+    | _ -> { m with root; next }
 
 let set_level_tag level m = update m m.root (Element.set_tag "level" level)
 

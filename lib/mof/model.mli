@@ -20,12 +20,13 @@
       remain discoverable (how {!Wellformed.check_touched} finds dangling
       references after a deletion).
 
-    Index maintenance is O(k log n) per mutation for an element with k index
-    keys; every lookup is O(log n) and returns a set whose elements come
-    back in ascending id order, matching the historical scan order of
-    {!fold}/{!elements}. The invariant — each index equals the map a full
-    scan of the store would rebuild — is asserted by the randomized
-    consistency test in [test_mof.ml].
+    Index maintenance is O(k log n) per {!add} or {!remove} of an element
+    with k index keys; an {!update} moves the element only between the
+    buckets of the keys that changed. Every lookup is O(log n) and returns a
+    set whose elements come back in ascending id order, matching the
+    historical scan order of {!fold}/{!elements}. The invariant — each index
+    equals the map a full scan of the store would rebuild — is asserted by
+    the randomized consistency test in [test_mof.ml].
 
     {2 Journal and watermarks}
 
@@ -94,8 +95,22 @@ val find_exn : t -> Id.t -> Element.t
 
 val update : t -> Id.t -> (Element.t -> Element.t) -> t
 (** [update m id f] replaces the element bound to [id] by [f] applied to
-    it, reindexes the changed keys, and journals [id].
+    it and journals [id]. [f] must keep the element's id (every caller
+    edits a field of the element it is given). Only the index keys that
+    changed are reindexed: the kind name, the name, the stereotypes, the
+    owner, and the refs that one side mentions and the other does not. A
+    rename touches two name buckets, and appending a child to a package's
+    containment list adds one referrer entry. O(k log k + c log n) for k
+    refs and stereotypes and c changed keys.
     @raise Element_not_found if [id] is unbound. *)
+
+val with_root : root:Id.t -> next:int -> t -> t
+(** [with_root ~root ~next m] is [m] with root package [root] and id
+    counter [next]; the element population, indexes and journal are
+    untouched. How the repository gives a version derived from another
+    version's model that version's own root and counter. Raises
+    [Invalid_argument] when [root] is unbound or [next] does not exceed
+    every bound id — the invariants {!of_elements} checks. O(log n). *)
 
 val remove : t -> Id.t -> t
 (** Removes the binding for [id] (and only that binding; callers are

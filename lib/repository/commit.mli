@@ -4,8 +4,9 @@
     A commit no longer embeds a model copy: [tree] maps every live element
     id to the digest of its content in the {!Store}, so consecutive commits
     share the digests (and, transitively, the stored objects) of everything
-    that did not change. [Repo.model_at] rematerializes the full
-    {!Mof.Model.t} on demand. *)
+    that did not change. [Repo.model_at] derives the full {!Mof.Model.t} on
+    demand from the head's, through the trees and stored diffs on the path
+    between them. *)
 
 type tree = Store.digest Mof.Id.Map.t
 (** Element id → content digest. Persistent: a child commit's tree is the
@@ -16,11 +17,14 @@ type t = {
   parent : int option;
   message : string;
   tree : tree;
-  root : Mof.Id.t;  (** root package id, for rematerialization *)
+  root : Mof.Id.t;  (** root package id, restored on every derived version *)
   next_id : int;  (** the model's fresh-id counter at commit time *)
   diff : Mof.Diff.t;
       (** against the parent, computed once at commit time (journal replay
-          when lineage allows, scan otherwise); empty for a root commit *)
+          when lineage allows, scan otherwise); empty for a root commit.
+          [tree] differs from the parent's tree only at ids this diff
+          touches, which is what versions, composed diffs and snapshot
+          deltas are computed from. *)
   transformation : string option;
       (** concrete transformation that produced this version, if any *)
   concern : string option;

@@ -21,7 +21,8 @@ type t = {
   head_model : Mof.Model.t;
       (* the head version, kept materialized: [commit] stores the model it
          was handed, so journal lineage survives across commits and the
-         next diff replays the journal instead of scanning *)
+         next diff replays the journal instead of scanning; every other
+         version is derived from it ([version]) *)
   redo_path : int list;
       (* child ids to re-advance through, nearest first *)
   tag_map : int Smap.t;
@@ -31,8 +32,8 @@ type t = {
 }
 
 (* Fold a whole model into the store, yielding its commit tree. Only the
-   root commit and [load] pay this; ordinary commits extend the parent
-   tree by the diff. *)
+   root commit pays this; ordinary commits extend the parent tree by the
+   diff. *)
 let tree_of_model store model =
   Mof.Model.fold
     (fun e (store, tree) ->
@@ -41,6 +42,9 @@ let tree_of_model store model =
     model
     (store, Mof.Id.Map.empty)
 
+(* Build a commit's model from its tree alone: O(n log n) in every index.
+   Only [load] pays this, once, for the head; every other version is
+   derived from the head by [version]. *)
 let materialize store (c : Commit.t) =
   let elements =
     (* bindings come back in ascending id order, the order [of_elements]
@@ -98,6 +102,71 @@ let head t =
   | None -> assert false (* head always points at a stored commit *)
 
 let head_model t = t.head_model
+
+(* --- versions ------------------------------------------------------------ *)
+
+(* Every id that differs between two versions was necessarily touched by
+   some commit on the path between them: a commit tree only changes where
+   its stored diff says so ([append] builds it that way, [load] rejects a
+   snapshot where it does not). A parent's id is always smaller than its
+   child's, so repeatedly stepping the larger of the two ids to its parent
+   walks both sides of the path until they meet at the lowest common
+   ancestor, gathering each commit's touched ids on the way. *)
+let path_touched t a b =
+  let rec walk acc a b =
+    if a = b then acc
+    else
+      let c = Int_map.find (max a b) t.commits in
+      let acc = Mof.Id.Set.union acc (Mof.Diff.touched c.Commit.diff) in
+      match c.Commit.parent with
+      | Some p -> if a > b then walk acc p b else walk acc a p
+      | None -> assert false (* the single root holds the smallest id *)
+  in
+  walk Mof.Id.Set.empty a b
+
+(* Classify candidate ids against two commit trees: membership decides
+   added/removed, digest inequality decides modified. Exact when the
+   candidates cover the path between the commits, with no model built. *)
+let tree_diff (a : Commit.t) (b : Commit.t) candidates =
+  let classify id acc =
+    match
+      (Mof.Id.Map.find_opt id a.Commit.tree, Mof.Id.Map.find_opt id b.Commit.tree)
+    with
+    | None, None -> acc
+    | None, Some _ ->
+        { acc with Mof.Diff.added = Mof.Id.Set.add id acc.Mof.Diff.added }
+    | Some _, None ->
+        { acc with Mof.Diff.removed = Mof.Id.Set.add id acc.Mof.Diff.removed }
+    | Some da, Some db ->
+        if String.equal da db then acc
+        else
+          { acc with Mof.Diff.modified = Mof.Id.Set.add id acc.Mof.Diff.modified }
+  in
+  Mof.Id.Set.fold classify candidates Mof.Diff.empty
+
+(* The model commit [c] holds, derived from the materialized head: apply the
+   composed diff head → [c] with the elements of [c]'s tree, then restore
+   [c]'s root and id counter. O(path changes · log n) where rebuilding every
+   index from the tree costs O(n log n). The result extends the head's
+   journal lineage. *)
+let version t (c : Commit.t) =
+  let head = head t in
+  let d = tree_diff head c (path_touched t head.Commit.id c.Commit.id) in
+  let element id = Store.find_exn t.store (Mof.Id.Map.find id c.Commit.tree) in
+  let m =
+    Mof.Id.Set.fold
+      (fun id m -> Mof.Model.remove m id)
+      d.Mof.Diff.removed t.head_model
+  in
+  let m =
+    Mof.Id.Set.fold
+      (fun id m -> Mof.Model.update m id (fun _ -> element id))
+      d.Mof.Diff.modified m
+  in
+  let m =
+    Mof.Id.Set.fold (fun id m -> Mof.Model.add m (element id)) d.Mof.Diff.added m
+  in
+  Mof.Model.with_root ~root:c.Commit.root ~next:c.Commit.next_id m
 
 (* Append [model] as a child of commit [parent] (whose materialization is
    [parent_model]), on branch [branch] — the shared machinery behind
@@ -168,23 +237,18 @@ let commit_on ~branch ?transformation ?concern ~message model t =
       match find t id with
       | None -> Error (Dangling { name = branch; commit = id })
       | Some parent ->
-          let parent_model =
-            if id = t.head_id then t.head_model else materialize t.store parent
-          in
           Ok
             (append ?transformation ?concern ~message ~branch ~parent
-               ~parent_model model t))
+               ~parent_model:(version t parent) model t))
 
-(* Move the head to a stored commit: rematerialize its model (fresh
-   lineage — [Model.equal] ignores journals, and watermark-keyed caches
-   detect the break and fall back to a scan) and drag the current branch
-   pointer along. *)
+(* Move the head to a stored commit, deriving its model from the current
+   head, and drag the current branch pointer along. *)
 let move_head t id ~redo_path =
   let c = Int_map.find id t.commits in
   {
     t with
     head_id = id;
-    head_model = materialize t.store c;
+    head_model = version t c;
     redo_path;
     branch_map = Smap.add t.current_branch id t.branch_map;
   }
@@ -233,12 +297,12 @@ let switch_branch name t =
             {
               t with
               head_id = id;
-              head_model = materialize t.store c;
+              head_model = version t c;
               redo_path = [];
               current_branch = name;
             })
 
-let model_at t id = Option.map (materialize t.store) (find t id)
+let model_at t id = Option.map (version t) (find t id)
 
 let log t =
   (* head-first chain *)
@@ -256,67 +320,10 @@ let size t = Int_map.cardinal t.commits
 
 (* --- composed diffs ---------------------------------------------------- *)
 
-(* Every id that differs between two versions was necessarily touched by
-   some commit on the path between them (a commit tree only changes where
-   its stored diff says so), so: gather candidate ids from the stored
-   diffs along the path through the lowest common ancestor, then classify
-   each candidate against the two endpoint trees — membership decides
-   added/removed, digest inequality decides modified. Exact by
-   construction, no model materialized, O(path changes · log n). *)
 let diff_between t ~from_id ~to_id =
   match (find t from_id, find t to_id) with
   | None, _ | _, None -> None
-  | Some a, Some b ->
-      let ancestors =
-        (* every commit id on [from]'s chain up to the root *)
-        let rec up acc id =
-          let acc = Int_map.add id () acc in
-          match (Int_map.find id t.commits).Commit.parent with
-          | None -> acc
-          | Some p -> up acc p
-        in
-        up Int_map.empty a.Commit.id
-      in
-      (* walk up from [id] accumulating touched ids until [stop] holds;
-         returns the accumulator and the id it stopped at *)
-      let rec collect acc id ~stop =
-        if stop id then (acc, id)
-        else
-          let c = Int_map.find id t.commits in
-          let acc = Mof.Id.Set.union acc (Mof.Diff.touched c.Commit.diff) in
-          match c.Commit.parent with
-          | None -> (acc, id)
-          | Some p -> collect acc p ~stop
-      in
-      let candidates, lca =
-        collect Mof.Id.Set.empty b.Commit.id ~stop:(fun id ->
-            Int_map.mem id ancestors)
-      in
-      let candidates, _ =
-        collect candidates a.Commit.id ~stop:(fun id -> id = lca)
-      in
-      let classify id acc =
-        match
-          ( Mof.Id.Map.find_opt id a.Commit.tree,
-            Mof.Id.Map.find_opt id b.Commit.tree )
-        with
-        | None, None -> acc
-        | None, Some _ ->
-            { acc with Mof.Diff.added = Mof.Id.Set.add id acc.Mof.Diff.added }
-        | Some _, None ->
-            {
-              acc with
-              Mof.Diff.removed = Mof.Id.Set.add id acc.Mof.Diff.removed;
-            }
-        | Some da, Some db ->
-            if String.equal da db then acc
-            else
-              {
-                acc with
-                Mof.Diff.modified = Mof.Id.Set.add id acc.Mof.Diff.modified;
-              }
-      in
-      Some (Mof.Id.Set.fold classify candidates Mof.Diff.empty)
+  | Some a, Some b -> Some (tree_diff a b (path_touched t from_id to_id))
 
 let diff_between_scan t ~from_id ~to_id =
   match (model_at t from_id, model_at t to_id) with
@@ -353,26 +360,38 @@ let save t =
         i + 1)
       t.store 0
   in
-  let w_tree_delta parent_tree tree =
-    let removed =
-      Mof.Id.Map.fold
-        (fun id _ acc -> if Mof.Id.Map.mem id tree then acc else id :: acc)
-        parent_tree []
-    in
-    Mof.Canon.w_list Mof.Canon.w_id buf (List.rev removed);
-    let set =
-      Mof.Id.Map.fold
-        (fun id digest acc ->
-          match Mof.Id.Map.find_opt id parent_tree with
-          | Some d when String.equal d digest -> acc
-          | _ -> (id, digest) :: acc)
-        tree []
-    in
+  let w_delta removed set =
+    Mof.Canon.w_list Mof.Canon.w_id buf removed;
     Mof.Canon.w_list
       (fun buf (id, digest) ->
         Mof.Canon.w_id buf id;
         Mof.Canon.w_int buf (Hashtbl.find index digest))
-      buf (List.rev set)
+      buf set
+  in
+  (* The root commit writes its whole tree. Any other commit's tree differs
+     from its parent's only at ids its stored diff touched, so the delta
+     classifies those alone, in ascending order like the whole-tree fold
+     it replaces: O(changes · log n) per commit, not O(n). *)
+  let w_tree_delta (c : Commit.t) =
+    match c.Commit.parent with
+    | None -> w_delta [] (Mof.Id.Map.bindings c.Commit.tree)
+    | Some p ->
+        let parent_tree = (Int_map.find p t.commits).Commit.tree in
+        let removed, set =
+          Mof.Id.Set.fold
+            (fun id (removed, set) ->
+              match
+                ( Mof.Id.Map.find_opt id parent_tree,
+                  Mof.Id.Map.find_opt id c.Commit.tree )
+              with
+              | Some _, None -> (id :: removed, set)
+              | Some d, Some digest when String.equal d digest -> (removed, set)
+              | _, Some digest -> (removed, (id, digest) :: set)
+              | None, None -> (removed, set))
+            (Mof.Diff.touched c.Commit.diff)
+            ([], [])
+        in
+        w_delta (List.rev removed) (List.rev set)
   in
   (* ascending id order; ids are allocated monotonically so every parent
      precedes its children and tree deltas resolve on load *)
@@ -386,12 +405,7 @@ let save t =
       Mof.Canon.w_opt Mof.Canon.w_str buf c.Commit.concern;
       Mof.Canon.w_id buf c.Commit.root;
       Mof.Canon.w_int buf c.Commit.next_id;
-      let parent_tree =
-        match c.Commit.parent with
-        | None -> Mof.Id.Map.empty
-        | Some p -> (Int_map.find p t.commits).Commit.tree
-      in
-      w_tree_delta parent_tree c.Commit.tree;
+      w_tree_delta c;
       w_id_set buf c.Commit.diff.Mof.Diff.added;
       w_id_set buf c.Commit.diff.Mof.Diff.removed;
       w_id_set buf c.Commit.diff.Mof.Diff.modified)
@@ -444,10 +458,22 @@ let load data =
           raise (Mof.Canon.Corrupt "object index out of range")
         else by_index.(i)
       in
+      let corrupt fmt =
+        Printf.ksprintf (fun msg -> raise (Mof.Canon.Corrupt msg)) fmt
+      in
+      (* What the version walks rely on, each checked in O(changes · log n)
+         per commit: ids ascend, so a parent (always read before its child) has
+         the smaller id; exactly one commit has no parent, so every two
+         commits share an ancestor; and a tree differs from its parent's
+         only at ids the stored diff touched. *)
       let n_commits = Mof.Canon.r_int r in
       let commits = ref Int_map.empty in
       for _ = 1 to n_commits do
         let id = Mof.Canon.r_int r in
+        (match Int_map.max_binding_opt !commits with
+        | Some (last, _) when id <= last ->
+            corrupt "commit #%d is out of ascending id order (after #%d)" id last
+        | _ -> ());
         let parent = Mof.Canon.r_opt Mof.Canon.r_int r in
         let message = Mof.Canon.r_str r in
         let transformation = Mof.Canon.r_opt Mof.Canon.r_str r in
@@ -456,15 +482,14 @@ let load data =
         let next_id = Mof.Canon.r_int r in
         let parent_tree =
           match parent with
-          | None -> Mof.Id.Map.empty
+          | None ->
+              if not (Int_map.is_empty !commits) then
+                corrupt "commit #%d is a second commit without a parent" id;
+              Mof.Id.Map.empty
           | Some p -> (
               match Int_map.find_opt p !commits with
               | Some (pc : Commit.t) -> pc.Commit.tree
-              | None ->
-                  raise
-                    (Mof.Canon.Corrupt
-                       (Printf.sprintf
-                          "commit #%d references unknown parent #%d" id p)))
+              | None -> corrupt "commit #%d references unknown parent #%d" id p)
         in
         let removed = Mof.Canon.r_list Mof.Canon.r_id r in
         let tree =
@@ -488,6 +513,18 @@ let load data =
         let added = r_id_set r in
         let d_removed = r_id_set r in
         let modified = r_id_set r in
+        let diff = { Mof.Diff.added; removed = d_removed; modified } in
+        (if parent <> None then
+           let touched = Mof.Diff.touched diff in
+           match
+             List.find_opt
+               (fun eid -> not (Mof.Id.Set.mem eid touched))
+               (removed @ List.map fst set)
+           with
+           | Some eid ->
+               corrupt "commit #%d changes %s outside its stored diff" id
+                 (Mof.Id.to_string eid)
+           | None -> ());
         let c =
           {
             Commit.id;
@@ -496,7 +533,7 @@ let load data =
             tree;
             root;
             next_id;
-            diff = { Mof.Diff.added; removed = d_removed; modified };
+            diff;
             transformation;
             concern;
           }
@@ -506,6 +543,11 @@ let load data =
       let head_id = Mof.Canon.r_int r in
       let redo_path = Mof.Canon.r_list Mof.Canon.r_int r in
       let next = Mof.Canon.r_int r in
+      (* a later commit takes id [next], and must not reuse a stored one *)
+      (match Int_map.max_binding_opt !commits with
+      | Some (last, _) when next <= last ->
+          corrupt "next commit id %d does not exceed commit #%d" next last
+      | _ -> ());
       let r_named () =
         List.fold_left
           (fun m (name, id) -> Smap.add name id m)

@@ -19,7 +19,26 @@
     The undo semantics are unchanged from the naive repository
     ({!Naive}, the oracle baseline): undo moves the head to the parent
     commit without discarding anything, redo walks forward again, and
-    committing with a redo path outstanding discards that path. *)
+    committing with a redo path outstanding discards that path.
+
+    {2 Versions cost what changed}
+
+    Only the head's model is kept. Any other version ({!model_at}, and the
+    new head after {!undo}, {!redo}, {!checkout} or {!switch_branch}) is
+    derived from it: the diff composed along the commit path from the head
+    to that version is applied to the head's model, element by element
+    from the target commit's tree. That costs O((p + c) · log n) for a path
+    of p commits touching c ids in all, where rebuilding the model from the
+    tree would cost O(n log n) in every index.
+
+    A derived version continues the head's journal lineage instead of
+    starting a fresh one: its journal is the head's plus one entry per
+    applied change. Nothing observable depends on this. {!Mof.Model.equal}
+    compares populations and roots only, the indexes are maintained by the
+    same incremental updates as any edit, and caches keyed by a
+    watermark stay sound because {!Mof.Model.same_state} compares journal
+    positions physically: a derived version never shares one with a model
+    whose population differs. *)
 
 type t
 
@@ -57,8 +76,9 @@ val commit_on :
   t ->
   (t, checkout_error) result
 (** Like {!commit}, but on top of the named branch's head (the head and
-    current branch move to the new commit). [Unknown_branch] when the
-    branch does not exist. *)
+    current branch move to the new commit). The diff is taken against the
+    branch head's version, derived from the current head when the two
+    differ. [Unknown_branch] when the branch does not exist. *)
 
 val head : t -> Commit.t
 val head_model : t -> Mof.Model.t
@@ -69,10 +89,12 @@ val head_model : t -> Mof.Model.t
 
 val undo : t -> t option
 (** Move head to its parent; [None] at the root. The new head's model is
-    rematerialized from the object store. *)
+    the current one with the head commit's stored diff undone:
+    O(changes · log n). *)
 
 val redo : t -> t option
-(** Re-advance head after an undo; [None] when there is nothing to redo. *)
+(** Re-advance head after an undo; [None] when there is nothing to redo.
+    O(changes · log n), like {!undo}. *)
 
 val can_undo : t -> bool
 val can_redo : t -> bool
@@ -84,7 +106,8 @@ val tag_find : t -> string -> int option
 (** Commit id a tag points at. O(log tags). *)
 
 val checkout : string -> t -> (t, checkout_error) result
-(** Moves the head to the commit named by a tag; clears the redo path. *)
+(** Moves the head to the commit named by a tag; clears the redo path.
+    Costs what {!model_at} of the tagged commit costs. *)
 
 val tags : t -> (string * int) list
 (** All tag bindings, in name order. *)
@@ -103,12 +126,14 @@ val create_branch : string -> t -> (t, [ `Branch_exists of string ]) result
 
 val switch_branch : string -> t -> (t, checkout_error) result
 (** Moves the head to the named branch's commit and makes it current;
-    clears the redo path. *)
+    clears the redo path. Costs what {!model_at} of that commit costs. *)
 
 val find : t -> int -> Commit.t option
 
 val model_at : t -> int -> Mof.Model.t option
-(** Rematerializes the version a commit holds. O(n log n). *)
+(** The version a commit holds, derived from the head's model (see
+    "Versions cost what changed" above): O((p + c) · log n) for the p
+    commits on the path from the head and the c ids they touched. *)
 
 val log : t -> Commit.t list
 (** Head-first chain of commits from the head to the root. *)
@@ -119,13 +144,17 @@ val size : t -> int
 val diff_between : t -> from_id:int -> to_id:int -> Mof.Diff.t option
 (** Structural diff between two stored versions, composed from the diffs
     stored along the commit path through their lowest common ancestor and
-    classified against the two commit trees — O(path changes · log n), no
-    model is materialized. [None] when either id is unknown. *)
+    classified against the two commit trees. A parent's id is always
+    smaller than its child's, so the walk steps the larger id to its parent
+    until the two meet: O((p + c) · log n) for a path of p commits touching
+    c ids, with no model built and no ancestor set. [None] when either id
+    is unknown. *)
 
 val diff_between_scan : t -> from_id:int -> to_id:int -> Mof.Diff.t option
-(** The materialize-both-and-scan baseline ({!Mof.Diff.compute_scan});
-    exposed for the [repo] differential oracle and bench E15. Agrees with
-    {!diff_between} by construction or the oracle fails. *)
+(** The scan baseline: both versions through {!model_at}, then
+    {!Mof.Diff.compute_scan}; exposed for the [repo] differential oracle
+    and bench E15. Agrees with {!diff_between} by construction or the
+    oracle fails. *)
 
 (** {2 Store statistics} *)
 
@@ -145,7 +174,15 @@ val store_bytes : t -> int
     fixpoint the snapshot test and the [repo] oracle lock. *)
 
 val save : t -> string
+(** O(objects + Σ changes): the root commit's tree is written whole, and
+    every other commit's delta is classified from the ids its stored diff
+    touched, never by comparing two whole trees. *)
 
 val load : string -> (t, string) result
 (** Rejects bad magic, truncated input, digest mismatches, and dangling
-    internal references with a descriptive message; never raises. *)
+    internal references with a descriptive message; never raises. Also
+    rejects what would break the version walks: commit ids out of
+    ascending order, a second commit without a parent, a tree delta that
+    changes an id its commit's stored diff does not touch, and a next
+    commit id that does not exceed every stored one. These checks cost
+    O(changes · log n) per commit. Only the head's model is built. *)

@@ -768,8 +768,12 @@ let pp_tests =
 (* Random mutation sequences over the full store vocabulary, replayed
    against scan-based reference implementations of every index and query.
    The op interpreters keep owner chains intact (qualified names must stay
-   total): raw [Model.remove] only ever hits forged leaf attributes owned by
-   the root, and structural deletes go through [Builder.delete_element]. *)
+   total): raw [Model.remove] only ever hits forged leaf attributes, which
+   no containment list holds; a raw owner move only moves those, and a
+   structural delete, which goes through [Builder.delete_element], takes
+   along the forged leaves it leaves without an owner. Raw [Model.update]s
+   change every index key: name, stereotypes, tags, owner, and the refs of
+   a retyped attribute. *)
 
 let op_names = [| "A"; "B"; "C"; "Acct"; "We.ird"; "x" |]
 let op_stereos = [| "hot"; "cold"; "entity" |]
@@ -783,7 +787,7 @@ let apply_store_op (m, forged) (sel, a, b) =
   let ids = List.map (fun (e : Mof.Element.t) -> e.Mof.Element.id) (Mof.Model.elements m) in
   let pick k = List.nth ids (k mod List.length ids) in
   let name k = op_names.(k mod Array.length op_names) in
-  match sel mod 9 with
+  match sel mod 11 with
   | 0 ->
       (fst (Mof.Builder.add_class m ~owner:(Mof.Model.root m) ~name:(name a)), forged)
   | 1 -> (
@@ -816,9 +820,51 @@ let apply_store_op (m, forged) (sel, a, b) =
       | [] -> (m, forged)
       | nr ->
           let m = Mof.Builder.delete_element m (List.nth nr (a mod List.length nr)) in
+          (* a forged leaf moved under the deleted subtree goes with it *)
+          let orphaned f =
+            match (Mof.Model.find_exn m f).Mof.Element.owner with
+            | Some o -> not (Mof.Model.mem m o)
+            | None -> false
+          in
+          let m =
+            List.fold_left
+              (fun m f ->
+                if Mof.Model.mem m f && orphaned f then Mof.Model.remove m f else m)
+              m forged
+          in
           (m, List.filter (Mof.Model.mem m) forged))
   | 7 ->
       (Mof.Model.update m (pick a) (Mof.Element.set_tag "k" (string_of_int (b mod 5))), forged)
+  | 9 -> (
+      (* raw owner move of a forged leaf (no containment list holds it):
+         to no owner, to the root, or under any package or class *)
+      match forged with
+      | [] -> (m, forged)
+      | _ ->
+          let f = List.nth forged (a mod List.length forged) in
+          let owners =
+            None
+            :: List.map
+                 (fun (e : Mof.Element.t) -> Some e.Mof.Element.id)
+                 (Mof.Query.packages m @ Mof.Query.classes m)
+          in
+          let owner = List.nth owners (b mod List.length owners) in
+          (Mof.Model.update m f (fun e -> { e with Mof.Element.owner }), forged))
+  | 10 -> (
+      (* raw retype of any attribute to a reference to a random, possibly
+         unbound, id *)
+      match Mof.Id.Set.elements (Mof.Model.by_kind m "Attribute") with
+      | [] -> (m, forged)
+      | attrs ->
+          let target = Mof.Id.of_int (b mod 60) in
+          ( Mof.Model.update m (List.nth attrs (a mod List.length attrs)) (fun e ->
+                match e.Mof.Element.kind with
+                | Mof.Kind.Attribute at ->
+                    Mof.Element.with_kind
+                      (Mof.Kind.Attribute { at with attr_type = Mof.Kind.Dt_ref target })
+                      e
+                | _ -> e),
+            forged ))
   | _ -> (
       match Mof.Query.classes m with
       | _ :: _ :: _ as cs ->

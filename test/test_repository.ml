@@ -28,6 +28,66 @@ let checkout_exn name repo =
   | Ok r -> r
   | Error e -> Alcotest.fail (Repository.Repo.checkout_error_to_string e)
 
+let ok_exn to_string = function
+  | Ok r -> r
+  | Error e -> Alcotest.fail (to_string e)
+
+(* A fixed history of 320 commits over the banking model, drawn from a
+   local LCG so it never depends on Stdlib.Random: adds, renames, typed
+   attributes, stereotypes and deletes; undo-then-commit forks; a side
+   branch committed to both as the current branch and through [commit_on];
+   tags, and a checkout that forks from one. *)
+let golden_history () =
+  let state = ref 0x5eed in
+  let draw bound =
+    state := ((!state * 1103515245) + 12345) land 0x3fffffff;
+    (!state lsr 7) mod bound
+  in
+  let edit m i =
+    let classes = Array.of_list (Mof.Id.Set.elements (Mof.Model.by_kind m "Class")) in
+    let pick () = classes.(draw (Array.length classes)) in
+    let name fmt = Printf.sprintf fmt i in
+    match draw 6 with
+    | 0 -> fst (Mof.Builder.add_class m ~owner:(Mof.Model.root m) ~name:(name "G%d"))
+    | 1 -> Mof.Builder.rename m (pick ()) (name "R%d")
+    | 2 ->
+        fst
+          (Mof.Builder.add_attribute m ~cls:(pick ()) ~name:(name "a%d")
+             ~typ:(Mof.Kind.Dt_ref (pick ())))
+    | 3 -> Mof.Builder.add_stereotype m (pick ()) (Printf.sprintf "s%d" (i mod 4))
+    | 4 when Array.length classes > 4 -> Mof.Builder.delete_element m (pick ())
+    | _ -> Mof.Builder.set_tag m (Mof.Model.root m) "step" (string_of_int i)
+  in
+  let module R = Repository.Repo in
+  let step r i =
+    let r =
+      if i mod 9 = 0 then Option.value (R.undo r) ~default:r
+      else if i mod 23 = 0 then
+        let back = Option.value (R.undo r) ~default:r in
+        Option.value (R.redo (Option.value (R.undo back) ~default:back)) ~default:back
+      else r
+    in
+    let r = if i mod 40 = 0 then R.tag (Printf.sprintf "v%d" (i / 40)) r else r in
+    let r =
+      match i with
+      | 120 ->
+          let r = ok_exn (fun (`Branch_exists b) -> b) (R.create_branch "side" r) in
+          ok_exn R.checkout_error_to_string (R.switch_branch "side" r)
+      | 170 -> ok_exn R.checkout_error_to_string (R.switch_branch "main" r)
+      | 250 -> ok_exn R.checkout_error_to_string (R.checkout "v2" r)
+      | _ -> r
+    in
+    let message = Printf.sprintf "edit %d" i in
+    if i > 170 && i mod 31 = 0 then
+      let side = Option.get (R.branch_head r "side") in
+      let m = edit (Option.get (R.model_at r side)) i in
+      let r = ok_exn R.checkout_error_to_string (R.commit_on ~branch:"side" ~message m r) in
+      ok_exn R.checkout_error_to_string (R.switch_branch "main" r)
+    else R.commit ~message (edit (R.head_model r) i) r
+  in
+  let rec go r i = if i > 320 then r else go (step r i) (i + 1) in
+  go (R.init (Fixtures.banking ())) 1
+
 let repo_tests =
   [
     Alcotest.test_case "init stores the root commit" `Quick (fun () ->
@@ -160,6 +220,25 @@ let repo_tests =
         check ci "objects unchanged" objects (Repository.Repo.store_objects repo);
         check ci "bytes unchanged" bytes (Repository.Repo.store_bytes repo);
         check ci "commits recorded" 5 (Repository.Repo.size repo));
+    Alcotest.test_case "golden snapshot bytes of a seeded 320-commit history"
+      `Quick (fun () ->
+        let repo = golden_history () in
+        check ci "commits" 321 (Repository.Repo.size repo);
+        let forks =
+          List.length
+            (List.filter
+               (fun id ->
+                 match Repository.Repo.find repo id with
+                 | Some { Repository.Commit.parent = Some p; _ } -> p <> id - 1
+                 | _ -> false)
+               (List.init 321 Fun.id))
+        in
+        check ci "forked commits" 58 forks;
+        check ci "tags" 8 (List.length (Repository.Repo.tags repo));
+        check (Alcotest.list cs) "branches" [ "main"; "side" ]
+          (List.map fst (Repository.Repo.branches repo));
+        check cs "snapshot digest" "761579336e19653a15693740b88fbe5d"
+          (Digest.to_hex (Digest.string (Repository.Repo.save repo))));
   ]
 
 let branch_tests =
@@ -430,6 +509,92 @@ let property_tests =
           end);
     ]
 
+(* --- hand-written snapshots [load] must reject --------------------------- *)
+
+(* An MDWREPO1 snapshot written field by field with the Mof.Canon writers,
+   over a store holding two versions ("v0", "v1") of a lone root package.
+   Each commit is [(id, parent, objects, modified)]: its tree delta sets the
+   root to each object index in [objects], and [modified] says whether its
+   stored diff lists the root as modified. The head is the last commit. *)
+let hand_snapshot ?(next = 2) commits =
+  let open Mof.Canon in
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf "MDWREPO1";
+  let root = Mof.Id.of_int 0 in
+  let objects =
+    List.map
+      (fun name ->
+        element_bytes
+          (Mof.Element.make ~id:root ~name ~owner:None (Mof.Kind.Package { owned = [] })))
+      [ "v0"; "v1" ]
+  in
+  w_int buf (List.length objects);
+  List.iter
+    (fun bytes ->
+      Buffer.add_string buf (Digest.string bytes);
+      w_str buf bytes)
+    objects;
+  w_int buf (List.length commits);
+  List.iter
+    (fun (id, parent, set, modified) ->
+      w_int buf id;
+      w_opt w_int buf parent;
+      w_str buf (Printf.sprintf "c%d" id);
+      w_opt w_str buf None;
+      w_opt w_str buf None;
+      w_id buf root;
+      w_int buf 1;
+      w_list w_id buf [];
+      w_list
+        (fun buf obj ->
+          w_id buf root;
+          w_int buf obj)
+        buf set;
+      w_list w_id buf [];
+      w_list w_id buf [];
+      w_list w_id buf (if modified then [ root ] else []))
+    commits;
+  let head = match List.rev commits with (id, _, _, _) :: _ -> id | [] -> 0 in
+  w_int buf head;
+  w_list w_int buf [];
+  w_int buf next;
+  w_list w_int buf [];
+  w_list
+    (fun buf (name, id) ->
+      w_str buf name;
+      w_int buf id)
+    buf [ ("main", head) ];
+  w_str buf "main";
+  Buffer.contents buf
+
+let rejects what needle snapshot =
+  match Repository.Repo.load snapshot with
+  | Ok _ -> Alcotest.failf "%s: load accepted the snapshot" what
+  | Error e ->
+      if not (contains e needle) then
+        Alcotest.failf "%s: expected an error mentioning %S, got %S" what needle e
+
+let load_tests =
+  let root_only = (0, None, [ 0 ], false) in
+  [
+    Alcotest.test_case "commit ids out of ascending order are rejected" `Quick (fun () ->
+        rejects "out of order" "ascending"
+          (hand_snapshot ~next:3
+             [ root_only; (2, Some 0, [ 1 ], true); (1, Some 0, [ 1 ], true) ]));
+    Alcotest.test_case "a second parent-less commit is rejected" `Quick (fun () ->
+        rejects "two roots" "without a parent"
+          (hand_snapshot [ root_only; (1, None, [ 1 ], false) ]));
+    Alcotest.test_case "a tree delta outside the stored diff is rejected" `Quick (fun () ->
+        (* loaded, commit #1 would change the root while its diff says
+           nothing changed, and diff_between 0 1 would come back empty *)
+        rejects "unrecorded change" "outside its stored diff"
+          (hand_snapshot [ root_only; (1, Some 0, [ 1 ], false) ]));
+    Alcotest.test_case "a next commit id that reuses a stored id is rejected" `Quick
+      (fun () ->
+        rejects "stale next id" "next commit id"
+          (hand_snapshot ~next:1 [ root_only; (1, Some 0, [ 1 ], true) ]));
+  ]
+
 (* --- the concurrent session front-end ---------------------------------- *)
 
 let service_tests =
@@ -589,6 +754,7 @@ let () =
       ("repo", repo_tests);
       ("branches", branch_tests);
       ("properties", property_tests);
+      ("load", load_tests);
       ("service", service_tests);
       ("history", history_tests);
     ]
