@@ -245,16 +245,6 @@ let e7_tests =
                | Ok _ -> ()
                | Error f ->
                    failwith (Format.asprintf "%a" Transform.Engine.pp_failure f)));
-        Test.make
-          ~name:(Printf.sprintf "ablation/precheck:full-wf:%d-classes" n)
-          (Staged.stage (fun () ->
-               match
-                 Transform.Engine.apply ~checks:Transform.Engine.full_checks cmt
-                   m
-               with
-               | Ok _ -> ()
-               | Error f ->
-                   failwith (Format.asprintf "%a" Transform.Engine.pp_failure f)));
       ])
     [ 10; 50; 100 ]
 
@@ -414,14 +404,12 @@ let e11_tests =
       ])
     [ 8; 77; 769 ]
 
-(* ---- E13: ablation — OCL compile/extent caches and the query planner -------- *)
+(* ---- E13: the OCL planner and parse cache against their references ------- *)
 
-(* Each layer of the PR-4 OCL stack, isolated: the planner (index probes vs
-   naive extent folds), the extent cache (warm vs forced-cold), and the
-   compile cache (parse-once vs re-lex). `cold` rows go through
-   [check_naive], which re-parses and recomputes extents every call — the
-   pre-PR-4 shape. Engine-level rows show the same ablations through
-   [Transform.Engine.apply], matching E7's workload. *)
+(* The production path ([Constraint_.check]: memoized parse, planner
+   probes) against the reference the [ocl] oracle holds it to
+   ([Constraint_.check_naive]: fresh parse, raw AST, extent folds), and
+   the memoized compile against a fresh [Parser.parse]. *)
 let e13_tests =
   let probe =
     Ocl.Constraint_.make ~name:"probe"
@@ -434,42 +422,19 @@ let e13_tests =
   let parse_body =
     "Class.allInstances()->forAll(c | c.attributes->forAll(a | a.lower >= 0))"
   in
-  let apply ?checks cmt m =
-    match
-      match checks with
-      | None -> Transform.Engine.apply cmt m
-      | Some checks -> Transform.Engine.apply ~checks cmt m
-    with
-    | Ok _ -> ()
-    | Error f -> failwith (Format.asprintf "%a" Transform.Engine.pp_failure f)
-  in
   List.concat_map
     (fun n ->
       let m = synthetic n in
-      let cmt = tx_cmt_for "C0" in
       [
         Test.make
           ~name:(Printf.sprintf "ocl/probe:planned+cached:%d-classes" n)
           (Staged.stage (fun () -> ignore (Ocl.Constraint_.check m probe)));
-        Test.make ~name:(Printf.sprintf "ocl/probe:no-planner:%d-classes" n)
-          (Staged.stage (fun () ->
-               Ocl.Eval.with_no_planner (fun () ->
-                   ignore (Ocl.Constraint_.check m probe))));
         Test.make ~name:(Printf.sprintf "ocl/probe:cold:%d-classes" n)
           (Staged.stage (fun () -> ignore (Ocl.Constraint_.check_naive m probe)));
         Test.make ~name:(Printf.sprintf "ocl/walk:planned+cached:%d-classes" n)
           (Staged.stage (fun () -> ignore (Ocl.Constraint_.check m walk)));
         Test.make ~name:(Printf.sprintf "ocl/walk:cold:%d-classes" n)
           (Staged.stage (fun () -> ignore (Ocl.Constraint_.check_naive m walk)));
-        Test.make
-          ~name:(Printf.sprintf "ablation/ocl:engine-no-planner:%d-classes" n)
-          (Staged.stage (fun () ->
-               apply ~checks:Transform.Engine.no_planner_checks cmt m));
-        Test.make
-          ~name:(Printf.sprintf "ablation/ocl:engine-cold-cache:%d-classes" n)
-          (Staged.stage (fun () ->
-               Ocl.Meta.with_extent_cache false (fun () ->
-                   Ocl.Compile.with_cache false (fun () -> apply cmt m))));
       ])
     [ 10; 50; 100 ]
   @ [
@@ -477,14 +442,6 @@ let e13_tests =
         (Staged.stage (fun () -> ignore (Ocl.Compile.compile_exn parse_body)));
       Test.make ~name:"ocl/parse:uncached"
         (Staged.stage (fun () -> ignore (Ocl.Parser.parse parse_body)));
-      (let m = synthetic 100 in
-       Test.make ~name:"ocl/extent:cached:100-classes"
-         (Staged.stage (fun () -> ignore (Ocl.Meta.all_instances m "Class"))));
-      (let m = synthetic 100 in
-       Test.make ~name:"ocl/extent:cold:100-classes"
-         (Staged.stage (fun () ->
-              Ocl.Meta.with_extent_cache false (fun () ->
-                  ignore (Ocl.Meta.all_instances m "Class")))));
     ]
 
 (* ---- harness ------------------------------------------------------------- *)
@@ -1056,7 +1013,7 @@ let () =
   run_group ~experiment:"E11"
     "E11 indexed store: lookup, diff and scoped WF scaling" e11_tests;
   run_group ~experiment:"E13"
-    "E13 ablation: OCL compile/extent caches and query planner" e13_tests;
+    "E13 OCL planner and parse cache vs their references" e13_tests;
   run_e14 ();
   run_e15 ();
   run_e16 ();

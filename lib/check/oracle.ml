@@ -234,13 +234,11 @@ let check_query ~aux:_ ~base ~edits =
 
 (* ---- R5: cached/planned OCL evaluation vs cold naive evaluation ---------- *)
 
-(* Troya-style metamorphic guard on the OCL execution cache: for random
+(* Troya-style metamorphic guard on the OCL execution path: for random
    models and random constraints, [Constraint_.check] (memoized parse,
-   planner probes, watermark-validated extents) must agree exactly with
-   [Constraint_.check_naive] (fresh parse, raw AST, recomputed extents).
-   The base model is checked first and the edited model second, so the
-   extent cache is warm with base-model state when the edited model
-   arrives — precisely the handoff a broken invalidation gets wrong. *)
+   planner probes) must agree exactly with [Constraint_.check_naive]
+   (fresh parse, raw AST, extent folds), on the base model and then on
+   the edited one. *)
 
 let check_ocl ~aux ~base ~edits =
   let base_m, m' = build ~base ~edits in
@@ -391,8 +389,8 @@ let check_weave_local ~aux (wc : Gen.weave_case) =
 
 (* Pools are cached per size, so a long differential run drives every case
    through the *same* worker domains — exactly the situation in which leaked
-   domain-local state (parse cache, extent cache, span counters) between
-   batches would surface as a divergence. The cache is domain-local: the
+   domain-local state (parse cache, span counters) between batches would
+   surface as a divergence. The cache is domain-local: the
    check driver may run the [par] and [repo] oracles concurrently on
    different pool workers, and Par.Pool rejects two in-flight maps on one
    pool (the shared table itself would race, too). *)
@@ -410,20 +408,14 @@ let pool jobs =
 
 (* Merged counter totals of a drained shard, minus the rows whose value is
    per-domain cache warmth (which worker ran which item is a scheduling
-   accident, so parse/extent hit-miss splits are outside the contract). *)
+   accident, so parse hit-miss splits are outside the contract). *)
 let counter_totals (shard : Obs.Metric.shard) =
   List.filter_map
     (fun ((name, labels), cell) ->
       match (cell : Obs.Metric.cell) with
       | Obs.Metric.Counter { total; _ } ->
-          let warmth =
-            List.exists
-              (fun p ->
-                String.length name >= String.length p
-                && String.sub name 0 (String.length p) = p)
-              [ "ocl.parse."; "ocl.extent." ]
-          in
-          if warmth then None else Some ((name, labels), total)
+          if String.starts_with ~prefix:"ocl.parse." name then None
+          else Some ((name, labels), total)
       | _ -> None)
     shard
   |> List.sort compare

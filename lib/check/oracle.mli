@@ -13,11 +13,9 @@
       character-reference-armored rendering equals parsing the plain one;
     - [query]: every secondary index, {!Ocl.Meta.all_instances} extent, and
       {!Mof.Query.find_by_qualified_name} lookup ≡ a fresh full scan;
-    - [ocl]: {!Ocl.Constraint_.check} — memoized parse, planner probes,
-      watermark-validated extent cache — ≡ {!Ocl.Constraint_.check_naive}
-      (fresh parse, raw AST, recomputed extents) on random constraints
-      over the base and the edited model, checked in that order so stale
-      cache state would be caught;
+    - [ocl]: {!Ocl.Constraint_.check} — memoized parse, planner probes —
+      ≡ {!Ocl.Constraint_.check_naive} (fresh parse, raw AST, extent
+      folds) on random constraints over the base and the edited model;
     - [weave]: {!Weaver.Weave.weave} is invariant under aspect-list
       shuffling; additionally every aspect pair the interference analysis
       ({!Weaver.Interference.analyze}) reports [Independent] must commute

@@ -290,14 +290,6 @@ let referrers m id = set_of (Id.Map.find_opt id m.idx.ix_referrers)
 
 let watermark m = { w_origin = m.origin; w_rev = m.rev; w_tail = m.journal }
 
-(* Physical identity of the journal head is the strongest population
-   witness the store offers: every mutation goes through [touch], which
-   prepends a fresh cell, so two models sharing [origin] and the very same
-   journal list hold the same element population. [fresh_id] bumps only
-   [next], hence the extra check — two such models have equal stores all
-   the same, which is what extent caching needs. *)
-let same_state m w = w.w_origin == m.origin && w.w_tail == m.journal
-
 let touched_since m w =
   if not (w.w_origin == m.origin) then None
   else
@@ -317,6 +309,7 @@ let fold f m init = Id.Map.fold (fun _ e acc -> f e acc) m.store init
 let iter f m = Id.Map.iter (fun _ e -> f e) m.store
 let elements m = List.map snd (Id.Map.bindings m.store)
 let size m = Id.Map.cardinal m.store
+let is_empty m = Id.Map.is_empty m.store
 let filter p m = List.filter p (elements m)
 
 let equal a b = Id.equal a.root b.root && Id.Map.equal Element.equal a.store b.store

@@ -149,14 +149,6 @@ type watermark
 val watermark : t -> watermark
 (** The current journal position. *)
 
-val same_state : t -> watermark -> bool
-(** [same_state m w] is [true] exactly when [m]'s element population is the
-    one the watermark was taken over: same lineage and not a single
-    mutation in between (physical identity of the journal position, so the
-    test is O(1) and conservative — unrelated or divergent models always
-    compare [false]). This is the invalidation test for caches keyed by a
-    model's contents, e.g. classifier extents. *)
-
 val touched_since : t -> watermark -> Id.Set.t option
 (** [touched_since m w] is [Some ids] — every id touched by a mutation
     applied after [w] was taken — when [m] was derived from the watermarked
@@ -166,7 +158,7 @@ val touched_since : t -> watermark -> Id.Set.t option
 
 (** {2 Whole-population traversal}
 
-    All O(n); prefer the indexed lookups on hot paths. *)
+    All O(n) except {!is_empty}; prefer the indexed lookups on hot paths. *)
 
 val fold : (Element.t -> 'a -> 'a) -> t -> 'a -> 'a
 (** Folds over all elements in id order. *)
@@ -178,6 +170,9 @@ val elements : t -> Element.t list
 
 val size : t -> int
 (** Number of elements. *)
+
+val is_empty : t -> bool
+(** [is_empty m] is [size m = 0], in O(1). *)
 
 val filter : (Element.t -> bool) -> t -> Element.t list
 

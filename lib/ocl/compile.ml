@@ -23,16 +23,6 @@ let capacity = 1024
 let table_key : (string, (t, exn) result) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 64)
 
-let enabled_key = Domain.DLS.new_key (fun () -> ref true)
-
-let cache_enabled () = !(Domain.DLS.get enabled_key)
-
-let with_cache b f =
-  let flag = Domain.DLS.get enabled_key in
-  let prev = !flag in
-  flag := b;
-  Fun.protect ~finally:(fun () -> flag := prev) f
-
 let compile_uncached src =
   match Parser.parse src with
   | ast ->
@@ -41,23 +31,20 @@ let compile_uncached src =
   | exception ((Parser.Parse_error _ | Lexer.Lexical_error _) as e) -> Error e
 
 let compile_exn src =
-  if not (cache_enabled ()) then
-    match compile_uncached src with Ok c -> c | Error e -> raise e
-  else
-    let table = Domain.DLS.get table_key in
-    match Hashtbl.find_opt table src with
-    | Some r -> (
-        Obs.incr "ocl.parse.hit" [];
-        match r with Ok c -> c | Error e -> raise e)
-    | None -> (
-        Obs.incr "ocl.parse.miss" [];
-        let r = compile_uncached src in
-        (* bodies are a small working set in practice; on pathological
-           churn, dropping the whole table keeps the memory bound without
-           an eviction order to maintain *)
-        if Hashtbl.length table >= capacity then Hashtbl.reset table;
-        Hashtbl.add table src r;
-        match r with Ok c -> c | Error e -> raise e)
+  let table = Domain.DLS.get table_key in
+  match Hashtbl.find_opt table src with
+  | Some r -> (
+      Obs.incr "ocl.parse.hit" [];
+      match r with Ok c -> c | Error e -> raise e)
+  | None -> (
+      Obs.incr "ocl.parse.miss" [];
+      let r = compile_uncached src in
+      (* bodies are a small working set in practice; on pathological
+         churn, dropping the whole table keeps the memory bound without
+         an eviction order to maintain *)
+      if Hashtbl.length table >= capacity then Hashtbl.reset table;
+      Hashtbl.add table src r;
+      match r with Ok c -> c | Error e -> raise e)
 
 (* Same message format as [Parser.parse_opt], so switching a caller from
    parse_opt to the cache changes no diagnostics. *)

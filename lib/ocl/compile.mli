@@ -19,12 +19,5 @@ val compile : string -> (t, string) result
     [Parser.parse_opt]'s. *)
 
 val compile_exn : string -> t
-(** Memoized compile raising the exact exception an uncached
-    [Parser.parse] would have raised ({!Parser.Parse_error} or
-    [Lexer.Lexical_error]). *)
-
-val with_cache : bool -> (unit -> 'a) -> 'a
-(** Scoped enable/disable of the memo table (ablation and cold-cache
-    benchmarks); the flag is domain-local. *)
-
-val cache_enabled : unit -> bool
+(** Memoized compile raising the exact exception {!Parser.parse} raises
+    on the same source ({!Parser.Parse_error} or [Lexer.Lexical_error]). *)

@@ -57,7 +57,7 @@ type outcome =
 
 (* Outcome of evaluating a body; [eval_in] closes over how (cached,
    planned handle for [check], raw-AST walk for [check_naive]) so the two
-   paths can only differ through the caches and planner under test. *)
+   paths can only differ through the parse cache and planner under test. *)
 let outcome_of m c eval_in =
   match c.context with
       | None -> (
@@ -98,18 +98,15 @@ let outcome_of m c eval_in =
           | exception Eval.Eval_error msg ->
               Ill_formed (Printf.sprintf "%s: %s" c.name msg))
 
-(* The production path: memoized parse + planner rewrite, extents served
-   from the watermark-validated cache. *)
+(* The production path: memoized parse + planner rewrite. *)
 let check m c =
   match Compile.compile c.body with
   | Error msg -> Ill_formed (Printf.sprintf "%s: %s" c.name msg)
   | Ok compiled -> outcome_of m c (fun env -> Eval.eval_parsed m env compiled)
 
 (* The baseline the [ocl] differential oracle compares against: a fresh
-   parse (no memo table), the raw unplanned AST, and extents recomputed
-   from the model on every use. Everything the tentpole added is off. *)
+   parse (no memo table) and the raw unplanned AST. *)
 let check_naive m c =
-  Meta.with_extent_cache false @@ fun () ->
   match Parser.parse_opt c.body with
   | Error msg -> Ill_formed (Printf.sprintf "%s: %s" c.name msg)
   | Ok expr -> outcome_of m c (fun env -> Eval.eval m env expr)

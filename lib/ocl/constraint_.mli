@@ -37,14 +37,12 @@ type outcome =
 
 val check : Mof.Model.t -> t -> outcome
 (** Evaluates the constraint against a model, through the compiled-body
-    memo table ({!Compile}), the planner-rewritten AST and the
-    watermark-validated extent cache ({!Meta.all_instances}). *)
+    memo table ({!Compile}) and the planner-rewritten AST. *)
 
 val check_naive : Mof.Model.t -> t -> outcome
-(** The uncached baseline: re-parses the body, evaluates the raw AST (no
-    planner probes) and recomputes every classifier extent. Must agree
-    with {!check} on every model — the differential relation the [ocl]
-    fuzz oracle enforces. *)
+(** The uncached baseline: re-parses the body and evaluates the raw AST
+    (no planner probes). Must agree with {!check} on every model — the
+    differential relation the [ocl] fuzz oracle enforces. *)
 
 val holds : Mof.Model.t -> t -> bool
 (** [holds m c] is [check m c = Holds]. *)

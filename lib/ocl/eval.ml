@@ -6,9 +6,6 @@
 exception Eval_error = Prim.Eval_error
 
 let error = Prim.error
-let no_planner = Prim.no_planner
-let set_no_planner = Prim.set_no_planner
-let with_no_planner = Prim.with_no_planner
 
 let rec eval m env e =
   match e with
@@ -85,13 +82,13 @@ let rec eval m env e =
       (* equivalence guards: the planner proved the shape at compile time,
          but only the evaluation environment knows whether the classifier
          name is shadowed *)
-      if no_planner () || Env.lookup classifier env <> None then eval m env orig
+      if Env.lookup classifier env <> None then eval m env orig
       else Prim.probe_exists m classifier ~rhs:(fun () -> eval m env rhs)
   | Ast.E_probe_select_name (classifier, rhs, orig) ->
-      if no_planner () || Env.lookup classifier env <> None then eval m env orig
+      if Env.lookup classifier env <> None then eval m env orig
       else Prim.probe_select m classifier ~rhs:(fun () -> eval m env rhs)
   | Ast.E_probe_forall_guard (classifier, names, var, body, orig) ->
-      if no_planner () || Env.lookup classifier env <> None then eval m env orig
+      if Env.lookup classifier env <> None then eval m env orig
       else
         Prim.probe_forall m classifier names ~body:(fun id ->
             eval m (Env.bind var (Value.V_elem id) env) body)

@@ -28,16 +28,6 @@ val eval_string : Mof.Model.t -> Env.t -> string -> Value.t
 (** Compile (memoized — no re-lexing of repeated sources) then evaluate.
     @raise Parser.Parse_error / {!Eval_error}. *)
 
-val no_planner : unit -> bool
-(** Whether the planner ablation is active on this domain. *)
-
-val set_no_planner : bool -> unit
-
-val with_no_planner : (unit -> 'a) -> 'a
-(** Runs [f] with planner probes disabled (probe nodes evaluate their
-    embedded original extent folds) — the ablation switch mirroring
-    [Engine.full_checks]; domain-local. *)
-
 val holds : Mof.Model.t -> Env.t -> string -> bool
 (** [holds m env src] parses and evaluates [src] and is [true] exactly when
     the result is [V_bool true]. Undefined counts as not holding. *)

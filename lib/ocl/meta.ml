@@ -131,87 +131,14 @@ let operation m id name args =
 let is_metaclass name =
   String.equal name "Element" || List.mem name Mof.Kind.all_names
 
-(* Only reached for known metaclass names. *)
-let compute_extent m name =
-  if String.equal name "Element" then
-    elem_set (List.map (fun e -> e.Mof.Element.id) (Mof.Model.elements m))
+let all_instances m name =
+  if not (is_metaclass name) then None
+  else if String.equal name "Element" then
+    Some (elem_set (List.map (fun e -> e.Mof.Element.id) (Mof.Model.elements m)))
   else
     (* the kind index yields the ids directly, in the same ascending order
        the full scan produced — no need to materialize the elements *)
-    elem_set (Mof.Id.Set.elements (Mof.Model.by_kind m name))
-
-(* ---- extent cache -------------------------------------------------------
-
-   Materialized extents keyed by (model state, classifier name). Validity
-   is decided by [Mof.Model.same_state] — physical identity of the journal
-   position — so a cached set can never outlive a mutation: undo/redo,
-   repository checkout and mid-rewrite edits all move the journal head and
-   miss. A handful of recent model states are kept (the engine alternates
-   between the pre-rewrite and post-rewrite model within one step); the
-   whole cache is domain-local, parallel oracle domains each warm their
-   own. *)
-
-type extent_slot = {
-  wm : Mof.Model.watermark;
-  mutable extents : (string * Value.t) list;
-}
-
-let max_slots = 4
-
-let slots_key : extent_slot list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let cache_enabled_key = Domain.DLS.new_key (fun () -> ref true)
-
-(* Test hook: freeze invalidation so the most recent slot answers for every
-   model — the deliberately broken cache the ocl oracle must catch. *)
-let stale_key = Domain.DLS.new_key (fun () -> ref false)
-
-let extent_cache_enabled () = !(Domain.DLS.get cache_enabled_key)
-
-let with_extent_cache b f =
-  let flag = Domain.DLS.get cache_enabled_key in
-  let prev = !flag in
-  flag := b;
-  Fun.protect ~finally:(fun () -> flag := prev) f
-
-let debug_serve_stale b = Domain.DLS.get stale_key := b
-
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
-
-let cached_extent m name =
-  let slots = Domain.DLS.get slots_key in
-  let entry =
-    if !(Domain.DLS.get stale_key) then
-      match !slots with e :: _ -> Some e | [] -> None
-    else List.find_opt (fun e -> Mof.Model.same_state m e.wm) !slots
-  in
-  match entry with
-  | Some e -> (
-      slots := e :: List.filter (fun x -> x != e) !slots;
-      match List.assoc_opt name e.extents with
-      | Some v ->
-          Obs.incr "ocl.extent.hit" [];
-          v
-      | None ->
-          Obs.incr "ocl.extent.miss" [];
-          let v = compute_extent m name in
-          e.extents <- (name, v) :: e.extents;
-          v)
-  | None ->
-      Obs.incr "ocl.extent.miss" [];
-      let v = compute_extent m name in
-      let e = { wm = Mof.Model.watermark m; extents = [ (name, v) ] } in
-      slots := e :: take (max_slots - 1) !slots;
-      v
-
-let all_instances m name =
-  if not (is_metaclass name) then None
-  else if extent_cache_enabled () then Some (cached_extent m name)
-  else Some (compute_extent m name)
+    Some (elem_set (Mof.Id.Set.elements (Mof.Model.by_kind m name)))
 
 let common_names = [ "name"; "qualifiedName"; "metaclass"; "stereotypes"; "tagKeys"; "owner" ]
 

@@ -38,27 +38,9 @@ val operation :
 
 val all_instances : Mof.Model.t -> string -> Value.t option
 (** [all_instances m "Class"] is the Set of all class elements; ["Element"]
-    yields every element. [None] for unknown classifier names.
-
-    Extents are served from a domain-local cache keyed by (model journal
-    watermark, classifier name) and invalidated by
-    {!Mof.Model.same_state}: any mutation — including undo/redo and
-    repository checkout, which swap whole model values — moves the journal
-    head and forces recomputation. Counters: [ocl.extent.hit] /
-    [ocl.extent.miss]. *)
-
-val with_extent_cache : bool -> (unit -> 'a) -> 'a
-(** Scoped enable/disable of the extent cache (domain-local); the naive
-    side of the differential oracle and the cold-cache bench ablation run
-    under [with_extent_cache false]. *)
-
-val extent_cache_enabled : unit -> bool
-
-val debug_serve_stale : bool -> unit
-(** Test hook: when set, the cache stops validating watermarks and serves
-    the most recently filled state to every caller — a deliberately broken
-    invalidation that the [ocl] differential oracle must detect. Never use
-    outside tests. *)
+    yields every element. [None] for unknown classifier names. Built on
+    every call, from {!Mof.Model.by_kind} for a metaclass and from the
+    store for ["Element"], in ascending id order. *)
 
 val is_metaclass : string -> bool
 (** Whether a name denotes a metaclass usable in [allInstances] and

@@ -9,10 +9,8 @@
     unchanged. The original subtree is embedded in the probe node, so the
     evaluator falls back to it when [K] is shadowed by a binding, and
     printing/variable-folding still see the surface syntax.
-
-    The evaluator honours {!Eval.with_no_planner}, which makes probe nodes
-    behave exactly like their embedded originals — the ablation switch
-    mirroring [Engine.full_checks]. *)
+    {!Constraint_.check_naive} evaluates the unplanned AST and is the
+    reference the [ocl] oracle holds probes to. *)
 
 val optimize : Ast.t -> Ast.t
 

@@ -58,20 +58,6 @@ let numeric2 what a b ~int ~real =
       error "%s expects numeric operands, found %s and %s" what
         (Value.type_name a) (Value.type_name b)
 
-(* Ablation switch for the query planner (domain-local): when set, probe
-   nodes evaluate their embedded original expression, reproducing the
-   pre-planner extent folds exactly — the OCL analogue of
-   [Engine.full_checks]. *)
-let no_planner_key = Domain.DLS.new_key (fun () -> ref false)
-let no_planner () = !(Domain.DLS.get no_planner_key)
-let set_no_planner b = Domain.DLS.get no_planner_key := b
-
-let with_no_planner f =
-  let flag = Domain.DLS.get no_planner_key in
-  let prev = !flag in
-  flag := true;
-  Fun.protect ~finally:(fun () -> flag := prev) f
-
 (* Matching ids for a name probe: the name index, restricted to the
    classifier's kind index. Both are the same indexes the extent fold
    would have consulted element by element. *)
@@ -81,7 +67,7 @@ let probe_ids m classifier s =
   else Mof.Id.Set.inter named (Mof.Model.by_kind m classifier)
 
 let probe_extent_is_empty m classifier =
-  if String.equal classifier "Element" then Mof.Model.size m = 0
+  if String.equal classifier "Element" then Mof.Model.is_empty m
   else Mof.Id.Set.is_empty (Mof.Model.by_kind m classifier)
 
 let value_conforms_to v ~exact name =
@@ -541,7 +527,7 @@ let iterate v ~init ~step =
   let init_value = init () in
   List.fold_left step init_value items
 
-(* ---- planner probes (post shadow / no_planner check) --------------------- *)
+(* ---- planner probes (past the shadowing check) --------------------------- *)
 
 (* An empty extent yields without touching [rhs], exactly as the fold
    would (it never evaluates the body). *)

@@ -9,12 +9,12 @@
     no matter which domain ran which item, and one failing item yields one
     [Error] in its own slot — the other items are unaffected.
 
-    Domain-local caches (the OCL compile cache, the classifier-extent
-    cache) warm independently per worker and are invalidated by model
-    watermarks, so nothing an item computes can leak into an unrelated
-    item that happens to run on the same worker later — the [par]
-    differential oracle and [test_par.ml] hold the parallel run to exact
-    observational equality with the sequential one. *)
+    The one domain-local cache, the OCL parse cache, warms independently
+    per worker and is keyed by constraint body alone, so nothing an item
+    computes can leak into an unrelated item that happens to run on the
+    same worker later — the [par] differential oracle and [test_par.ml]
+    hold the parallel run to exact observational equality with the
+    sequential one. *)
 
 type step = {
   concern : string;

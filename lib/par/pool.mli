@@ -27,8 +27,8 @@
     {2 Per-domain observability state}
 
     Worker domains start on the null {!Obs} sink and their own empty
-    metric shard ({!Obs.Metric}); domain-local caches ([Ocl.Compile],
-    [Ocl.Meta]) warm per worker. At the end of every [map], each
+    metric shard ({!Obs.Metric}); the domain-local OCL parse cache
+    ([Ocl.Compile]) warms per worker. At the end of every [map], each
     participating worker drains its metric shard and the submitting domain
     absorbs them before returning — counter totals observed after a [map]
     are exact, as if the batch had run sequentially. *)

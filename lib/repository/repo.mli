@@ -34,11 +34,8 @@
     A derived version continues the head's journal lineage instead of
     starting a fresh one: its journal is the head's plus one entry per
     applied change. Nothing observable depends on this. {!Mof.Model.equal}
-    compares populations and roots only, the indexes are maintained by the
-    same incremental updates as any edit, and caches keyed by a
-    watermark stay sound because {!Mof.Model.same_state} compares journal
-    positions physically: a derived version never shares one with a model
-    whose population differs. *)
+    compares populations and roots only, and the indexes are maintained by
+    the same incremental updates as any edit. *)
 
 type t
 

@@ -28,24 +28,10 @@ type checks = {
   check_pre : bool;
   check_post : bool;
   check_wf : bool;
-  full_wf : bool;
-  no_planner : bool;
 }
 
-let all_checks =
-  {
-    check_pre = true;
-    check_post = true;
-    check_wf = true;
-    full_wf = false;
-    no_planner = false;
-  }
-
-let full_checks = { all_checks with full_wf = true }
-let no_planner_checks = { all_checks with no_planner = true }
-
-let no_checks =
-  { all_checks with check_pre = false; check_post = false; check_wf = false }
+let all_checks = { check_pre = true; check_post = true; check_wf = true }
+let no_checks = { check_pre = false; check_post = false; check_wf = false }
 
 type outcome = {
   model : Mof.Model.t;
@@ -53,16 +39,13 @@ type outcome = {
   report : Report.t;
 }
 
-let failed_conditions ?(no_planner = false) model conditions =
-  let eval () =
-    List.filter_map
-      (fun (c : Ocl.Constraint_.t) ->
-        match Ocl.Constraint_.check model c with
-        | Ocl.Constraint_.Holds -> None
-        | o -> Some (c.Ocl.Constraint_.name, o))
-      conditions
-  in
-  if no_planner then Ocl.Eval.with_no_planner eval else eval ()
+let failed_conditions model conditions =
+  List.filter_map
+    (fun (c : Ocl.Constraint_.t) ->
+      match Ocl.Constraint_.check model c with
+      | Ocl.Constraint_.Holds -> None
+      | o -> Some (c.Ocl.Constraint_.name, o))
+    conditions
 
 let apply ?(checks = all_checks) cmt model =
   Obs.span ~cat:"transform" "engine.apply"
@@ -72,8 +55,7 @@ let apply ?(checks = all_checks) cmt model =
     let pre_failures =
       if checks.check_pre then
         Obs.span ~cat:"transform" "engine.pre" @@ fun () ->
-        failed_conditions ~no_planner:checks.no_planner model
-          (Cmt.preconditions cmt)
+        failed_conditions model (Cmt.preconditions cmt)
       else []
     in
     if pre_failures <> [] then Error (Precondition_failed pre_failures)
@@ -87,8 +69,7 @@ let apply ?(checks = all_checks) cmt model =
           let post_failures =
             if checks.check_post then
               Obs.span ~cat:"transform" "engine.post" @@ fun () ->
-              failed_conditions ~no_planner:checks.no_planner new_model
-                (Cmt.postconditions cmt)
+              failed_conditions new_model (Cmt.postconditions cmt)
             else []
           in
           if post_failures <> [] then Error (Postcondition_failed post_failures)
@@ -109,19 +90,13 @@ let apply ?(checks = all_checks) cmt model =
               if not checks.check_wf then []
               else
                 Obs.span ~cat:"transform" "engine.wf" @@ fun () ->
-                if checks.full_wf then begin
-                  Obs.incr "engine.wf.full" [];
-                  Mof.Wellformed.check new_model
-                end
-                else begin
-                  let touched = Mof.Diff.touched diff in
-                  if Obs.Metric.enabled () then begin
-                    Obs.incr "engine.wf.scoped" [];
-                    Obs.observe ~unit_:"elements" "engine.wf.scoped.touched" []
-                      (float_of_int (Mof.Id.Set.cardinal touched))
-                  end;
-                  Mof.Wellformed.check_touched new_model ~touched
-                end
+                let touched = Mof.Diff.touched diff in
+                if Obs.Metric.enabled () then begin
+                  Obs.incr "engine.wf.scoped" [];
+                  Obs.observe ~unit_:"elements" "engine.wf.scoped.touched" []
+                    (float_of_int (Mof.Id.Set.cardinal touched))
+                end;
+                Mof.Wellformed.check_touched new_model ~touched
             in
             match violations with
             | _ :: _ -> Error (Not_wellformed violations)

@@ -6,8 +6,8 @@
     + run the rewrite,
     + evaluate the specialized postconditions on the output model,
     + compute the diff (replayed from the model's update journal, O(changes)),
-    + re-check structural well-formedness on the touched region (or the
-      whole model under {!full_checks}),
+    + re-check structural well-formedness on the touched region
+      ({!Mof.Wellformed.check_touched}),
     + extend the trace.
 
     Each check can be disabled (the [ablation/precheck] experiment measures
@@ -30,31 +30,16 @@ type checks = {
   check_pre : bool;
   check_post : bool;
   check_wf : bool;
-  full_wf : bool;
-      (** when [check_wf] is set: force the whole-model well-formedness pass
-          instead of the default scoped re-validation of the elements the
-          rewrite touched (journal diff → {!Mof.Wellformed.check_touched}).
-          The scoped pass reports exactly what the full pass would whenever
-          the input model was well-formed — which {!apply} has already
-          guaranteed for every model it produced. The flag exists for the
-          ablation experiments and for callers feeding in models of unknown
-          provenance. *)
-  no_planner : bool;
-      (** evaluate pre/postconditions with the OCL query planner disabled
-          ({!Ocl.Eval.with_no_planner}): extent folds instead of name-index
-          probes. Mirrors [full_wf] — an ablation switch quantifying what
-          the planner buys, never a correctness knob. *)
+      (** re-validate the elements the rewrite touched (journal diff →
+          {!Mof.Wellformed.check_touched}). That reports exactly what the
+          whole-model {!Mof.Wellformed.check} would whenever the input
+          model was well-formed — which {!apply} has already guaranteed
+          for every model it produced; the [wf] oracle holds the two to
+          that. *)
 }
 
 val all_checks : checks
-(** Everything on, scoped well-formedness, planner on (the default). *)
-
-val full_checks : checks
-(** Everything on, whole-model well-formedness (the pre-indexing
-    behaviour). *)
-
-val no_planner_checks : checks
-(** {!all_checks} with the OCL query planner ablated. *)
+(** Everything on (the default). *)
 
 val no_checks : checks
 

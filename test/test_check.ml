@@ -124,37 +124,38 @@ let oracle_tests =
         done);
   ]
 
-(* ---- detection demo: a deliberately broken cache must be caught ----------- *)
+(* ---- the ocl oracle reaches the planner ----------------------------------- *)
 
-(* [debug_serve_stale] makes the extent cache serve its most recent slot
-   without the watermark check — the exact bug the (model journal watermark,
-   classifier) key exists to prevent. The ocl oracle compares cached against
-   naive evaluation, so a short run must flag the divergence. *)
-let stale_cache_tests =
+(* The ocl oracle compares planned evaluation with [check_naive]; that
+   comparison only guards the planner if the generated constraints take its
+   index probes, so a short run must count some. *)
+let ocl_planner_tests =
   [
-    Alcotest.test_case "a stale extent cache is caught by the ocl oracle"
-      `Quick (fun () ->
+    Alcotest.test_case "the ocl oracle's cases take index probes" `Quick
+      (fun () ->
         let oracle =
           match Check.Oracle.find "ocl" with
           | Some o -> o
           | None -> Alcotest.fail "ocl oracle not registered"
         in
-        Ocl.Meta.debug_serve_stale true;
-        Fun.protect
-          ~finally:(fun () -> Ocl.Meta.debug_serve_stale false)
-          (fun () ->
-            match Check.Harness.run oracle ~seed:smoke_seed ~count:200 with
-            | Ok _ -> Alcotest.fail "stale extents went undetected"
+        Obs.reset ();
+        Obs.Metric.enable ();
+        Fun.protect ~finally:Obs.reset (fun () ->
+            (match Check.Harness.run oracle ~seed:smoke_seed ~count:50 with
+            | Ok stats -> check ci "all cases ran" 50 stats.cases
             | Error (f, _) ->
-                (* a stale extent surfaces either as cached/naive
-                   disagreement ([ocl]) or as an exception the naive path
-                   cannot raise — the served set holds element ids that no
-                   longer exist in the model ([ocl-crash]) *)
-                let tag = Check.Oracle.tag_of f.Check.Harness.message in
-                check cb
-                  (Printf.sprintf "tagged as an ocl finding (got %s)" tag)
-                  true
-                  (List.mem tag [ "[ocl]"; "[ocl-crash]" ])));
+                Alcotest.fail (Format.asprintf "%a" Check.Harness.pp_failure f));
+            let probes =
+              List.fold_left
+                (fun acc (r : Obs.Metric.row) ->
+                  if r.Obs.Metric.metric = "ocl.plan.index_probe" then
+                    acc +. r.Obs.Metric.value
+                  else acc)
+                0. (Obs.Metric.rows ())
+            in
+            check cb
+              (Printf.sprintf "index probes counted (got %g)" probes)
+              true (probes > 0.)));
   ]
 
 (* ---- the smoke battery ---------------------------------------------------- *)
@@ -179,6 +180,6 @@ let () =
       ("shrink", shrink_tests);
       ("edit", edit_tests);
       ("oracle", oracle_tests);
-      ("stale-cache", stale_cache_tests);
+      ("ocl-planner", ocl_planner_tests);
       ("smoke", smoke_tests);
     ]

@@ -770,6 +770,77 @@ let agree_with_naive m body =
   check cb body true
     (Ocl.Constraint_.check m c = Ocl.Constraint_.check_naive m c)
 
+let first n xs = List.filteri (fun i _ -> i < n) xs
+
+(* The planner's real traffic: every builtin concern specialized with
+   targets all present, all absent, mixed and empty, and each specialized
+   pre/postcondition compared on the input model, after the rewrite and
+   after a second application. Returns the number of comparisons. *)
+let builtin_condition_comparisons () =
+  let compared = ref 0 in
+  let agree label m (c : Ocl.Constraint_.t) =
+    incr compared;
+    let planned = Ocl.Constraint_.check m c in
+    let naive = Ocl.Constraint_.check_naive m c in
+    if planned <> naive then
+      Alcotest.failf "%s, %s: planned %a, naive %a" label c.Ocl.Constraint_.name
+        Ocl.Constraint_.pp_outcome planned Ocl.Constraint_.pp_outcome naive
+  in
+  (* messaging targets operations as Class.operation, the others classes *)
+  let targets key m =
+    let present, absent =
+      if String.equal key "messaging" then
+        ( List.concat_map
+            (fun (cls : Mof.Element.t) ->
+              List.map
+                (fun (op : Mof.Element.t) ->
+                  cls.Mof.Element.name ^ "." ^ op.Mof.Element.name)
+                (Mof.Query.operations_of m cls.Mof.Element.id))
+            (Mof.Query.classes m),
+          [ "Nope.never"; "Gone.away" ] )
+      else (Fixtures.class_names m, [ "Nope"; "Gone" ])
+    in
+    [
+      ("present", first 2 present);
+      ("absent", absent);
+      ("mixed", first 1 present @ first 1 absent);
+      ("empty", []);
+    ]
+  in
+  List.iter
+    (fun (entry : Concerns.Registry.entry) ->
+      let gmt = entry.Concerns.Registry.gmt in
+      let key = entry.Concerns.Registry.concern.Concerns.Concern.key in
+      let formal = (List.hd gmt.Transform.Gmt.formals).Transform.Params.pname in
+      List.iter
+        (fun (model_name, model) ->
+          List.iter
+            (fun (target_kind, names) ->
+              let value =
+                Transform.Params.V_list
+                  (List.map (fun n -> Transform.Params.V_string n) names)
+              in
+              let cmt = Transform.Cmt.specialize_exn gmt [ (formal, value) ] in
+              let conditions =
+                Transform.Cmt.preconditions cmt @ Transform.Cmt.postconditions cmt
+              in
+              let rec stage applied m =
+                let label =
+                  Printf.sprintf "%s on %s, %s targets, %d rewrite(s)" key
+                    model_name target_kind applied
+                in
+                List.iter (agree label m) conditions;
+                if applied < 2 then
+                  match Transform.Cmt.rewrite cmt m with
+                  | m' -> stage (applied + 1) m'
+                  | exception Transform.Gmt.Rewrite_error _ -> ()
+              in
+              stage 0 model)
+            (targets key model))
+        [ ("banking", Fixtures.banking ()); ("synthetic-8", Fixtures.synthetic 8) ])
+    Concerns.Registry.builtins;
+  !compared
+
 let planner_tests =
   [
     Alcotest.test_case "optimize_count finds the planned shapes" `Quick
@@ -868,58 +939,29 @@ let planner_tests =
             "Class.allInstances()->forAll(x | Set{'A'}->includes(x.name) \
              implies x.nope)";
           ]);
-    Alcotest.test_case "no_planner forces the fold at evaluation time" `Quick
-      (fun () ->
-        let m = ab_model () in
+    Alcotest.test_case "an Element probe on an empty model skips the rhs"
+      `Quick (fun () ->
+        let m0 = Mof.Model.create ~name:"empty" in
+        let m = Mof.Model.remove m0 (Mof.Model.root m0) in
+        check cb "no element left" true (Mof.Model.is_empty m);
         let c =
           Ocl.Constraint_.make ~name:"t"
-            "Class.allInstances()->exists(x | x.name = 'A')"
+            "Element.allInstances()->exists(x | x.name = nope)"
         in
-        let planned = Ocl.Constraint_.check m c in
-        let forced =
-          Ocl.Eval.with_no_planner (fun () -> Ocl.Constraint_.check m c)
-        in
-        check cb "same outcome" true (planned = forced);
-        check cb "flag is scoped" false (Ocl.Eval.no_planner ()));
+        (* [nope] is unbound: evaluating the rhs would make it ill-formed *)
+        check cb "false, not ill-formed" true
+          (Ocl.Constraint_.check m c = Ocl.Constraint_.Fails []);
+        check cb "agrees with the fold" true
+          (Ocl.Constraint_.check m c = Ocl.Constraint_.check_naive m c));
+    Alcotest.test_case "builtin concern conditions agree with the naive fold"
+      `Quick (fun () ->
+        check cb "conditions compared" true (builtin_condition_comparisons () > 0));
   ]
 
-(* ---- compile + extent caches -------------------------------------------- *)
+(* ---- compile cache ------------------------------------------------------ *)
 
 let cache_tests =
   [
-    Alcotest.test_case "extent cache tracks repository history moves" `Quick
-      (fun () ->
-        let m0 = Fixtures.synthetic 3 in
-        let m1 =
-          fst (Mof.Builder.add_class m0 ~owner:(Mof.Model.root m0) ~name:"Xtra")
-        in
-        let agree label m =
-          let cached = Ocl.Meta.all_instances m "Class" in
-          let cold =
-            Ocl.Meta.with_extent_cache false (fun () ->
-                Ocl.Meta.all_instances m "Class")
-          in
-          check cb label true (cached = cold);
-          cached
-        in
-        (* the two states must actually differ, or the test proves nothing *)
-        check cb "states differ" false (agree "m0" m0 = agree "m1" m1);
-        let repo = Repository.Repo.init m0 in
-        let repo = Repository.Repo.commit ~concern:"t" ~message:"x" m1 repo in
-        let repo = Repository.Repo.tag "v1" repo in
-        ignore (agree "head" (Repository.Repo.head_model repo));
-        (match Repository.Repo.undo repo with
-        | None -> Alcotest.fail "undo failed"
-        | Some r0 -> (
-            ignore (agree "after undo" (Repository.Repo.head_model r0));
-            match Repository.Repo.redo r0 with
-            | None -> Alcotest.fail "redo failed"
-            | Some r1 ->
-                ignore (agree "after redo" (Repository.Repo.head_model r1))));
-        match Repository.Repo.checkout "v1" repo with
-        | Error e ->
-            Alcotest.fail (Repository.Repo.checkout_error_to_string e)
-        | Ok r -> ignore (agree "after checkout" (Repository.Repo.head_model r)));
     Alcotest.test_case "two models share one compiled constraint" `Quick
       (fun () ->
         (* a body string no other test compiles, so the first check is the
@@ -950,40 +992,6 @@ let cache_tests =
             check cb "second check hits" true (total "ocl.parse.hit" >= 1.)));
   ]
 
-let watermark_property_tests =
-  List.map QCheck_alcotest.to_alcotest
-    [
-      QCheck2.Test.make
-        ~name:"cached extents equal fresh extents after hostile edit scripts"
-        ~count:30
-        QCheck2.Gen.(int_range 0 100_000)
-        (fun seed ->
-          let rng = Check.Prng.make (Int64.of_int seed) in
-          let base = Check.Gen.base_script rng in
-          let edits = Check.Gen.edit_script rng ~base in
-          let m0, slots =
-            Check.Edit.apply_with_slots (Mof.Model.create ~name:"fuzz") base
-          in
-          let agree m =
-            List.for_all
-              (fun k ->
-                Ocl.Meta.all_instances m k
-                = Ocl.Meta.with_extent_cache false (fun () ->
-                      Ocl.Meta.all_instances m k))
-              [ "Class"; "Attribute"; "Constraint"; "Element" ]
-          in
-          (* warm the cache on the base state, then replay the edits one op
-             at a time: after every intermediate model the cache must never
-             serve a pre-edit extent *)
-          agree m0
-          && fst
-               (List.fold_left
-                  (fun (ok, m) op ->
-                    let m' = Check.Edit.apply_from m ~slots [ op ] in
-                    (ok && agree m', m'))
-                  (true, m0) edits));
-    ]
-
 let () =
   Alcotest.run "ocl"
     [
@@ -1000,6 +1008,5 @@ let () =
       ("typecheck", typecheck_tests);
       ("planner", planner_tests);
       ("caches", cache_tests);
-      ("cache-properties", watermark_property_tests);
       ("properties", property_tests);
     ]
