@@ -655,7 +655,7 @@ let repo_check_diffs cas naive =
       | _ -> Error "[repo] diff_between availability differs")
     (Ok ()) pairs
 
-(* Every stored version as [model_at] derives it from the head must equal
+(* Every stored version as [model_at] returns it must equal
    the model the naive repository embedded for that commit, and answer
    every index lookup like a model rebuilt from its own elements. The keys
    probed are those of every version, so a bucket left stale by an earlier

@@ -107,10 +107,13 @@ val update : t -> Id.t -> (Element.t -> Element.t) -> t
 val with_root : root:Id.t -> next:int -> t -> t
 (** [with_root ~root ~next m] is [m] with root package [root] and id
     counter [next]; the element population, indexes and journal are
-    untouched. How the repository gives a version derived from another
-    version's model that version's own root and counter. Raises
-    [Invalid_argument] when [root] is unbound or [next] does not exceed
-    every bound id — the invariants {!of_elements} checks. O(log n). *)
+    untouched. Its caller is the forward replay in the repository's
+    snapshot loader, which rebuilds each version by applying its tree delta
+    to its parent's model and then gives it its own root and counter; the
+    loader checks both invariants first, so a malformed snapshot is
+    reported by commit, not by this function. Raises [Invalid_argument]
+    when [root] is unbound or [next] does not exceed every bound id — the
+    invariants {!of_elements} checks. O(log n). *)
 
 val remove : t -> Id.t -> t
 (** Removes the binding for [id] (and only that binding; callers are

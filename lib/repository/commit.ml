@@ -5,8 +5,7 @@ type t = {
   parent : int option;
   message : string;
   tree : tree;
-  root : Mof.Id.t;
-  next_id : int;
+  model : Mof.Model.t;
   diff : Mof.Diff.t;
   transformation : string option;
   concern : string option;

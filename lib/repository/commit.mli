@@ -1,12 +1,13 @@
-(** Commits: immutable model versions with provenance, stored as trees of
-    content-addressed element refs.
+(** Commits: immutable model versions with provenance.
 
-    A commit no longer embeds a model copy: [tree] maps every live element
-    id to the digest of its content in the {!Store}, so consecutive commits
-    share the digests (and, transitively, the stored objects) of everything
-    that did not change. [Repo.model_at] derives the full {!Mof.Model.t} on
-    demand from the head's, through the trees and stored diffs on the path
-    between them. *)
+    Each commit keeps the {!Mof.Model.t} it was created with, so reading any
+    stored version is a lookup. Models are persistent values: a commit's
+    model shares every unchanged element and index node with its parent's,
+    so a version costs the path copies of what it changed, not a model
+    copy. Alongside it, [tree] maps every live element id to the digest of
+    its content in the {!Store}; consecutive commits share the digests of
+    everything that did not change. Composed diffs and snapshot deltas are
+    computed from the trees and the stored diffs, never from the models. *)
 
 type tree = Store.digest Mof.Id.Map.t
 (** Element id → content digest. Persistent: a child commit's tree is the
@@ -17,14 +18,18 @@ type t = {
   parent : int option;
   message : string;
   tree : tree;
-  root : Mof.Id.t;  (** root package id, restored on every derived version *)
-  next_id : int;  (** the model's fresh-id counter at commit time *)
+  model : Mof.Model.t;
+      (** the version itself: the model handed to [Repo.init], [commit] or
+          [commit_on], or the one [Repo.load] rebuilt from the parent's
+          model and this commit's tree delta. Its element population is
+          exactly [tree]'s; the root package and the fresh-id counter
+          ({!Mof.Model.root}, {!Mof.Model.next}) are read from it. *)
   diff : Mof.Diff.t;
       (** against the parent, computed once at commit time (journal replay
           when lineage allows, scan otherwise); empty for a root commit.
           [tree] differs from the parent's tree only at ids this diff
-          touches, which is what versions, composed diffs and snapshot
-          deltas are computed from. *)
+          touches, which is what composed diffs and snapshot deltas are
+          computed from. *)
   transformation : string option;
       (** concrete transformation that produced this version, if any *)
   concern : string option;

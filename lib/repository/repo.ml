@@ -18,11 +18,6 @@ type t = {
   store : Store.t;
   commits : Commit.t Int_map.t;
   head_id : int;
-  head_model : Mof.Model.t;
-      (* the head version, kept materialized: [commit] stores the model it
-         was handed, so journal lineage survives across commits and the
-         next diff replays the journal instead of scanning; every other
-         version is derived from it ([version]) *)
   redo_path : int list;
       (* child ids to re-advance through, nearest first *)
   tag_map : int Smap.t;
@@ -42,18 +37,18 @@ let tree_of_model store model =
     model
     (store, Mof.Id.Map.empty)
 
-(* Build a commit's model from its tree alone: O(n log n) in every index.
-   Only [load] pays this, once, for the head; every other version is
-   derived from the head by [version]. *)
-let materialize store (c : Commit.t) =
+(* Build a model from a commit tree alone: O(n log n) in every index. Only
+   [load] pays this, once, for the root commit; every other version it
+   loads is its parent's model with the tree delta applied. *)
+let materialize store tree ~root ~next =
   let elements =
     (* bindings come back in ascending id order, the order [of_elements]
        and the historical scans expect *)
     List.map
       (fun (_, digest) -> Store.find_exn store digest)
-      (Mof.Id.Map.bindings c.Commit.tree)
+      (Mof.Id.Map.bindings tree)
   in
-  Mof.Model.of_elements ~root:c.Commit.root ~next:c.Commit.next_id elements
+  Mof.Model.of_elements ~root ~next elements
 
 let publish_store_metrics t =
   if Obs.Metric.enabled () then begin
@@ -71,8 +66,7 @@ let init ?(branch = "main") model =
       parent = None;
       message = "initial model";
       tree;
-      root = Mof.Model.root model;
-      next_id = Mof.Model.next model;
+      model;
       diff = Mof.Diff.empty;
       transformation = None;
       concern = None;
@@ -83,7 +77,6 @@ let init ?(branch = "main") model =
       store;
       commits = Int_map.singleton 0 root_commit;
       head_id = 0;
-      head_model = model;
       redo_path = [];
       tag_map = Smap.empty;
       branch_map = Smap.singleton branch 0;
@@ -101,9 +94,9 @@ let head t =
   | Some c -> c
   | None -> assert false (* head always points at a stored commit *)
 
-let head_model t = t.head_model
+let head_model t = (head t).Commit.model
 
-(* --- versions ------------------------------------------------------------ *)
+(* --- composed diffs ---------------------------------------------------- *)
 
 (* Every id that differs between two versions was necessarily touched by
    some commit on the path between them: a commit tree only changes where
@@ -144,37 +137,13 @@ let tree_diff (a : Commit.t) (b : Commit.t) candidates =
   in
   Mof.Id.Set.fold classify candidates Mof.Diff.empty
 
-(* The model commit [c] holds, derived from the materialized head: apply the
-   composed diff head → [c] with the elements of [c]'s tree, then restore
-   [c]'s root and id counter. O(path changes · log n) where rebuilding every
-   index from the tree costs O(n log n). The result extends the head's
-   journal lineage. *)
-let version t (c : Commit.t) =
-  let head = head t in
-  let d = tree_diff head c (path_touched t head.Commit.id c.Commit.id) in
-  let element id = Store.find_exn t.store (Mof.Id.Map.find id c.Commit.tree) in
-  let m =
-    Mof.Id.Set.fold
-      (fun id m -> Mof.Model.remove m id)
-      d.Mof.Diff.removed t.head_model
-  in
-  let m =
-    Mof.Id.Set.fold
-      (fun id m -> Mof.Model.update m id (fun _ -> element id))
-      d.Mof.Diff.modified m
-  in
-  let m =
-    Mof.Id.Set.fold (fun id m -> Mof.Model.add m (element id)) d.Mof.Diff.added m
-  in
-  Mof.Model.with_root ~root:c.Commit.root ~next:c.Commit.next_id m
-
-(* Append [model] as a child of commit [parent] (whose materialization is
-   [parent_model]), on branch [branch] — the shared machinery behind
-   [commit] and [commit_on]. The child tree is the parent tree with only
-   the diff applied, so everything unchanged is shared. *)
-let append ?transformation ?concern ~message ~branch ~parent ~parent_model
+(* Append [model] as a child of commit [parent], on branch [branch] — the
+   shared machinery behind [commit] and [commit_on]. The child tree is the
+   parent tree with only the diff applied, so everything unchanged is
+   shared. *)
+let append ?transformation ?concern ~message ~branch ~(parent : Commit.t)
     model t =
-  let diff = Mof.Diff.compute ~old_model:parent_model ~new_model:model in
+  let diff = Mof.Diff.compute ~old_model:parent.Commit.model ~new_model:model in
   let tree =
     Mof.Id.Set.fold Mof.Id.Map.remove diff.Mof.Diff.removed parent.Commit.tree
   in
@@ -192,8 +161,7 @@ let append ?transformation ?concern ~message ~branch ~parent ~parent_model
       parent = Some parent.Commit.id;
       message;
       tree;
-      root = Mof.Model.root model;
-      next_id = Mof.Model.next model;
+      model;
       diff;
       transformation;
       concern;
@@ -205,7 +173,6 @@ let append ?transformation ?concern ~message ~branch ~parent ~parent_model
       store;
       commits = Int_map.add c.Commit.id c t.commits;
       head_id = c.Commit.id;
-      head_model = model;
       redo_path = [];
       branch_map = Smap.add branch c.Commit.id t.branch_map;
       current_branch = branch;
@@ -228,7 +195,7 @@ let append ?transformation ?concern ~message ~branch ~parent ~parent_model
 
 let commit ?transformation ?concern ~message model t =
   append ?transformation ?concern ~message ~branch:t.current_branch
-    ~parent:(head t) ~parent_model:t.head_model model t
+    ~parent:(head t) model t
 
 let commit_on ~branch ?transformation ?concern ~message model t =
   match Smap.find_opt branch t.branch_map with
@@ -237,18 +204,14 @@ let commit_on ~branch ?transformation ?concern ~message model t =
       match find t id with
       | None -> Error (Dangling { name = branch; commit = id })
       | Some parent ->
-          Ok
-            (append ?transformation ?concern ~message ~branch ~parent
-               ~parent_model:(version t parent) model t))
+          Ok (append ?transformation ?concern ~message ~branch ~parent model t))
 
-(* Move the head to a stored commit, deriving its model from the current
-   head, and drag the current branch pointer along. *)
+(* Move the head to a stored commit and drag the current branch pointer
+   along. *)
 let move_head t id ~redo_path =
-  let c = Int_map.find id t.commits in
   {
     t with
     head_id = id;
-    head_model = version t c;
     redo_path;
     branch_map = Smap.add t.current_branch id t.branch_map;
   }
@@ -289,20 +252,12 @@ let create_branch name t =
 let switch_branch name t =
   match Smap.find_opt name t.branch_map with
   | None -> Error (Unknown_branch name)
-  | Some id -> (
-      match find t id with
-      | None -> Error (Dangling { name; commit = id })
-      | Some c ->
-          Ok
-            {
-              t with
-              head_id = id;
-              head_model = version t c;
-              redo_path = [];
-              current_branch = name;
-            })
+  | Some id ->
+      if Int_map.mem id t.commits then
+        Ok { t with head_id = id; redo_path = []; current_branch = name }
+      else Error (Dangling { name; commit = id })
 
-let model_at t id = Option.map (version t) (find t id)
+let model_at t id = Option.map (fun (c : Commit.t) -> c.Commit.model) (find t id)
 
 let log t =
   (* head-first chain *)
@@ -317,8 +272,6 @@ let log t =
   walk [] t.head_id
 
 let size t = Int_map.cardinal t.commits
-
-(* --- composed diffs ---------------------------------------------------- *)
 
 let diff_between t ~from_id ~to_id =
   match (find t from_id, find t to_id) with
@@ -403,8 +356,8 @@ let save t =
       Mof.Canon.w_str buf c.Commit.message;
       Mof.Canon.w_opt Mof.Canon.w_str buf c.Commit.transformation;
       Mof.Canon.w_opt Mof.Canon.w_str buf c.Commit.concern;
-      Mof.Canon.w_id buf c.Commit.root;
-      Mof.Canon.w_int buf c.Commit.next_id;
+      Mof.Canon.w_id buf (Mof.Model.root c.Commit.model);
+      Mof.Canon.w_int buf (Mof.Model.next c.Commit.model);
       w_tree_delta c;
       w_id_set buf c.Commit.diff.Mof.Diff.added;
       w_id_set buf c.Commit.diff.Mof.Diff.removed;
@@ -426,6 +379,7 @@ let save t =
   Buffer.contents buf
 
 let load data =
+  let corrupt fmt = Printf.ksprintf (fun msg -> raise (Mof.Canon.Corrupt msg)) fmt in
   try
     if
       String.length data < String.length magic
@@ -434,38 +388,42 @@ let load data =
     else begin
       let r = Mof.Canon.reader ~pos:(String.length magic) data in
       let n_objects = Mof.Canon.r_int r in
-      let by_index = Array.make (max 1 n_objects) "" in
+      (* An object takes a digest and a length-prefixed payload, so at least
+         [digest_size + 1] bytes: a count the rest of the input cannot hold
+         is refused before the object table is allocated for it. *)
+      let remaining = String.length data - Mof.Canon.pos r in
+      if n_objects < 0 || n_objects > remaining / (Mof.Canon.digest_size + 1) then
+        corrupt "object count %d exceeds what the remaining %d bytes can hold"
+          n_objects remaining;
       let store = ref Store.empty in
-      for i = 0 to n_objects - 1 do
-        let digest = Mof.Canon.r_bytes r Mof.Canon.digest_size in
-        let bytes = Mof.Canon.r_str r in
-        if not (String.equal (Digest.string bytes) digest) then
-          raise
-            (Mof.Canon.Corrupt
-               ("object digest mismatch at index " ^ string_of_int i));
-        let er = Mof.Canon.reader bytes in
-        let e = Mof.Canon.read_element er in
-        if not (Mof.Canon.at_end er) then
-          raise (Mof.Canon.Corrupt "trailing bytes after element");
-        let store', d = Store.add !store e in
-        if not (String.equal d digest) then
-          raise (Mof.Canon.Corrupt "non-canonical object payload");
-        store := store';
-        by_index.(i) <- digest
-      done;
+      let objects =
+        Array.init n_objects (fun i ->
+            let digest = Mof.Canon.r_bytes r Mof.Canon.digest_size in
+            let bytes = Mof.Canon.r_str r in
+            if not (String.equal (Digest.string bytes) digest) then
+              corrupt "object digest mismatch at index %d" i;
+            let er = Mof.Canon.reader bytes in
+            let e = Mof.Canon.read_element er in
+            if not (Mof.Canon.at_end er) then corrupt "trailing bytes after element";
+            let store', d = Store.add !store e in
+            if not (String.equal d digest) then corrupt "non-canonical object payload";
+            store := store';
+            (digest, e))
+      in
       let object_at i =
-        if i < 0 || i >= n_objects then
-          raise (Mof.Canon.Corrupt "object index out of range")
-        else by_index.(i)
+        if i < 0 || i >= n_objects then corrupt "object index out of range"
+        else objects.(i)
       in
-      let corrupt fmt =
-        Printf.ksprintf (fun msg -> raise (Mof.Canon.Corrupt msg)) fmt
-      in
-      (* What the version walks rely on, each checked in O(changes · log n)
-         per commit: ids ascend, so a parent (always read before its child) has
-         the smaller id; exactly one commit has no parent, so every two
-         commits share an ancestor; and a tree differs from its parent's
-         only at ids the stored diff touched. *)
+      (* Every version is rebuilt here, once, in ascending id order: the root
+         commit from its whole tree, every other commit from its parent's
+         model with its tree delta applied. What the rebuild and the version
+         walks rely on is checked first, in O(changes · log n) per commit:
+         ids ascend, so a parent (always read before its child) has the
+         smaller id; exactly one commit has no parent, so every two commits
+         share an ancestor; a tree differs from its parent's only at ids the
+         stored diff touched; each binding's object holds the id it is bound
+         to; and every tree holds its root package and no id at or above its
+         next-id counter. *)
       let n_commits = Mof.Canon.r_int r in
       let commits = ref Int_map.empty in
       for _ = 1 to n_commits do
@@ -480,34 +438,41 @@ let load data =
         let concern = Mof.Canon.r_opt Mof.Canon.r_str r in
         let root = Mof.Canon.r_id r in
         let next_id = Mof.Canon.r_int r in
-        let parent_tree =
+        let parent_commit =
           match parent with
           | None ->
               if not (Int_map.is_empty !commits) then
                 corrupt "commit #%d is a second commit without a parent" id;
-              Mof.Id.Map.empty
+              None
           | Some p -> (
               match Int_map.find_opt p !commits with
-              | Some (pc : Commit.t) -> pc.Commit.tree
+              | Some _ as pc -> pc
               | None -> corrupt "commit #%d references unknown parent #%d" id p)
         in
         let removed = Mof.Canon.r_list Mof.Canon.r_id r in
-        let tree =
-          List.fold_left
-            (fun tr rid -> Mof.Id.Map.remove rid tr)
-            parent_tree removed
-        in
         let set =
           Mof.Canon.r_list
             (fun r ->
               let eid = Mof.Canon.r_id r in
-              let idx = Mof.Canon.r_int r in
-              (eid, object_at idx))
+              let digest, e = object_at (Mof.Canon.r_int r) in
+              if not (Mof.Id.equal e.Mof.Element.id eid) then
+                corrupt "commit #%d binds %s to an object holding %s" id
+                  (Mof.Id.to_string eid)
+                  (Mof.Id.to_string e.Mof.Element.id);
+              (eid, digest, e))
             r
         in
         let tree =
           List.fold_left
-            (fun tr (eid, digest) -> Mof.Id.Map.add eid digest tr)
+            (fun tr rid -> Mof.Id.Map.remove rid tr)
+            (match parent_commit with
+            | Some (pc : Commit.t) -> pc.Commit.tree
+            | None -> Mof.Id.Map.empty)
+            removed
+        in
+        let tree =
+          List.fold_left
+            (fun tr (eid, digest, _) -> Mof.Id.Map.add eid digest tr)
             tree set
         in
         let added = r_id_set r in
@@ -519,24 +484,36 @@ let load data =
            match
              List.find_opt
                (fun eid -> not (Mof.Id.Set.mem eid touched))
-               (removed @ List.map fst set)
+               (removed @ List.map (fun (eid, _, _) -> eid) set)
            with
            | Some eid ->
                corrupt "commit #%d changes %s outside its stored diff" id
                  (Mof.Id.to_string eid)
            | None -> ());
+        if not (Mof.Id.Map.mem root tree) then
+          corrupt "commit #%d does not hold its root package %s" id
+            (Mof.Id.to_string root);
+        (match Mof.Id.Map.max_binding_opt tree with
+        | Some (eid, _) when Mof.Id.to_int eid >= next_id ->
+            corrupt "commit #%d holds %s, not below its next-id counter %d" id
+              (Mof.Id.to_string eid) next_id
+        | _ -> ());
+        let model =
+          match parent_commit with
+          | None -> materialize !store tree ~root ~next:next_id
+          | Some pc ->
+              let m = List.fold_left Mof.Model.remove pc.Commit.model removed in
+              let m =
+                List.fold_left
+                  (fun m (eid, _, e) ->
+                    if Mof.Model.mem m eid then Mof.Model.update m eid (fun _ -> e)
+                    else Mof.Model.add m e)
+                  m set
+              in
+              Mof.Model.with_root ~root ~next:next_id m
+        in
         let c =
-          {
-            Commit.id;
-            parent;
-            message;
-            tree;
-            root;
-            next_id;
-            diff;
-            transformation;
-            concern;
-          }
+          { Commit.id; parent; message; tree; model; diff; transformation; concern }
         in
         commits := Int_map.add id c !commits
       done;
@@ -548,6 +525,10 @@ let load data =
       | Some (last, _) when next <= last ->
           corrupt "next commit id %d does not exceed commit #%d" next last
       | _ -> ());
+      (* [redo] moves the head to these ids without looking further *)
+      (match List.find_opt (fun id -> not (Int_map.mem id !commits)) redo_path with
+      | Some id -> corrupt "redo path names unknown commit #%d" id
+      | None -> ());
       let r_named () =
         List.fold_left
           (fun m (name, id) -> Smap.add name id m)
@@ -564,24 +545,23 @@ let load data =
       let current_branch = Mof.Canon.r_str r in
       if not (Mof.Canon.at_end r) then
         raise (Mof.Canon.Corrupt "trailing bytes after snapshot");
-      match Int_map.find_opt head_id !commits with
-      | None -> Error (Printf.sprintf "snapshot head #%d is not stored" head_id)
-      | Some head_commit ->
-          let t =
-            {
-              store = !store;
-              commits = !commits;
-              head_id;
-              head_model = materialize !store head_commit;
-              redo_path;
-              tag_map;
-              branch_map;
-              current_branch;
-              next;
-            }
-          in
-          publish_store_metrics t;
-          Ok t
+      if not (Int_map.mem head_id !commits) then
+        Error (Printf.sprintf "snapshot head #%d is not stored" head_id)
+      else
+        let t =
+          {
+            store = !store;
+            commits = !commits;
+            head_id;
+            redo_path;
+            tag_map;
+            branch_map;
+            current_branch;
+            next;
+          }
+        in
+        publish_store_metrics t;
+        Ok t
     end
   with
   | Mof.Canon.Corrupt msg -> Error ("repository snapshot: " ^ msg)

@@ -6,8 +6,10 @@
     Commits are trees of element refs into a hash-consed object {!Store}:
     consecutive versions share every element the diff says is unchanged, so
     a 10k-commit history costs O(total changes), not O(commits × model).
+    Each commit also keeps its model, a persistent value sharing all but
+    its changes with its parent's (see "Versions cost what changed").
     The per-commit diff is computed once at [commit] time (journal replay
-    when the new model derives from the head, scan fallback otherwise) and
+    when the new model derives from its parent's, scan fallback otherwise) and
     stored on the commit; {!diff_between} composes the stored diffs along
     the commit path instead of recomputing, with {!diff_between_scan} kept
     as the differential baseline. Tags and branches are cheap named
@@ -23,17 +25,24 @@
 
     {2 Versions cost what changed}
 
-    Only the head's model is kept. Any other version ({!model_at}, and the
-    new head after {!undo}, {!redo}, {!checkout} or {!switch_branch}) is
-    derived from it: the diff composed along the commit path from the head
-    to that version is applied to the head's model, element by element
-    from the target commit's tree. That costs O((p + c) · log n) for a path
-    of p commits touching c ids in all, where rebuilding the model from the
-    tree would cost O(n log n) in every index.
+    Every commit keeps the model it was created with ({!Commit.t}'s [model]),
+    so reading a version — {!head_model}, {!model_at}, and the new head
+    after {!undo}, {!redo}, {!checkout} or {!switch_branch} — is one
+    O(log commits) lookup, and {!commit_on} diffs against the
+    branch head's own model. Models are persistent, so a commit's model
+    shares every element and index node its diff did not touch with its
+    parent's: each version costs the O(c · log n) path copies of its c
+    changes, not a model (a 1,000-commit history over a 100-class model
+    holds about 4.5 times one model's words).
 
-    A derived version continues the head's journal lineage instead of
-    starting a fresh one: its journal is the head's plus one entry per
-    applied change. Nothing observable depends on this. {!Mof.Model.equal}
+    A committed model is the client's own value, journal included: a
+    client that edits the model it read from a version and commits it on
+    top of that version gets the incremental, journal-replaying diff.
+    {!load} rebuilds every version once, in ascending id order: the root
+    commit from its whole tree, every other commit by applying its tree
+    delta to its parent's model. So all loaded versions share the root
+    version's journal lineage, each extending its parent's by one entry per
+    applied change. Nothing observable depends on this: {!Mof.Model.equal}
     compares populations and roots only, and the indexes are maintained by
     the same incremental updates as any edit. *)
 
@@ -74,24 +83,23 @@ val commit_on :
   (t, checkout_error) result
 (** Like {!commit}, but on top of the named branch's head (the head and
     current branch move to the new commit). The diff is taken against the
-    branch head's version, derived from the current head when the two
-    differ. [Unknown_branch] when the branch does not exist. *)
+    branch head's stored model: journal replay when the given model was
+    derived from it, scan otherwise. [Unknown_branch] when the branch does
+    not exist. *)
 
 val head : t -> Commit.t
 val head_model : t -> Mof.Model.t
-(** The materialized head version. O(1): the repository always carries the
-    head's model (committing stores the model it was given, so journal
-    lineage survives across a commit and incremental diffing keeps
-    working). *)
+(** The head version: the head commit's stored model, O(log commits). After a
+    commit it is physically the model that was committed, so journal
+    lineage survives and the next commit's diff replays the journal. *)
 
 val undo : t -> t option
-(** Move head to its parent; [None] at the root. The new head's model is
-    the current one with the head commit's stored diff undone:
-    O(changes · log n). *)
+(** Move head to its parent; [None] at the root. O(log commits): the
+    parent's model is stored. *)
 
 val redo : t -> t option
 (** Re-advance head after an undo; [None] when there is nothing to redo.
-    O(changes · log n), like {!undo}. *)
+    O(log commits), like {!undo}. *)
 
 val can_undo : t -> bool
 val can_redo : t -> bool
@@ -104,7 +112,7 @@ val tag_find : t -> string -> int option
 
 val checkout : string -> t -> (t, checkout_error) result
 (** Moves the head to the commit named by a tag; clears the redo path.
-    Costs what {!model_at} of the tagged commit costs. *)
+    O(log commits + log tags). *)
 
 val tags : t -> (string * int) list
 (** All tag bindings, in name order. *)
@@ -123,14 +131,13 @@ val create_branch : string -> t -> (t, [ `Branch_exists of string ]) result
 
 val switch_branch : string -> t -> (t, checkout_error) result
 (** Moves the head to the named branch's commit and makes it current;
-    clears the redo path. Costs what {!model_at} of that commit costs. *)
+    clears the redo path. O(log commits + log branches). *)
 
 val find : t -> int -> Commit.t option
 
 val model_at : t -> int -> Mof.Model.t option
-(** The version a commit holds, derived from the head's model (see
-    "Versions cost what changed" above): O((p + c) · log n) for the p
-    commits on the path from the head and the c ids they touched. *)
+(** The version a commit holds: its stored model, physically the one it was
+    committed with (or rebuilt by {!load}). O(log commits). *)
 
 val log : t -> Commit.t list
 (** Head-first chain of commits from the head to the root. *)
@@ -176,10 +183,22 @@ val save : t -> string
     touched, never by comparing two whole trees. *)
 
 val load : string -> (t, string) result
-(** Rejects bad magic, truncated input, digest mismatches, and dangling
+(** Rejects bad magic, truncated input, an object count the remaining bytes
+    cannot hold (before allocating for it), digest mismatches, and dangling
     internal references with a descriptive message; never raises. Also
-    rejects what would break the version walks: commit ids out of
-    ascending order, a second commit without a parent, a tree delta that
-    changes an id its commit's stored diff does not touch, and a next
-    commit id that does not exceed every stored one. These checks cost
-    O(changes · log n) per commit. Only the head's model is built. *)
+    rejects what would break the version walks or the rebuilt versions,
+    naming the commit and the ids: commit ids out of ascending order, a
+    second commit without a parent, a tree delta that changes an id its
+    commit's stored diff does not touch, a binding whose stored object
+    holds a different id, a commit whose tree lacks its root package or
+    holds an id at or above its next-id counter, a redo path through an
+    unknown commit, and a next commit id that does not exceed every stored
+    one.
+
+    Every version is rebuilt here, once and eagerly, in the same ascending
+    pass that reads the commits: the root commit's model from its whole
+    tree (O(n log n)), every other commit's by applying its tree delta to
+    its parent's model, then restoring its root and id counter with
+    {!Mof.Model.with_root} — O(changes · log n) per commit, like the
+    checks. Eager, because a loaded repository is read lock-free from
+    several domains (see {!Service}) and [Lazy.force] is not domain-safe. *)

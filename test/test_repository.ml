@@ -211,6 +211,61 @@ let repo_tests =
             | None -> Alcotest.fail "stored commit not found")
           [ m0; m1; m2 ];
         check cb "unknown id" true (Repository.Repo.model_at repo 99 = None));
+    Alcotest.test_case "every version is the model it was committed with" `Quick
+      (fun () ->
+        let module R = Repository.Repo in
+        let repo, m0, m1, m2 = three_versions () in
+        List.iteri
+          (fun i m ->
+            check cb (Printf.sprintf "model_at %d" i) true
+              (Option.get (R.model_at repo i) == m))
+          [ m0; m1; m2 ];
+        let repo = Option.get (R.undo repo) in
+        check cb "undo" true (R.head_model repo == m1);
+        let repo = Option.get (R.redo repo) in
+        check cb "redo" true (R.head_model repo == m2);
+        let repo = ok_exn (fun (`Branch_exists b) -> b) (R.create_branch "side" repo) in
+        let m3, _ = Mof.Builder.add_class m1 ~owner:(Mof.Model.root m1) ~name:"Side" in
+        let repo =
+          ok_exn R.checkout_error_to_string
+            (R.commit_on ~branch:"side" ~message:"side" m3 repo)
+        in
+        check cb "commit_on" true (R.head_model repo == m3);
+        let repo = ok_exn R.checkout_error_to_string (R.switch_branch "main" repo) in
+        check cb "switch_branch" true (R.head_model repo == m2));
+    Alcotest.test_case "a 1,000-commit history stays under 10x one model" `Quick
+      (fun () ->
+        (* Each version keeps its own model, sharing everything unchanged
+           with its parent's; an unshared copy per commit would come to
+           about 1,000x. *)
+        let module R = Repository.Repo in
+        let base = Par.Workload.synthetic ~classes:100 "history" in
+        let classes =
+          Array.of_list (Mof.Id.Set.elements (Mof.Model.by_kind base "Class"))
+        in
+        let edit m i =
+          let cls = classes.(i * 37 mod Array.length classes) in
+          match i mod 3 with
+          | 0 -> Mof.Builder.rename m cls (Printf.sprintf "K%d" i)
+          | 1 ->
+              fst
+                (Mof.Builder.add_attribute m ~cls ~name:(Printf.sprintf "a%d" i)
+                   ~typ:Mof.Kind.Dt_integer)
+          | _ -> Mof.Builder.add_stereotype m cls (Printf.sprintf "s%d" i)
+        in
+        let rec go r i =
+          if i > 1000 then r
+          else go (R.commit ~message:"edit" (edit (R.head_model r) i) r) (i + 1)
+        in
+        let live = go (R.init base) 1 in
+        let loaded = ok_exn Fun.id (R.load (R.save live)) in
+        let words v = Obj.reachable_words (Obj.repr v) in
+        let model = words (R.head_model live) in
+        List.iter
+          (fun (what, r) ->
+            let ratio = float_of_int (words r) /. float_of_int model in
+            if ratio >= 10. then Alcotest.failf "%s: %.1fx the head model" what ratio)
+          [ ("live", live); ("reloaded", loaded) ]);
     Alcotest.test_case "identical commits add no objects" `Quick (fun () ->
         let repo, _, _, m2 = three_versions () in
         let objects = Repository.Repo.store_objects repo in
@@ -417,6 +472,114 @@ module Props = struct
     in
     final
 
+  (* A fork at the head: "side" is created there and main moves on, then
+     "side" takes a commit derived from its own head (the diff replays the
+     journal) and one derived from main's head (the diff falls back to the
+     scan), and main takes one more. *)
+  let side_branch r =
+    let module R = Repository.Repo in
+    let ok = function
+      | Ok r -> r
+      | Error e -> QCheck2.Test.fail_reportf "%s" (R.checkout_error_to_string e)
+    in
+    let at branch r = Option.get (R.model_at r (Option.get (R.branch_head r branch))) in
+    let r =
+      match R.create_branch "side" r with
+      | Ok r -> r
+      | Error (`Branch_exists b) -> QCheck2.Test.fail_reportf "branch %s exists" b
+    in
+    let r = R.commit ~message:"main" (mutate (R.head_model r) ~step:100 ~kind:2) r in
+    let on branch ~from ~step ~kind r =
+      ok (R.commit_on ~branch ~message:branch (mutate (at from r) ~step ~kind) r)
+    in
+    r
+    |> on "side" ~from:"side" ~step:101 ~kind:0
+    |> on "side" ~from:"main" ~step:102 ~kind:1
+    |> on "main" ~from:"main" ~step:103 ~kind:2
+
+  (* [loaded] must be version [id] as [load] rebuilt it from [original]:
+     the same population, root and id counter, and indexes that answer
+     every lookup like a model rebuilt from its own elements. [keys]
+     gathers the elements of every version, so a bucket left stale by an
+     earlier version's replay shows up too. *)
+  let same_version ~keys ~id original loaded =
+    let fail what = QCheck2.Test.fail_reportf "commit #%d: %s" id what in
+    let fresh =
+      Mof.Model.of_elements ~root:(Mof.Model.root loaded) ~next:(Mof.Model.next loaded)
+        (Mof.Model.elements loaded)
+    in
+    let agree lookup keys =
+      List.for_all (fun k -> Mof.Id.Set.equal (lookup loaded k) (lookup fresh k)) keys
+    in
+    let names, stereotypes, targets = keys in
+    if not (Mof.Model.equal original loaded) then fail "population or root differs"
+    else if Mof.Model.next original <> Mof.Model.next loaded then fail "next differs"
+    else if not (agree Mof.Model.by_kind Mof.Kind.all_names) then fail "by_kind"
+    else if not (agree Mof.Model.by_name names) then fail "by_name"
+    else if not (agree Mof.Model.by_stereotype stereotypes) then fail "by_stereotype"
+    else if not (agree Mof.Model.owned_by targets) then fail "owned_by"
+    else if not (agree Mof.Model.referrers targets) then fail "referrers"
+    else true
+
+  (* The names, stereotypes and ids the elements of [models] mention, each
+     once: the keys [same_version] probes. *)
+  let index_keys models =
+    let module Sset = Set.Make (String) in
+    let elements = List.concat_map Mof.Model.elements models in
+    let strings f = Sset.elements (Sset.of_list (List.concat_map f elements)) in
+    ( strings (fun (e : Mof.Element.t) -> [ e.name ]),
+      strings (fun (e : Mof.Element.t) -> e.stereotypes),
+      Mof.Id.Set.elements
+        (Mof.Id.Set.of_list
+           (List.concat_map
+              (fun (e : Mof.Element.t) ->
+                (e.id :: Option.to_list e.owner) @ Mof.Kind.refs e.kind)
+              elements)) )
+
+  (* Twenty byte-level mutants of a snapshot, drawn from a generator seeded
+     by its bytes: an overwritten byte, a truncation, or a run of up to eight
+     bytes copied over another position (which swaps object indexes, ids
+     and counters between fields). *)
+  let mutants s =
+    let rng = Random.State.make [| Hashtbl.hash s |] in
+    let n = String.length s in
+    List.init 20 (fun _ ->
+        let b = Bytes.of_string s in
+        match Random.State.int rng 3 with
+        | 0 ->
+            Bytes.set b (Random.State.int rng n) (Char.chr (Random.State.int rng 256));
+            Bytes.to_string b
+        | 1 -> Bytes.sub_string b 0 (Random.State.int rng n)
+        | _ ->
+            let src = Random.State.int rng n and dst = Random.State.int rng n in
+            Bytes.blit b src b dst (min (1 + Random.State.int rng 8) (n - max src dst));
+            Bytes.to_string b)
+
+  (* A loaded repository must read back every version it names (its log,
+     tags and branches, and the small ids a script's commits take) as a
+     model holding exactly its tree's ids, diff each against the head, and
+     undo and redo without raising. *)
+  let check_loaded t =
+    let module R = Repository.Repo in
+    let head = (R.head t).Repository.Commit.id in
+    let ids =
+      List.init 64 Fun.id
+      @ List.map (fun (c : Repository.Commit.t) -> c.id) (R.log t)
+      @ List.map snd (R.tags t)
+      @ List.map snd (R.branches t)
+    in
+    List.iter
+      (fun id ->
+        match (R.find t id, R.model_at t id) with
+        | Some c, Some m ->
+            let held = List.map (fun (e : Mof.Element.t) -> e.id) (Mof.Model.elements m) in
+            if held <> List.map fst (Mof.Id.Map.bindings c.Repository.Commit.tree) then
+              QCheck2.Test.fail_reportf "commit #%d: model is not its tree" id;
+            ignore (R.diff_between t ~from_id:id ~to_id:head)
+        | _ -> ())
+      (List.sort_uniq compare ids);
+    Option.iter (fun t -> ignore (R.redo t)) (R.undo t)
+
   let diff_eq (a : Mof.Diff.t) (b : Mof.Diff.t) =
     Mof.Id.Set.equal a.added b.added
     && Mof.Id.Set.equal a.removed b.removed
@@ -471,6 +634,36 @@ let property_tests =
                 (Repository.Repo.head_model r2)
               && Repository.Repo.tags cas = Repository.Repo.tags r2
               && Repository.Repo.branches cas = Repository.Repo.branches r2);
+      QCheck2.Test.make ~name:"load rebuilds every version of a branched history"
+        ~count:40 ~print gen
+        (fun (m0, script) ->
+          let module R = Repository.Repo in
+          let cas, _ = Props.run_lockstep m0 script in
+          let r = Props.side_branch cas in
+          match R.load (R.save r) with
+          | Error e -> QCheck2.Test.fail_reportf "load failed: %s" e
+          | Ok loaded ->
+              let ids = List.init (R.size r) Fun.id in
+              let version r id = Option.get (R.model_at r id) in
+              let keys = Props.index_keys (List.map (version r) ids) in
+              List.for_all
+                (fun id ->
+                  Props.same_version ~keys ~id (version r id) (version loaded id))
+                ids);
+      QCheck2.Test.make
+        ~name:"a mutated snapshot loads to an error or to versions matching their trees"
+        ~count:50 ~print gen
+        (fun (m0, script) ->
+          let module R = Repository.Repo in
+          let cas, _ = Props.run_lockstep m0 script in
+          List.for_all
+            (fun data ->
+              match R.load data with
+              | Error _ -> true
+              | Ok t ->
+                  Props.check_loaded t;
+                  true)
+            (Props.mutants (R.save (Props.side_branch cas))));
       QCheck2.Test.make
         ~name:"store objects are monotone and saturate on identical commits"
         ~count:30 ~print gen
@@ -512,21 +705,25 @@ let property_tests =
 (* --- hand-written snapshots [load] must reject --------------------------- *)
 
 (* An MDWREPO1 snapshot written field by field with the Mof.Canon writers,
-   over a store holding two versions ("v0", "v1") of a lone root package.
-   Each commit is [(id, parent, objects, modified)]: its tree delta sets the
-   root to each object index in [objects], and [modified] says whether its
-   stored diff lists the root as modified. The head is the last commit. *)
-let hand_snapshot ?(next = 2) commits =
+   over a store holding two versions ("v0", "v1") of a lone root package e0
+   followed by the [extra] elements (object indexes 2, 3, …). Each commit is
+   [(id, parent, removed, set, recorded)]: its tree delta removes the ids
+   [removed] and binds each id of [set] to the object at the given index,
+   and [recorded] says whether its stored diff lists every id the delta
+   changes as modified. Every commit gives root e0 and id counter
+   [next_id]. The head is the last commit. *)
+let hand_snapshot ?(next = 2) ?(next_id = 1) ?(extra = []) commits =
   let open Mof.Canon in
   let buf = Buffer.create 256 in
   Buffer.add_string buf "MDWREPO1";
   let root = Mof.Id.of_int 0 in
   let objects =
-    List.map
-      (fun name ->
-        element_bytes
-          (Mof.Element.make ~id:root ~name ~owner:None (Mof.Kind.Package { owned = [] })))
-      [ "v0"; "v1" ]
+    List.map element_bytes
+      (List.map
+         (fun name ->
+           Mof.Element.make ~id:root ~name ~owner:None (Mof.Kind.Package { owned = [] }))
+         [ "v0"; "v1" ]
+      @ extra)
   in
   w_int buf (List.length objects);
   List.iter
@@ -536,25 +733,26 @@ let hand_snapshot ?(next = 2) commits =
     objects;
   w_int buf (List.length commits);
   List.iter
-    (fun (id, parent, set, modified) ->
+    (fun (id, parent, removed, set, recorded) ->
       w_int buf id;
       w_opt w_int buf parent;
       w_str buf (Printf.sprintf "c%d" id);
       w_opt w_str buf None;
       w_opt w_str buf None;
       w_id buf root;
-      w_int buf 1;
-      w_list w_id buf [];
+      w_int buf next_id;
+      w_list w_int buf removed;
       w_list
-        (fun buf obj ->
-          w_id buf root;
+        (fun buf (eid, obj) ->
+          w_int buf eid;
           w_int buf obj)
         buf set;
       w_list w_id buf [];
       w_list w_id buf [];
-      w_list w_id buf (if modified then [ root ] else []))
+      w_list w_int buf
+        (if recorded then List.sort_uniq compare (removed @ List.map fst set) else []))
     commits;
-  let head = match List.rev commits with (id, _, _, _) :: _ -> id | [] -> 0 in
+  let head = match List.rev commits with (id, _, _, _, _) :: _ -> id | [] -> 0 in
   w_int buf head;
   w_list w_int buf [];
   w_int buf next;
@@ -567,33 +765,74 @@ let hand_snapshot ?(next = 2) commits =
   w_str buf "main";
   Buffer.contents buf
 
+(* [load]'s errors are its own: a message raised inside Mof.Model would say
+   nothing about which commit or snapshot field is at fault. *)
 let rejects what needle snapshot =
   match Repository.Repo.load snapshot with
   | Ok _ -> Alcotest.failf "%s: load accepted the snapshot" what
   | Error e ->
       if not (contains e needle) then
-        Alcotest.failf "%s: expected an error mentioning %S, got %S" what needle e
+        Alcotest.failf "%s: expected an error mentioning %S, got %S" what needle e;
+      if contains e "Mof.Model" then Alcotest.failf "%s: leaked %S" what e
+
+(* Snapshots that the forward replay in [load] would turn into wrong
+   versions, or that would make it allocate what the input cannot hold:
+   (name, snapshot, expected error fragment). *)
+let hostile_snapshots =
+  let root_only = (0, None, [], [ (0, 0) ], false) in
+  let huge_count =
+    let buf = Buffer.create 16 in
+    Buffer.add_string buf "MDWREPO1";
+    Mof.Canon.w_int buf (1 lsl 29);
+    Buffer.contents buf
+  in
+  let stray =
+    Mof.Element.make ~id:(Mof.Id.of_int 1) ~name:"stray" ~owner:None
+      (Mof.Kind.Package { owned = [] })
+  in
+  [
+    ( "an object count the input cannot hold is rejected",
+      huge_count,
+      "object count 536870912 exceeds" );
+    ( "a binding to an object holding another id is rejected",
+      (* replayed, e1 would be bound where the tree says e5 *)
+      hand_snapshot ~next_id:6 ~extra:[ stray ]
+        [ root_only; (1, Some 0, [], [ (5, 2) ], true) ],
+      "commit #1 binds e5 to an object holding e1" );
+    ( "a non-head commit without its root package is rejected",
+      hand_snapshot ~next:3
+        [ root_only; (1, Some 0, [ 0 ], [], true); (2, Some 1, [], [ (0, 1) ], true) ],
+      "commit #1 does not hold its root package e0" );
+  ]
 
 let load_tests =
-  let root_only = (0, None, [ 0 ], false) in
+  let root_only = (0, None, [], [ (0, 0) ], false) in
   [
     Alcotest.test_case "commit ids out of ascending order are rejected" `Quick (fun () ->
         rejects "out of order" "ascending"
           (hand_snapshot ~next:3
-             [ root_only; (2, Some 0, [ 1 ], true); (1, Some 0, [ 1 ], true) ]));
+             [
+               root_only;
+               (2, Some 0, [], [ (0, 1) ], true);
+               (1, Some 0, [], [ (0, 1) ], true);
+             ]));
     Alcotest.test_case "a second parent-less commit is rejected" `Quick (fun () ->
         rejects "two roots" "without a parent"
-          (hand_snapshot [ root_only; (1, None, [ 1 ], false) ]));
+          (hand_snapshot [ root_only; (1, None, [], [ (0, 1) ], false) ]));
     Alcotest.test_case "a tree delta outside the stored diff is rejected" `Quick (fun () ->
         (* loaded, commit #1 would change the root while its diff says
            nothing changed, and diff_between 0 1 would come back empty *)
         rejects "unrecorded change" "outside its stored diff"
-          (hand_snapshot [ root_only; (1, Some 0, [ 1 ], false) ]));
+          (hand_snapshot [ root_only; (1, Some 0, [], [ (0, 1) ], false) ]));
     Alcotest.test_case "a next commit id that reuses a stored id is rejected" `Quick
       (fun () ->
         rejects "stale next id" "next commit id"
-          (hand_snapshot ~next:1 [ root_only; (1, Some 0, [ 1 ], true) ]));
+          (hand_snapshot ~next:1 [ root_only; (1, Some 0, [], [ (0, 1) ], true) ]));
   ]
+  @ List.map
+      (fun (name, snapshot, needle) ->
+        Alcotest.test_case name `Quick (fun () -> rejects name needle snapshot))
+      hostile_snapshots
 
 (* --- the concurrent session front-end ---------------------------------- *)
 
