@@ -325,6 +325,49 @@ let printer_tests =
             "public boolean withdraw(double amount) {";
             "// TODO: implement";
           ]);
+    Alcotest.test_case "woven banking program bytes are pinned" `Quick
+      (fun () ->
+        (* five concerns cover every statement form the weaver emits: the
+           mutex policy renders synchronized, reader-writer try/finally *)
+        let names ns =
+          Transform.Params.V_list
+            (List.map (fun n -> Transform.Params.V_ident n) ns)
+        in
+        let woven policy =
+          let project =
+            List.fold_left
+              (fun project (concern, params) ->
+                match Core.Pipeline.refine project ~concern ~params with
+                | Ok (project, _) -> project
+                | Error e -> Alcotest.fail (Core.Pipeline.error_to_string e))
+              (Core.Project.create (Fixtures.banking ()))
+              [
+                ("distribution", [ ("remote", names [ "Account" ]) ]);
+                ("transactions", [ ("transactional", names [ "Account" ]) ]);
+                ("security", [ ("secured", names [ "Teller" ]) ]);
+                ( "concurrency",
+                  [
+                    ("guarded", names [ "Account" ]);
+                    ("policy", Transform.Params.V_string policy);
+                  ] );
+                ( "logging",
+                  [
+                    ( "targets",
+                      Transform.Params.V_list [ Transform.Params.V_string "*" ]
+                    );
+                  ] );
+              ]
+          in
+          match Core.Pipeline.build project with
+          | Ok artifacts ->
+              Code.Printer.program_to_string artifacts.Core.Artifacts.woven
+          | Error e -> Alcotest.fail (Core.Pipeline.error_to_string e)
+        in
+        let mutex = woven "mutex" and rw = woven "reader-writer" in
+        check cb "synchronized" true (contains mutex "synchronized (");
+        check cb "finally" true (contains rw "} finally {");
+        check cs "mutex md5" "82cdc5fc0d30ab9bd1ef3d9acad6d4d4" (Digest.to_hex (Digest.string mutex));
+        check cs "reader-writer md5" "efca6f7caa0a69bc6534e371e9709895" (Digest.to_hex (Digest.string rw)));
   ]
 
 (* ---- parser: print/parse round trip ---------------------------------------- *)
