@@ -19,11 +19,9 @@
 open Cmdliner
 
 let read_model path =
-  try Ok (Xmi.Import.read_file path) with
-  | Xmi.Import.Import_error msg -> Error ("XMI import: " ^ msg)
-  | Xmi.Xml_parser.Xml_error (msg, pos) ->
-      Error (Printf.sprintf "XML parse error at offset %d: %s" pos msg)
-  | Sys_error msg -> Error msg
+  match In_channel.with_open_bin path In_channel.input_all with
+  | text -> Result.map_error Xmi.Import.error_to_string (Xmi.Import.parse text)
+  | exception Sys_error msg -> Error msg
 
 let or_die = function
   | Ok v -> v

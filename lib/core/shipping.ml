@@ -59,6 +59,11 @@ let read_file path =
       let len = in_channel_length ic in
       really_input_string ic len)
 
+let read_model path =
+  match read_file path with
+  | text -> Result.map_error Xmi.Import.error_to_string (Xmi.Import.parse text)
+  | exception Sys_error e -> Error e
+
 let ship ~dir project =
   let* manifest = manifest_of project in
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
@@ -122,13 +127,7 @@ let replay ~dir =
     | exception Sys_error e -> Error e
   in
   let* steps = load_manifest manifest in
-  let* initial =
-    match Xmi.Import.read_file (Filename.concat dir "initial.xmi") with
-    | m -> Ok m
-    | exception Xmi.Import.Import_error e -> Error e
-    | exception Xmi.Xml_parser.Xml_error (e, _) -> Error e
-    | exception Sys_error e -> Error e
-  in
+  let* initial = read_model (Filename.concat dir "initial.xmi") in
   List.fold_left
     (fun acc (concern, raw_assignments) ->
       let* project = acc in
@@ -149,10 +148,5 @@ let replay ~dir =
 
 let verify ~dir =
   let* replayed = replay ~dir in
-  let* shipped =
-    match Xmi.Import.read_file (Filename.concat dir "final.xmi") with
-    | m -> Ok m
-    | exception Xmi.Import.Import_error e -> Error e
-    | exception Sys_error e -> Error e
-  in
+  let* shipped = read_model (Filename.concat dir "final.xmi") in
   Ok (Mof.Model.equal (Project.model replayed) shipped)

@@ -5,13 +5,14 @@
     cross-references (supers, datatypes, constrained elements) are id-valued
     attributes. Stereotypes and tagged values become [Stereotype] and
     [TaggedValue] child nodes, so any element can carry them — the property
-    the concern transformations rely on. *)
+    the concern transformations rely on.
 
-val to_xml : Mof.Model.t -> Xml.t
-(** The XMI document of a model. *)
+    The text is written straight into one buffer sized from the model; no
+    document tree is built. *)
 
 val to_string : Mof.Model.t -> string
-(** Pretty-printed XMI text, including the XML declaration. *)
+(** Pretty-printed XMI text, including the XML declaration: two spaces of
+    indent per level, one element per line, [Constraint.body] text inline. *)
 
 val write_file : string -> Mof.Model.t -> unit
 (** Writes {!to_string} to a file. *)
