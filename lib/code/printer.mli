@@ -1,4 +1,9 @@
-(** Rendering of the code model as Java-like source text. *)
+(** Rendering of the code model as Java-like source text.
+
+    Every function writes into one buffer, sized from the code model, and
+    returns its contents; no intermediate line lists or strings are built.
+    Multi-line results are lines joined by newlines, with no trailing
+    newline. *)
 
 val expr_to_string : Jexpr.t -> string
 
