@@ -571,6 +571,165 @@ let woven_tests =
           (event_sigs (Interp.Machine.events st)));
   ]
 
+(* ---- what class and method lookup means ------------------------------------ *)
+
+let class_decl ?extends ?(fields = []) name methods =
+  Code.Jdecl.Class
+    {
+      Code.Jdecl.class_name = name;
+      class_mods = [];
+      extends;
+      implements = [];
+      fields;
+      methods;
+    }
+
+(* One line per outcome: the returned value or escaping exception with the
+   event signatures, or the interpreter's error text. *)
+let outcome_line ?(faults = []) program ~class_name ~method_name =
+  match Interp.Machine.run ~faults program ~class_name ~method_name with
+  | { Interp.Machine.result; events } ->
+      Printf.sprintf "%s [%s]"
+        (match result with
+        | Ok v -> "returned " ^ Interp.Rvalue.to_string v
+        | Error cls -> "threw " ^ cls)
+        (String.concat "; " (event_sigs events))
+  | exception Interp.Machine.Runtime_error msg -> "error: " ^ msg
+
+let lookup_tests =
+  let open Code in
+  let returning n stmts = stmts @ [ Jstmt.S_return (Some n) ] in
+  let int_method name stmts n =
+    mk_method ~return_type:Jtype.T_int name (returning (Jexpr.E_int n) stmts)
+  in
+  let log msg =
+    Jstmt.S_expr
+      (Jexpr.E_call (Some (Jexpr.E_name "Logger"), "log", [ Jexpr.E_string msg ]))
+  in
+  let field name field_type =
+    { Jdecl.field_name = name; field_type; field_mods = []; field_init = None }
+  in
+  let this_field f = Jexpr.E_field (Jexpr.E_this, f) in
+  let unit_ decls = Junit.unit_ ~package:"t" decls in
+  let twice_declared =
+    [
+      unit_ [ class_decl "A" [ int_method "id" [] 1 ] ];
+      unit_ [ class_decl "A" [ int_method "id" [] 2 ] ];
+    ]
+  in
+  let behind_interface =
+    [
+      unit_
+        [
+          Jdecl.Interface
+            {
+              Jdecl.iface_name = "A";
+              iface_extends = [];
+              iface_methods = [ { (int_method "id" [] 0) with Jdecl.body = None } ];
+            };
+          class_decl "A" [ int_method "id" [] 1 ];
+        ];
+    ]
+  in
+  (* Sub is declared before the unit holding its superclass *)
+  let inherited =
+    [
+      unit_ [ class_decl ~extends:"Base" "Sub" [] ];
+      unit_ [ class_decl "Base" [ int_method "ping" [ log "ping" ] 7 ] ];
+    ]
+  in
+  let inherited_fields =
+    (* this.count = this.count + 5; if (this.label == null) log; return this.count; *)
+    let bump =
+      mk_method ~return_type:Jtype.T_int "bump"
+        (returning (this_field "count")
+           [
+             Jstmt.S_expr
+               (Jexpr.E_assign
+                  ( this_field "count",
+                    Jexpr.E_binary ("+", this_field "count", Jexpr.E_int 5) ));
+             Jstmt.S_if
+               ( Jexpr.E_binary ("==", this_field "label", Jexpr.E_null),
+                 [ log "unlabelled" ],
+                 [] );
+           ])
+    in
+    [
+      unit_
+        [
+          class_decl ~extends:"Base" ~fields:[ field "flag" Jtype.T_boolean ] "Sub"
+            [ bump ];
+          class_decl
+            ~fields:[ field "count" Jtype.T_int; field "label" Jtype.T_string ]
+            "Base" [];
+        ];
+    ]
+  in
+  (* NotFound <: AppError <: RuntimeException; go/wide/miss throw a NotFound
+     and catch it as AppError, Exception and an unrelated class *)
+  let exceptions =
+    let throwing name catch_cls =
+      int_method name
+        [
+          Jstmt.S_try
+            ( [ Jstmt.S_throw (Jexpr.E_new ("NotFound", [])) ],
+              [
+                ( Jtype.T_named catch_cls,
+                  "e",
+                  [ log "caught"; Jstmt.S_return (Some (Jexpr.E_int 1)) ] );
+              ],
+              [] );
+        ]
+        0
+    in
+    [
+      unit_
+        [
+          class_decl "T"
+            [ throwing "go" "AppError"; throwing "wide" "Exception"; throwing "miss" "T" ];
+          class_decl ~extends:"AppError" "NotFound" [];
+        ];
+      unit_ [ class_decl ~extends:"RuntimeException" "AppError" [] ];
+    ]
+  in
+  let table =
+    [
+      ( "two units declare A: the first unit's A runs",
+        twice_declared, ("A", "id", []), "returned 1 []" );
+      ( "an interface A before a class A: the class runs",
+        behind_interface, ("A", "id", []), "returned 1 []" );
+      ( "a method inherited from a superclass in a later unit",
+        inherited, ("Sub", "ping", []), "returned 7 [Logger.log]" );
+      ( "inherited fields default-initialize and take assignment",
+        inherited_fields, ("Sub", "bump", []), "returned 5 [Logger.log]" );
+      ( "a fault naming the declaring class fires on an inherited method",
+        inherited, ("Sub", "ping", [ ("Base", "ping") ]),
+        "threw RuntimeException [FaultInjector.throw]" );
+      ( "a fault naming the subclass does not fire on an inherited method",
+        inherited, ("Sub", "ping", [ ("Sub", "ping") ]), "returned 7 [Logger.log]" );
+      ( "run on an unknown class",
+        inherited, ("Nope", "ping", []), "error: unknown class Nope" );
+      ( "run on the undeclared builtin RuntimeException",
+        inherited, ("RuntimeException", "ping", []),
+        "error: class RuntimeException has no method ping" );
+      ( "a program exception is caught by its declared superclass",
+        exceptions, ("T", "go", []), "returned 1 [Logger.log]" );
+      ( "a program exception is caught as Exception up its chain",
+        exceptions, ("T", "wide", []), "returned 1 [Logger.log]" );
+      ( "a program exception escapes a handler for an unrelated class",
+        exceptions, ("T", "miss", []), "threw NotFound []" );
+    ]
+  in
+  List.map
+    (fun (name, program, (class_name, method_name, faults), want) ->
+      Alcotest.test_case name `Quick (fun () ->
+          check cs name want (outcome_line ~faults program ~class_name ~method_name)))
+    table
+
 let () =
   Alcotest.run "interp"
-    [ ("basics", basics_tests); ("woven-behaviour", woven_tests) ]
+    [
+      ("basics", basics_tests);
+      ("woven-behaviour", woven_tests);
+      ("lookup", lookup_tests);
+    ]
