@@ -24,8 +24,16 @@ let interfaces program =
         u.decls)
     program
 
-let find_class program name =
-  List.find_opt (fun c -> String.equal c.Jdecl.class_name name) (classes program)
+let rec find_class_in_units name = function
+  | [] -> None
+  | u :: units -> find_class_in_decls name units u.decls
+
+and find_class_in_decls name units = function
+  | Jdecl.Class c :: _ when String.equal c.Jdecl.class_name name -> Some c
+  | _ :: decls -> find_class_in_decls name units decls
+  | [] -> find_class_in_units name units
+
+let find_class program name = find_class_in_units name program
 
 let find_interface program name =
   List.find_opt

@@ -11,7 +11,9 @@ type program = t list
 val unit_ : ?imports:string list -> package:string -> Jdecl.type_decl list -> t
 
 val find_class : program -> string -> Jdecl.class_ option
-(** First class with the given simple name, across all units. *)
+(** First class with the given simple name, across all units in order;
+    interfaces are skipped. O(classes): it walks the units and their
+    declarations in place and allocates nothing but the returned option. *)
 
 val find_interface : program -> string -> Jdecl.interface_ option
 

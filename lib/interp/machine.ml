@@ -31,18 +31,32 @@ let events st = List.rev st.log
 
 (* ---- classes and dispatch ---------------------------------------------- *)
 
+(* A call resolves its receiver's class by name once; from that declaration
+   method search and field collection walk [extends], looking up only the
+   superclasses by name. *)
+
 let find_class st name = Code.Junit.find_class st.program name
 
-let rec method_of st class_name method_name =
-  match find_class st class_name with
+let super_of program (c : Code.Jdecl.class_) =
+  match c.Code.Jdecl.extends with
+  | Some super -> Code.Junit.find_class program super
   | None -> None
-  | Some c -> (
-      match Code.Jdecl.find_method c method_name with
-      | Some m -> Some (c, m)
-      | None -> (
-          match c.Code.Jdecl.extends with
-          | Some super -> method_of st super method_name
-          | None -> None))
+
+(* the method a call on [c] dispatches to, with its declaring class *)
+let rec method_in program c method_name =
+  match Code.Jdecl.find_method c method_name with
+  | Some m -> Some (c, m)
+  | None -> (
+      match super_of program c with
+      | Some super -> method_in program super method_name
+      | None -> None)
+
+let dispatch program class_name decl method_name =
+  match
+    match decl with Some c -> method_in program c method_name | None -> None
+  with
+  | Some found -> found
+  | None -> error "class %s has no method %s" class_name method_name
 
 (* exception conformance: program extends chain, plus the builtin
    RuntimeException <: Exception <: Throwable ladder *)
@@ -82,25 +96,29 @@ let allocate st class_name field_decls =
   Hashtbl.replace st.heap r { obj_class = class_name; fields };
   Rvalue.V_object r
 
-(* fields of a class including inherited ones *)
-let rec all_fields st class_name =
-  match find_class st class_name with
-  | None -> []
-  | Some c ->
-      (match c.Code.Jdecl.extends with
-      | Some super -> all_fields st super
-      | None -> [])
-      @ c.Code.Jdecl.fields
+(* fields of a class including inherited ones, superclasses' first *)
+let rec fields_of program c =
+  (match super_of program c with
+  | Some super -> fields_of program super
+  | None -> [])
+  @ c.Code.Jdecl.fields
+
+(* The declaration [new class_name] instantiates: runtime exception classes
+   can be instantiated without one. *)
+let instantiable program class_name =
+  match Code.Junit.find_class program class_name with
+  | Some _ as decl -> decl
+  | None -> (
+      match class_name with
+      | "RuntimeException" | "Exception" | "Throwable" | "Error" -> None
+      | _ -> error "unknown class %s" class_name)
+
+let instantiate st class_name decl =
+  allocate st class_name
+    (match decl with Some c -> fields_of st.program c | None -> [])
 
 let new_object st class_name =
-  match find_class st class_name with
-  | Some _ -> allocate st class_name (all_fields st class_name)
-  | None -> (
-      (* runtime exception classes can be instantiated without declaration *)
-      match class_name with
-      | "RuntimeException" | "Exception" | "Throwable" | "Error" ->
-          allocate st class_name []
-      | _ -> error "unknown class %s" class_name)
+  instantiate st class_name (instantiable st.program class_name)
 
 (* ---- builtin middleware runtime ------------------------------------------ *)
 
@@ -344,28 +362,30 @@ and eval_call st env recv name args =
       | _ -> error "unqualified call %s with no this" name)
 
 and invoke st this class_name method_name arg_values =
-  match method_of st class_name method_name with
-  | None -> error "class %s has no method %s" class_name method_name
-  | Some (owner, m) -> (
-      if List.mem (owner.Code.Jdecl.class_name, method_name) st.faults then begin
-        record st ~source:"FaultInjector" ~action:"throw"
-          ~detail:(owner.Code.Jdecl.class_name ^ "." ^ method_name);
-        raise (Java_throw (new_object st "RuntimeException", "RuntimeException"))
-      end;
-      match m.Code.Jdecl.body with
-      | None -> Rvalue.default_of m.Code.Jdecl.return_type
-      | Some body -> (
-          let env = { vars = Hashtbl.create 8; this } in
-          (try
-             List.iter2
-               (fun (p : Code.Jdecl.param) v -> declare env p.Code.Jdecl.param_name v)
-               m.Code.Jdecl.params arg_values
-           with Invalid_argument _ ->
-             error "arity mismatch calling %s.%s" class_name method_name);
-          try
-            exec_block st env body;
-            Rvalue.default_of m.Code.Jdecl.return_type
-          with Java_return v -> v))
+  invoke_in st this class_name (find_class st class_name) method_name arg_values
+
+(* [invoke] on the already resolved declaration [decl] of [class_name] *)
+and invoke_in st this class_name decl method_name arg_values =
+  let owner, m = dispatch st.program class_name decl method_name in
+  if List.mem (owner.Code.Jdecl.class_name, method_name) st.faults then begin
+    record st ~source:"FaultInjector" ~action:"throw"
+      ~detail:(owner.Code.Jdecl.class_name ^ "." ^ method_name);
+    raise (Java_throw (new_object st "RuntimeException", "RuntimeException"))
+  end;
+  match m.Code.Jdecl.body with
+  | None -> Rvalue.default_of m.Code.Jdecl.return_type
+  | Some body -> (
+      let env = { vars = Hashtbl.create 8; this } in
+      (try
+         List.iter2
+           (fun (p : Code.Jdecl.param) v -> declare env p.Code.Jdecl.param_name v)
+           m.Code.Jdecl.params arg_values
+       with Invalid_argument _ ->
+         error "arity mismatch calling %s.%s" class_name method_name);
+      try
+        exec_block st env body;
+        Rvalue.default_of m.Code.Jdecl.return_type
+      with Java_return v -> v)
 
 and exec_block st env stmts = List.iter (exec st env) stmts
 
@@ -440,10 +460,15 @@ let call st ~recv name args =
 
 let run ?(faults = []) ?(args = []) program ~class_name ~method_name =
   let st = create ~faults program in
-  let this = new_object st class_name in
+  let decl = instantiable program class_name in
+  let this = instantiate st class_name decl in
   let result =
-    match invoke st this class_name method_name args with
+    match invoke_in st this class_name decl method_name args with
     | v -> Ok v
     | exception Java_throw (_, cls) -> Error cls
   in
   { result; events = events st }
+
+let method_params program ~class_name ~method_name =
+  let decl = instantiable program class_name in
+  (snd (dispatch program class_name decl method_name)).Code.Jdecl.params

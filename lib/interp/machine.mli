@@ -64,5 +64,19 @@ val run :
   outcome
 (** One-shot convenience: create a machine, instantiate [class_name], invoke
     [method_name] with [args], and return the outcome with the event
-    trace.
+    trace. The class is looked up by name once, and that declaration is
+    both instantiated and dispatched on: field collection and method search
+    walk [extends] from it, so only superclasses are looked up by name.
+    A lookup scans the program's units in place ({!Code.Junit.find_class}),
+    so what a run allocates does not grow with the number of classes.
     @raise Runtime_error only for genuine interpreter errors. *)
+
+val method_params :
+  Code.Junit.program ->
+  class_name:string ->
+  method_name:string ->
+  Code.Jdecl.param list
+(** Parameters of the method {!run} dispatches to for [class_name] and
+    [method_name], which may be inherited along [extends].
+    @raise Runtime_error with the text {!run} would raise when it cannot
+    instantiate the class or find the method. *)

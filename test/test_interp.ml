@@ -726,10 +726,49 @@ let lookup_tests =
           check cs name want (outcome_line ~faults program ~class_name ~method_name)))
     table
 
+(* Minor-heap words one [Machine.run] allocates, calling [m0] of the last
+   class of a synthetic PIM of [classes] classes with that class
+   transactional. Allocation counts repeat exactly, so this is no timing. *)
+let words_per_run classes =
+  let target = Printf.sprintf "C%d" (classes - 1) in
+  let project =
+    Core.Project.create
+      (Par.Workload.synthetic ~classes (Printf.sprintf "run%d" classes))
+  in
+  let project =
+    refine_exn project ~concern:"transactions"
+      ~params:[ ("transactional", v_names [ target ]) ]
+  in
+  let woven = (Result.get_ok (Core.Pipeline.build project)).Core.Artifacts.woven in
+  let run () =
+    Interp.Machine.run woven ~class_name:target ~method_name:"m0"
+      ~args:[ Interp.Rvalue.V_int 1 ]
+  in
+  check (Alcotest.list cs) "woven call runs its advice"
+    [ "TransactionManager.begin" ]
+    (event_sigs (run ()).Interp.Machine.events);
+  let n = 20 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (run ())
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let cost_tests =
+  [
+    Alcotest.test_case "a call allocates no more at 192 classes than at 24"
+      `Quick (fun () ->
+        let small = words_per_run 24 and large = words_per_run 192 in
+        if large > 1.25 *. small then
+          Alcotest.failf "%.0f words per run at 192 classes, %.0f at 24" large
+            small);
+  ]
+
 let () =
   Alcotest.run "interp"
     [
       ("basics", basics_tests);
       ("woven-behaviour", woven_tests);
       ("lookup", lookup_tests);
+      ("cost", cost_tests);
     ]
