@@ -609,23 +609,18 @@ let run_cmd =
           | None -> or_die (Error (spec ^ ": expected CLASS.METHOD")))
         fault_specs
     in
-    let find_method_arity () =
-      match Code.Junit.find_class artifacts.Core.Artifacts.woven class_name with
-      | None -> or_die (Error ("unknown class " ^ class_name))
-      | Some c -> (
-          match Code.Jdecl.find_method c method_name with
-          | None ->
-              or_die
-                (Error
-                   (Printf.sprintf "class %s has no method %s" class_name
-                      method_name))
-          | Some mth ->
-              List.map
-                (fun (p : Code.Jdecl.param) ->
-                  Interp.Rvalue.default_of p.Code.Jdecl.param_type)
-                mth.Code.Jdecl.params)
+    let args =
+      match
+        Interp.Machine.method_params artifacts.Core.Artifacts.woven ~class_name
+          ~method_name
+      with
+      | params ->
+          List.map
+            (fun (p : Code.Jdecl.param) ->
+              Interp.Rvalue.default_of p.Code.Jdecl.param_type)
+            params
+      | exception Interp.Machine.Runtime_error msg -> or_die (Error msg)
     in
-    let args = find_method_arity () in
     let outcome =
       Interp.Machine.run ~faults ~args artifacts.Core.Artifacts.woven
         ~class_name ~method_name
