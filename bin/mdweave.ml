@@ -954,9 +954,25 @@ let read_repo path =
   | exception Sys_error msg -> Error msg
   | data -> Repository.Repo.load data
 
-let write_repo path repo =
-  Out_channel.with_open_bin path (fun oc ->
-      Out_channel.output_string oc (Repository.Repo.save repo))
+(* [contents] goes to a temporary file beside [path], which is then renamed
+   over it: an interrupted write leaves the old file whole. *)
+let replace_file path contents =
+  let tmp, oc =
+    Filename.open_temp_file ~mode:[ Open_binary ] ~perms:0o666
+      ~temp_dir:(Filename.dirname path) (Filename.basename path) ".tmp"
+  in
+  match
+    Fun.protect
+      ~finally:(fun () -> close_out oc)
+      (fun () -> output_string oc contents)
+  with
+  | () -> Sys.rename tmp path
+  | exception e ->
+      (try Sys.remove tmp with Sys_error _ -> ());
+      raise e
+
+(* rendered before the store is touched *)
+let write_repo path repo = replace_file path (Repository.Repo.save repo)
 
 let store_pos =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"STORE.mdr")
@@ -1105,8 +1121,7 @@ let repo_save_cmd =
     let rendered = Repository.Repo.save repo in
     if not (String.equal rendered data) then
       or_die (Error "snapshot is not canonical: save after load differs");
-    Out_channel.with_open_bin out (fun oc ->
-        Out_channel.output_string oc rendered);
+    replace_file out rendered;
     Printf.printf "verified byte fixpoint, wrote %s (%d bytes)\n" out
       (String.length rendered)
   in

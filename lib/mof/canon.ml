@@ -55,6 +55,9 @@ let r_int r =
   let rec go shift acc =
     if shift > 56 then raise (Corrupt "varint too wide");
     let b = byte r in
+    (* a ninth byte carries bits 56-62, and bit 62 is OCaml's sign bit *)
+    if shift = 56 && b land 0x40 <> 0 then
+      raise (Corrupt "varint out of the non-negative int range");
     let acc = acc lor ((b land 0x7f) lsl shift) in
     if b land 0x80 = 0 then acc else go (shift + 7) acc
   in

@@ -54,6 +54,10 @@ val pos : reader -> int
 val at_end : reader -> bool
 
 val r_int : reader -> int
+(** Reads what {!w_int} writes: a non-negative int. Raises [Corrupt] on a
+    truncated varint, on one wider than nine bytes, and on one whose value
+    does not fit a non-negative int (a ninth byte with bit 6 set). *)
+
 val r_str : reader -> string
 val r_bool : reader -> bool
 val r_opt : (reader -> 'a) -> reader -> 'a option

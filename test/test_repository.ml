@@ -555,10 +555,16 @@ module Props = struct
             Bytes.blit b src b dst (min (1 + Random.State.int rng 8) (n - max src dst));
             Bytes.to_string b)
 
+  let diff_eq (a : Mof.Diff.t) (b : Mof.Diff.t) =
+    Mof.Id.Set.equal a.added b.added
+    && Mof.Id.Set.equal a.removed b.removed
+    && Mof.Id.Set.equal a.modified b.modified
+
   (* A loaded repository must read back every version it names (its log,
      tags and branches, and the small ids a script's commits take) as a
-     model holding exactly its tree's ids, diff each against the head, and
-     undo and redo without raising. *)
+     model holding exactly its tree's ids, diff each against the head as
+     the scan baseline does, undo and redo without raising, and save to
+     bytes that load again to the same size and head model. *)
   let check_loaded t =
     let module R = Repository.Repo in
     let head = (R.head t).Repository.Commit.id in
@@ -571,19 +577,28 @@ module Props = struct
     List.iter
       (fun id ->
         match (R.find t id, R.model_at t id) with
-        | Some c, Some m ->
+        | Some c, Some m -> (
             let held = List.map (fun (e : Mof.Element.t) -> e.id) (Mof.Model.elements m) in
             if held <> List.map fst (Mof.Id.Map.bindings c.Repository.Commit.tree) then
               QCheck2.Test.fail_reportf "commit #%d: model is not its tree" id;
-            ignore (R.diff_between t ~from_id:id ~to_id:head)
+            match
+              ( R.diff_between t ~from_id:id ~to_id:head,
+                R.diff_between_scan t ~from_id:id ~to_id:head )
+            with
+            | Some a, Some b when diff_eq a b -> ()
+            | None, None -> ()
+            | _ -> QCheck2.Test.fail_reportf "commit #%d: diff_between is not the scan's" id)
         | _ -> ())
       (List.sort_uniq compare ids);
-    Option.iter (fun t -> ignore (R.redo t)) (R.undo t)
-
-  let diff_eq (a : Mof.Diff.t) (b : Mof.Diff.t) =
-    Mof.Id.Set.equal a.added b.added
-    && Mof.Id.Set.equal a.removed b.removed
-    && Mof.Id.Set.equal a.modified b.modified
+    Option.iter (fun t -> ignore (R.redo t)) (R.undo t);
+    match R.load (R.save t) with
+    | Error e -> QCheck2.Test.fail_reportf "saved bytes do not load again: %s" e
+    | Ok again ->
+        if R.size again <> R.size t then
+          QCheck2.Test.fail_reportf "saved and loaded again, size %d is not %d"
+            (R.size again) (R.size t);
+        if not (Mof.Model.equal (R.head_model again) (R.head_model t)) then
+          QCheck2.Test.fail_reportf "saved and loaded again, the head model differs"
 end
 
 let property_tests =
@@ -628,6 +643,7 @@ let property_tests =
           | Ok r2 ->
               if not (String.equal (Repository.Repo.save r2) s1) then
                 QCheck2.Test.fail_reportf "save after load differs";
+              Props.check_loaded r2;
               (* the reloaded value is observably the same repository *)
               Mof.Model.equal
                 (Repository.Repo.head_model cas)
@@ -704,27 +720,38 @@ let property_tests =
 
 (* --- hand-written snapshots [load] must reject --------------------------- *)
 
+(* LEB128 of all 63 bits of an int, so a negative one takes nine bytes:
+   what a hostile snapshot may hold where Mof.Canon.w_int refuses to
+   write. [min_int] is 80 80 80 80 80 80 80 80 40. *)
+let w_any_int buf n =
+  let rec go n =
+    if n >= 0 && n < 0x80 then Buffer.add_char buf (Char.chr n)
+    else begin
+      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
+      go (n lsr 7)
+    end
+  in
+  go n
+
+let root_package name =
+  Mof.Element.make ~id:(Mof.Id.of_int 0) ~name ~owner:None
+    (Mof.Kind.Package { owned = [] })
+
 (* An MDWREPO1 snapshot written field by field with the Mof.Canon writers,
    over a store holding two versions ("v0", "v1") of a lone root package e0
-   followed by the [extra] elements (object indexes 2, 3, …). Each commit is
-   [(id, parent, removed, set, recorded)]: its tree delta removes the ids
-   [removed] and binds each id of [set] to the object at the given index,
-   and [recorded] says whether its stored diff lists every id the delta
-   changes as modified. Every commit gives root e0 and id counter
-   [next_id]. The head is the last commit. *)
+   followed by the [extra] element payloads (object indexes 2, 3, …). Each
+   commit is [(id, parent, removed, set, recorded)]: its tree delta removes
+   the ids [removed] and binds each id of [set] to the object at the given
+   index, and [recorded] says whether its stored diff lists every id the
+   delta changes as modified. Every commit gives root e0 and id counter
+   [next_id]. The head is the last commit. Commit ids are written with
+   [w_any_int], so they may be negative. *)
 let hand_snapshot ?(next = 2) ?(next_id = 1) ?(extra = []) commits =
   let open Mof.Canon in
   let buf = Buffer.create 256 in
   Buffer.add_string buf "MDWREPO1";
   let root = Mof.Id.of_int 0 in
-  let objects =
-    List.map element_bytes
-      (List.map
-         (fun name ->
-           Mof.Element.make ~id:root ~name ~owner:None (Mof.Kind.Package { owned = [] }))
-         [ "v0"; "v1" ]
-      @ extra)
-  in
+  let objects = List.map element_bytes [ root_package "v0"; root_package "v1" ] @ extra in
   w_int buf (List.length objects);
   List.iter
     (fun bytes ->
@@ -734,8 +761,8 @@ let hand_snapshot ?(next = 2) ?(next_id = 1) ?(extra = []) commits =
   w_int buf (List.length commits);
   List.iter
     (fun (id, parent, removed, set, recorded) ->
-      w_int buf id;
-      w_opt w_int buf parent;
+      w_any_int buf id;
+      w_opt w_any_int buf parent;
       w_str buf (Printf.sprintf "c%d" id);
       w_opt w_str buf None;
       w_opt w_str buf None;
@@ -753,14 +780,14 @@ let hand_snapshot ?(next = 2) ?(next_id = 1) ?(extra = []) commits =
         (if recorded then List.sort_uniq compare (removed @ List.map fst set) else []))
     commits;
   let head = match List.rev commits with (id, _, _, _, _) :: _ -> id | [] -> 0 in
-  w_int buf head;
+  w_any_int buf head;
   w_list w_int buf [];
   w_int buf next;
   w_list w_int buf [];
   w_list
     (fun buf (name, id) ->
       w_str buf name;
-      w_int buf id)
+      w_any_int buf id)
     buf [ ("main", head) ];
   w_str buf "main";
   Buffer.contents buf
@@ -790,15 +817,29 @@ let hostile_snapshots =
     Mof.Element.make ~id:(Mof.Id.of_int 1) ~name:"stray" ~owner:None
       (Mof.Kind.Package { owned = [] })
   in
+  (* a root package whose one-byte id 0 is replaced by min_int's nine bytes *)
+  let negative_root =
+    let bytes = Mof.Canon.element_bytes (root_package "neg") in
+    let buf = Buffer.create 32 in
+    w_any_int buf min_int;
+    Buffer.add_string buf (String.sub bytes 1 (String.length bytes - 1));
+    Buffer.contents buf
+  in
   [
     ( "an object count the input cannot hold is rejected",
       huge_count,
       "object count 536870912 exceeds" );
     ( "a binding to an object holding another id is rejected",
       (* replayed, e1 would be bound where the tree says e5 *)
-      hand_snapshot ~next_id:6 ~extra:[ stray ]
+      hand_snapshot ~next_id:6 ~extra:[ Mof.Canon.element_bytes stray ]
         [ root_only; (1, Some 0, [], [ (5, 2) ], true) ],
       "commit #1 binds e5 to an object holding e1" );
+    ( "a negative commit id is rejected",
+      hand_snapshot [ (min_int, None, [], [ (0, 0) ], false) ],
+      "varint out of the non-negative int range" );
+    ( "a negative element id is rejected",
+      hand_snapshot ~extra:[ negative_root ] [ root_only ],
+      "varint out of the non-negative int range" );
     ( "a non-head commit without its root package is rejected",
       hand_snapshot ~next:3
         [ root_only; (1, Some 0, [ 0 ], [], true); (2, Some 1, [], [ (0, 1) ], true) ],
