@@ -52,9 +52,10 @@ let rec method_in program c method_name =
       | None -> None)
 
 let dispatch program class_name decl method_name =
-  match
+  let found =
     match decl with Some c -> method_in program c method_name | None -> None
-  with
+  in
+  match found with
   | Some found -> found
   | None -> error "class %s has no method %s" class_name method_name
 
