@@ -280,10 +280,9 @@ let check_cmd =
   let run file expr context =
     let m = or_die (read_model file) in
     let c = Ocl.Constraint_.make ?context ~name:"cli" expr in
-    Format.printf "%a@." Ocl.Constraint_.pp_outcome (Ocl.Constraint_.check m c);
-    match Ocl.Constraint_.check m c with
-    | Ocl.Constraint_.Holds -> ()
-    | _ -> exit 1
+    let outcome = Ocl.Constraint_.check m c in
+    Format.printf "%a@." Ocl.Constraint_.pp_outcome outcome;
+    if outcome <> Ocl.Constraint_.Holds then exit 1
   in
   Cmd.v
     (Cmd.info "check" ~doc:"Evaluate an OCL constraint against an XMI model")

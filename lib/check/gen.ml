@@ -868,21 +868,23 @@ let ocl_metaclasses =
   [ "Class"; "Interface"; "Attribute"; "Operation"; "Package"; "Enumeration";
     "Constraint"; "Element" ]
 
-(* Bodies stress every path the compile/plan/extent layer takes: the three
-   planner shapes (both equality orientations, probe inside an outer
-   iterator, rhs depending on an outer binding or on [self], guarded
-   forAll with a literal guard), shapes the planner must refuse (iterator
-   variable on both sides, shadowed classifier, a guard mentioning the
-   iterator), plain extent walks, and ill-formed bodies — whose parse
-   and evaluation errors must also agree between the cached and naive
-   paths. Generated names include the XML-hostile pool entries (quotes,
-   '&', spaces), so some bodies are deliberately unparseable. *)
+(* Bodies stress every path the plan layer takes: the three planner
+   shapes (both equality orientations, probe inside an outer iterator, rhs
+   depending on an outer binding, on [self] or on a parameter, guarded
+   forAll with a literal or a parameter guard), shapes the planner must
+   refuse (iterator variable on both sides, shadowed classifier, a guard
+   mentioning the iterator), plain extent walks, and ill-formed bodies —
+   whose parse and evaluation errors must also agree between the planned
+   and naive paths. Generated names include the XML-hostile pool entries
+   (quotes, '&', spaces), so some bodies are deliberately unparseable;
+   parameters are bound to such strings and never make a body
+   unparseable. *)
 let ocl_constraint rng ~names i =
   let name () = Prng.choose rng names in
   let mc () = Prng.choose rng ocl_metaclasses in
   let lit () = Printf.sprintf "'%s'" (name ()) in
   let cname = Printf.sprintf "c%d" i in
-  let template = Prng.int rng 25 in
+  let template = Prng.int rng 29 in
   let body, context =
     match template with
     | 0 ->
@@ -944,7 +946,7 @@ let ocl_constraint rng ~names i =
            (mc ()) (lit ()) (Prng.int rng 2), None)
     (* 15.. go past the planner shapes: if/not/neg/xor, iterate, every
        iterator form, the type ops, string and numeric calls, Bag literals
-       and the arithmetic operators, so the cached and naive paths are
+       and the arithmetic operators, so the planned and naive paths are
        compared over the whole evaluator, not just the probes. *)
     | 15 ->
         (Printf.sprintf
@@ -996,6 +998,23 @@ let ocl_constraint rng ~names i =
            "Bag{1, 2, 2}->count(2) = 2 and Bag{1, %d}->excludes(9) and \
             Sequence{1, %d}->max() >= 1 and Sequence{2}->min() = 2"
            (Prng.int rng 4) (Prng.int rng 4), None)
+    (* 24..27 name parameters, bound by [ocl_params] or unbound *)
+    | 24 ->
+        (Printf.sprintf "%s.allInstances()->exists(x | $s$ = x.name) or \
+            %s.allInstances()->select(x | x.name = $s$)->size() = $n$"
+           (mc ()) (mc ()), None)
+    | 25 ->
+        (Printf.sprintf
+           "%s.allInstances()->forAll(x | $names$->includes(x.name) implies \
+            x.name = $s$)"
+           (mc ()), None)
+    | 26 ->
+        (* a guard of any type, and one that is never bound *)
+        (Printf.sprintf
+           "%s.allInstances()->forAll(x | %s->includes(x.name) implies x.nope)"
+           (mc ()) (Prng.choose rng [ "$g$"; "$missing$" ]), None)
+    | 27 ->
+        ("self.name = $s$ or $names$->excludes(self.name)", Some (mc ()))
     | _ ->
         (Printf.sprintf
            "%s.allInstances()->closure(x | Sequence{})->size() >= 0 and \
@@ -1005,10 +1024,29 @@ let ocl_constraint rng ~names i =
   in
   Ocl.Constraint_.make ?context ~name:cname body
 
+(* Bindings for the parameters the bodies name. Strings come from the
+   scripts' names and from values that would break or rewrite a body they
+   were pasted into; [$g$] is sometimes not a collection of strings. *)
+let ocl_params rng ~names =
+  let hostile = [ "it's"; "a|b"; "two words"; "Zürich"; "x') or true or ('y" ] in
+  let str () = Ocl.Value.V_string (Prng.choose rng (names @ hostile)) in
+  let strs () = Ocl.Value.set (List.init (Prng.int rng 4) (fun _ -> str ())) in
+  [
+    ("$s$", str ());
+    ("$n$", Ocl.Value.V_int (Prng.int rng 3));
+    ("$names$", strs ());
+    ( "$g$",
+      match Prng.int rng 4 with
+      | 0 -> str ()
+      | 1 -> Ocl.Value.set [ Ocl.Value.V_int (Prng.int rng 3) ]
+      | _ -> strs () );
+  ]
+
 let ocl_constraints rng ~base ~edits =
   let names =
     match script_names base @ script_names edits with
     | [] -> [ "orphan" ]
     | ns -> "NoSuchName" :: ns
   in
-  List.init (Prng.range rng 4 8) (ocl_constraint rng ~names)
+  let params = ocl_params rng ~names in
+  (params, List.init (Prng.range rng 4 8) (ocl_constraint rng ~names))

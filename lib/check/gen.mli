@@ -52,10 +52,15 @@ val armor : Prng.t -> Xmi.Xml.t -> string
     decoding bugs. *)
 
 val ocl_constraints :
-  Prng.t -> base:Edit.script -> edits:Edit.script -> Ocl.Constraint_.t list
-(** Random OCL constraints for the [ocl] differential oracle: planner
-    shapes (both equality orientations, probes under outer iterators and
-    contexts), shapes the planner must refuse (shadowed classifiers,
-    iterator-dependent right-hand sides), plain extent walks, and
-    ill-formed bodies. Probe targets are drawn from the names the scripts
-    mention plus a never-existing one. *)
+  Prng.t ->
+  base:Edit.script ->
+  edits:Edit.script ->
+  (string * Ocl.Value.t) list * Ocl.Constraint_.t list
+(** Random OCL constraints for the [ocl] differential oracle, with the
+    parameter bindings to check them under: planner shapes (both equality
+    orientations, probes under outer iterators and contexts, parameter
+    right-hand sides and guards), shapes the planner must refuse (shadowed
+    classifiers, iterator-dependent right-hand sides), plain extent walks,
+    and ill-formed bodies. Probe targets are drawn from the names the
+    scripts mention plus a never-existing one; parameter strings also
+    carry quotes, [|], spaces and non-ASCII text. *)

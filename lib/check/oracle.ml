@@ -235,30 +235,35 @@ let check_query ~aux:_ ~base ~edits =
     by_qname;
   match !fail with None -> Ok () | Some msg -> Error msg
 
-(* ---- R5: cached/planned OCL evaluation vs cold naive evaluation ---------- *)
+(* ---- R5: planned OCL evaluation vs naive evaluation ---------------------- *)
 
 (* Troya-style metamorphic guard on the OCL execution path: for random
-   models and random constraints, [Constraint_.check] (memoized parse,
-   planner probes) must agree exactly with [Constraint_.check_naive]
-   (fresh parse, raw AST, extent folds), on the base model and then on
-   the edited one. *)
+   models, random constraints and random parameter bindings,
+   [Constraint_.check] (planner probes) must agree exactly with
+   [Constraint_.check_naive] (raw AST, extent folds) under the same
+   bindings, on the base model and then on the edited one. *)
 
 let check_ocl ~aux ~base ~edits =
   let base_m, m' = build ~base ~edits in
   let rng = Prng.make aux in
-  let constraints = Gen.ocl_constraints rng ~base ~edits in
+  let params, constraints = Gen.ocl_constraints rng ~base ~edits in
+  let env = Ocl.Env.of_bindings params in
   let pp_outcome = Ocl.Constraint_.pp_outcome in
+  let pp_param ppf (name, v) =
+    Format.fprintf ppf "@.  %s = %a" name Ocl.Value.pp v
+  in
   let compare_on which m (c : Ocl.Constraint_.t) =
-    let cached = Ocl.Constraint_.check m c in
-    let naive = Ocl.Constraint_.check_naive m c in
-    if cached = naive then None
+    let planned = Ocl.Constraint_.check ~env m c in
+    let naive = Ocl.Constraint_.check_naive ~env m c in
+    if planned = naive then None
     else
       Some
         (Format.asprintf
-           "[ocl] cached/planned check disagrees with naive eval on the %s \
-            model@.constraint %s: %s@.  cached: %a@.  naive:  %a"
-           which c.Ocl.Constraint_.name c.Ocl.Constraint_.body pp_outcome
-           cached pp_outcome naive)
+           "[ocl] planned check disagrees with naive eval on the %s \
+            model@.constraint %s: %s@.bound:%a@.  planned: %a@.  naive:   %a"
+           which c.Ocl.Constraint_.name c.Ocl.Constraint_.body
+           (Format.pp_print_list ~pp_sep:(fun _ () -> ()) pp_param)
+           params pp_outcome planned pp_outcome naive)
   in
   let rec first_mismatch = function
     | [] -> Ok ()
@@ -392,11 +397,11 @@ let check_weave_local ~aux (wc : Gen.weave_case) =
 
 (* Pools are cached per size, so a long differential run drives every case
    through the *same* worker domains — exactly the situation in which leaked
-   domain-local state (parse cache, span counters) between batches would
-   surface as a divergence. The cache is domain-local: the
+   domain-local state (span counters, metric shards) between batches would
+   surface as a divergence. The pool table is domain-local: the
    check driver may run the [par] and [repo] oracles concurrently on
    different pool workers, and Par.Pool rejects two in-flight maps on one
-   pool (the shared table itself would race, too). *)
+   pool (a shared table would race, too). *)
 let pools_key : (int, Par.Pool.t) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 4)
 
@@ -409,16 +414,13 @@ let pool jobs =
       Hashtbl.add pools jobs p;
       p
 
-(* Merged counter totals of a drained shard, minus the rows whose value is
-   per-domain cache warmth (which worker ran which item is a scheduling
-   accident, so parse hit-miss splits are outside the contract). *)
+(* Merged counter totals of a drained shard. No counter depends on which
+   worker ran which item, so every one of them must match. *)
 let counter_totals (shard : Obs.Metric.shard) =
   List.filter_map
-    (fun ((name, labels), cell) ->
+    (fun (key, cell) ->
       match (cell : Obs.Metric.cell) with
-      | Obs.Metric.Counter { total; _ } ->
-          if String.starts_with ~prefix:"ocl.parse." name then None
-          else Some ((name, labels), total)
+      | Obs.Metric.Counter { total; _ } -> Some (key, total)
       | _ -> None)
     shard
   |> List.sort compare

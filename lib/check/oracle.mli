@@ -13,9 +13,10 @@
       character-reference-armored rendering equals parsing the plain one;
     - [query]: every secondary index, {!Ocl.Meta.all_instances} extent, and
       {!Mof.Query.find_by_qualified_name} lookup ≡ a fresh full scan;
-    - [ocl]: {!Ocl.Constraint_.check} — memoized parse, planner probes —
-      ≡ {!Ocl.Constraint_.check_naive} (fresh parse, raw AST, extent
-      folds) on random constraints over the base and the edited model;
+    - [ocl]: {!Ocl.Constraint_.check} (planner probes) ≡
+      {!Ocl.Constraint_.check_naive} (raw AST, extent folds) on random
+      constraints under random [$param$] bindings, over the base and the
+      edited model;
     - [weave]: {!Weaver.Weave.weave} is invariant under aspect-list
       shuffling; additionally every aspect pair the interference analysis
       ({!Weaver.Interference.analyze}) reports [Independent] must commute
@@ -31,10 +32,9 @@
       domains ≡ the same batch applied sequentially in the submitting
       domain — per-item outcomes ({!Mof.Model.equal} on success, rendered
       {!Core.Pipeline.error} on failure), per-item traces after
-      {!Obs.Event.normalize}, and merged counter totals (minus per-domain
-      cache hit/miss splits, which are scheduling accidents) must all
-      agree, with pools cached across cases so leaked domain-local state
-      would be caught;
+      {!Obs.Event.normalize}, and merged counter totals, every counter
+      included, must all agree, with pools cached across cases so leaked
+      domain-local state would be caught;
     - [repo]: the content-addressed {!Repository.Repo} ≡ the full-copy
       {!Repository.Naive} baseline over random commit/undo/redo/tag/
       checkout scripts — head model, sizes, undo/redo availability, tags,

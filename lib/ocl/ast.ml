@@ -64,7 +64,7 @@ type t =
   | E_iterate of t * string * string * t * t
   | E_probe_exists_name of string * t * t
   | E_probe_select_name of string * t * t
-  | E_probe_forall_guard of string * string list * string * t * t
+  | E_probe_forall_guard of string * t * string * t * t
 
 let iterator_names =
   [

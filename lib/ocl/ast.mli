@@ -37,6 +37,8 @@ type t =
   | E_bool of bool
   | E_self
   | E_var of string
+      (** a variable; ["$name$"] is a transformation parameter, which only
+          the evaluation environment binds *)
   | E_collection of collection_kind * t list
       (** [Set{...}], [Sequence{...}], [Bag{...}] *)
   | E_if of t * t * t
@@ -59,15 +61,16 @@ type t =
           expression (evaluated as fallback, printed, folded over). *)
   | E_probe_select_name of string * t * t
       (** Planner IR for [K.allInstances()->select(x | x.name = rhs)]. *)
-  | E_probe_forall_guard of string * string list * string * t * t
+  | E_probe_forall_guard of string * t * string * t * t
       (** Planner IR for
-          [K.allInstances()->forAll(x | LIT->includes(x.name) implies body)]
-          where [LIT] is a literal collection of string constants: only
-          elements whose name occurs in [LIT] can have a non-vacuous body
-          (implies short-circuits on a false antecedent), so the walk
-          narrows to name-index probes of the literal names. Fields:
-          classifier, literal names, iterator variable, consequent body,
-          original expression. *)
+          [K.allInstances()->forAll(x | G->includes(x.name) implies body)]
+          where the guard [G] is a literal collection of string constants
+          or a variable other than [x] (such as a [$param$]): only
+          elements whose name occurs in [G] can have a non-vacuous body
+          (implies short-circuits on a false antecedent), so when [G]
+          evaluates to a collection of strings the walk narrows to
+          name-index probes of those names. Fields: classifier, guard,
+          iterator variable, consequent body, original expression. *)
 
 val iterator_names : string list
 (** Names recognised as iterator operations. *)

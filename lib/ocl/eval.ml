@@ -87,11 +87,13 @@ let rec eval m env e =
   | Ast.E_probe_select_name (classifier, rhs, orig) ->
       if Env.lookup classifier env <> None then eval m env orig
       else Prim.probe_select m classifier ~rhs:(fun () -> eval m env rhs)
-  | Ast.E_probe_forall_guard (classifier, names, var, body, orig) ->
+  | Ast.E_probe_forall_guard (classifier, guard, var, body, orig) ->
       if Env.lookup classifier env <> None then eval m env orig
       else
-        Prim.probe_forall m classifier names ~body:(fun id ->
-            eval m (Env.bind var (Value.V_elem id) env) body)
+        Prim.probe_forall m classifier
+          ~guard:(fun () -> eval m env guard)
+          ~body:(fun id -> eval m (Env.bind var (Value.V_elem id) env) body)
+          ~fold:(fun () -> eval m env orig)
   | Ast.E_iterate (recv, v, acc, init, body) ->
       Prim.iterate (eval m env recv)
         ~init:(fun () -> eval m env init)
@@ -105,12 +107,4 @@ let eval m env e =
   Obs.incr "ocl.eval" [];
   eval m env e
 
-let eval_parsed m env (c : Compile.t) = eval m env c.Compile.planned
-
-(* Through the compile cache: repeated sources hit the memoized (parsed,
-   planned) handle instead of re-lexing; parse failures re-raise the exact
-   exception an uncached [Parser.parse] would have. *)
-let eval_string m env src = eval_parsed m env (Compile.compile_exn src)
-
-let holds m env src =
-  match eval_string m env src with Value.V_bool true -> true | _ -> false
+let eval_string m env src = eval m env (Plan.optimize (Parser.parse src))

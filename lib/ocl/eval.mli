@@ -20,14 +20,6 @@ val eval : Mof.Model.t -> Env.t -> Ast.t -> Value.t
 (** [eval m env e] evaluates [e] against model [m].
     @raise Eval_error as described above. *)
 
-val eval_parsed : Mof.Model.t -> Env.t -> Compile.t -> Value.t
-(** Evaluate a compiled handle (its planned AST); what every caller with a
-    reusable constraint should hold instead of a source string. *)
-
 val eval_string : Mof.Model.t -> Env.t -> string -> Value.t
-(** Compile (memoized — no re-lexing of repeated sources) then evaluate.
-    @raise Parser.Parse_error / {!Eval_error}. *)
-
-val holds : Mof.Model.t -> Env.t -> string -> bool
-(** [holds m env src] parses and evaluates [src] and is [true] exactly when
-    the result is [V_bool true]. Undefined counts as not holding. *)
+(** Parse, plan and evaluate a source string.
+    @raise Parser.Parse_error / [Lexer.Lexical_error] / {!Eval_error}. *)

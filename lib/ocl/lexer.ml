@@ -26,7 +26,7 @@ let is_digit c = c >= '0' && c <= '9'
 let is_ident_start c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 
-let is_ident_char c = is_ident_start c || is_digit c || c = '$'
+let is_ident_char c = is_ident_start c || is_digit c
 
 let tokenize src =
   let len = String.length src in
@@ -106,6 +106,7 @@ let tokenize src =
           scan (i + 1)
       | '\'' -> scan_string i
       | c when is_digit c -> scan_number i
+      | '$' -> scan_param i
       | c when is_ident_start c -> scan_ident i
       | c -> error i "unexpected character %C" c
   and scan_number start =
@@ -150,9 +151,19 @@ let tokenize src =
       end
     in
     walk (start + 1)
+  and ident_end j =
+    if j < len && is_ident_char src.[j] then ident_end (j + 1) else j
+  and scan_param start =
+    (* [$name$]: one identifier token, dollars included *)
+    let stop = ident_end (start + 1) in
+    if stop < len && src.[stop] = '$' && is_ident_start src.[start + 1]
+    then begin
+      emit start (Token.Ident (String.sub src start (stop + 1 - start)));
+      scan (stop + 1)
+    end
+    else error start "malformed parameter reference, expected $name$"
   and scan_ident start =
-    let rec walk j = if j < len && is_ident_char src.[j] then walk (j + 1) else j in
-    let stop = walk start in
+    let stop = ident_end start in
     let text = String.sub src start (stop - start) in
     (match keyword_of_ident text with
     | Some kw -> emit start kw

@@ -26,6 +26,14 @@ let expect_ident st =
       name
   | t -> error st "expected an identifier but found %s" (Token.to_string t)
 
+(* A variable introduced by let, an iterator or iterate: [$name$] is bound
+   only by the parameter environment. *)
+let expect_binder st =
+  match peek_token st with
+  | Token.Ident name when String.starts_with ~prefix:"$" name ->
+      error st "parameter %s cannot be bound by an expression" name
+  | _ -> expect_ident st
+
 (* Lookahead: does the parenthesised argument list starting at the current
    cursor (just after '(') contain a '|' at depth 1 — i.e. is this an
    iterator body rather than plain arguments? *)
@@ -183,7 +191,7 @@ and parse_args st =
 
 and parse_iterator st receiver name =
   let rec vars acc =
-    let v = expect_ident st in
+    let v = expect_binder st in
     (* iterator variables may carry an ignored type annotation *)
     (if peek_token st = Token.Colon then begin
        advance st;
@@ -201,13 +209,13 @@ and parse_iterator st receiver name =
   Ast.E_iter (receiver, name, vs, body)
 
 and parse_iterate st receiver =
-  let v = expect_ident st in
+  let v = expect_binder st in
   (if peek_token st = Token.Colon then begin
      advance st;
      ignore (parse_type_name st)
    end);
   expect st Token.Semicolon;
-  let acc = expect_ident st in
+  let acc = expect_binder st in
   (if peek_token st = Token.Colon then begin
      advance st;
      ignore (parse_type_name st)
@@ -266,7 +274,7 @@ and parse_primary st =
       Ast.E_if (cond, then_, else_)
   | Token.Kw_let ->
       advance st;
-      let v = expect_ident st in
+      let v = expect_binder st in
       (if peek_token st = Token.Colon then begin
          advance st;
          ignore (parse_type_name st)

@@ -5,7 +5,7 @@
 
      K.allInstances()->exists(x | x.name = e)
      K.allInstances()->select(x | x.name = e)
-     K.allInstances()->forAll(x | LIT->includes(x.name) implies body)
+     K.allInstances()->forAll(x | G->includes(x.name) implies body)
 
    — into probe nodes that the evaluator answers from the model's name
    index instead of folding over the classifier extent. A rewrite is only
@@ -16,12 +16,16 @@
    - one side of the equality must be exactly [x.name] and the other side
      must not mention the iterator variable (else it would be re-evaluated
      under the binding);
-   - for the guarded forAll, [LIT] must be a literal collection of string
-     constants: the evaluator's [implies] short-circuits on a false
-     antecedent, so under the fold the consequent is evaluated exactly on
-     the elements whose name occurs in [LIT] — the very set a name-index
-     probe returns — and evaluating a string-literal collection is total
-     and pure, so skipping its per-element re-evaluation is unobservable;
+   - for the guarded forAll, the guard must be a literal collection of
+     string constants or a variable other than [x] (the builtin concerns'
+     [$param$] guards): the evaluator's [implies] short-circuits on a
+     false antecedent, so under the fold the consequent is evaluated
+     exactly on the elements whose name occurs in the guard — the very set
+     a name-index probe returns. Evaluating such a guard is pure, so
+     skipping its per-element re-evaluation is unobservable; the evaluator
+     reads it only over a non-empty extent (where the fold would too) and
+     leaves the node to the fold when its value is not a collection of
+     strings;
    - the original expression is kept inside the probe node, so the
      evaluator can fall back to it when [K] turns out to be shadowed by an
      environment binding at evaluation time, and printers/var-folds see the
@@ -32,6 +36,14 @@ let mentions var e =
 
 let name_of it = function
   | Ast.E_prop (Ast.E_var v, "name") -> String.equal v it
+  | _ -> false
+
+(* A guard whose evaluation is pure and independent of the iterator: a
+   literal collection of strings, or a variable other than [it]. *)
+let plain_guard it = function
+  | Ast.E_collection (_, lits) ->
+      List.for_all (function Ast.E_string _ -> true | _ -> false) lits
+  | Ast.E_var v -> not (String.equal v it)
   | _ -> false
 
 (* The candidate node has already had its children optimized; [node] is
@@ -60,21 +72,10 @@ let probe_of node =
         [ x ],
         Ast.E_binop
           ( Ast.Op_implies,
-            Ast.E_coll_op (Ast.E_collection (_, lits), "includes", [ a ]),
+            Ast.E_coll_op (guard, "includes", [ a ]),
             body ) )
-    when Meta.is_metaclass k && name_of x a ->
-      let names =
-        List.fold_left
-          (fun acc lit ->
-            match (acc, lit) with
-            | Some acc, Ast.E_string s -> Some (s :: acc)
-            | _, _ -> None)
-          (Some []) lits
-      in
-      Option.map
-        (fun names ->
-          Ast.E_probe_forall_guard (k, List.rev names, x, body, node))
-        names
+    when Meta.is_metaclass k && name_of x a && plain_guard x guard ->
+      Some (Ast.E_probe_forall_guard (k, guard, x, body, node))
   | _ -> None
 
 let optimize_count e =

@@ -557,21 +557,36 @@ let probe_select m classifier ~rhs =
     | _ -> Value.set []
   end
 
-let probe_forall m classifier names ~body =
-  Obs.incr "ocl.plan.index_probe" [];
-  (* Only elements whose name occurs in the literal guard can have a
-     non-vacuous consequent (the fold's [implies] short-circuits on a
-     false antecedent); every other element contributes [Some true].
-     Probing each name keeps ascending-id order, the order the fold
-     walks the extent in, so the first error raised is the same. *)
-  let ids =
-    List.fold_left
-      (fun acc s -> Mof.Id.Set.union acc (probe_ids m classifier s))
-      Mof.Id.Set.empty names
-  in
-  let results =
-    List.map (fun id -> as_bool3 "implies" (body id)) (Mof.Id.Set.elements ids)
-  in
-  if List.exists (fun r -> r = Some false) results then Value.V_bool false
-  else if List.exists (fun r -> r = None) results then Value.V_undefined
-  else Value.V_bool true
+(* Only elements whose name occurs in the guard can have a non-vacuous
+   consequent (the fold's [implies] short-circuits on a false antecedent);
+   every other element contributes [Some true]. An empty extent yields
+   without touching the guard, as the fold would, and a guard that is not
+   a collection of strings is left to the fold. Probing each name keeps
+   ascending-id order, the order the fold walks the extent in, so the
+   first error raised is the same. *)
+let probe_forall m classifier ~guard ~body ~fold =
+  if probe_extent_is_empty m classifier then Value.V_bool true
+  else
+    match guard () with
+    | Value.V_set names | Value.V_seq names | Value.V_bag names
+      when List.for_all (function Value.V_string _ -> true | _ -> false) names
+      ->
+        Obs.incr "ocl.plan.index_probe" [];
+        let ids =
+          List.fold_left
+            (fun acc name ->
+              match name with
+              | Value.V_string s ->
+                  Mof.Id.Set.union acc (probe_ids m classifier s)
+              | _ -> acc)
+            Mof.Id.Set.empty names
+        in
+        let results =
+          List.map
+            (fun id -> as_bool3 "implies" (body id))
+            (Mof.Id.Set.elements ids)
+        in
+        if List.exists (fun r -> r = Some false) results then Value.V_bool false
+        else if List.exists (fun r -> r = None) results then Value.V_undefined
+        else Value.V_bool true
+    | _ -> fold ()

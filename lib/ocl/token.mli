@@ -4,7 +4,9 @@ type t =
   | Int of int
   | Real of float
   | String of string  (** contents, quotes stripped, escapes resolved *)
-  | Ident of string  (** identifiers and keywords other than the ones below *)
+  | Ident of string
+      (** identifiers and keywords other than the ones below, and
+          [$name$] parameter references (dollars included) *)
   | Kw_self
   | Kw_if
   | Kw_then

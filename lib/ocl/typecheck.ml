@@ -420,22 +420,18 @@ and infer_iter st env self_ty e recv name vars body =
   | "closure" -> T_set elem
   | _ -> T_any
 
-let infer ?self_type e =
+let infer ?self_type ?(vars = []) e =
   let st = { diags = [] } in
   let self_ty =
     match self_type with
     | Some mc -> T_element (Some mc)
     | None -> T_element None
   in
-  let t = infer_expr st [] self_ty e in
+  let t = infer_expr st vars self_ty e in
   (t, List.rev st.diags)
 
-let check_source ?self_type src =
-  (* the memoized compile handle; typechecking reads the raw AST, so a
-     body that is later evaluated re-uses the same cache entry *)
-  match Compile.compile src with
-  | Error msg -> Error msg
-  | Ok c -> Ok (infer ?self_type c.Compile.ast)
+let check_source ?self_type ?vars src =
+  Result.map (infer ?self_type ?vars) (Parser.parse_opt src)
 
 let well_typed ?self_type src =
   match check_source ?self_type src with

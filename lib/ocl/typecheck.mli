@@ -34,11 +34,19 @@ type diagnostic = {
 
 val pp_diagnostic : Format.formatter -> diagnostic -> unit
 
-val infer : ?self_type:string -> Ast.t -> ty * diagnostic list
-(** [infer ~self_type e] types [e] with [self : T_element (Some self_type)].
-    Diagnostics come back in source order. *)
+val infer :
+  ?self_type:string -> ?vars:(string * ty) list -> Ast.t -> ty * diagnostic list
+(** [infer ~self_type ~vars e] types [e] with
+    [self : T_element (Some self_type)] and the free variables [vars] —
+    a transformation's [$param$] names typed from their declarations. Any
+    other free variable is diagnosed as unbound. Diagnostics come back in
+    source order. *)
 
-val check_source : ?self_type:string -> string -> (ty * diagnostic list, string) result
+val check_source :
+  ?self_type:string ->
+  ?vars:(string * ty) list ->
+  string ->
+  (ty * diagnostic list, string) result
 (** Parse then infer; [Error] carries the parse/lex error message. *)
 
 val well_typed : ?self_type:string -> string -> bool

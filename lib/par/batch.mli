@@ -9,12 +9,11 @@
     no matter which domain ran which item, and one failing item yields one
     [Error] in its own slot — the other items are unaffected.
 
-    The one domain-local cache, the OCL parse cache, warms independently
-    per worker and is keyed by constraint body alone, so nothing an item
-    computes can leak into an unrelated item that happens to run on the
-    same worker later — the [par] differential oracle and [test_par.ml]
-    hold the parallel run to exact observational equality with the
-    sequential one. *)
+    No cache is kept per domain, so nothing an item computes can leak
+    into an unrelated item that happens to run on the same worker later —
+    the [par] differential oracle and [test_par.ml] hold the parallel run
+    to exact observational equality with the sequential one, every
+    counter included. *)
 
 type step = {
   concern : string;

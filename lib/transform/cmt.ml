@@ -29,10 +29,16 @@ let name t =
 
 let concern t = t.gmt.Gmt.concern
 
-let close t conditions =
-  let bindings = Params.substitution t.params in
-  List.map (Ocl.Constraint_.substitute bindings) conditions
+let rec ocl_value = function
+  | Params.V_string s | Params.V_ident s -> Ocl.Value.V_string s
+  | Params.V_int n -> Ocl.Value.V_int n
+  | Params.V_bool b -> Ocl.Value.V_bool b
+  | Params.V_list vs -> Ocl.Value.set (List.map ocl_value vs)
 
-let preconditions t = close t t.gmt.Gmt.preconditions
-let postconditions t = close t t.gmt.Gmt.postconditions
+let env t =
+  Ocl.Env.of_bindings
+    (List.map
+       (fun (name, v) -> (Gmt.variable name, ocl_value v))
+       (Params.bindings t.params))
+
 let rewrite t model = t.gmt.Gmt.rewrite t.params model

@@ -1,9 +1,10 @@
 (** Concrete model transformations (the paper's CMT_Ci = GMT_Ci⟨S_i⟩).
 
-    Specialization binds a parameter set to a generic transformation and
-    closes the [$holes$] of its pre/postconditions with the parameter
-    values. The same parameter set later specializes the concern's generic
-    aspect — see {!Aspects.Generator} — which is the paper's answer to the
+    Specialization binds a parameter set to a generic transformation. Its
+    pre/postconditions stay the GMT's, parsed once; {!env} binds their
+    [$param$] variables to the parameter values when they are checked. The
+    same parameter set later specializes the concern's generic aspect — see
+    {!Aspects.Generator} — which is the paper's answer to the
     semantic-coupling problem. *)
 
 type t = {
@@ -25,10 +26,11 @@ val name : t -> string
 
 val concern : t -> string
 
-val preconditions : t -> Ocl.Constraint_.t list
-(** Specialized (hole-free) preconditions. *)
-
-val postconditions : t -> Ocl.Constraint_.t list
+val env : t -> Ocl.Env.t
+(** The OCL environment under which the GMT's conditions are checked: each
+    parameter [p] bound as the variable {!Gmt.variable}[ p] ([$p$]). Names,
+    strings and enum cases become [String], lists [Set], ints [Integer],
+    bools [Boolean]. *)
 
 val rewrite : t -> Mof.Model.t -> Mof.Model.t
 (** Applies the underlying rewrite with the bound parameters. No condition

@@ -20,16 +20,16 @@ let merge_formals decl_lists =
   in
   merge [] (List.concat decl_lists)
 
-(* Project a merged parameter set onto one member's formals. *)
-let project_params (gmt : Gmt.t) merged =
+(* Specialize one member with its share of a merged parameter set. *)
+let member (gmt : Gmt.t) merged =
   let names =
     List.map (fun (d : Params.decl) -> d.Params.pname) gmt.Gmt.formals
   in
   let assignments =
     List.filter (fun (name, _) -> List.mem name names) (Params.bindings merged)
   in
-  match Params.build gmt.Gmt.formals assignments with
-  | Ok set -> set
+  match Cmt.specialize gmt assignments with
+  | Ok cmt -> cmt
   | Error problems ->
       Gmt.rewrite_error "composite member %s: %s" gmt.Gmt.name
         (Format.asprintf "%a"
@@ -38,16 +38,16 @@ let project_params (gmt : Gmt.t) merged =
               Params.pp_problem)
            problems)
 
-let check_conditions stage gmt_name set conditions model =
-  let bindings = Params.substitution set in
+let check_conditions stage cmt conditions model =
+  let env = Cmt.env cmt in
   List.iter
-    (fun c ->
-      let closed = Ocl.Constraint_.substitute bindings c in
-      match Ocl.Constraint_.check model closed with
+    (fun (c : Ocl.Constraint_.t) ->
+      match Ocl.Constraint_.check ~env model c with
       | Ocl.Constraint_.Holds -> ()
       | outcome ->
-          Gmt.rewrite_error "composite member %s: %s %s %a" gmt_name stage
-            closed.Ocl.Constraint_.name Ocl.Constraint_.pp_outcome outcome)
+          Gmt.rewrite_error "composite member %s: %s %s %a"
+            cmt.Cmt.gmt.Gmt.name stage c.Ocl.Constraint_.name
+            Ocl.Constraint_.pp_outcome outcome)
     conditions
 
 let sequence ~name ~concern gmts =
@@ -61,12 +61,11 @@ let sequence ~name ~concern gmts =
           let rewrite merged model =
             List.fold_left
               (fun model (g : Gmt.t) ->
-                let set = project_params g merged in
-                check_conditions "precondition" g.Gmt.name set
-                  g.Gmt.preconditions model;
-                let model' = g.Gmt.rewrite set model in
-                check_conditions "postcondition" g.Gmt.name set
-                  g.Gmt.postconditions model';
+                let cmt = member g merged in
+                check_conditions "precondition" cmt g.Gmt.preconditions model;
+                let model' = Cmt.rewrite cmt model in
+                check_conditions "postcondition" cmt g.Gmt.postconditions
+                  model';
                 model')
               model gmts
           in

@@ -39,10 +39,10 @@ type outcome = {
   report : Report.t;
 }
 
-let failed_conditions model conditions =
+let failed_conditions ~env model conditions =
   List.filter_map
     (fun (c : Ocl.Constraint_.t) ->
-      match Ocl.Constraint_.check model c with
+      match Ocl.Constraint_.check ~env model c with
       | Ocl.Constraint_.Holds -> None
       | o -> Some (c.Ocl.Constraint_.name, o))
     conditions
@@ -51,11 +51,12 @@ let apply ?(checks = all_checks) cmt model =
   Obs.span ~cat:"transform" "engine.apply"
     ~args:[ ("transformation", Obs.Event.V_string (Cmt.name cmt)) ]
   @@ fun () ->
+  let env = Cmt.env cmt in
   let outcome =
     let pre_failures =
       if checks.check_pre then
         Obs.span ~cat:"transform" "engine.pre" @@ fun () ->
-        failed_conditions model (Cmt.preconditions cmt)
+        failed_conditions ~env model cmt.Cmt.gmt.Gmt.preconditions
       else []
     in
     if pre_failures <> [] then Error (Precondition_failed pre_failures)
@@ -69,7 +70,7 @@ let apply ?(checks = all_checks) cmt model =
           let post_failures =
             if checks.check_post then
               Obs.span ~cat:"transform" "engine.post" @@ fun () ->
-              failed_conditions new_model (Cmt.postconditions cmt)
+              failed_conditions ~env new_model cmt.Cmt.gmt.Gmt.postconditions
             else []
           in
           if post_failures <> [] then Error (Postcondition_failed post_failures)

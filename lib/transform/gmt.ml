@@ -17,43 +17,33 @@ let make ?(description = "") ?(preconditions = []) ?(postconditions = []) ~name
     ~concern ~formals rewrite =
   { name; concern; description; formals; preconditions; postconditions; rewrite }
 
-(* A syntactically plausible placeholder literal per parameter type, used to
-   close the $holes$ for static typechecking. *)
-let rec placeholder_literal = function
-  | Params.P_string | Params.P_ident -> "'placeholder'"
-  | Params.P_int -> "0"
-  | Params.P_bool -> "true"
-  | Params.P_enum (case :: _) -> "'" ^ case ^ "'"
-  | Params.P_enum [] -> "''"
-  | Params.P_list t -> "Set{" ^ placeholder_literal t ^ "}"
+let variable pname = "$" ^ pname ^ "$"
+
+let rec param_type = function
+  | Params.P_string | Params.P_ident | Params.P_enum _ -> Ocl.Typecheck.T_string
+  | Params.P_int -> Ocl.Typecheck.T_integer
+  | Params.P_bool -> Ocl.Typecheck.T_boolean
+  | Params.P_list t -> Ocl.Typecheck.T_set (param_type t)
 
 let validate_conditions t =
-  let bindings =
-    List.map (fun d -> (d.Params.pname, placeholder_literal d.Params.ptype)) t.formals
+  let vars =
+    List.map
+      (fun d -> (variable d.Params.pname, param_type d.Params.ptype))
+      t.formals
   in
   let check_one (c : Ocl.Constraint_.t) =
-    let closed = Ocl.Constraint_.substitute bindings c in
-    let leftover = Ocl.Constraint_.holes closed in
-    let hole_diags =
-      List.map
-        (fun h ->
-          Printf.sprintf "%s: condition %s references undeclared parameter $%s$"
-            t.name c.Ocl.Constraint_.name h)
-        leftover
+    let where =
+      Printf.sprintf "%s: condition %s" t.name c.Ocl.Constraint_.name
     in
-    if hole_diags <> [] then hole_diags
-    else
-      match
-        Ocl.Typecheck.check_source ?self_type:c.Ocl.Constraint_.context
-          closed.Ocl.Constraint_.body
-      with
-      | Error msg ->
-          [ Printf.sprintf "%s: condition %s: %s" t.name c.Ocl.Constraint_.name msg ]
-      | Ok (_, diags) ->
-          List.map
-            (fun d ->
-              Format.asprintf "%s: condition %s: %a" t.name
-                c.Ocl.Constraint_.name Ocl.Typecheck.pp_diagnostic d)
-            diags
+    match c.Ocl.Constraint_.ast with
+    | Error msg -> [ Printf.sprintf "%s: %s" where msg ]
+    | Ok ast ->
+        let _, diags =
+          Ocl.Typecheck.infer ?self_type:c.Ocl.Constraint_.context ~vars ast
+        in
+        List.map
+          (fun d ->
+            Format.asprintf "%s: %a" where Ocl.Typecheck.pp_diagnostic d)
+          diags
   in
   List.concat_map check_one (t.preconditions @ t.postconditions)

@@ -143,14 +143,3 @@ let get_names s name =
       invalid_arg
         (Printf.sprintf "parameter %s is not a name list: %s" name
            (value_to_string v))
-
-let quote_ocl s = "'" ^ s ^ "'"
-
-let rec to_ocl_literal = function
-  | V_string s | V_ident s -> quote_ocl s
-  | V_int n -> string_of_int n
-  | V_bool b -> string_of_bool b
-  | V_list vs -> "Set{" ^ String.concat ", " (List.map to_ocl_literal vs) ^ "}"
-
-let substitution s =
-  List.map (fun (name, v) -> (name, to_ocl_literal v)) s.assigned

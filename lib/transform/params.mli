@@ -81,13 +81,3 @@ val get_bool : set -> string -> bool
 
 val get_names : set -> string -> string list
 (** A [P_list P_ident] (or strings) parameter as a name list. *)
-
-val to_ocl_literal : value -> string
-(** Renders a value as an OCL literal: strings and idents quote as
-    ['text'], lists become [Set{…}]. Used to substitute [$param$] holes in
-    generic pre/postconditions. *)
-
-val substitution : set -> (string * string) list
-(** [(name, ocl_literal)] bindings for {!Ocl.Constraint_.substitute} — the
-    mechanism by which one parameter set specializes the generic
-    pre/postconditions along with the transformation itself. *)

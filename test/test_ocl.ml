@@ -67,6 +67,19 @@ let lexer_tests =
              ignore (Ocl.Lexer.tokenize "a # b");
              false
            with Ocl.Lexer.Lexical_error _ -> true));
+    Alcotest.test_case "a parameter reference is one identifier" `Quick
+      (fun () ->
+        check (Alcotest.list cs) "tokens"
+          [ "$names$"; "->"; "notEmpty"; "("; ")"; "<eof>" ]
+          (token_strings "$names$->notEmpty()");
+        List.iter
+          (fun src ->
+            check cb src true
+              (try
+                 ignore (Ocl.Lexer.tokenize src);
+                 false
+               with Ocl.Lexer.Lexical_error _ -> true))
+          [ "$p"; "$$"; "$1$"; "a$b"; "$a b$"; "$" ]);
     Alcotest.test_case "positions recorded" `Quick (fun () ->
         match Ocl.Lexer.tokenize "ab cd" with
         | [ a; b; _eof ] ->
@@ -561,22 +574,54 @@ let constraint_tests =
         match Ocl.Constraint_.check m c with
         | Ocl.Constraint_.Ill_formed _ -> ()
         | _ -> Alcotest.fail "expected ill-formed");
-    Alcotest.test_case "holes listed in order without duplicates" `Quick
+    Alcotest.test_case "parameters bind wherever they occur" `Quick
       (fun () ->
-        let c = Ocl.Constraint_.make ~name:"holey" "$a$ and $b$ or $a$ and $c$" in
-        check (Alcotest.list cs) "holes" [ "a"; "b"; "c" ] (Ocl.Constraint_.holes c));
+        let c =
+          Ocl.Constraint_.make ~name:"params" "$a$ and $b$ or $a$ and $c$"
+        in
+        let env b =
+          Ocl.Env.of_bindings
+            [
+              ("$a$", Ocl.Value.V_bool true);
+              ("$b$", Ocl.Value.V_bool false);
+              ("$c$", Ocl.Value.V_bool b);
+            ]
+        in
+        check cb "c true" true (Ocl.Constraint_.holds ~env:(env true) m c);
+        check cb "c false" false (Ocl.Constraint_.holds ~env:(env false) m c));
     Alcotest.test_case "substitute fills holes" `Quick (fun () ->
+        (* the environment is the substitution: it binds [$target$] as a
+           value, so a quote or a bar in it never reaches the parser *)
         let c =
           Ocl.Constraint_.make ~name:"param"
             "Class.allInstances()->exists(c | c.name = $target$)"
         in
-        let s = Ocl.Constraint_.substitute [ ("target", "'Account'") ] c in
-        check ci "no holes left" 0 (List.length (Ocl.Constraint_.holes s));
-        check cb "holds" true (Ocl.Constraint_.holds m s));
+        let env target =
+          Ocl.Env.of_bindings [ ("$target$", Ocl.Value.V_string target) ]
+        in
+        check cb "Account" true
+          (Ocl.Constraint_.holds ~env:(env "Account") m c);
+        check cb "quote and bar are data" false
+          (Ocl.Constraint_.holds ~env:(env "Nope') or true or ('x|y") m c));
     Alcotest.test_case "unbound holes are left in place" `Quick (fun () ->
         let c = Ocl.Constraint_.make ~name:"left" "$a$ = $b$" in
-        let s = Ocl.Constraint_.substitute [ ("a", "1") ] c in
-        check (Alcotest.list cs) "b remains" [ "b" ] (Ocl.Constraint_.holes s));
+        let env = Ocl.Env.of_bindings [ ("$a$", Ocl.Value.V_int 1) ] in
+        match Ocl.Constraint_.check ~env m c with
+        | Ocl.Constraint_.Ill_formed msg ->
+            check cs "names the parameter" "left: unknown variable $b$" msg
+        | o -> Alcotest.failf "unexpected %a" Ocl.Constraint_.pp_outcome o);
+    Alcotest.test_case "only the environment binds a parameter" `Quick
+      (fun () ->
+        List.iter
+          (fun body ->
+            match (Ocl.Constraint_.make ~name:"b" body).Ocl.Constraint_.ast with
+            | Error _ -> ()
+            | Ok _ -> Alcotest.failf "%s parsed" body)
+          [
+            "let $p$ = 1 in $p$ = 1";
+            "Set{1}->forAll($p$ | $p$ > 0)";
+            "Set{1}->iterate(x; $acc$ = 0 | x)";
+          ]);
     Alcotest.test_case "undefined body counts as not holding" `Quick (fun () ->
         let c = Ocl.Constraint_.make ~name:"undef" "(3 / 0) > 1" in
         check cb "fails" false (Ocl.Constraint_.holds m c));
@@ -763,25 +808,26 @@ let ab_model () =
 
 (* The planner is only allowed to change how an answer is computed, never
    the answer (nor the raised error): every body is checked through the
-   planned+cached path and the naive re-parse-and-fold path and the
+   planned path and the naive fold path under the same bindings, and the
    outcomes must be structurally identical. *)
-let agree_with_naive m body =
+let agree_with_naive ?(env = Ocl.Env.empty) m body =
   let c = Ocl.Constraint_.make ~name:"t" body in
   check cb body true
-    (Ocl.Constraint_.check m c = Ocl.Constraint_.check_naive m c)
+    (Ocl.Constraint_.check ~env m c = Ocl.Constraint_.check_naive ~env m c)
 
 let first n xs = List.filteri (fun i _ -> i < n) xs
 
 (* The planner's real traffic: every builtin concern specialized with
-   targets all present, all absent, mixed and empty, and each specialized
-   pre/postcondition compared on the input model, after the rewrite and
-   after a second application. Returns the number of comparisons. *)
+   targets all present, all absent, mixed and empty, and each
+   pre/postcondition compared under the specialization's bindings on the
+   input model, after the rewrite and after a second application. Returns
+   the number of comparisons. *)
 let builtin_condition_comparisons () =
   let compared = ref 0 in
-  let agree label m (c : Ocl.Constraint_.t) =
+  let agree label env m (c : Ocl.Constraint_.t) =
     incr compared;
-    let planned = Ocl.Constraint_.check m c in
-    let naive = Ocl.Constraint_.check_naive m c in
+    let planned = Ocl.Constraint_.check ~env m c in
+    let naive = Ocl.Constraint_.check_naive ~env m c in
     if planned <> naive then
       Alcotest.failf "%s, %s: planned %a, naive %a" label c.Ocl.Constraint_.name
         Ocl.Constraint_.pp_outcome planned Ocl.Constraint_.pp_outcome naive
@@ -821,15 +867,17 @@ let builtin_condition_comparisons () =
                   (List.map (fun n -> Transform.Params.V_string n) names)
               in
               let cmt = Transform.Cmt.specialize_exn gmt [ (formal, value) ] in
+              let env = Transform.Cmt.env cmt in
               let conditions =
-                Transform.Cmt.preconditions cmt @ Transform.Cmt.postconditions cmt
+                gmt.Transform.Gmt.preconditions
+                @ gmt.Transform.Gmt.postconditions
               in
               let rec stage applied m =
                 let label =
                   Printf.sprintf "%s on %s, %s targets, %d rewrite(s)" key
                     model_name target_kind applied
                 in
-                List.iter (agree label m) conditions;
+                List.iter (agree label env m) conditions;
                 if applied < 2 then
                   match Transform.Cmt.rewrite cmt m with
                   | m' -> stage (applied + 1) m'
@@ -856,6 +904,10 @@ let planner_tests =
           (plan_count
              "Class.allInstances()->forAll(x | Set{'A', 'B'}->includes(x.name) \
               implies x.name.size() >= 0)");
+        check ci "guarded forAll, parameter guard" 1
+          (plan_count
+             "Class.allInstances()->forAll(x | $names$->includes(x.name) \
+              implies x.name.size() >= 0)");
         check ci "probe under an outer iterator" 1
           (plan_count
              "Sequence{'A', 'B'}->forAll(n | \
@@ -870,6 +922,10 @@ let planner_tests =
           (plan_count
              "Class.allInstances()->forAll(x | \
               Set{x.name, 'A'}->includes(x.name) implies x.name = 'A')");
+        check ci "guard is the iterator" 0
+          (plan_count
+             "Class.allInstances()->forAll(x | x->includes(x.name) implies \
+              x.name = 'A')");
         check ci "non-string guard literal" 0
           (plan_count
              "Class.allInstances()->forAll(x | Set{1, 2}->includes(x.name) \
@@ -938,6 +994,23 @@ let planner_tests =
             (* erroring consequent behind a matching guard *)
             "Class.allInstances()->forAll(x | Set{'A'}->includes(x.name) \
              implies x.nope)";
+          ];
+        (* a parameter guard, under each kind of binding: only a collection
+           of strings is probed, anything else is left to the fold *)
+        let guarded k =
+          k
+          ^ ".allInstances()->forAll(x | $g$->includes(x.name) implies x.nope)"
+        in
+        let bound v = Ocl.Env.of_bindings [ ("$g$", v) ] in
+        let str s = Ocl.Value.V_string s and int n = Ocl.Value.V_int n in
+        List.iter
+          (fun (env, body) -> agree_with_naive ~env m body)
+          [
+            (bound (Ocl.Value.set [ str "A"; str "Nope" ]), guarded "Class");
+            (bound (Ocl.Value.set [ int 1; int 2 ]), guarded "Class");
+            (bound (str "A"), guarded "Class");
+            (Ocl.Env.empty, guarded "Enumeration");
+            (Ocl.Env.empty, guarded "Class");
           ]);
     Alcotest.test_case "an Element probe on an empty model skips the rhs"
       `Quick (fun () ->
@@ -958,40 +1031,6 @@ let planner_tests =
         check cb "conditions compared" true (builtin_condition_comparisons () > 0));
   ]
 
-(* ---- compile cache ------------------------------------------------------ *)
-
-let cache_tests =
-  [
-    Alcotest.test_case "two models share one compiled constraint" `Quick
-      (fun () ->
-        (* a body string no other test compiles, so the first check is the
-           one and only parse *)
-        let body =
-          "Class.allInstances()->exists(x | x.name = 'xyzzy-cache-probe')"
-        in
-        let c = Ocl.Constraint_.make ~name:"shared" body in
-        let m1 = Fixtures.synthetic 2 and m2 = Fixtures.synthetic 4 in
-        Obs.Metric.reset ();
-        Obs.Metric.enable ();
-        Fun.protect
-          ~finally:(fun () ->
-            Obs.Metric.disable ();
-            Obs.Metric.reset ())
-          (fun () ->
-            ignore (Ocl.Constraint_.check m1 c);
-            ignore (Ocl.Constraint_.check m2 c);
-            let total name =
-              List.fold_left
-                (fun acc (r : Obs.Metric.row) ->
-                  if String.equal r.Obs.Metric.metric name then
-                    acc +. r.Obs.Metric.value
-                  else acc)
-                0. (Obs.Metric.rows ())
-            in
-            check cb "exactly one parse" true (total "ocl.parse.miss" = 1.);
-            check cb "second check hits" true (total "ocl.parse.hit" >= 1.)));
-  ]
-
 let () =
   Alcotest.run "ocl"
     [
@@ -1007,6 +1046,5 @@ let () =
       ("constraints", constraint_tests);
       ("typecheck", typecheck_tests);
       ("planner", planner_tests);
-      ("caches", cache_tests);
       ("properties", property_tests);
     ]

@@ -166,8 +166,7 @@ let batch_tests =
     Alcotest.test_case "pool reuse leaks no cache state across batches"
       `Quick (fun () ->
         (* same pool, two different batches: the second must match a fresh
-           sequential run even though the workers' domain-local parse
-           caches are still warm from the first *)
+           sequential run even though the same workers ran the first *)
         Par.Pool.with_pool ~jobs:3 (fun p ->
             let batch_a = Par.Workload.models ~classes:4 4 in
             let batch_b = Par.Workload.models ~classes:6 5 in

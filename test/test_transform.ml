@@ -6,6 +6,11 @@ let cb = Alcotest.bool
 let ci = Alcotest.int
 let cs = Alcotest.string
 
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 open Transform
 
 (* ---- params ------------------------------------------------------------ *)
@@ -19,6 +24,13 @@ let sample_decls =
     Params.decl "limit" Params.P_int ~required:false;
     Params.decl "verbose" Params.P_bool ~default:(Params.V_bool false);
   ]
+
+let sample_env assignments =
+  let gmt =
+    Gmt.make ~name:"T.sample" ~concern:"testing" ~formals:sample_decls
+      (fun _ m -> m)
+  in
+  Cmt.env (Cmt.specialize_exn gmt assignments)
 
 let build_ok assignments =
   match Params.build sample_decls assignments with
@@ -93,18 +105,35 @@ let params_tests =
              false
            with Invalid_argument _ -> true));
     Alcotest.test_case "ocl literals" `Quick (fun () ->
-        check cs "string" "'x'" (Params.to_ocl_literal (Params.V_string "x"));
-        check cs "int" "3" (Params.to_ocl_literal (Params.V_int 3));
-        check cs "bool" "true" (Params.to_ocl_literal (Params.V_bool true));
-        check cs "list" "Set{'a', 'b'}"
-          (Params.to_ocl_literal
-             (Params.V_list [ Params.V_ident "a"; Params.V_ident "b" ])));
+        (* each value is bound as the OCL value these literals denote *)
+        let names = Params.V_list [ Params.V_ident "b"; Params.V_ident "a" ] in
+        let env =
+          sample_env
+            [
+              ("names", names);
+              ("limit", Params.V_int 3);
+              ("mode", Params.V_string "fast");
+              ("verbose", Params.V_bool true);
+            ]
+        in
+        let bound name =
+          Option.map Ocl.Value.to_string (Ocl.Env.lookup name env)
+        in
+        let co = Alcotest.option cs in
+        check co "list" (Some "Set{'a', 'b'}") (bound "$names$");
+        check co "int" (Some "3") (bound "$limit$");
+        check co "enum" (Some "'fast'") (bound "$mode$");
+        check co "bool" (Some "true") (bound "$verbose$");
+        check co "only as $name$" None (bound "names"));
     Alcotest.test_case "substitution covers every assigned name" `Quick
       (fun () ->
         let set = build_ok [ ("names", Params.V_list [ Params.V_ident "A" ]) ] in
-        let subst = Params.substitution set in
+        let env =
+          sample_env [ ("names", Params.V_list [ Params.V_ident "A" ]) ]
+        in
         List.iter
-          (fun name -> check cb name true (List.mem_assoc name subst))
+          (fun name ->
+            check cb name true (Ocl.Env.lookup (Gmt.variable name) env <> None))
           (Params.names set));
     Alcotest.test_case "ptype rendering" `Quick (fun () ->
         check cs "enum" "enum(fast|safe)"
@@ -215,14 +244,16 @@ let gmt_tests =
   [
     Alcotest.test_case "validate_conditions accepts the adder" `Quick (fun () ->
         check (Alcotest.list cs) "no diags" [] (Gmt.validate_conditions adder_gmt));
-    Alcotest.test_case "validate_conditions flags undeclared holes" `Quick
-      (fun () ->
+    Alcotest.test_case "validate_conditions flags undeclared parameters"
+      `Quick (fun () ->
         let bad =
           Gmt.make ~name:"T.bad" ~concern:"testing" ~formals:[]
             ~preconditions:[ Ocl.Constraint_.make ~name:"oops" "$nothere$ = 1" ]
             (fun _ m -> m)
         in
-        check cb "diagnosed" true (Gmt.validate_conditions bad <> []));
+        match Gmt.validate_conditions bad with
+        | [ diag ] -> check cb diag true (contains diag "$nothere$")
+        | diags -> Alcotest.failf "%d diagnostics" (List.length diags));
     Alcotest.test_case "validate_conditions flags unparsable conditions" `Quick
       (fun () ->
         let bad =
@@ -253,10 +284,66 @@ let gmt_tests =
       (fun () ->
         check cs "name" "T.adder<[X, Y]>" (Cmt.name (adder [ "X"; "Y" ])));
     Alcotest.test_case "specialized conditions have no holes" `Quick (fun () ->
+        (* the specialization's env binds every [$param$] they name *)
         let cmt = adder [ "X" ] in
         List.iter
-          (fun c -> check ci "no holes" 0 (List.length (Ocl.Constraint_.holes c)))
-          (Cmt.preconditions cmt @ Cmt.postconditions cmt));
+          (fun (c : Ocl.Constraint_.t) ->
+            match
+              Ocl.Constraint_.check ~env:(Cmt.env cmt) (Fixtures.banking ()) c
+            with
+            | Ocl.Constraint_.Ill_formed msg -> Alcotest.fail msg
+            | _ -> ())
+          (adder_gmt.Gmt.preconditions @ adder_gmt.Gmt.postconditions));
+    Alcotest.test_case "parameters are typed from their declarations" `Quick
+      (fun () ->
+        (* (declared formals, body, expected type; None = diagnosed), in
+           the style of a type-inference table: each row goes through
+           Typecheck.check_source with the declared types and through
+           Gmt.validate_conditions on a GMT with those formals *)
+        let table =
+          Ocl.Typecheck.
+            [
+              ([ ("n", Params.P_int) ], "$n$ + 1", Some T_integer);
+              ([ ("n", Params.P_string) ], "$n$ + 1", None);
+              ( [ ("names", Params.P_list Params.P_ident) ],
+                "$names$->includes('A')",
+                Some T_boolean );
+              ( [ ("e", Params.P_enum [ "a"; "b" ]) ],
+                "$e$ = 'a'",
+                Some T_boolean );
+              ([ ("b", Params.P_int) ], "$b$ and true", None);
+              ([], "$x$ = 1", None);
+            ]
+        in
+        let ty =
+          Alcotest.testable
+            (fun ppf t ->
+              Format.pp_print_string ppf (Ocl.Typecheck.ty_to_string t))
+            ( = )
+        in
+        let diagnostics formals body =
+          Gmt.validate_conditions
+            (Gmt.make ~name:"T.typed" ~concern:"testing"
+               ~formals:(List.map (fun (n, t) -> Params.decl n t) formals)
+               ~preconditions:[ Ocl.Constraint_.make ~name:"row" body ]
+               (fun _ m -> m))
+        in
+        List.iter
+          (fun (formals, body, expected) ->
+            let vars =
+              List.map (fun (n, t) -> (Gmt.variable n, Gmt.param_type t)) formals
+            in
+            let got =
+              match Ocl.Typecheck.check_source ~vars body with
+              | Ok (t, []) -> Some t
+              | Ok (_, _ :: _) | Error _ -> None
+            in
+            check (Alcotest.option ty) body expected got;
+            check cb (body ^ " validates") (expected <> None)
+              (diagnostics formals body = []))
+          table;
+        check cb "the undeclared parameter is named" true
+          (List.exists (fun d -> contains d "$x$") (diagnostics [] "$x$ = 1")));
   ]
 
 (* ---- compose -------------------------------------------------------------- *)
@@ -413,6 +500,28 @@ let engine_tests =
         match Engine.apply (Cmt.specialize_exn lying []) (Fixtures.banking ()) with
         | Error (Engine.Postcondition_failed [ ("impossible", _) ]) -> ()
         | _ -> Alcotest.fail "expected postcondition failure");
+    Alcotest.test_case "a parameter value is data, never condition syntax"
+      `Quick (fun () ->
+        (* spliced into the body text, this value would close the string
+           literal and turn the postcondition into "... or true or ..." *)
+        let identity =
+          Gmt.make ~name:"T.identity" ~concern:"testing"
+            ~formals:[ Params.decl "n" Params.P_string ]
+            ~postconditions:
+              [
+                Ocl.Constraint_.make ~name:"named"
+                  "Class.allInstances()->exists(c | c.name = $n$)";
+              ]
+            (fun _ m -> m)
+        in
+        let cmt =
+          Cmt.specialize_exn identity
+            [ ("n", Params.V_string "Nope') or true or ('x") ]
+        in
+        match Engine.apply cmt (Fixtures.banking ()) with
+        | Error (Engine.Postcondition_failed [ ("named", Fails []) ]) -> ()
+        | Error f -> Alcotest.fail (Format.asprintf "%a" Engine.pp_failure f)
+        | Ok _ -> Alcotest.fail "the crafted value satisfied the condition");
     Alcotest.test_case "sessions accumulate trace and reports" `Quick (fun () ->
         let session = Engine.start (Fixtures.banking ()) in
         let session =
