@@ -1,7 +1,10 @@
 type state = {
   src : string;
   mutable pos : int;
+  mutable depth : int;
 }
+
+let max_depth = 256
 
 exception Error of string * int
 
@@ -53,12 +56,22 @@ let parse_keyword st =
   done;
   String.sub st.src start (st.pos - start)
 
+(* Every recursive descent goes through here: each '(', each '!' and each
+   right operand of '&&' or '||' is one level deeper, so hostile nesting is
+   refused after [max_depth] levels instead of growing the stack. *)
+let nested st parse =
+  if st.depth >= max_depth then error st "nested deeper than %d levels" max_depth;
+  st.depth <- st.depth + 1;
+  let pc = parse st in
+  st.depth <- st.depth - 1;
+  pc
+
 let rec parse_or st =
   let lhs = parse_and st in
   skip_spaces st;
   if looking_at st "||" then begin
     eat st "||";
-    Pointcut.Or (lhs, parse_or st)
+    Pointcut.Or (lhs, nested st parse_or)
   end
   else lhs
 
@@ -67,7 +80,7 @@ and parse_and st =
   skip_spaces st;
   if looking_at st "&&" then begin
     eat st "&&";
-    Pointcut.And (lhs, parse_and st)
+    Pointcut.And (lhs, nested st parse_and)
   end
   else lhs
 
@@ -76,10 +89,10 @@ and parse_factor st =
   match peek st with
   | Some '!' ->
       eat st "!";
-      Pointcut.Not (parse_factor st)
+      Pointcut.Not (nested st parse_factor)
   | Some '(' ->
       eat st "(";
-      let pc = parse_or st in
+      let pc = nested st parse_or in
       skip_spaces st;
       eat st ")";
       pc
@@ -110,7 +123,7 @@ and parse_primitive st =
   result
 
 let parse src =
-  let st = { src; pos = 0 } in
+  let st = { src; pos = 0; depth = 0 } in
   match
     let pc = parse_or st in
     skip_spaces st;

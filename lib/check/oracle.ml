@@ -536,7 +536,7 @@ let check_par ~aux ~base ~edits =
 (* ---- R8: content-addressed repo ≡ naive full-copy repo ------------------ *)
 
 (* The CAS repository (hash-consed store, shared trees, stored diffs,
-   composed diff_between, binary snapshots, concurrent sessions) against
+   tree-diffing diff_between, binary snapshots, concurrent sessions) against
    the embedded-model baseline it replaced. The whole observable surface
    must agree at every step of a random commit/undo/redo/tag/checkout
    script; then the snapshot round trip must be a byte fixpoint, identical
@@ -632,8 +632,8 @@ let repo_script rng cas naive =
 let repo_commit_ids cas = List.init (R.size cas) Fun.id
 
 (* Every (from, to) pair of the script's commits, at most 26²: the forks an
-   undo-then-commit leaves put the lowest-common-ancestor walk on the hook,
-   not only the root-to-head path. *)
+   undo-then-commit leaves give pairs on two branches, whose tries share
+   only what both inherited, not only pairs along the root-to-head path. *)
 let repo_check_diffs cas naive =
   let ids = repo_commit_ids cas in
   let pairs = List.concat_map (fun a -> List.map (fun b -> (a, b)) ids) ids in
@@ -645,13 +645,13 @@ let repo_check_diffs cas naive =
           R.diff_between_scan cas ~from_id ~to_id,
           N.diff_between naive ~from_id ~to_id )
       with
-      | Some composed, Some scanned, Some reference ->
-          if not (repo_diff_eq composed scanned) then
+      | Some between, Some scanned, Some reference ->
+          if not (repo_diff_eq between scanned) then
             Error
               (Printf.sprintf
-                 "[repo] composed diff %d->%d disagrees with the scan" from_id
+                 "[repo] diff_between %d->%d disagrees with the scan" from_id
                  to_id)
-          else if not (repo_diff_eq composed reference) then
+          else if not (repo_diff_eq between reference) then
             Error
               (Printf.sprintf
                  "[repo] diff %d->%d disagrees with the naive recompute"

@@ -39,7 +39,7 @@
       {!Repository.Naive} baseline over random commit/undo/redo/tag/
       checkout scripts — head model, sizes, undo/redo availability, tags,
       and log must agree at every step; for every pair of the script's
-      commits, composed {!Repository.Repo.diff_between} must equal both its
+      commits, the tree diff {!Repository.Repo.diff_between} must equal both its
       scan form and the naive recompute; every commit's
       {!Repository.Repo.model_at} must equal the naive embedded model and
       answer every index lookup like a model rebuilt from its elements; the

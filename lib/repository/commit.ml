@@ -1,4 +1,4 @@
-type tree = Store.digest Mof.Id.Map.t
+type tree = Tree.t
 
 type t = {
   id : int;
@@ -11,7 +11,7 @@ type t = {
   concern : string option;
 }
 
-let tree_size t = Mof.Id.Map.cardinal t.tree
+let tree_size t = Tree.cardinal t.tree
 
 let summary t =
   Format.asprintf "#%d %s (%a)%s" t.id t.message Mof.Diff.pp t.diff

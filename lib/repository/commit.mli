@@ -6,12 +6,14 @@
     so a version costs the path copies of what it changed, not a model
     copy. Alongside it, [tree] maps every live element id to the digest of
     its content in the {!Store}; consecutive commits share the digests of
-    everything that did not change. Composed diffs and snapshot deltas are
-    computed from the trees and the stored diffs, never from the models. *)
+    everything that did not change. Diffs between versions are computed
+    from the trees, and snapshot deltas from the trees and the stored
+    diffs, never from the models. *)
 
-type tree = Store.digest Mof.Id.Map.t
+type tree = Tree.t
 (** Element id → content digest. Persistent: a child commit's tree is the
-    parent's with only the changed bindings replaced. *)
+    parent's with only the changed bindings replaced, so the two share
+    every subtree the diff did not reach. *)
 
 type t = {
   id : int;
@@ -28,15 +30,15 @@ type t = {
       (** against the parent, computed once at commit time (journal replay
           when lineage allows, scan otherwise); empty for a root commit.
           [tree] differs from the parent's tree only at ids this diff
-          touches, which is what composed diffs and snapshot deltas are
-          computed from. *)
+          touches, which is what snapshot deltas are written from and what
+          [Repo.load] checks. *)
   transformation : string option;
       (** concrete transformation that produced this version, if any *)
   concern : string option;
 }
 
 val tree_size : t -> int
-(** Number of live elements in the committed version. *)
+(** Number of live elements in the committed version. O(1). *)
 
 val summary : t -> string
 (** One line: id, message, diff size. *)

@@ -33,9 +33,9 @@ let tree_of_model store model =
   Mof.Model.fold
     (fun e (store, tree) ->
       let store, digest = Store.add store e in
-      (store, Mof.Id.Map.add e.Mof.Element.id digest tree))
+      (store, Tree.add e.Mof.Element.id digest tree))
     model
-    (store, Mof.Id.Map.empty)
+    (store, Tree.empty)
 
 (* Build a model from a commit tree alone: O(n log n) in every index. Only
    [load] pays this, once, for the root commit; every other version it
@@ -46,7 +46,7 @@ let materialize store tree ~root ~next =
        and the historical scans expect *)
     List.map
       (fun (_, digest) -> Store.find_exn store digest)
-      (Mof.Id.Map.bindings tree)
+      (Tree.bindings tree)
   in
   Mof.Model.of_elements ~root ~next elements
 
@@ -96,47 +96,6 @@ let head t =
 
 let head_model t = (head t).Commit.model
 
-(* --- composed diffs ---------------------------------------------------- *)
-
-(* Every id that differs between two versions was necessarily touched by
-   some commit on the path between them: a commit tree only changes where
-   its stored diff says so ([append] builds it that way, [load] rejects a
-   snapshot where it does not). A parent's id is always smaller than its
-   child's, so repeatedly stepping the larger of the two ids to its parent
-   walks both sides of the path until they meet at the lowest common
-   ancestor, gathering each commit's touched ids on the way. *)
-let path_touched t a b =
-  let rec walk acc a b =
-    if a = b then acc
-    else
-      let c = Int_map.find (max a b) t.commits in
-      let acc = Mof.Id.Set.union acc (Mof.Diff.touched c.Commit.diff) in
-      match c.Commit.parent with
-      | Some p -> if a > b then walk acc p b else walk acc a p
-      | None -> assert false (* the single root holds the smallest id *)
-  in
-  walk Mof.Id.Set.empty a b
-
-(* Classify candidate ids against two commit trees: membership decides
-   added/removed, digest inequality decides modified. Exact when the
-   candidates cover the path between the commits, with no model built. *)
-let tree_diff (a : Commit.t) (b : Commit.t) candidates =
-  let classify id acc =
-    match
-      (Mof.Id.Map.find_opt id a.Commit.tree, Mof.Id.Map.find_opt id b.Commit.tree)
-    with
-    | None, None -> acc
-    | None, Some _ ->
-        { acc with Mof.Diff.added = Mof.Id.Set.add id acc.Mof.Diff.added }
-    | Some _, None ->
-        { acc with Mof.Diff.removed = Mof.Id.Set.add id acc.Mof.Diff.removed }
-    | Some da, Some db ->
-        if String.equal da db then acc
-        else
-          { acc with Mof.Diff.modified = Mof.Id.Set.add id acc.Mof.Diff.modified }
-  in
-  Mof.Id.Set.fold classify candidates Mof.Diff.empty
-
 (* Append [model] as a child of commit [parent], on branch [branch] — the
    shared machinery behind [commit] and [commit_on]. The child tree is the
    parent tree with only the diff applied, so everything unchanged is
@@ -145,13 +104,13 @@ let append ?transformation ?concern ~message ~branch ~(parent : Commit.t)
     model t =
   let diff = Mof.Diff.compute ~old_model:parent.Commit.model ~new_model:model in
   let tree =
-    Mof.Id.Set.fold Mof.Id.Map.remove diff.Mof.Diff.removed parent.Commit.tree
+    Mof.Id.Set.fold Tree.remove diff.Mof.Diff.removed parent.Commit.tree
   in
   let store, tree =
     Mof.Id.Set.fold
       (fun id (store, tree) ->
         let store, digest = Store.add store (Mof.Model.find_exn model id) in
-        (store, Mof.Id.Map.add id digest tree))
+        (store, Tree.add id digest tree))
       (Mof.Id.Set.union diff.Mof.Diff.added diff.Mof.Diff.modified)
       (t.store, tree)
   in
@@ -276,7 +235,7 @@ let size t = Int_map.cardinal t.commits
 let diff_between t ~from_id ~to_id =
   match (find t from_id, find t to_id) with
   | None, _ | _, None -> None
-  | Some a, Some b -> Some (tree_diff a b (path_touched t from_id to_id))
+  | Some a, Some b -> Some (Tree.diff a.Commit.tree b.Commit.tree)
 
 let diff_between_scan t ~from_id ~to_id =
   match (model_at t from_id, model_at t to_id) with
@@ -327,15 +286,14 @@ let save t =
      it replaces: O(changes · log n) per commit, not O(n). *)
   let w_tree_delta (c : Commit.t) =
     match c.Commit.parent with
-    | None -> w_delta [] (Mof.Id.Map.bindings c.Commit.tree)
+    | None -> w_delta [] (Tree.bindings c.Commit.tree)
     | Some p ->
         let parent_tree = (Int_map.find p t.commits).Commit.tree in
         let removed, set =
           Mof.Id.Set.fold
             (fun id (removed, set) ->
               match
-                ( Mof.Id.Map.find_opt id parent_tree,
-                  Mof.Id.Map.find_opt id c.Commit.tree )
+                (Tree.find_opt id parent_tree, Tree.find_opt id c.Commit.tree)
               with
               | Some _, None -> (id :: removed, set)
               | Some d, Some digest when String.equal d digest -> (removed, set)
@@ -464,15 +422,15 @@ let load data =
         in
         let tree =
           List.fold_left
-            (fun tr rid -> Mof.Id.Map.remove rid tr)
+            (fun tr rid -> Tree.remove rid tr)
             (match parent_commit with
             | Some (pc : Commit.t) -> pc.Commit.tree
-            | None -> Mof.Id.Map.empty)
+            | None -> Tree.empty)
             removed
         in
         let tree =
           List.fold_left
-            (fun tr (eid, digest, _) -> Mof.Id.Map.add eid digest tr)
+            (fun tr (eid, digest, _) -> Tree.add eid digest tr)
             tree set
         in
         let added = r_id_set r in
@@ -490,10 +448,10 @@ let load data =
                corrupt "commit #%d changes %s outside its stored diff" id
                  (Mof.Id.to_string eid)
            | None -> ());
-        if not (Mof.Id.Map.mem root tree) then
+        if not (Tree.mem root tree) then
           corrupt "commit #%d does not hold its root package %s" id
             (Mof.Id.to_string root);
-        (match Mof.Id.Map.max_binding_opt tree with
+        (match Tree.max_binding_opt tree with
         | Some (eid, _) when Mof.Id.to_int eid >= next_id ->
             corrupt "commit #%d holds %s, not below its next-id counter %d" id
               (Mof.Id.to_string eid) next_id

@@ -6,13 +6,16 @@
     Commits are trees of element refs into a hash-consed object {!Store}:
     consecutive versions share every element the diff says is unchanged, so
     a 10k-commit history costs O(total changes), not O(commits × model).
-    Each commit also keeps its model, a persistent value sharing all but
-    its changes with its parent's (see "Versions cost what changed").
-    The per-commit diff is computed once at [commit] time (journal replay
-    when the new model derives from its parent's, scan fallback otherwise) and
-    stored on the commit; {!diff_between} composes the stored diffs along
-    the commit path instead of recomputing, with {!diff_between_scan} kept
-    as the differential baseline. Tags and branches are cheap named
+    Each tree is a Patricia trie ({!Tree}) that shares with its parent's
+    every subtree the diff did not reach, and each commit also keeps its
+    model, a persistent value sharing all but its changes with its parent's
+    (see "Versions cost what changed"). The per-commit diff is computed
+    once at [commit] time (journal replay when the new model derives from
+    its parent's, scan fallback otherwise) and stored on the commit, where
+    [save] writes each tree delta from it and [load] checks each delta
+    against it; {!diff_between} diffs the two endpoint trees and skips what
+    they share, with {!diff_between_scan} kept as the differential
+    baseline. Tags and branches are cheap named
     pointers with O(log n) lookup; the current branch pointer tracks the
     head through commit/undo/redo/checkout. {!save}/{!load} give a compact
     length-prefixed binary snapshot whose rendering is a byte-for-byte
@@ -146,19 +149,20 @@ val size : t -> int
 (** Number of commits stored. *)
 
 val diff_between : t -> from_id:int -> to_id:int -> Mof.Diff.t option
-(** Structural diff between two stored versions, composed from the diffs
-    stored along the commit path through their lowest common ancestor and
-    classified against the two commit trees. A parent's id is always
-    smaller than its child's, so the walk steps the larger id to its parent
-    until the two meet: O((p + c) · log n) for a path of p commits touching
-    c ids, with no model built and no ancestor set. [None] when either id
-    is unknown. *)
+(** Structural diff between two stored versions: {!Tree.diff} of the two
+    commit trees, with no model built and no walk along the commits between
+    them. A child's tree is its parent's with its diff applied, on any
+    branch and after {!load}, so two versions share every subtree that no
+    commit between them reached, and the diff skips those: it visits at
+    most one trie path per id those commits touched, never more nodes than
+    the two trees hold, and builds its result in O(d · log d) for d ids
+    that differ. [None] when either id is unknown. *)
 
 val diff_between_scan : t -> from_id:int -> to_id:int -> Mof.Diff.t option
 (** The scan baseline: both versions through {!model_at}, then
-    {!Mof.Diff.compute_scan}; exposed for the [repo] differential oracle
-    and bench E15. Agrees with {!diff_between} by construction or the
-    oracle fails. *)
+    {!Mof.Diff.compute_scan}, O(n) in the two populations; exposed for the
+    [repo] differential oracle and bench E15, which check that it agrees
+    with {!diff_between}. *)
 
 (** {2 Store statistics} *)
 

@@ -8,10 +8,11 @@ type digest = string
    encode work for no memory win (the bytes are a fraction of the element). *)
 type t = {
   objects : (Mof.Element.t * string) Dmap.t;
+  count : int;
   total_bytes : int;
 }
 
-let empty = { objects = Dmap.empty; total_bytes = 0 }
+let empty = { objects = Dmap.empty; count = 0; total_bytes = 0 }
 
 let add t e =
   let bytes = Mof.Canon.element_bytes e in
@@ -20,6 +21,7 @@ let add t e =
   else
     ( {
         objects = Dmap.add digest (e, bytes) t.objects;
+        count = t.count + 1;
         total_bytes = t.total_bytes + String.length bytes;
       },
       digest )
@@ -34,7 +36,7 @@ let find_exn t d =
         ("Repository.Store.find_exn: unknown digest " ^ Mof.Canon.digest_hex d)
 
 let mem t d = Dmap.mem d t.objects
-let count t = Dmap.cardinal t.objects
+let count t = t.count
 let bytes t = t.total_bytes
 
 let fold f t init =

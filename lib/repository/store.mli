@@ -29,7 +29,7 @@ val find_exn : t -> digest -> Mof.Element.t
 val mem : t -> digest -> bool
 
 val count : t -> int
-(** Number of distinct objects. *)
+(** Number of distinct objects. O(1), like {!bytes}. *)
 
 val bytes : t -> int
 (** Total canonical payload bytes across distinct objects — the measure

@@ -116,6 +116,10 @@ let pointcut_parser_tests =
           = ((within "A" ||| within "B") &&& within "C")));
     Alcotest.test_case "round trip through to_string" `Quick (fun () ->
         let open Aspects.Pointcut in
+        let rec or_chain n =
+          if n = 0 then within "X" else within (Printf.sprintf "C%d" n) ||| or_chain (n - 1)
+        in
+        let rec nots n = if n = 0 then within "X" else not_ (nots (n - 1)) in
         List.iter
           (fun pc ->
             check cb (to_string pc) true (parse_ok (to_string pc) = pc))
@@ -124,6 +128,10 @@ let pointcut_parser_tests =
             call "A" "f" &&& not_ (within "B");
             set_field "C" "f" ||| (execution "D" "*" &&& within "E*");
             not_ (not_ (within "X"));
+            or_chain 100;
+            or_chain 128;
+            nots 100;
+            nots Aspects.Pointcut_parser.max_depth;
           ]);
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~name:"random pointcuts round trip" ~count:200
@@ -132,18 +140,32 @@ let pointcut_parser_tests =
            | Ok pc' -> pc' = pc
            | Error _ -> false));
     Alcotest.test_case "errors are reported, not raised" `Quick (fun () ->
+        let deep = 1_000_000 in
         List.iter
-          (fun src ->
-            check cb src true
-              (Result.is_error (Aspects.Pointcut_parser.parse src)))
-          [
-            "";
-            "execution(Account)";
-            "frobnicate(A.b)";
-            "within(A) &&";
-            "within(A) extra";
-            "(within(A)";
-          ]);
+          (fun (name, src) ->
+            let start = Unix.gettimeofday () in
+            let refused = Result.is_error (Aspects.Pointcut_parser.parse src) in
+            let ms = 1000. *. (Unix.gettimeofday () -. start) in
+            check cb name true refused;
+            if ms >= 10. then Alcotest.failf "%s: refused after %.1f ms" name ms)
+          (List.map
+             (fun src -> (src, src))
+             [
+               "";
+               "execution(Account)";
+               "frobnicate(A.b)";
+               "within(A) &&";
+               "within(A) extra";
+               "(within(A)";
+             ]
+          @ [
+              ( "257 negations",
+                String.make (Aspects.Pointcut_parser.max_depth + 1) '!' ^ "within(A)" );
+              ( "1M nested parentheses",
+                String.make deep '(' ^ "within(A)" ^ String.make deep ')' );
+              ("1M negations", String.make deep '!' ^ "within(A)");
+              ("1M unclosed parentheses", String.make deep '(');
+            ]));
   ]
 
 (* ---- advice ---------------------------------------------------------------- *)

@@ -174,8 +174,8 @@ let repo_tests =
         check cb "none" true (Repository.Repo.diff_between repo ~from_id:0 ~to_id:99 = None));
     Alcotest.test_case "diff_between across a fork agrees with the scan" `Quick
       (fun () ->
-        (* head #2, then fork from #1: composed diff must walk through the
-           lowest common ancestor, and removals must invert correctly *)
+        (* head #2, then fork from #1: the two trees differ on both sides
+           of the fork, and removals must invert correctly *)
         let repo, _, m1, _ = three_versions () in
         let repo = Option.get (Repository.Repo.undo repo) in
         let m1', side = Mof.Builder.add_class m1 ~owner:(Mof.Model.root m1) ~name:"Side" in
@@ -184,7 +184,7 @@ let repo_tests =
         let repo = Repository.Repo.commit ~message:"drop side" m1'' repo in
         List.iter
           (fun (from_id, to_id) ->
-            let composed =
+            let between =
               Option.get (Repository.Repo.diff_between repo ~from_id ~to_id)
             in
             let scanned =
@@ -193,10 +193,10 @@ let repo_tests =
             check cb
               (Printf.sprintf "diff %d->%d" from_id to_id)
               true
-              (Mof.Id.Set.equal composed.Mof.Diff.added scanned.Mof.Diff.added
-              && Mof.Id.Set.equal composed.Mof.Diff.removed
+              (Mof.Id.Set.equal between.Mof.Diff.added scanned.Mof.Diff.added
+              && Mof.Id.Set.equal between.Mof.Diff.removed
                    scanned.Mof.Diff.removed
-              && Mof.Id.Set.equal composed.Mof.Diff.modified
+              && Mof.Id.Set.equal between.Mof.Diff.modified
                    scanned.Mof.Diff.modified))
           [ (2, 3); (3, 2); (0, 4); (2, 4); (4, 4) ]);
     Alcotest.test_case "model_at rematerializes any stored version" `Quick
@@ -294,6 +294,58 @@ let repo_tests =
           (List.map fst (Repository.Repo.branches repo));
         check cs "snapshot digest" "761579336e19653a15693740b88fbe5d"
           (Digest.to_hex (Digest.string (Repository.Repo.save repo))));
+    Alcotest.test_case "published store and sharing metrics match a recount"
+      `Quick (fun () ->
+        let module R = Repository.Repo in
+        Obs.reset ();
+        Obs.Metric.enable ();
+        let repo, rows =
+          Fun.protect ~finally:Obs.reset (fun () ->
+              let repo = golden_history () in
+              (repo, Obs.Metric.rows ()))
+        in
+        let published metric =
+          match List.find_opt (fun (r : Obs.Metric.row) -> r.metric = metric) rows with
+          | Some r -> r.value
+          | None -> Alcotest.failf "%s was not published" metric
+        in
+        let versions = List.init (R.size repo) (fun id -> Option.get (R.find repo id)) in
+        (* the store holds each distinct element content of every version *)
+        let objects = Hashtbl.create 1024 in
+        List.iter
+          (fun (c : Repository.Commit.t) ->
+            List.iter
+              (fun e ->
+                let bytes = Mof.Canon.element_bytes e in
+                Hashtbl.replace objects (Digest.string bytes) (String.length bytes))
+              (Mof.Model.elements c.model))
+          versions;
+        check (Alcotest.float 0.) "repo.store.objects"
+          (float_of_int (Hashtbl.length objects))
+          (published "repo.store.objects");
+        check (Alcotest.float 0.) "repo.store.bytes"
+          (float_of_int (Hashtbl.fold (fun _ n acc -> acc + n) objects 0))
+          (published "repo.store.bytes");
+        (* each commit after the root shares what its diff did not add or
+           modify *)
+        let ratios =
+          List.filter_map
+            (fun (c : Repository.Commit.t) ->
+              Option.map
+                (fun _ ->
+                  let total = Mof.Model.size c.model in
+                  let changed =
+                    Mof.Id.Set.cardinal c.diff.added + Mof.Id.Set.cardinal c.diff.modified
+                  in
+                  float_of_int (total - changed) /. float_of_int total)
+                c.parent)
+            versions
+        in
+        let ratio stat = published ("repo.commit.shared_ratio." ^ stat) in
+        check (Alcotest.float 0.) "count" (float_of_int (List.length ratios)) (ratio "count");
+        check (Alcotest.float 1e-9) "sum" (List.fold_left ( +. ) 0. ratios) (ratio "sum");
+        check (Alcotest.float 0.) "min" (List.fold_left min 1. ratios) (ratio "min");
+        check (Alcotest.float 0.) "max" (List.fold_left max 0. ratios) (ratio "max"));
   ]
 
 let branch_tests =
@@ -579,7 +631,7 @@ module Props = struct
         match (R.find t id, R.model_at t id) with
         | Some c, Some m -> (
             let held = List.map (fun (e : Mof.Element.t) -> e.id) (Mof.Model.elements m) in
-            if held <> List.map fst (Mof.Id.Map.bindings c.Repository.Commit.tree) then
+            if held <> List.map fst (Repository.Tree.bindings c.Repository.Commit.tree) then
               QCheck2.Test.fail_reportf "commit #%d: model is not its tree" id;
             match
               ( R.diff_between t ~from_id:id ~to_id:head,
@@ -620,8 +672,8 @@ let property_tests =
         ~count:60 ~print gen
         (fun (m0, script) ->
           let cas, naive = Props.run_lockstep m0 script in
-          (* and the stored/composed diffs agree with the recomputed ones
-             between every pair drawn from root and head *)
+          (* and diff_between agrees with the recomputed diffs between
+             every pair drawn from root and head *)
           let head = (Repository.Repo.head cas).Repository.Commit.id in
           List.for_all
             (fun (from_id, to_id) ->
@@ -1028,12 +1080,168 @@ let history_tests =
         check ci "churn" 4 (Repository.History.total_churn repo));
   ]
 
+(* --- the commit-tree trie against Mof.Id.Map ----------------------------- *)
+
+module Tree_props = struct
+  module T = Repository.Tree
+
+  type op = Add of Mof.Id.t * string | Remove of Mof.Id.t
+
+  (* Ids near 0, from a dense small range and near [max_int], so the trie
+     branches on its lowest bits, on middle ones and on the highest. *)
+  let id_gen =
+    QCheck2.Gen.(
+      map Mof.Id.of_int
+        (oneof [ int_range 0 9; int_range 1000 1031; int_range (max_int - 9) max_int ]))
+
+  let op_gen =
+    QCheck2.Gen.(
+      frequency
+        [
+          (3, map2 (fun id k -> Add (id, Printf.sprintf "d%d" k)) id_gen (int_bound 2));
+          (1, map (fun id -> Remove id) id_gen);
+        ])
+
+  let script_gen = QCheck2.Gen.(list_size (int_range 0 50) op_gen)
+
+  let print_script =
+    let print_op = function
+      | Add (id, d) -> Printf.sprintf "+%s:%s" (Mof.Id.to_string id) d
+      | Remove id -> "-" ^ Mof.Id.to_string id
+    in
+    fun script -> String.concat " " (List.map print_op script)
+
+  let on_trie t =
+    List.fold_left (fun t -> function Add (id, d) -> T.add id d t | Remove id -> T.remove id t) t
+
+  let on_map m =
+    List.fold_left
+      (fun m -> function
+        | Add (id, d) -> Mof.Id.Map.add id d m
+        | Remove id -> Mof.Id.Map.remove id m)
+      m
+
+  (* [t] answers every read as the map [m] does, at the ids the scripts
+     mention and at ids no script can draw. *)
+  let same_as_map ~ids t m =
+    T.bindings t = Mof.Id.Map.bindings m
+    && List.rev (T.fold (fun id d acc -> (id, d) :: acc) t []) = Mof.Id.Map.bindings m
+    && T.cardinal t = Mof.Id.Map.cardinal m
+    && T.max_binding_opt t = Mof.Id.Map.max_binding_opt m
+    && List.for_all
+         (fun id -> T.find_opt id t = Mof.Id.Map.find_opt id m && T.mem id t = Mof.Id.Map.mem id m)
+         (List.map Mof.Id.of_int [ 10; 999; 1032; max_int - 10 ] @ ids)
+
+  (* The classification [T.diff] must give, by folding over both tries. *)
+  let classify a b =
+    let put id set = Mof.Id.Set.add id set in
+    let d =
+      T.fold
+        (fun id da (d : Mof.Diff.t) ->
+          match T.find_opt id b with
+          | None -> { d with removed = put id d.removed }
+          | Some db when String.equal da db -> d
+          | Some _ -> { d with modified = put id d.modified })
+        a Mof.Diff.empty
+    in
+    T.fold
+      (fun id _ (d : Mof.Diff.t) -> if T.mem id a then d else { d with added = put id d.added })
+      b d
+end
+
+let tree_tests =
+  let open Tree_props in
+  let gen = QCheck2.Gen.triple script_gen script_gen script_gen in
+  let print (s1, s2, s3) =
+    Printf.sprintf "base [%s]; descendant [%s]; independent [%s]" (print_script s1)
+      (print_script s2) (print_script s3)
+  in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make
+         ~name:"tries read like Id.Map and diff like a fold over both" ~count:500
+         ~print gen (fun (s1, s2, s3) ->
+           (* [descendant] is derived from [base] and shares its untouched
+              subtrees; [independent] is built from nothing *)
+           let base = on_trie T.empty s1 and base_map = on_map Mof.Id.Map.empty s1 in
+           let descendant = on_trie base s2 and descendant_map = on_map base_map s2 in
+           let independent = on_trie T.empty s3 in
+           let ids =
+             List.map (function Add (id, _) | Remove id -> id) (s1 @ s2 @ s3)
+           in
+           if not (same_as_map ~ids base base_map) then
+             QCheck2.Test.fail_reportf "base reads differ from Id.Map";
+           if not (same_as_map ~ids descendant descendant_map) then
+             QCheck2.Test.fail_reportf "descendant reads differ from Id.Map";
+           if not (same_as_map ~ids independent (on_map Mof.Id.Map.empty s3)) then
+             QCheck2.Test.fail_reportf "independent reads differ from Id.Map";
+           List.iter
+             (fun (what, a, b) ->
+               if not (Props.diff_eq (T.diff a b) (classify a b)) then
+                 QCheck2.Test.fail_reportf "diff %s is not the fold's" what)
+             [
+               ("base -> descendant", base, descendant);
+               ("descendant -> base", descendant, base);
+               ("base -> independent", base, independent);
+               ("independent -> descendant", independent, descendant);
+               ("empty -> base", T.empty, base);
+               ("descendant -> empty", descendant, T.empty);
+               ("empty -> empty", T.empty, T.empty);
+               ("base -> base", base, base);
+             ];
+           true));
+    Alcotest.test_case "a negative id is refused" `Quick (fun () ->
+        check cb "invalid_arg" true
+          (match T.add (Mof.Id.of_int (-1)) "d" T.empty with
+          | _ -> false
+          | exception Invalid_argument _ -> true));
+  ]
+
+(* Minor-heap words one [diff_between 0 n] allocates on a history of [n]
+   commits over a 100-class model in which each commit pair renames the
+   next class and then renames it back, so the endpoints hold the same
+   model. Allocation counts repeat exactly, so this is no timing. *)
+let words_per_diff n =
+  let module R = Repository.Repo in
+  let m0 = Par.Workload.synthetic ~classes:100 "renames" in
+  let classes = Array.of_list (Mof.Id.Set.elements (Mof.Model.by_kind m0 "Class")) in
+  let rec go r i =
+    if i > n then r
+    else
+      let cls = classes.((i - 1) / 2 mod Array.length classes) in
+      let name =
+        if i mod 2 = 1 then Printf.sprintf "Tmp%d" i
+        else (Mof.Model.find_exn m0 cls).Mof.Element.name
+      in
+      go (R.commit ~message:"rename" (Mof.Builder.rename (R.head_model r) cls name) r) (i + 1)
+  in
+  let r = go (R.init m0) 1 in
+  check cb "the endpoints hold the same model" true
+    (Mof.Diff.is_empty (Option.get (R.diff_between r ~from_id:0 ~to_id:n)));
+  let runs = 20 in
+  let before = Gc.minor_words () in
+  for _ = 1 to runs do
+    ignore (R.diff_between r ~from_id:0 ~to_id:n)
+  done;
+  (Gc.minor_words () -. before) /. float_of_int runs
+
+let cost_tests =
+  [
+    Alcotest.test_case "diff_between allocates no more at 1,000 commits than at 10"
+      `Quick (fun () ->
+        let small = words_per_diff 10 and large = words_per_diff 1000 in
+        if large > 1.25 *. small then
+          Alcotest.failf "%.0f words per diff at 1,000 commits, %.0f at 10" large small);
+  ]
+
 let () =
   Alcotest.run "repository"
     [
       ("repo", repo_tests);
       ("branches", branch_tests);
       ("properties", property_tests);
+      ("tree", tree_tests);
+      ("cost", cost_tests);
       ("load", load_tests);
       ("service", service_tests);
       ("history", history_tests);
