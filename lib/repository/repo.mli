@@ -161,8 +161,8 @@ val diff_between : t -> from_id:int -> to_id:int -> Mof.Diff.t option
 val diff_between_scan : t -> from_id:int -> to_id:int -> Mof.Diff.t option
 (** The scan baseline: both versions through {!model_at}, then
     {!Mof.Diff.compute_scan}, O(n) in the two populations; exposed for the
-    [repo] differential oracle and bench E15, which check that it agrees
-    with {!diff_between}. *)
+    [repo] differential oracle and the repository tests, which check that
+    it agrees with {!diff_between}. *)
 
 (** {2 Store statistics} *)
 
