@@ -17,7 +17,7 @@ let selftest_fail : Check.Oracle.t =
           Error "[selftest] forced failure (exit-code self-test)");
   }
 
-let () =
+let main () =
   let seed = ref 42 in
   let count = ref 10_000 in
   let oracles = ref [] in
@@ -133,3 +133,13 @@ let () =
       Printf.printf "trace written to %s\n" path
   | None -> ());
   if !failed then exit 1
+
+(* An output path that cannot be written raises [Sys_error] in the writer
+   that opened it; it is reported here, once, instead of escaping as a
+   fatal error. *)
+let () =
+  match main () with
+  | () -> ()
+  | exception Sys_error msg ->
+      prerr_endline ("check: " ^ msg);
+      exit 1

@@ -26,6 +26,7 @@ let read_model path =
 let or_die = function
   | Ok v -> v
   | Error msg ->
+      flush stdout;
       prerr_endline ("mdweave: " ^ msg);
       exit 1
 
@@ -359,15 +360,6 @@ let steps_arg =
 
 let build_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
-  let steps =
-    Arg.(
-      value & opt_all string []
-      & info [ "s"; "step" ] ~docv:"CONCERN:NAME=V,NAME=V"
-          ~doc:
-            "A refinement step: concern key, colon, semicolon-free \
-             comma-separated parameter assignments (repeatable, applied in \
-             order)")
-  in
   let outdir =
     Arg.(
       required
@@ -410,7 +402,7 @@ let build_cmd =
        ~doc:"Apply a transformation sequence and emit code, aspects, woven \
              output")
     Term.(
-      const run $ file $ steps $ outdir $ explain_interference $ obs_arg)
+      const run $ file $ steps_arg $ outdir $ explain_interference $ obs_arg)
 
 (* ---- batch ------------------------------------------------------------ *)
 
@@ -1274,30 +1266,42 @@ let repo_cmd =
 
 (* ---- main ------------------------------------------------------------ *)
 
+(* An output path that cannot be written raises [Sys_error] in whichever
+   writer opened it; it is reported here, once, the way [read_model]
+   reports an unreadable input. Any other exception is a bug and keeps
+   Cmdliner's internal-error exit. *)
 let () =
   let doc = "generic concern-oriented model transformations meet AOP" in
   let default = Term.(ret (const (`Help (`Pager, None)))) in
-  exit
-    (Cmd.eval
-       (Cmd.group ~default
-          (Cmd.info "mdweave" ~version:"1.0.0" ~doc)
-          [
-            sample_cmd;
-            info_cmd;
-            concerns_cmd;
-            apply_cmd;
-            check_cmd;
-            codegen_cmd;
-            build_cmd;
-            batch_cmd;
-            joinpoints_cmd;
-            run_cmd;
-            ship_cmd;
-            replay_cmd;
-            color_cmd;
-            stats_cmd;
-            trace_cmd;
-            bench_diff_cmd;
-            workflow_cmd;
-            repo_cmd;
-          ]))
+  match
+    Cmd.eval ~catch:false
+      (Cmd.group ~default
+         (Cmd.info "mdweave" ~version:"1.0.0" ~doc)
+         [
+           sample_cmd;
+           info_cmd;
+           concerns_cmd;
+           apply_cmd;
+           check_cmd;
+           codegen_cmd;
+           build_cmd;
+           batch_cmd;
+           joinpoints_cmd;
+           run_cmd;
+           ship_cmd;
+           replay_cmd;
+           color_cmd;
+           stats_cmd;
+           trace_cmd;
+           bench_diff_cmd;
+           workflow_cmd;
+           repo_cmd;
+         ])
+  with
+  | code -> exit code
+  | exception Sys_error msg -> or_die (Error msg)
+  | exception e ->
+      prerr_endline
+        ("mdweave: internal error, uncaught exception:\n"
+        ^ Printexc.to_string e);
+      exit Cmd.Exit.internal_error

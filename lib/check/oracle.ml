@@ -41,7 +41,7 @@ let check_diff ~aux:_ ~base ~edits =
 
 (* ---- R2: scoped well-formedness vs full check --------------------------- *)
 
-let check_wf ~aux:_ ~base ~edits =
+let check_wellformed ~aux:_ ~base ~edits =
   let base_m, m' = build ~base ~edits in
   match Mof.Wellformed.check base_m with
   | _ :: _ as vs ->
@@ -880,7 +880,7 @@ let check_matcher ~aux (wc : Gen.weave_case) =
 let all =
   [
     { name = "diff"; check = Model_check check_diff };
-    { name = "wf"; check = Model_check check_wf };
+    { name = "wf"; check = Model_check check_wellformed };
     { name = "xmi"; check = Model_check check_xmi };
     { name = "query"; check = Model_check check_query };
     { name = "ocl"; check = Model_check check_ocl };

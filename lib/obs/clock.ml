@@ -1,7 +1,7 @@
 (* Time and allocation sources for the observability layer.
 
-   The repo has no opam dependency for a true CLOCK_MONOTONIC (bechamel's
-   clock is bench-only), so timestamps come from the wall clock in integer
+   The repo has no opam dependency for a true CLOCK_MONOTONIC (only mdbench
+   links bechamel's), so timestamps come from the wall clock in integer
    nanoseconds, clamped to be non-decreasing: span arithmetic never sees
    time move backwards, which is all the trace formats require. *)
 

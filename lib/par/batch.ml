@@ -83,24 +83,3 @@ let traced f item =
 
 let refine_all_traced ?pool ~steps models =
   run_batch ?pool ~label:"refine-traced" (traced (refine_one ~steps)) models
-
-let apply_one ?checks ~cmts model =
-  let outcome =
-    match
-      match checks with
-      | None -> Transform.Engine.run model cmts
-      | Some checks -> Transform.Engine.run ~checks model cmts
-    with
-    | Ok session -> Ok session.Transform.Engine.current
-    | Error (name, failure) -> Error (name, failure)
-  in
-  if Obs.Metric.enabled () then begin
-    Obs.incr "batch.items" [];
-    match outcome with
-    | Ok _ -> Obs.incr "batch.ok" []
-    | Error _ -> Obs.incr "batch.error" []
-  end;
-  outcome
-
-let apply_all ?pool ?checks ~cmts models =
-  run_batch ?pool ~label:"apply" (apply_one ?checks ~cmts) models

@@ -38,8 +38,9 @@ val refine_all :
   ?pool:Pool.t -> steps:step list -> Mof.Model.t list -> outcome list
 (** [refine_all ~pool ~steps models] — one {!refine_one} per model on the
     pool ([None] = sequentially in the caller), outcomes in submission
-    order. Metric shards are merged at the join (see {!Pool}), so counter
-    totals after the call are exact. *)
+    order. This is what [mdweave batch] runs and bench E14 times. Metric
+    shards are merged at the join (see {!Pool}), so counter totals after
+    the call are exact. *)
 
 val refine_all_traced :
   ?pool:Pool.t ->
@@ -53,13 +54,3 @@ val refine_all_traced :
     {!Obs.Event.normalize} (timestamps, durations, domain ids). The par
     oracle compares these per item between the parallel and sequential
     arms. *)
-
-val apply_all :
-  ?pool:Pool.t ->
-  ?checks:Transform.Engine.checks ->
-  cmts:Transform.Cmt.t list ->
-  Mof.Model.t list ->
-  (Mof.Model.t, string * Transform.Engine.failure) result list
-(** The engine-level batch (no project/repository bookkeeping): run the
-    concrete transformation chain on every model. [checks] as in
-    {!Transform.Engine.apply} — bench E14's checked/unchecked arms. *)

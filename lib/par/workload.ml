@@ -1,5 +1,5 @@
-(* Mirrors the shape of the test suite's Fixtures.synthetic (the E7
-   scaling workload): every class carries [attrs] attributes and [ops]
+(* Mirrors the shape of the test suite's Fixtures.synthetic (the E14
+   batch workload): every class carries [attrs] attributes and [ops]
    operations with one integer parameter and an integer result. *)
 
 let synthetic ?(attrs = 3) ?(ops = 3) ~classes name =

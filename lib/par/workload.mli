@@ -1,4 +1,4 @@
-(** Deterministic synthetic batch workloads — the E7/E14 model shape
+(** Deterministic synthetic batch workloads — the E14 model shape
     ([n] classes, each with 3 attributes and 3 one-parameter operations),
     built without any test-only dependency so the CLI ([mdweave batch
     --synthetic]) and the bench harness share one generator. *)

@@ -1,6 +1,6 @@
 (** The full-copy repository — the pre-content-addressing implementation,
     kept verbatim as the differential baseline for the [repo] oracle and
-    bench E15.
+    the snapshot-size test in [test_repository.ml].
 
     Every commit embeds a complete model value and [diff_between]
     recomputes from the embedded models; nothing is shared through a
@@ -48,4 +48,5 @@ val diff_between : t -> from_id:int -> to_id:int -> Mof.Diff.t option
 val estimated_bytes : t -> int
 (** A flat re-serialization measure: total canonical bytes of every
     element of every commit's embedded model — what a snapshot with no
-    sharing would cost. The E15 baseline column. *)
+    sharing would cost. A snapshot of the same history stays under a
+    tenth of it ([test_repository.ml]). *)

@@ -33,7 +33,7 @@ val count : t -> int
 
 val bytes : t -> int
 (** Total canonical payload bytes across distinct objects — the measure
-    behind the [repo.store.bytes] gauge and the E15 store-size rows. *)
+    behind the [repo.store.bytes] gauge. *)
 
 val fold : (digest -> Mof.Element.t -> string -> 'a -> 'a) -> t -> 'a -> 'a
 (** Folds over [(digest, element, canonical bytes)] in ascending digest

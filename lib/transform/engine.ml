@@ -24,15 +24,6 @@ let pp_failure ppf = function
         violations
   | Rewrite_failed msg -> Format.fprintf ppf "rewrite failed: %s" msg
 
-type checks = {
-  check_pre : bool;
-  check_post : bool;
-  check_wf : bool;
-}
-
-let all_checks = { check_pre = true; check_post = true; check_wf = true }
-let no_checks = { check_pre = false; check_post = false; check_wf = false }
-
 type outcome = {
   model : Mof.Model.t;
   diff : Mof.Diff.t;
@@ -47,17 +38,15 @@ let failed_conditions ~env model conditions =
       | o -> Some (c.Ocl.Constraint_.name, o))
     conditions
 
-let apply ?(checks = all_checks) cmt model =
+let apply cmt model =
   Obs.span ~cat:"transform" "engine.apply"
     ~args:[ ("transformation", Obs.Event.V_string (Cmt.name cmt)) ]
   @@ fun () ->
   let env = Cmt.env cmt in
   let outcome =
     let pre_failures =
-      if checks.check_pre then
-        Obs.span ~cat:"transform" "engine.pre" @@ fun () ->
-        failed_conditions ~env model cmt.Cmt.gmt.Gmt.preconditions
-      else []
+      Obs.span ~cat:"transform" "engine.pre" @@ fun () ->
+      failed_conditions ~env model cmt.Cmt.gmt.Gmt.preconditions
     in
     if pre_failures <> [] then Error (Precondition_failed pre_failures)
     else
@@ -68,10 +57,8 @@ let apply ?(checks = all_checks) cmt model =
       | exception Gmt.Rewrite_error msg -> Error (Rewrite_failed msg)
       | new_model -> (
           let post_failures =
-            if checks.check_post then
-              Obs.span ~cat:"transform" "engine.post" @@ fun () ->
-              failed_conditions ~env new_model cmt.Cmt.gmt.Gmt.postconditions
-            else []
+            Obs.span ~cat:"transform" "engine.post" @@ fun () ->
+            failed_conditions ~env new_model cmt.Cmt.gmt.Gmt.postconditions
           in
           if post_failures <> [] then Error (Postcondition_failed post_failures)
           else
@@ -88,16 +75,14 @@ let apply ?(checks = all_checks) cmt model =
               Mof.Diff.compute ~old_model:model ~new_model
             in
             let violations =
-              if not checks.check_wf then []
-              else
-                Obs.span ~cat:"transform" "engine.wf" @@ fun () ->
-                let touched = Mof.Diff.touched diff in
-                if Obs.Metric.enabled () then begin
-                  Obs.incr "engine.wf.scoped" [];
-                  Obs.observe ~unit_:"elements" "engine.wf.scoped.touched" []
-                    (float_of_int (Mof.Id.Set.cardinal touched))
-                end;
-                Mof.Wellformed.check_touched new_model ~touched
+              Obs.span ~cat:"transform" "engine.wf" @@ fun () ->
+              let touched = Mof.Diff.touched diff in
+              if Obs.Metric.enabled () then begin
+                Obs.incr "engine.wf.scoped" [];
+                Obs.observe ~unit_:"elements" "engine.wf.scoped.touched" []
+                  (float_of_int (Mof.Id.Set.cardinal touched))
+              end;
+              Mof.Wellformed.check_touched new_model ~touched
             in
             match violations with
             | _ :: _ -> Error (Not_wellformed violations)
@@ -121,8 +106,8 @@ type session = {
 let start model =
   { initial = model; current = model; trace = Trace.empty; applied = []; reports = [] }
 
-let step ?checks session cmt =
-  match apply ?checks cmt session.current with
+let step session cmt =
+  match apply cmt session.current with
   | Error failure -> Error failure
   | Ok { model; diff; report } ->
       Ok
@@ -136,11 +121,11 @@ let step ?checks session cmt =
           reports = session.reports @ [ report ];
         }
 
-let run ?checks model cmts =
+let run model cmts =
   let rec loop session = function
     | [] -> Ok session
     | cmt :: rest -> (
-        match step ?checks session cmt with
+        match step session cmt with
         | Ok session -> loop session rest
         | Error failure -> Error (Cmt.name cmt, failure))
   in

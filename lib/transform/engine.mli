@@ -10,8 +10,10 @@
       ({!Mof.Wellformed.check_touched}),
     + extend the trace.
 
-    Each check can be disabled (the [ablation/precheck] experiment measures
-    what the checks cost). *)
+    Every check always runs: a transformation is a refinement step only
+    with its pre- and postconditions checked (Section 2 of the paper). What
+    each check costs shows as the [engine.pre], [engine.post] and
+    [engine.wf] spans of a trace. *)
 
 (** Why an application was refused. The model is never left in a broken
     state: failures return the input model untouched. *)
@@ -25,24 +27,6 @@ type failure =
 
 val pp_failure : Format.formatter -> failure -> unit
 
-(** Options controlling which checks run. *)
-type checks = {
-  check_pre : bool;
-  check_post : bool;
-  check_wf : bool;
-      (** re-validate the elements the rewrite touched (journal diff →
-          {!Mof.Wellformed.check_touched}). That reports exactly what the
-          whole-model {!Mof.Wellformed.check} would whenever the input
-          model was well-formed — which {!apply} has already guaranteed
-          for every model it produced; the [wf] oracle holds the two to
-          that. *)
-}
-
-val all_checks : checks
-(** Everything on (the default). *)
-
-val no_checks : checks
-
 (** Result of one successful application. *)
 type outcome = {
   model : Mof.Model.t;
@@ -50,9 +34,13 @@ type outcome = {
   report : Report.t;
 }
 
-val apply :
-  ?checks:checks -> Cmt.t -> Mof.Model.t -> (outcome, failure) result
-(** Applies one concrete transformation (checks default to {!all_checks}). *)
+val apply : Cmt.t -> Mof.Model.t -> (outcome, failure) result
+(** Applies one concrete transformation. The well-formedness check
+    re-validates only the elements the rewrite touched (journal diff →
+    {!Mof.Wellformed.check_touched}). That reports exactly what the
+    whole-model {!Mof.Wellformed.check} would whenever the input model was
+    well-formed — which [apply] has already guaranteed for every model it
+    produced; the [wf] oracle holds the two to that. *)
 
 (** A refinement session: the current model plus the trace of applied
     transformations. *)
@@ -66,12 +54,10 @@ type session = {
 
 val start : Mof.Model.t -> session
 
-val step :
-  ?checks:checks -> session -> Cmt.t -> (session, failure) result
+val step : session -> Cmt.t -> (session, failure) result
 (** Applies a transformation to the session's current model and extends the
     trace. On failure the session is unchanged. *)
 
-val run :
-  ?checks:checks -> Mof.Model.t -> Cmt.t list -> (session, string * failure) result
+val run : Mof.Model.t -> Cmt.t list -> (session, string * failure) result
 (** Applies a whole sequence; stops at the first failure, reporting the
     offending transformation's concrete name. *)

@@ -482,11 +482,6 @@ let engine_tests =
         | Error (Engine.Not_wellformed violations) ->
             check cb "violations" true (violations <> [])
         | _ -> Alcotest.fail "expected well-formedness failure");
-    Alcotest.test_case "checks can be disabled" `Quick (fun () ->
-        let cmt = Cmt.specialize_exn breaker_gmt [] in
-        match Engine.apply ~checks:Engine.no_checks cmt (Fixtures.banking ()) with
-        | Ok _ -> ()
-        | Error f -> Alcotest.fail (Format.asprintf "%a" Engine.pp_failure f));
     Alcotest.test_case "postcondition failure reported" `Quick (fun () ->
         let lying =
           Gmt.make ~name:"T.lying" ~concern:"testing" ~formals:[]
