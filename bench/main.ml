@@ -94,7 +94,7 @@ let write_snapshot path =
            entries)
     ^ "\n]\n"
   in
-  Obs.Sink.write_file path json;
+  Obs.write_file path json;
   Printf.printf "bench snapshot: %s (%d rows)\n%!" path (List.length entries)
 
 (* BENCH_ONLY=E13,E17 (comma-separated, whitespace-tolerant) reruns selected

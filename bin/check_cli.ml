@@ -40,7 +40,8 @@ let main () =
          oracle count)" );
       ( "--trace",
         Arg.Set_string trace,
-        "FILE  write a Chrome trace-event file of the run" );
+        "FILE  record every event of the run in FILE as JSONL (read it back \
+         with mdweave trace summarize, slice or chrome)" );
     ]
   in
   Arg.parse spec
@@ -65,14 +66,6 @@ let main () =
                 exit 2)
           names
   in
-  let chrome =
-    if !trace = "" then None
-    else begin
-      let sink, render = Obs.Sink.chrome () in
-      Obs.set_sink sink;
-      Some (!trace, render)
-    end
-  in
   let seed64 = Int64.of_int !seed in
   let failed = ref false in
   let finish (o : Check.Oracle.t) (s : Check.Harness.stats) =
@@ -92,23 +85,24 @@ let main () =
   (* Oracles run through a bounded Par.Pool (results come back in oracle
      order) instead of the old one-unchecked-domain-per-oracle spawn, so
      nine requested oracles no longer mean nine concurrent domains on a
-     two-core box; --jobs caps the pool explicitly. Sequential fallback
-     when there is nothing to parallelize or when tracing: the Obs sink is
-     domain-local and pool workers start on the null sink, so a traced run
-     must stay in the domain that owns the chrome sink. Per-oracle
-     progress is only printed sequentially for the same reason; the joined
-     summary lines are identical either way. *)
+     two-core box; --jobs caps the pool explicitly, and a traced run merges
+     every oracle's events at the join. Sequential fallback when there is
+     nothing to parallelize, which is also the only path that prints
+     per-oracle progress; the joined summary lines are identical either
+     way. *)
   let host_domains = Domain.recommended_domain_count () in
   let jobs =
     let cap = if !jobs > 0 then !jobs else host_domains in
     max 1 (min cap (List.length selected))
   in
+  let trace = if !trace = "" then None else Some !trace in
+  Obs.with_outputs ?trace @@ fun () ->
   (* the run header records the effective parallelism so a logged run is
      reconstructible: the default is host-dependent, not a constant *)
   if not !quiet then
     Printf.printf "run: seed %d, %d cases per oracle, %d oracle(s), jobs %d (host domains %d)\n%!"
       !seed !count (List.length selected) jobs host_domains;
-  if jobs < 2 || chrome <> None then
+  if jobs < 2 then
     List.iter
       (fun (o : Check.Oracle.t) ->
         let progress i =
@@ -126,20 +120,16 @@ let main () =
             (o, Check.Harness.run o ~seed:seed64 ~count:!count))
           selected)
     |> List.iter (fun (o, r) -> report o r);
-  (match chrome with
-  | Some (path, render) ->
-      Obs.set_sink Obs.Sink.Null;
-      Obs.Sink.write_file path (render ());
-      Printf.printf "trace written to %s\n" path
-  | None -> ());
-  if !failed then exit 1
+  !failed
 
-(* An output path that cannot be written raises [Sys_error] in the writer
-   that opened it; it is reported here, once, instead of escaping as a
-   fatal error. *)
+(* [main] returns whether an oracle failed, once its trace is written. An
+   unwritable --trace path raises a [Sys_error] naming it before any case
+   runs (see [Obs.with_outputs]); it is reported here, once, instead of
+   escaping as a fatal error. *)
 let () =
   match main () with
-  | () -> ()
+  | false -> ()
+  | true -> exit 1
   | exception Sys_error msg ->
       prerr_endline ("check: " ^ msg);
       exit 1

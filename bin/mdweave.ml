@@ -11,7 +11,7 @@
      build     apply a transformation sequence and emit code + aspects
      batch     refine many independent models concurrently (domain pool)
      stats     summarize a model, or render a metrics snapshot as a table
-     trace     summarize / slice JSONL traces per request or session
+     trace     summarize / slice JSONL traces, or convert one to Chrome
      bench-diff  gate two benchmark snapshots against a tolerance
      workflow  middleware-workflow guidance with interference verdicts
      repo      versioned model repository on a content-addressed snapshot *)
@@ -38,10 +38,9 @@ let trace_arg =
     & opt (some string) None
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
-          "Record the run as a trace file: $(docv) ending in .jsonl gets \
-           one JSON event per line (sliceable with $(b,mdweave trace)); \
-           any other name gets the Chrome trace-event format (open in \
-           chrome://tracing or https://ui.perfetto.dev)")
+          "Record every event of the run in $(docv) as JSONL, one JSON \
+           object per line: $(b,mdweave trace summarize), $(b,slice) and \
+           $(b,chrome) read it back")
 
 let metrics_arg =
   Arg.(
@@ -62,55 +61,13 @@ let expo_arg =
            and latency histograms to $(docv) ('-' for stdout); implies \
            metric collection")
 
-let jsonl_of_events events =
-  String.concat "" (List.map (fun e -> Obs.Event.to_json e ^ "\n") events)
-
-(* Install the requested sinks around [f]; artifacts are written on normal
-   completion (a run that dies via [or_die] leaves none behind). The trace
-   format follows the extension: .jsonl streams raw events (the format
-   `mdweave trace` reads back), anything else renders a Chrome trace. *)
-let with_obs ~trace ~metrics ~stats f =
-  let capture =
-    Option.map
-      (fun path ->
-        let sink, events = Obs.Sink.memory () in
-        Obs.set_sink sink;
-        (path, events))
-      trace
-  in
-  if Option.is_some metrics || Option.is_some stats then Obs.Metric.enable ();
-  let v = f () in
-  (match capture with
-  | Some (path, events) ->
-      Obs.set_sink Obs.Sink.Null;
-      let events = events () in
-      Obs.Sink.write_file path
-        (if Filename.check_suffix path ".jsonl" then jsonl_of_events events
-         else Obs.Sink.chrome_of_events events);
-      Printf.printf "trace written to %s\n" path
-  | None -> ());
-  (match stats with
-  | None -> ()
-  | Some "-" -> print_string (Obs.Expo.render ())
-  | Some path ->
-      Obs.Sink.write_file path (Obs.Expo.render ());
-      Printf.printf "stats written to %s\n" path);
-  (match metrics with
-  | Some path ->
-      Obs.Metric.disable ();
-      Obs.Sink.write_file path (Obs.Metric.rows_to_json (Obs.Metric.rows ()));
-      Obs.Metric.reset ();
-      Printf.printf "metrics written to %s\n" path
-  | None -> ());
-  v
-
 (* The --trace/--metrics/--stats trio as one term, shared by every
-   subcommand that takes it: [obs.run f] wraps [f] in {!with_obs}. *)
-type obs = { trace : string option; run : 'a. (unit -> 'a) -> 'a }
+   subcommand that takes it: [obs.run f] wraps [f] in {!Obs.with_outputs}. *)
+type obs = { run : 'a. (unit -> 'a) -> 'a }
 
 let obs_arg =
   let make trace metrics stats =
-    { trace; run = (fun f -> with_obs ~trace ~metrics ~stats f) }
+    { run = (fun f -> Obs.with_outputs ?trace ?metrics ?stats f) }
   in
   Term.(const make $ trace_arg $ metrics_arg $ expo_arg)
 
@@ -654,13 +611,9 @@ let color_cmd =
     match html with
     | None -> ()
     | Some path ->
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () ->
-            output_string oc
-              (Workflow.Color.demarcate_html (Core.Project.model project)
-                 (Core.Project.trace project)));
+        Obs.write_file path
+          (Workflow.Color.demarcate_html (Core.Project.model project)
+             (Core.Project.trace project));
         Printf.printf "HTML demarcation written to %s\n" path
   in
   Cmd.v
@@ -828,9 +781,8 @@ let trace_slice_cmd =
   let run file req sess =
     if req = None && sess = None then
       or_die (Error "trace slice: give --request and/or --session");
-    List.iter
-      (fun e -> print_endline (Obs.Event.to_json e))
-      (Obs.Trace.slice ?req ?sess (read_trace file))
+    print_string
+      (Obs.Trace.to_jsonl (Obs.Trace.slice ?req ?sess (read_trace file)))
   in
   Cmd.v
     (Cmd.info "slice"
@@ -839,14 +791,23 @@ let trace_slice_cmd =
           again JSONL")
     Term.(const run $ trace_file_pos $ request $ session)
 
+let trace_chrome_cmd =
+  let run file = print_string (Obs.Trace.to_chrome (read_trace file)) in
+  Cmd.v
+    (Cmd.info "chrome"
+       ~doc:
+         "Convert a JSONL trace to the Chrome trace-event format on stdout \
+          (open it in chrome://tracing or https://ui.perfetto.dev)")
+    Term.(const run $ trace_file_pos)
+
 let trace_cmd =
   let default = Term.(ret (const (`Help (`Pager, Some "trace")))) in
   Cmd.group ~default
     (Cmd.info "trace"
        ~doc:
-         "Analyze JSONL traces recorded with --trace FILE.jsonl: summarize \
-          or slice per request/session")
-    [ trace_summarize_cmd; trace_slice_cmd ]
+         "Analyze JSONL traces recorded with --trace FILE: summarize or \
+          slice per request/session, or convert to Chrome's format")
+    [ trace_summarize_cmd; trace_slice_cmd; trace_chrome_cmd ]
 
 (* ---- bench-diff -------------------------------------------------------- *)
 
@@ -945,25 +906,8 @@ let read_repo path =
   | exception Sys_error msg -> Error msg
   | data -> Repository.Repo.load data
 
-(* [contents] goes to a temporary file beside [path], which is then renamed
-   over it: an interrupted write leaves the old file whole. *)
-let replace_file path contents =
-  let tmp, oc =
-    Filename.open_temp_file ~mode:[ Open_binary ] ~perms:0o666
-      ~temp_dir:(Filename.dirname path) (Filename.basename path) ".tmp"
-  in
-  match
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc contents)
-  with
-  | () -> Sys.rename tmp path
-  | exception e ->
-      (try Sys.remove tmp with Sys_error _ -> ());
-      raise e
-
 (* rendered before the store is touched *)
-let write_repo path repo = replace_file path (Repository.Repo.save repo)
+let write_repo path repo = Obs.write_file path (Repository.Repo.save repo)
 
 let store_pos =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"STORE.mdr")
@@ -1112,7 +1056,7 @@ let repo_save_cmd =
     let rendered = Repository.Repo.save repo in
     if not (String.equal rendered data) then
       or_die (Error "snapshot is not canonical: save after load differs");
-    replace_file out rendered;
+    Obs.write_file out rendered;
     Printf.printf "verified byte fixpoint, wrote %s (%d bytes)\n" out
       (String.length rendered)
   in
@@ -1152,7 +1096,6 @@ let repo_serve_cmd =
   in
   let run store jobs commits (obs : obs) =
     obs.run @@ fun () ->
-    let tracing = Option.is_some obs.trace in
     let repo = or_die (read_repo store) in
     let svc = Repository.Service.create repo in
     let sessions = List.init (max 1 jobs) Fun.id in
@@ -1167,9 +1110,7 @@ let repo_serve_cmd =
       sessions;
     (* Each session is a numbered Obs session; every snapshot+commit round
        trip is one request, so the trace slices per session (branch) or per
-       request (round trip). Worker domains start on the null sink, so when
-       tracing each session records into its own memory sink and the events
-       are replayed into the main sink after the join. *)
+       request (round trip). *)
     let session s =
       let branch = Printf.sprintf "sess%d" s in
       let rec go i =
@@ -1199,25 +1140,10 @@ let repo_serve_cmd =
           | Ok () -> go (i + 1)
           | Error _ as e -> e
       in
-      Obs.with_session ~id:(s + 1) @@ fun () ->
-      if tracing then
-        let sink, events = Obs.Sink.memory () in
-        let r = Obs.with_sink sink (fun () -> go 1) in
-        (r, events ())
-      else (go 1, [])
+      Obs.with_session ~id:(s + 1) (fun () -> go 1)
     in
-    let results =
-      if jobs > 1 then
-        Par.Pool.with_pool ~jobs (fun pool -> Par.Pool.map pool session sessions)
-      else List.map session sessions
-    in
-    let main_sink = Obs.sink () in
-    List.iter
-      (fun (_, events) -> List.iter (Obs.Sink.emit main_sink) events)
-      results;
-    List.iter
-      (function Ok (), _ -> () | Error msg, _ -> or_die (Error msg))
-      results;
+    Par.Pool.with_pool ~jobs (fun pool -> Par.Pool.map pool session sessions)
+    |> List.iter (function Ok () -> () | Error msg -> or_die (Error msg));
     let final = Repository.Service.snapshot svc in
     write_repo store final;
     List.iter
@@ -1266,10 +1192,11 @@ let repo_cmd =
 
 (* ---- main ------------------------------------------------------------ *)
 
-(* An output path that cannot be written raises [Sys_error] in whichever
-   writer opened it; it is reported here, once, the way [read_model]
-   reports an unreadable input. Any other exception is a bug and keeps
-   Cmdliner's internal-error exit. *)
+(* An output path that cannot be written raises a [Sys_error] naming it,
+   from [Obs.write_file] (or, for --trace/--metrics/--stats, before the
+   run from [Obs.with_outputs]); it is reported here, once, the way
+   [read_model] reports an unreadable input. Any other exception is a bug
+   and keeps Cmdliner's internal-error exit. *)
 let () =
   let doc = "generic concern-oriented model transformations meet AOP" in
   let default = Term.(ret (const (`Help (`Pager, None)))) in

@@ -27,17 +27,11 @@ let render_aspects t =
 let render_functional t = Code.Printer.program_to_string t.functional
 let render_woven t = Code.Printer.program_to_string t.woven
 
-let write_file path contents =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents)
-
 let write_to_dir dir t =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  write_file (Filename.concat dir "functional.java") (render_functional t);
-  write_file (Filename.concat dir "aspects.aj") (render_aspects t);
-  write_file (Filename.concat dir "woven.java") (render_woven t);
+  Obs.write_file (Filename.concat dir "functional.java") (render_functional t);
+  Obs.write_file (Filename.concat dir "aspects.aj") (render_aspects t);
+  Obs.write_file (Filename.concat dir "woven.java") (render_woven t);
   let report =
     String.concat "\n"
       ([ summary t; ""; "aspect precedence:"; precedence_listing t; "" ]
@@ -48,4 +42,4 @@ let write_to_dir dir t =
           t.applications
       @ [ ""; "interference analysis:"; Weaver.Interference.render (interference t) ])
   in
-  write_file (Filename.concat dir "BUILD-REPORT.txt") report
+  Obs.write_file (Filename.concat dir "BUILD-REPORT.txt") report

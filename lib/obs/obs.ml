@@ -9,9 +9,11 @@
 
    The sink is domain-local (Domain.DLS): a freshly spawned domain always
    starts on the null sink, so pool workers never race a buffering sink
-   installed by the main domain. A worker that wants its work traced
-   installs its own sink (see Par.Batch's traced runs); events carry the
-   emitting domain's id either way.
+   installed by the main domain. When the submitter of a pool map traces,
+   the pool records each item into its own memory sink on whichever domain
+   runs it and replays those into the submitter's sink after the join, in
+   submission order (see Par.Pool); events carry the emitting domain's id
+   either way.
 
    Call-site discipline: span/event *arguments* are evaluated by the
    caller, so anything more expensive than a field read must be guarded
@@ -83,3 +85,86 @@ let with_request ?id f = Span.with_request ?id f
 let with_session ~id f = Span.with_session ~id f
 let request_id () = Span.request_id ()
 let session_id () = Span.session_id ()
+
+(* ---- output files ------------------------------------------------------ *)
+
+(* A symlink, device or pipe (say /dev/stdout) is written through in place:
+   renaming a file over it would replace it instead. *)
+let in_place path =
+  match (Unix.lstat path).Unix.st_kind with
+  | Unix.S_REG | Unix.S_DIR -> false
+  | Unix.S_LNK | Unix.S_CHR | Unix.S_BLK | Unix.S_FIFO | Unix.S_SOCK -> true
+  | exception Unix.Unix_error _ -> false
+
+(* Refuse [path] when its directory is missing, not a directory ("dir/."
+   exists only for a directory) or read-only, naming it the way [open_out]
+   would. A target written in place reports its own errors when opened. *)
+let check_writable path =
+  if not (in_place path) then
+    try Unix.access (Filename.concat (Filename.dirname path) ".") [ Unix.W_OK ]
+    with Unix.Unix_error (e, _, _) ->
+      raise (Sys_error (path ^ ": " ^ Unix.error_message e))
+
+(* The one file writer. A new or regular file is replaced: [contents] goes
+   to a temporary file beside [path], which is then renamed over it, so a
+   failed write leaves the old file whole and no temporary behind. Errors
+   are [Sys_error]s naming [path]. *)
+let write_file path contents =
+  check_writable path;
+  if in_place path then
+    Out_channel.with_open_bin path (fun oc -> output_string oc contents)
+  else
+    let tmp, oc =
+      Filename.open_temp_file ~mode:[ Open_binary ] ~perms:0o666
+        ~temp_dir:(Filename.dirname path) (Filename.basename path) ".tmp"
+    in
+    try
+      output_string oc contents;
+      close_out oc;
+      Sys.rename tmp path
+    with e ->
+      close_out_noerr oc;
+      (try Sys.remove tmp with Sys_error _ -> ());
+      raise
+        (match e with Sys_error msg -> Sys_error (path ^ ": " ^ msg) | e -> e)
+
+(* Run [f] recording the requested outputs: [trace] gets every event as
+   JSONL ({!Trace.to_jsonl}), [metrics] the counter rows, [stats] the
+   Prometheus exposition ("-" for stdout). Every path is checked before [f]
+   runs, so an unwritable one costs no work; the files are written when [f]
+   returns (a run that exits early leaves none). Both CLIs' [--trace],
+   [--metrics] and [--stats] go through here. *)
+let with_outputs ?trace ?metrics ?stats f =
+  Option.iter check_writable trace;
+  Option.iter check_writable metrics;
+  Option.iter (fun p -> if p <> "-" then check_writable p) stats;
+  let capture =
+    Option.map
+      (fun path ->
+        let sink, events = Sink.memory () in
+        set_sink sink;
+        (path, events))
+      trace
+  in
+  if Option.is_some metrics || Option.is_some stats then Metric.enable ();
+  let v = f () in
+  (match capture with
+  | Some (path, events) ->
+      set_sink Sink.Null;
+      write_file path (Trace.to_jsonl (events ()));
+      Printf.printf "trace written to %s\n" path
+  | None -> ());
+  (match stats with
+  | None -> ()
+  | Some "-" -> print_string (Expo.render ())
+  | Some path ->
+      write_file path (Expo.render ());
+      Printf.printf "stats written to %s\n" path);
+  (match metrics with
+  | Some path ->
+      Metric.disable ();
+      write_file path (Metric.rows_to_json (Metric.rows ()));
+      Metric.reset ();
+      Printf.printf "metrics written to %s\n" path
+  | None -> ());
+  v

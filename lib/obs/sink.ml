@@ -2,9 +2,9 @@
 
    [Null] is the default and is matched *before* any event is constructed
    (see obs.ml), so uninstrumented runs pay one pattern match per call
-   site. The other sinks are plain closures: an in-memory recorder for
-   tests, a JSONL streamer, and a buffered Chrome trace-event exporter
-   whose output opens directly in chrome://tracing or Perfetto. *)
+   site. [Emit] is a plain closure; [memory] is the one buffering consumer:
+   every trace file is rendered from it ({!Obs.with_outputs}), and a pool
+   records each item of a traced map into one (see Par.Pool). *)
 
 type t = Null | Emit of (Event.t -> unit)
 
@@ -15,63 +15,3 @@ let emit t e = match t with Null -> () | Emit f -> f e
 let memory () =
   let acc = ref [] in
   (Emit (fun e -> acc := e :: !acc), fun () -> List.rev !acc)
-
-(* Stream one JSON object per line into [buf]. *)
-let jsonl buf =
-  Emit
-    (fun e ->
-      Buffer.add_string buf (Event.to_json e);
-      Buffer.add_char buf '\n')
-
-(* ---- Chrome trace-event format ---------------------------------------- *)
-
-(* Timestamps are microseconds relative to the first event, which keeps the
-   numbers small and the viewer timeline anchored at zero. *)
-let chrome_of_events events =
-  let t0 = match events with [] -> 0L | e :: _ -> e.Event.ts_ns in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  List.iteri
-    (fun i (e : Event.t) ->
-      if i > 0 then Buffer.add_char buf ',';
-      let ts_us = Int64.to_float (Int64.sub e.Event.ts_ns t0) /. 1e3 in
-      let args =
-        (match e.Event.kind with
-        | Event.Span_end { wall_ns; alloc_bytes } ->
-            [
-              ("wall_ns", Event.V_float (Int64.to_float wall_ns));
-              ("alloc_bytes", Event.V_float alloc_bytes);
-            ]
-        | Event.Span_begin | Event.Instant -> [])
-        @ (if e.Event.req <> 0 then [ ("req", Event.V_int e.Event.req) ] else [])
-        @ (if e.Event.sess <> 0 then [ ("sess", Event.V_int e.Event.sess) ]
-           else [])
-        @ e.Event.args
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":%s,\"cat\":%s,\"ph\":%s,%s\"pid\":1,\"tid\":%d,\"ts\":%.3f%s}"
-           (Event.json_string e.Event.name)
-           (Event.json_string e.Event.cat)
-           (Event.json_string (Event.phase e.Event.kind))
-           (match e.Event.kind with
-           | Event.Instant -> "\"s\":\"t\","
-           | Event.Span_begin | Event.Span_end _ -> "")
-           (e.Event.dom + 1)
-           ts_us
-           (if args = [] then "" else ",\"args\":" ^ Event.args_to_json args)))
-    events;
-  Buffer.add_string buf "]}\n";
-  Buffer.contents buf
-
-(* Buffering exporter: feed it as a sink during the run, render the full
-   trace document at the end. *)
-let chrome () =
-  let sink, events = memory () in
-  (sink, fun () -> chrome_of_events (events ()))
-
-let write_file path contents =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents)

@@ -1,14 +1,67 @@
-(* Offline analysis over JSONL traces — the read side of {!Event.to_json}.
+(* Offline analysis over JSONL traces — JSONL is the one trace format.
 
-   [parse] turns a JSONL document back into events; [spans] rebuilds the
-   span forest per domain (begin/end pairing is positional: events of one
-   domain are totally ordered by [seq], so a stack is exact);
-   [summarize] rolls wall/alloc up per category and computes the critical
-   path of every request; [slice] filters the raw events by request or
-   session id. Together they make a `--trace FILE.jsonl` run queryable:
+   [to_jsonl] writes events one {!Event.to_json} object per line (what
+   every `--trace FILE` holds) and [parse] reads them back; [spans]
+   rebuilds the span forest per domain (begin/end pairing is positional:
+   events of one domain are totally ordered by [seq], so a stack is
+   exact); [summarize] rolls wall/alloc up per category and computes the
+   critical path of every request; [slice] filters the raw events by
+   request or session id; [to_chrome] renders them as a Chrome trace:
 
      mdweave trace summarize serve.trace.jsonl
-     mdweave trace slice serve.trace.jsonl --request 3 *)
+     mdweave trace slice serve.trace.jsonl --request 3
+     mdweave trace chrome serve.trace.jsonl > serve.trace.json *)
+
+(* ---- writing ------------------------------------------------------------ *)
+
+let to_jsonl (events : Event.t list) : string =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun e ->
+      Buffer.add_string buf (Event.to_json e);
+      Buffer.add_char buf '\n')
+    events;
+  Buffer.contents buf
+
+(* Chrome trace-event document: opens in chrome://tracing or Perfetto.
+   Timestamps are microseconds relative to the first event, which keeps the
+   numbers small and the viewer timeline anchored at zero. *)
+let to_chrome (events : Event.t list) : string =
+  let t0 = match events with [] -> 0L | e :: _ -> e.Event.ts_ns in
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  List.iteri
+    (fun i (e : Event.t) ->
+      if i > 0 then Buffer.add_char buf ',';
+      let ts_us = Int64.to_float (Int64.sub e.Event.ts_ns t0) /. 1e3 in
+      let args =
+        (match e.Event.kind with
+        | Event.Span_end { wall_ns; alloc_bytes } ->
+            [
+              ("wall_ns", Event.V_float (Int64.to_float wall_ns));
+              ("alloc_bytes", Event.V_float alloc_bytes);
+            ]
+        | Event.Span_begin | Event.Instant -> [])
+        @ (if e.Event.req <> 0 then [ ("req", Event.V_int e.Event.req) ] else [])
+        @ (if e.Event.sess <> 0 then [ ("sess", Event.V_int e.Event.sess) ]
+           else [])
+        @ e.Event.args
+      in
+      Buffer.add_string buf
+        (Printf.sprintf
+           "{\"name\":%s,\"cat\":%s,\"ph\":%s,%s\"pid\":1,\"tid\":%d,\"ts\":%.3f%s}"
+           (Event.json_string e.Event.name)
+           (Event.json_string e.Event.cat)
+           (Event.json_string (Event.phase e.Event.kind))
+           (match e.Event.kind with
+           | Event.Instant -> "\"s\":\"t\","
+           | Event.Span_begin | Event.Span_end _ -> "")
+           (e.Event.dom + 1)
+           ts_us
+           (if args = [] then "" else ",\"args\":" ^ Event.args_to_json args)))
+    events;
+  Buffer.add_string buf "]}\n";
+  Buffer.contents buf
 
 (* ---- parsing ------------------------------------------------------------ *)
 
@@ -118,54 +171,42 @@ let spans (events : Event.t list) : span list =
         (fun (a : Event.t) (b : Event.t) -> compare a.Event.seq b.Event.seq)
         dom_events
     in
-    (* stack frames: (begin event, children so far, reversed) *)
+    (* stack frames: (begin event, children so far, reversed); [close]
+       finishes a frame into its parent frame, or into the roots *)
+    let close (b : Event.t) kids ~wall ~alloc stack roots =
+      let node =
+        {
+          sp_name = b.Event.name;
+          sp_cat = b.Event.cat;
+          sp_req = b.Event.req;
+          sp_sess = b.Event.sess;
+          sp_wall_ns = wall;
+          sp_alloc = alloc;
+          sp_children = List.rev kids;
+        }
+      in
+      match stack with
+      | [] -> ([], node :: roots)
+      | (b', kids') :: rest -> ((b', node :: kids') :: rest, roots)
+    in
     let rec walk stack roots = function
-      | [] ->
+      | [] -> (
           (* unterminated frames surface as roots with zero wall *)
-          let rec unwind stack roots =
-            match stack with
-            | [] -> roots
-            | (b, kids) :: rest ->
-                let node =
-                  {
-                    sp_name = b.Event.name;
-                    sp_cat = b.Event.cat;
-                    sp_req = b.Event.req;
-                    sp_sess = b.Event.sess;
-                    sp_wall_ns = 0L;
-                    sp_alloc = 0.;
-                    sp_children = List.rev kids;
-                  }
-                in
-                (match rest with
-                | [] -> unwind [] (node :: roots)
-                | (b', kids') :: rest' ->
-                    unwind ((b', node :: kids') :: rest') roots)
-          in
-          List.rev (unwind stack roots)
+          match stack with
+          | [] -> List.rev roots
+          | (b, kids) :: rest ->
+              let stack, roots = close b kids ~wall:0L ~alloc:0. rest roots in
+              walk stack roots [])
       | (e : Event.t) :: rest -> (
-          match e.Event.kind with
-          | Event.Span_begin -> walk ((e, []) :: stack) roots rest
-          | Event.Instant -> walk stack roots rest
-          | Event.Span_end { wall_ns; alloc_bytes } -> (
-              match stack with
-              | [] -> walk [] roots rest (* stray end: drop *)
-              | (b, kids) :: stack' ->
-                  let node =
-                    {
-                      sp_name = b.Event.name;
-                      sp_cat = b.Event.cat;
-                      sp_req = b.Event.req;
-                      sp_sess = b.Event.sess;
-                      sp_wall_ns = wall_ns;
-                      sp_alloc = alloc_bytes;
-                      sp_children = List.rev kids;
-                    }
-                  in
-                  (match stack' with
-                  | [] -> walk [] (node :: roots) rest
-                  | (b', kids') :: rest' ->
-                      walk ((b', node :: kids') :: rest') roots rest)))
+          match (e.Event.kind, stack) with
+          | Event.Span_begin, _ -> walk ((e, []) :: stack) roots rest
+          | Event.Instant, _ | Event.Span_end _, [] (* stray end: drop *) ->
+              walk stack roots rest
+          | Event.Span_end { wall_ns; alloc_bytes }, (b, kids) :: stack' ->
+              let stack, roots =
+                close b kids ~wall:wall_ns ~alloc:alloc_bytes stack' roots
+              in
+              walk stack roots rest)
     in
     walk [] [] ordered
   in
@@ -229,9 +270,10 @@ type request_row = {
   rr_req : int;
   rr_sess : int;
   rr_events : int;
-  rr_wall_ns : int64;  (** sum of the request's root spans *)
+  rr_wall_ns : int64;  (** sum of the request's topmost spans *)
   rr_critical_path : string list;
-      (** names down the heaviest child at each level of the heaviest root *)
+      (** names down the heaviest child at each level of the heaviest
+          topmost span *)
 }
 
 let by_request (events : Event.t list) : request_row list =
@@ -246,47 +288,46 @@ let by_request (events : Event.t list) : request_row list =
         let sess = if sess <> 0 then sess else e.Event.sess in
         Hashtbl.replace reqs e.Event.req (count + 1, sess))
     events;
-  let roots = spans events in
-  let rec critical node =
-    node.sp_name
-    ::
-    (match
-       List.fold_left
-         (fun best child ->
-           match best with
-           | Some b when Int64.compare b.sp_wall_ns child.sp_wall_ns >= 0 ->
-               best
-           | _ -> Some child)
-         None node.sp_children
-     with
-    | Some heaviest -> critical heaviest
-    | None -> [])
+  (* A request's topmost spans are those with no ancestor of the same
+     request, wherever they sit in the forest: a batch item's spans nest
+     under the submitter's batch span on one domain and are roots on
+     another. Kept in forest order. *)
+  let tops = Hashtbl.create 8 in
+  let rec collect above node =
+    let r = node.sp_req in
+    if r <> 0 && not (List.mem r above) then
+      Hashtbl.replace tops r
+        (node :: Option.value ~default:[] (Hashtbl.find_opt tops r));
+    List.iter (collect (r :: above)) node.sp_children
+  in
+  List.iter (collect []) (spans events);
+  (* the heaviest span at each level, the first one on ties *)
+  let rec critical spans =
+    match
+      List.fold_left
+        (fun best s ->
+          match best with
+          | Some b when Int64.compare b.sp_wall_ns s.sp_wall_ns >= 0 -> best
+          | _ -> Some s)
+        None spans
+    with
+    | Some heaviest -> heaviest.sp_name :: critical heaviest.sp_children
+    | None -> []
   in
   Hashtbl.fold
     (fun req (count, sess) acc ->
-      let own = List.filter (fun r -> r.sp_req = req) roots in
+      let own =
+        List.rev (Option.value ~default:[] (Hashtbl.find_opt tops req))
+      in
       let wall =
         List.fold_left (fun acc r -> Int64.add acc r.sp_wall_ns) 0L own
-      in
-      let path =
-        match
-          List.fold_left
-            (fun best r ->
-              match best with
-              | Some b when Int64.compare b.sp_wall_ns r.sp_wall_ns >= 0 ->
-                  best
-              | _ -> Some r)
-            None own
-        with
-        | Some heaviest -> critical heaviest
-        | None -> []
       in
       {
         rr_req = req;
         rr_sess = sess;
         rr_events = count;
         rr_wall_ns = wall;
-        rr_critical_path = path;
+        rr_critical_path = critical own;
       }
       :: acc)
     reqs []

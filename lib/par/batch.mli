@@ -39,8 +39,9 @@ val refine_all :
 (** [refine_all ~pool ~steps models] — one {!refine_one} per model on the
     pool ([None] = sequentially in the caller), outcomes in submission
     order. This is what [mdweave batch] runs and bench E14 times. Metric
-    shards are merged at the join (see {!Pool}), so counter totals after
-    the call are exact. *)
+    shards, and when the caller traces each item's events, are merged at
+    the join (see {!Pool}), so counter totals after the call are exact and
+    a trace holds every item. *)
 
 val refine_all_traced :
   ?pool:Pool.t ->

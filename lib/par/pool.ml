@@ -15,7 +15,10 @@
    worker has drained its metric shard into the job before the submitter
    absorbs the shards and returns. [active] and [shards] are only touched
    under the mutex; the slot writes happen-before the submitter's reads
-   via the same mutex (worker: run → lock; submitter: lock → read). *)
+   via the same mutex (worker: run → lock; submitter: lock → read).
+   Events merge the same way: when the submitter traces, each item records
+   into its own memory sink, kept beside its slot, and the submitter emits
+   them into its sink in submission order after the join. *)
 
 type job = {
   id : int;
@@ -130,6 +133,15 @@ let map_array t f items =
         run i
       done
     else begin
+      let sink = Obs.sink () in
+      let traces = Array.make n (fun () -> []) in
+      let run =
+        if Obs.Sink.is_null sink then run
+        else fun i ->
+          let item_sink, events = Obs.Sink.memory () in
+          traces.(i) <- events;
+          Obs.with_sink item_sink (fun () -> run i)
+      in
       Mutex.lock t.m;
       if t.dead then begin
         Mutex.unlock t.m;
@@ -162,7 +174,8 @@ let map_array t f items =
       done;
       t.job <- None;
       Mutex.unlock t.m;
-      List.iter Obs.Metric.absorb j.shards
+      List.iter Obs.Metric.absorb j.shards;
+      Array.iter (fun events -> List.iter (Obs.Sink.emit sink) (events ())) traces
     end;
     Array.map
       (function

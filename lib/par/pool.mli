@@ -30,7 +30,13 @@
     metric shard ({!Obs.Metric}). At the end of every [map], each
     participating worker drains its metric shard and the submitting domain
     absorbs them before returning — counter totals observed after a [map]
-    are exact, as if the batch had run sequentially. *)
+    are exact, as if the batch had run sequentially.
+
+    Events merge like metric shards. When the submitting domain's sink is
+    on, each item records into its own {!Obs.Sink.memory} on whichever
+    domain runs it, and after the join the submitter emits those events
+    into its sink in submission order — a traced [map] records every item,
+    each event stamped with the domain that ran it. *)
 
 type t
 

@@ -219,8 +219,4 @@ let to_string m =
   Buffer.add_string buf "    </Model>\n  </XMI.content>\n</XMI>\n";
   Buffer.contents buf
 
-let write_file path m =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string m))
+let write_file path m = Obs.write_file path (to_string m)

@@ -15,4 +15,5 @@ val to_string : Mof.Model.t -> string
     indent per level, one element per line, [Constraint.body] text inline. *)
 
 val write_file : string -> Mof.Model.t -> unit
-(** Writes {!to_string} to a file. *)
+(** Writes {!to_string} to a file through {!Obs.write_file}: a temporary
+    file renamed over the target. *)

@@ -3,7 +3,8 @@
    Covers: span nesting/ordering through the memory sink, exception
    safety, counter/gauge/histogram arithmetic, null-sink no-op behaviour,
    JSONL and Chrome trace well-formedness (validated with the minimal JSON
-   parser below), and determinism of the event stream modulo timestamps. *)
+   parser below), Chrome rendering of a parsed JSONL trace, and
+   determinism of the event stream modulo timestamps. *)
 
 (* ---- a minimal JSON syntax checker ------------------------------------ *)
 
@@ -166,6 +167,19 @@ let with_memory f =
       f ();
       events ())
 
+(* A sequential batch refinement of three synthetic models: each item is
+   one request, whose spans nest under the batch.run span. *)
+let batch_trace () =
+  let logging =
+    Par.Batch.step ~concern:"logging"
+      ~params:
+        [ ("targets", Transform.Params.V_list [ Transform.Params.V_string "*" ]) ]
+  in
+  with_memory (fun () ->
+      ignore
+        (Par.Batch.refine_all ~steps:[ logging ]
+           (Par.Workload.models ~classes:3 3)))
+
 let names events = List.map (fun (e : Obs.Event.t) -> e.Obs.Event.name) events
 let phases events =
   List.map (fun (e : Obs.Event.t) -> Obs.Event.phase e.Obs.Event.kind) events
@@ -315,7 +329,7 @@ let format_tests =
     Alcotest.test_case "chrome trace is valid JSON with balanced B/E" `Quick
       (fun () ->
         let events = with_memory workload in
-        let trace = Obs.Sink.chrome_of_events events in
+        let trace = Obs.Trace.to_chrome events in
         check_json "chrome trace" trace;
         let count ph =
           List.length
@@ -325,26 +339,31 @@ let format_tests =
         in
         Alcotest.(check int) "every B has an E" (count "B") (count "E"));
     Alcotest.test_case "empty trace still renders" `Quick (fun () ->
-        check_json "empty chrome trace" (Obs.Sink.chrome_of_events []));
+        check_json "empty chrome trace" (Obs.Trace.to_chrome []));
     Alcotest.test_case "jsonl: one valid JSON object per line" `Quick (fun () ->
-        Obs.reset ();
-        let buf = Buffer.create 256 in
-        Obs.set_sink (Obs.Sink.jsonl buf);
-        Fun.protect ~finally:Obs.reset workload;
         let lines =
           List.filter
             (fun l -> String.trim l <> "")
-            (String.split_on_char '\n' (Buffer.contents buf))
+            (String.split_on_char '\n'
+               (Obs.Trace.to_jsonl (with_memory workload)))
         in
         Alcotest.(check int) "7 events" 7 (List.length lines);
         List.iter (check_json "jsonl line") lines);
-    Alcotest.test_case "chrome sink buffers and renders the same stream" `Quick
-      (fun () ->
-        Obs.reset ();
-        let sink, render = Obs.Sink.chrome () in
-        Obs.set_sink sink;
-        Fun.protect ~finally:Obs.reset workload;
-        check_json "chrome()" (render ()));
+    (* `mdweave trace chrome` renders what it parses back from a --trace
+       file: a recorded batch must come out as if rendered from the
+       events themselves *)
+    Alcotest.test_case "chrome survives a JSONL round trip" `Quick (fun () ->
+        let events = batch_trace () in
+        match Obs.Trace.parse (Obs.Trace.to_jsonl events) with
+        | Error msg -> Alcotest.failf "parse failed: %s" msg
+        | Ok parsed ->
+            Alcotest.(check bool) "parsed events equal the recorded" true
+              (parsed = events);
+            let chrome = Obs.Trace.to_chrome events in
+            check_json "chrome of a batch" chrome;
+            Alcotest.(check string)
+              "same bytes" chrome
+              (Obs.Trace.to_chrome parsed));
   ]
 
 (* ---- determinism -------------------------------------------------------- *)
@@ -622,9 +641,6 @@ let request_tests =
 
 (* ---- trace analysis -------------------------------------------------------- *)
 
-let jsonl_of events =
-  String.concat "" (List.map (fun e -> Obs.Event.to_json e ^ "\n") events)
-
 let trace_tests =
   [
     Alcotest.test_case "JSONL round-trips through parse" `Quick (fun () ->
@@ -633,7 +649,7 @@ let trace_tests =
               Obs.with_session ~id:2 (fun () ->
                   Obs.with_request ~id:9 (fun () -> workload ())))
         in
-        match Obs.Trace.parse (jsonl_of events) with
+        match Obs.Trace.parse (Obs.Trace.to_jsonl events) with
         | Error msg -> Alcotest.failf "parse failed: %s" msg
         | Ok parsed ->
             (* ts_ns exceeds the float mantissa, so compare normalized *)
@@ -682,7 +698,21 @@ let trace_tests =
              i + 13 <= length text
              && (equal (sub text i 13) "outer > heavy" || contains (i + 1))
            in
-           contains 0))
+           contains 0);
+        (* each batch request still reads its own wall and critical path *)
+        let rows = Obs.Trace.by_request (batch_trace ()) in
+        Alcotest.(check int) "one row per item" 3 (List.length rows);
+        List.iter
+          (fun (r : Obs.Trace.request_row) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "req %d has a wall" r.Obs.Trace.rr_req)
+              true
+              (r.Obs.Trace.rr_wall_ns > 0L);
+            Alcotest.(check (option string))
+              (Printf.sprintf "req %d path" r.Obs.Trace.rr_req)
+              (Some "pipeline.refine")
+              (List.nth_opt r.Obs.Trace.rr_critical_path 0))
+          rows)
     ;
     Alcotest.test_case "slice keeps exactly the matching events" `Quick
       (fun () ->

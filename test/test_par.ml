@@ -85,6 +85,28 @@ let pool_tests =
                 (List.init n (fun i -> i + n))
                 (Par.Pool.map p (fun i -> i + n) (List.init n Fun.id))
             done));
+    Alcotest.test_case "a traced map records every item, in submission order"
+      `Quick (fun () ->
+        (* each item waits until both have started, so the two run on
+           different domains (the wait gives up after 5 s, so a starved
+           worker only makes the run sequential) *)
+        let started = Atomic.make 0 in
+        let item i =
+          Atomic.incr started;
+          let deadline = Unix.gettimeofday () +. 5. in
+          while Atomic.get started < 2 && Unix.gettimeofday () < deadline do
+            Domain.cpu_relax ()
+          done;
+          Obs.event (Printf.sprintf "item%d" i)
+        in
+        let sink, events = Obs.Sink.memory () in
+        Obs.with_sink sink (fun () ->
+            Par.Pool.with_pool ~jobs:2 (fun p ->
+                ignore (Par.Pool.map p item [ 0; 1 ])));
+        check
+          (Alcotest.list Alcotest.string)
+          "both items' events" [ "item0"; "item1" ]
+          (List.map (fun (e : Obs.Event.t) -> e.Obs.Event.name) (events ())));
     Alcotest.test_case "map on a shut-down pool is refused" `Quick (fun () ->
         let p = Par.Pool.create ~jobs:2 () in
         Par.Pool.shutdown p;
