@@ -10,18 +10,13 @@
      codegen   generate code (functional or monolithic) from an XMI model
      build     apply a transformation sequence and emit code + aspects
      batch     refine many independent models concurrently (domain pool)
-     stats     summarize a model, or render a metrics snapshot as a table
+     stats     summarize a model and its concern spaces
      trace     summarize / slice JSONL traces, or convert one to Chrome
      bench-diff  gate two benchmark snapshots against a tolerance
      workflow  middleware-workflow guidance with interference verdicts
      repo      versioned model repository on a content-addressed snapshot *)
 
 open Cmdliner
-
-let read_model path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | text -> Result.map_error Xmi.Import.error_to_string (Xmi.Import.parse text)
-  | exception Sys_error msg -> Error msg
 
 let or_die = function
   | Ok v -> v
@@ -48,28 +43,19 @@ let metrics_arg =
     & opt (some string) None
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
-          "Record run counters and histograms as JSON rows \
-           ({metric, value, unit})")
+          "Write the run's counters, gauges and histograms to $(docv) ('-' \
+           for stdout) as a Prometheus text exposition; each metric's \
+           $(b,# HELP) line names its unit")
 
-let expo_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "stats" ] ~docv:"FILE"
-        ~doc:
-          "Write a Prometheus-style text exposition of the run's counters \
-           and latency histograms to $(docv) ('-' for stdout); implies \
-           metric collection")
-
-(* The --trace/--metrics/--stats trio as one term, shared by every
-   subcommand that takes it: [obs.run f] wraps [f] in {!Obs.with_outputs}. *)
+(* The --trace/--metrics pair as one term, shared by every subcommand that
+   takes it: [obs.run f] wraps [f] in {!Obs.with_outputs}. *)
 type obs = { run : 'a. (unit -> 'a) -> 'a }
 
 let obs_arg =
-  let make trace metrics stats =
-    { run = (fun f -> Obs.with_outputs ?trace ?metrics ?stats f) }
+  let make trace metrics =
+    { run = (fun f -> Obs.with_outputs ?trace ?metrics f) }
   in
-  Term.(const make $ trace_arg $ metrics_arg $ expo_arg)
+  Term.(const make $ trace_arg $ metrics_arg)
 
 (* ---- sample ---------------------------------------------------------- *)
 
@@ -120,7 +106,7 @@ let info_cmd =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
   in
   let run file =
-    let m = or_die (read_model file) in
+    let m = or_die (Xmi.Import.read_file file) in
     Printf.printf "model: %s (%d elements, level %s)\n" (Mof.Model.name m)
       (Mof.Model.size m)
       (match Core.Level.of_model m with
@@ -202,7 +188,7 @@ let apply_cmd =
   let run file concern params out (obs : obs) =
     Core.Platform.ensure_registered ();
     obs.run @@ fun () ->
-    let m = or_die (read_model file) in
+    let m = or_die (Xmi.Import.read_file file) in
     let cmt, _ = or_die (resolve_cmt concern params) in
     match Transform.Engine.apply cmt m with
     | Error failure ->
@@ -236,7 +222,7 @@ let check_cmd =
           ~doc:"Evaluate per instance of this metaclass with self bound")
   in
   let run file expr context =
-    let m = or_die (read_model file) in
+    let m = or_die (Xmi.Import.read_file file) in
     let c = Ocl.Constraint_.make ?context ~name:"cli" expr in
     let outcome = Ocl.Constraint_.check m c in
     Format.printf "%a@." Ocl.Constraint_.pp_outcome outcome;
@@ -257,7 +243,7 @@ let codegen_cmd =
           ~doc:"Include concern-introduced elements (no aspect route)")
   in
   let run file monolithic =
-    let m = or_die (read_model file) in
+    let m = or_die (Xmi.Import.read_file file) in
     let options =
       if monolithic then
         { Code.Generator.accessors = true; exclude_stereotypes = [] }
@@ -336,7 +322,7 @@ let build_cmd =
   let run file steps outdir explain (obs : obs) =
     Core.Platform.ensure_registered ();
     obs.run @@ fun () ->
-    let m = or_die (read_model file) in
+    let m = or_die (Xmi.Import.read_file file) in
     let project = refined_project m steps in
     let artifacts =
       or_die
@@ -412,7 +398,8 @@ let batch_cmd =
       let items =
         List.map
           (fun f ->
-            (Filename.remove_extension (Filename.basename f), read_model f))
+            ( Filename.remove_extension (Filename.basename f),
+              Xmi.Import.read_file f ))
           files
         @ List.mapi
             (fun i m -> (Printf.sprintf "batch%d" i, Ok m))
@@ -491,7 +478,7 @@ let joinpoints_cmd =
   in
   let run file steps pointcut_text =
     Core.Platform.ensure_registered ();
-    let m = or_die (read_model file) in
+    let m = or_die (Xmi.Import.read_file file) in
     let project = refined_project m steps in
     let pc =
       match Aspects.Pointcut_parser.parse pointcut_text with
@@ -540,7 +527,7 @@ let run_cmd =
   let run file steps class_name method_name fault_specs (obs : obs) =
     Core.Platform.ensure_registered ();
     obs.run @@ fun () ->
-    let m = or_die (read_model file) in
+    let m = or_die (Xmi.Import.read_file file) in
     let project = refined_project m steps in
     let artifacts =
       or_die
@@ -605,7 +592,7 @@ let color_cmd =
   in
   let run file steps html =
     Core.Platform.ensure_registered ();
-    let m = or_die (read_model file) in
+    let m = or_die (Xmi.Import.read_file file) in
     let project = refined_project m steps in
     print_endline (Core.Project.coloring project);
     match html with
@@ -635,7 +622,7 @@ let ship_cmd =
   in
   let run file steps outdir =
     Core.Platform.ensure_registered ();
-    let m = or_die (read_model file) in
+    let m = or_die (Xmi.Import.read_file file) in
     let project = refined_project m steps in
     (match Core.Shipping.ship ~dir:outdir project with
     | Ok () -> ()
@@ -670,38 +657,9 @@ let replay_cmd =
 
 let stats_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
-  (* One command, two inputs, told apart by content: a metrics snapshot
-     (JSON array from `--metrics` or a BENCH_*.json) renders as a table,
-     anything else is an XMI model summarized with its concern spaces. *)
-  let render_snapshot text =
-    let rows = or_die (Obs.Regress.parse text) in
-    let have_experiments =
-      List.exists (fun r -> r.Obs.Regress.experiment <> "") rows
-    in
-    Printf.printf "metrics snapshot: %d row(s)\n" (List.length rows);
-    List.iter
-      (fun (r : Obs.Regress.row) ->
-        if have_experiments then
-          Printf.printf "  %-9s %-56s %14s %s\n" r.experiment r.metric
-            (Obs.Regress.number r.value) r.unit_
-        else
-          Printf.printf "  %-56s %14s %s\n" r.metric
-            (Obs.Regress.number r.value) r.unit_)
-      rows
-  in
-  let looks_like_snapshot text =
-    let rec first i =
-      if i >= String.length text then None
-      else
-        match text.[i] with
-        | ' ' | '\t' | '\n' | '\r' -> first (i + 1)
-        | c -> Some c
-    in
-    match first 0 with Some ('[' | '{') -> true | _ -> false
-  in
-  let model_stats file steps =
+  let run file steps =
     Core.Platform.ensure_registered ();
-    let m = or_die (read_model file) in
+    let m = or_die (Xmi.Import.read_file file) in
     let project = refined_project m steps in
     let model = Core.Project.model project in
     let count f = List.length (f model) in
@@ -728,20 +686,11 @@ let stats_cmd =
           (Mof.Id.Set.cardinal (Transform.Trace.concern_space trace ~concern)))
       concerns
   in
-  let run file steps =
-    let text =
-      match In_channel.with_open_bin file In_channel.input_all with
-      | exception Sys_error msg -> or_die (Error msg)
-      | text -> text
-    in
-    if looks_like_snapshot text then render_snapshot text
-    else model_stats file steps
-  in
   Cmd.v
     (Cmd.info "stats"
        ~doc:
-         "Summarize a model and its concern spaces, or render a metrics \
-          snapshot (from $(b,--metrics) or a BENCH file) as a table")
+         "Summarize a model (after any $(b,-s) steps): element counts by \
+          kind and the size of each applied concern's space")
     Term.(const run $ file $ steps_arg)
 
 (* ---- trace ------------------------------------------------------------ *)
@@ -762,7 +711,7 @@ let trace_summarize_cmd =
     (Cmd.info "summarize"
        ~doc:
          "Roll a JSONL trace up: per-category wall/alloc totals and the \
-          critical path of every request")
+          critical path of the 20 heaviest requests by wall")
     Term.(const run $ trace_file_pos)
 
 let trace_slice_cmd =
@@ -847,7 +796,7 @@ let workflow_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let run file steps =
     Core.Platform.ensure_registered ();
-    let m = or_die (read_model file) in
+    let m = or_die (Xmi.Import.read_file file) in
     let project = refined_project m steps in
     (* replay the applied concerns through the middleware workflow *)
     let progress =
@@ -932,7 +881,7 @@ let repo_init_cmd =
       & info [ "branch" ] ~docv:"NAME" ~doc:"Initial branch name")
   in
   let run model out branch =
-    let m = or_die (read_model model) in
+    let m = or_die (Xmi.Import.read_file model) in
     let repo = Repository.Repo.init ~branch m in
     write_repo out repo;
     Printf.printf "initialized %s: %s\n" out (repo_stats repo)
@@ -965,7 +914,7 @@ let repo_commit_cmd =
   let run store model message branch concern (obs : obs) =
     obs.run @@ fun () ->
     let repo = or_die (read_repo store) in
-    let m = or_die (read_model model) in
+    let m = or_die (Xmi.Import.read_file model) in
     let repo =
       match branch with
       | None -> Repository.Repo.commit ?concern ~message m repo
@@ -1167,8 +1116,8 @@ let repo_serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Run concurrent sessions against the repository: each commits on \
-          its own branch through the session service; $(b,--stats) exposes \
-          the run's latency histograms Prometheus-style")
+          its own branch through the session service; $(b,--metrics) \
+          writes the run's latency histograms as a Prometheus exposition")
     Term.(
       const run $ store_pos $ jobs $ commits $ obs_arg)
 
@@ -1193,10 +1142,10 @@ let repo_cmd =
 (* ---- main ------------------------------------------------------------ *)
 
 (* An output path that cannot be written raises a [Sys_error] naming it,
-   from [Obs.write_file] (or, for --trace/--metrics/--stats, before the
-   run from [Obs.with_outputs]); it is reported here, once, the way
-   [read_model] reports an unreadable input. Any other exception is a bug
-   and keeps Cmdliner's internal-error exit. *)
+   from [Obs.write_file] (or, for --trace/--metrics, before the run from
+   [Obs.with_outputs]); it is reported here, once, the way an unreadable
+   input is. Any other exception is a bug and keeps Cmdliner's
+   internal-error exit. *)
 let () =
   let doc = "generic concern-oriented model transformations meet AOP" in
   let default = Term.(ret (const (`Help (`Pager, None)))) in

@@ -133,6 +133,3 @@ let parse src =
   | pc -> Ok pc
   | exception Error (msg, pos) ->
       Stdlib.Error (Printf.sprintf "pointcut parse error at %d: %s" pos msg)
-
-let parse_exn src =
-  match parse src with Ok pc -> pc | Error msg -> invalid_arg msg

@@ -29,6 +29,3 @@ val parse : string -> (Pointcut.t, string) result
     [And] and [Or] in parentheses, so one costs at most two levels (its
     parenthesis and its right operand) and a [Not] one. A stack of up to
     256 [Not]s round-trips too. *)
-
-val parse_exn : string -> Pointcut.t
-(** @raise Invalid_argument on parse errors. *)

@@ -114,22 +114,19 @@ let check_query ~aux:_ ~base ~edits =
       (fun s -> Some (Mof.Id.Set.add id (Option.value ~default:Mof.Id.Set.empty s)))
       m
   in
-  let by_kind, by_name, by_st, owned, refs =
+  let by_kind, by_name, owned, refs =
     List.fold_left
-      (fun (k, n, s, o, r) (e : Mof.Element.t) ->
+      (fun (k, n, o, r) (e : Mof.Element.t) ->
         let k = bucket k (Mof.Kind.name e.kind) e.id in
         let n = bucket n e.name e.id in
-        let s =
-          List.fold_left (fun s st -> bucket s st e.id) s e.stereotypes
-        in
         let o =
           match e.owner with Some ow -> ibucket o ow e.id | None -> o
         in
         let r =
           List.fold_left (fun r t -> ibucket r t e.id) r (Mof.Kind.refs e.kind)
         in
-        (k, n, s, o, r))
-      (Sm.empty, Sm.empty, Sm.empty, Im.empty, Im.empty)
+        (k, n, o, r))
+      (Sm.empty, Sm.empty, Im.empty, Im.empty)
       elems
   in
   let fail = ref None in
@@ -156,7 +153,6 @@ let check_query ~aux:_ ~base ~edits =
   in
   compare_sm "by_kind" Mof.Model.by_kind by_kind;
   compare_sm "by_name" Mof.Model.by_name by_name;
-  compare_sm "by_stereotype" Mof.Model.by_stereotype by_st;
   compare_im "owned_by" Mof.Model.owned_by owned;
   compare_im "referrers" Mof.Model.referrers refs;
   (* classifier extents: Meta.all_instances vs the scan-built extent *)
@@ -676,9 +672,6 @@ let repo_check_versions cas naive =
       ids
   in
   let names = List.map (fun (e : Mof.Element.t) -> e.name) all_elements in
-  let stereotypes =
-    List.concat_map (fun (e : Mof.Element.t) -> e.stereotypes) all_elements
-  in
   let targets =
     List.concat_map
       (fun (e : Mof.Element.t) ->
@@ -695,7 +688,6 @@ let repo_check_versions cas naive =
     in
     if not (agree Mof.Model.by_kind Mof.Kind.all_names) then Some "by_kind"
     else if not (agree Mof.Model.by_name names) then Some "by_name"
-    else if not (agree Mof.Model.by_stereotype stereotypes) then Some "by_stereotype"
     else if not (agree Mof.Model.owned_by targets) then Some "owned_by"
     else if not (agree Mof.Model.referrers targets) then Some "referrers"
     else None

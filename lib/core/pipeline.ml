@@ -11,8 +11,6 @@ type error =
     }
   | Aspect_generation of string
 
-exception Pipeline_error of error
-
 let pp_error ppf = function
   | Unknown_concern c -> Format.fprintf ppf "unknown concern %s" c
   | Invalid_params { transformation; problems } ->
@@ -72,11 +70,6 @@ let refine project ~concern ~params =
                       session.Transform.Engine.current project.Project.repo
                   in
                   Ok ({ project with Project.session; repo; progress }, report))))
-
-let refine_exn project ~concern ~params =
-  match refine project ~concern ~params with
-  | Ok (project, _) -> project
-  | Error e -> raise (Pipeline_error e)
 
 let undo project =
   match List.rev project.Project.session.Transform.Engine.applied with

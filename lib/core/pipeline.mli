@@ -27,8 +27,6 @@ type error =
   | Aspect_generation of string
       (** no generic aspect registered for an applied transformation *)
 
-exception Pipeline_error of error
-
 val pp_error : Format.formatter -> error -> unit
 (** Human-readable rendering; mentions the offending parameter, workflow
     step, or condition by name. *)
@@ -43,13 +41,6 @@ val refine :
 (** One refinement step. Fails (model untouched) on: unknown concern,
     parameter validation problems, workflow violations, failed
     pre/postconditions, broken well-formedness. *)
-
-val refine_exn :
-  Project.t ->
-  concern:string ->
-  params:(string * Transform.Params.value) list ->
-  Project.t
-(** @raise Pipeline_error with the typed error. *)
 
 val undo : Project.t -> Project.t option
 (** Reverts the last refinement: repository head moves back, the trace

@@ -45,19 +45,6 @@ let manifest_of project =
   let* ls = lines [] (Project.applied project) in
   Ok (String.concat "\n" ls ^ if ls = [] then "" else "\n")
 
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      really_input_string ic len)
-
-let read_model path =
-  match read_file path with
-  | text -> Result.map_error Xmi.Import.error_to_string (Xmi.Import.parse text)
-  | exception Sys_error e -> Error e
-
 let ship ~dir project =
   let* manifest = manifest_of project in
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
@@ -116,12 +103,15 @@ let load_manifest text =
 let replay ~dir =
   Platform.ensure_registered ();
   let* manifest =
-    match read_file (Filename.concat dir "MANIFEST") with
+    match
+      In_channel.with_open_bin (Filename.concat dir "MANIFEST")
+        In_channel.input_all
+    with
     | text -> Ok text
     | exception Sys_error e -> Error e
   in
   let* steps = load_manifest manifest in
-  let* initial = read_model (Filename.concat dir "initial.xmi") in
+  let* initial = Xmi.Import.read_file (Filename.concat dir "initial.xmi") in
   List.fold_left
     (fun acc (concern, raw_assignments) ->
       let* project = acc in
@@ -142,5 +132,5 @@ let replay ~dir =
 
 let verify ~dir =
   let* replayed = replay ~dir in
-  let* shipped = read_model (Filename.concat dir "final.xmi") in
+  let* shipped = Xmi.Import.read_file (Filename.concat dir "final.xmi") in
   Ok (Mof.Model.equal (Project.model replayed) shipped)

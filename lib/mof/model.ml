@@ -9,7 +9,6 @@ module Smap = Map.Make (String)
 type indexes = {
   ix_kind : Id.Set.t Smap.t;  (* metaclass name -> ids of that kind *)
   ix_name : Id.Set.t Smap.t;  (* simple name -> ids bearing it *)
-  ix_stereotype : Id.Set.t Smap.t;  (* stereotype -> ids carrying it *)
   ix_owner : Id.Set.t Id.Map.t;  (* owner id -> ids whose [owner] field is it *)
   ix_referrers : Id.Set.t Id.Map.t;
       (* target id -> ids whose [Kind.refs] mention it; keyed by the target
@@ -44,7 +43,6 @@ let empty_indexes =
   {
     ix_kind = Smap.empty;
     ix_name = Smap.empty;
-    ix_stereotype = Smap.empty;
     ix_owner = Id.Map.empty;
     ix_referrers = Id.Map.empty;
   }
@@ -84,10 +82,6 @@ let index_element e idx =
   {
     ix_kind = sbucket_add (Kind.name e.Element.kind) id idx.ix_kind;
     ix_name = sbucket_add e.Element.name id idx.ix_name;
-    ix_stereotype =
-      List.fold_left
-        (fun acc s -> sbucket_add s id acc)
-        idx.ix_stereotype e.Element.stereotypes;
     ix_owner =
       (match e.Element.owner with
       | Some o -> ibucket_add o id idx.ix_owner
@@ -104,10 +98,6 @@ let unindex_element e idx =
   {
     ix_kind = sbucket_drop (Kind.name e.Element.kind) id idx.ix_kind;
     ix_name = sbucket_drop e.Element.name id idx.ix_name;
-    ix_stereotype =
-      List.fold_left
-        (fun acc s -> sbucket_drop s id acc)
-        idx.ix_stereotype e.Element.stereotypes;
     ix_owner =
       (match e.Element.owner with
       | Some o -> ibucket_drop o id idx.ix_owner
@@ -139,8 +129,8 @@ let key_changes compare olds news =
 
 (* Move [e]'s id from the buckets of the keys [e] had to those [e'] has, for
    the keys that differ and only those: an update typically changes one key
-   (a rename, a stereotype, one ref appended to a containment list), and
-   dropping and re-adding every other bucket was most of its cost. *)
+   (a rename, one ref appended to a containment list), and dropping and
+   re-adding every other bucket was most of its cost. *)
 let reindex_element e e' idx =
   let id = e.Element.id in
   let moved drop add compare olds news acc =
@@ -157,11 +147,6 @@ let reindex_element e e' idx =
     ix_name =
       (if String.equal name name' then idx.ix_name
        else sbucket_add name' id (sbucket_drop name id idx.ix_name));
-    ix_stereotype =
-      (if e.Element.stereotypes == e'.Element.stereotypes then idx.ix_stereotype
-       else
-         moved sbucket_drop sbucket_add String.compare e.Element.stereotypes
-           e'.Element.stereotypes idx.ix_stereotype);
     ix_owner =
       (match (e.Element.owner, e'.Element.owner) with
       | Some o, Some o' when Id.equal o o' -> idx.ix_owner
@@ -282,7 +267,6 @@ let set_of = function None -> Id.Set.empty | Some s -> s
 
 let by_kind m kind = set_of (Smap.find_opt kind m.idx.ix_kind)
 let by_name m name = set_of (Smap.find_opt name m.idx.ix_name)
-let by_stereotype m s = set_of (Smap.find_opt s m.idx.ix_stereotype)
 let owned_by m id = set_of (Id.Map.find_opt id m.idx.ix_owner)
 let referrers m id = set_of (Id.Map.find_opt id m.idx.ix_referrers)
 

@@ -13,7 +13,6 @@
 
     - {!by_kind}: metaclass name → ids ({!Kind.name} of the element's kind);
     - {!by_name}: simple name → ids;
-    - {!by_stereotype}: stereotype → ids carrying it;
     - {!owned_by}: owner id → ids whose [owner] field designates it;
     - {!referrers}: target id → ids whose {!Kind.refs} mention it. The key
       is the {e target}, bound or not, so the referrers of a removed element
@@ -97,11 +96,11 @@ val update : t -> Id.t -> (Element.t -> Element.t) -> t
 (** [update m id f] replaces the element bound to [id] by [f] applied to
     it and journals [id]. [f] must keep the element's id (every caller
     edits a field of the element it is given). Only the index keys that
-    changed are reindexed: the kind name, the name, the stereotypes, the
-    owner, and the refs that one side mentions and the other does not. A
-    rename touches two name buckets, and appending a child to a package's
-    containment list adds one referrer entry. O(k log k + c log n) for k
-    refs and stereotypes and c changed keys.
+    changed are reindexed: the kind name, the name, the owner, and the
+    refs that one side mentions and the other does not. A rename touches
+    two name buckets, appending a child to a package's containment list
+    adds one referrer entry, and a stereotype or tag touches no index.
+    O(k log k + c log n) for k refs and c changed keys.
     @raise Element_not_found if [id] is unbound. *)
 
 val with_root : root:Id.t -> next:int -> t -> t
@@ -131,9 +130,6 @@ val by_kind : t -> string -> Id.Set.t
 
 val by_name : t -> string -> Id.Set.t
 (** Ids of all elements with the given simple name. *)
-
-val by_stereotype : t -> string -> Id.Set.t
-(** Ids of all elements carrying the given stereotype. *)
 
 val owned_by : t -> Id.t -> Id.Set.t
 (** Ids of all elements whose [owner] field designates the given id (the

@@ -150,8 +150,6 @@ let find_class m name =
     (Id.Set.min_elt_opt
        (Id.Set.inter (Model.by_kind m "Class") (Model.by_name m name)))
 
-let with_stereotype m s = resolve_set m (Model.by_stereotype m s)
-
 let containing_class m id =
   let is_class o =
     match (Model.find_exn m o).Element.kind with

@@ -3,9 +3,8 @@
 
     All listings come back in ascending id order — the order the historical
     full-scan implementations produced — but are now served from the model's
-    secondary indexes ({!Model.by_kind}, {!Model.by_name},
-    {!Model.by_stereotype}), so a lookup costs O(log n + r) for r results
-    instead of O(n). The byte-for-byte agreement with a full scan is pinned
+    secondary indexes ({!Model.by_kind}, {!Model.by_name}), so a lookup
+    costs O(log n + r) for r results instead of O(n). The byte-for-byte agreement with a full scan is pinned
     by the randomized consistency test in [test_mof.ml]. *)
 
 val classes : Model.t -> Element.t list
@@ -78,10 +77,6 @@ val find_named : Model.t -> string -> Element.t list
 val find_class : Model.t -> string -> Element.t option
 (** First class with the given simple name (intersection of the kind and
     name indexes). *)
-
-val with_stereotype : Model.t -> string -> Element.t list
-(** All elements carrying the given stereotype. Served by
-    {!Model.by_stereotype}. *)
 
 val owner_chain : Model.t -> Id.t -> Id.t list
 (** Owners from the element's direct owner up to the root, nearest first. *)

@@ -1,11 +1,16 @@
-(* Prometheus-style text exposition of the metric registry.
+(* Prometheus-style text exposition of the metric registry: the one
+   metrics output, what `--metrics FILE` writes.
 
    One deterministic document (entries sorted by metric name, then label
    string): counters and gauges render as single samples, histograms as
    the standard `_bucket{le="..."}`/`_sum`/`_count` triple with cumulative
    bucket counts, only the non-empty buckets plus the mandatory
    `le="+Inf"` emitted — the log-linear layout has 960 buckets and a
-   latency distribution touches a handful.
+   latency distribution touches a handful. Each family opens with
+   `# HELP <name> <unit>` (the unit it was recorded with) and
+   `# TYPE <name> <kind>`, so count, sum, mean and any quantile are
+   recoverable from the file to bucket resolution; exact min/max stay in
+   {!Metric.rows}.
 
    Metric names are sanitized to the Prometheus grammar (letters, digits,
    '_' and ':', not starting with a digit): every other character becomes
@@ -69,23 +74,24 @@ let number f =
 
 let add_cell buf seen_types name labels (cell : Metric.cell) =
   let sname = sanitize name in
-  let type_line kind =
+  let type_line kind unit_ =
     if not (List.mem sname !seen_types) then begin
       seen_types := sname :: !seen_types;
-      Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" sname kind)
+      Buffer.add_string buf
+        (Printf.sprintf "# HELP %s %s\n# TYPE %s %s\n" sname unit_ sname kind)
     end
   in
   match cell with
-  | Metric.Counter { total; _ } ->
-      type_line "counter";
+  | Metric.Counter { total; c_unit } ->
+      type_line "counter" c_unit;
       Buffer.add_string buf
         (Printf.sprintf "%s%s %s\n" sname (render_labels labels) (number total))
-  | Metric.Gauge { value; _ } ->
-      type_line "gauge";
+  | Metric.Gauge { value; g_unit } ->
+      type_line "gauge" g_unit;
       Buffer.add_string buf
         (Printf.sprintf "%s%s %s\n" sname (render_labels labels) (number value))
-  | Metric.Histogram { hist; _ } ->
-      type_line "histogram";
+  | Metric.Histogram { hist; o_unit } ->
+      type_line "histogram" o_unit;
       let cumulative = ref 0 in
       List.iter
         (fun (_, upper, count) ->

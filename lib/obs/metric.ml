@@ -140,18 +140,11 @@ let rows () =
   in
   List.sort (fun a b -> String.compare a.metric b.metric) all
 
-(* One row per line, `{experiment, metric, value, unit}` — the BENCH_*.json
-   snapshot schema (experiment omitted when not supplied). *)
-let row_to_json ?experiment r =
-  let exp =
-    match experiment with
-    | Some e -> Printf.sprintf "\"experiment\":%s," (Event.json_string e)
-    | None -> ""
-  in
-  Printf.sprintf "{%s\"metric\":%s,\"value\":%s,\"unit\":%s}" exp
+(* One `{experiment, metric, value, unit}` object: a row of bench's
+   BENCH_*.json snapshots, the schema {!Regress} reads. *)
+let row_to_json ~experiment r =
+  Printf.sprintf "{\"experiment\":%s,\"metric\":%s,\"value\":%s,\"unit\":%s}"
+    (Event.json_string experiment)
     (Event.json_string r.metric)
     (Event.json_float r.value)
     (Event.json_string r.unit_)
-
-let rows_to_json ?experiment rows =
-  "[\n" ^ String.concat ",\n" (List.map (row_to_json ?experiment) rows) ^ "\n]\n"

@@ -129,15 +129,14 @@ let write_file path contents =
         (match e with Sys_error msg -> Sys_error (path ^ ": " ^ msg) | e -> e)
 
 (* Run [f] recording the requested outputs: [trace] gets every event as
-   JSONL ({!Trace.to_jsonl}), [metrics] the counter rows, [stats] the
-   Prometheus exposition ("-" for stdout). Every path is checked before [f]
-   runs, so an unwritable one costs no work; the files are written when [f]
-   returns (a run that exits early leaves none). Both CLIs' [--trace],
-   [--metrics] and [--stats] go through here. *)
-let with_outputs ?trace ?metrics ?stats f =
+   JSONL ({!Trace.to_jsonl}), [metrics] the Prometheus text exposition of
+   the registry ({!Expo.render}; "-" for stdout). Every path is checked
+   before [f] runs, so an unwritable one costs no work; the files are
+   written when [f] returns (a run that exits early leaves none). Both
+   CLIs' [--trace] and [--metrics] go through here. *)
+let with_outputs ?trace ?metrics f =
   Option.iter check_writable trace;
-  Option.iter check_writable metrics;
-  Option.iter (fun p -> if p <> "-" then check_writable p) stats;
+  Option.iter (fun p -> if p <> "-" then check_writable p) metrics;
   let capture =
     Option.map
       (fun path ->
@@ -146,7 +145,7 @@ let with_outputs ?trace ?metrics ?stats f =
         (path, events))
       trace
   in
-  if Option.is_some metrics || Option.is_some stats then Metric.enable ();
+  if Option.is_some metrics then Metric.enable ();
   let v = f () in
   (match capture with
   | Some (path, events) ->
@@ -154,17 +153,15 @@ let with_outputs ?trace ?metrics ?stats f =
       write_file path (Trace.to_jsonl (events ()));
       Printf.printf "trace written to %s\n" path
   | None -> ());
-  (match stats with
-  | None -> ()
-  | Some "-" -> print_string (Expo.render ())
-  | Some path ->
-      write_file path (Expo.render ());
-      Printf.printf "stats written to %s\n" path);
   (match metrics with
-  | Some path ->
+  | None -> ()
+  | Some target ->
       Metric.disable ();
-      write_file path (Metric.rows_to_json (Metric.rows ()));
+      let text = Expo.render () in
       Metric.reset ();
-      Printf.printf "metrics written to %s\n" path
-  | None -> ());
+      if target = "-" then print_string text
+      else begin
+        write_file target text;
+        Printf.printf "metrics written to %s\n" target
+      end);
   v

@@ -56,8 +56,7 @@ let parse (text : string) : (row list, string) result =
                 Flatjson.str_field "unit" item )
             with
             | Some metric, Some value, Some unit_ ->
-                (* experiment is absent in `--metrics` run files; present in
-                   BENCH_*.json *)
+                (* optional: every BENCH_*.json row carries one *)
                 let experiment =
                   Option.value ~default:""
                     (Flatjson.str_field "experiment" item)

@@ -4,8 +4,8 @@
    every `--trace FILE` holds) and [parse] reads them back; [spans]
    rebuilds the span forest per domain (begin/end pairing is positional:
    events of one domain are totally ordered by [seq], so a stack is
-   exact); [summarize] rolls wall/alloc up per category and computes the
-   critical path of every request; [slice] filters the raw events by
+   exact); [summarize] rolls wall/alloc up per category and prints the
+   critical path of the heaviest requests; [slice] filters the raw events by
    request or session id; [to_chrome] renders them as a Chrome trace:
 
      mdweave trace summarize serve.trace.jsonl
@@ -338,6 +338,10 @@ let by_request (events : Event.t list) : request_row list =
 let distinct f events =
   List.sort_uniq compare (List.filter_map f events) |> List.length
 
+(* [summarize] prints at most this many request rows: a traced oracle run
+   holds thousands of requests. *)
+let max_request_rows = 20
+
 let summarize (events : Event.t list) : string =
   let buf = Buffer.create 1024 in
   let doms =
@@ -373,6 +377,12 @@ let summarize (events : Event.t list) : string =
   let rows = by_request events in
   if rows <> [] then begin
     Buffer.add_string buf "per-request critical path:\n";
+    (* the heaviest by wall, ties to the lower id, shown in id order *)
+    let shown =
+      List.stable_sort (fun a b -> Int64.compare b.rr_wall_ns a.rr_wall_ns) rows
+      |> List.filteri (fun i _ -> i < max_request_rows)
+      |> List.sort (fun a b -> compare a.rr_req b.rr_req)
+    in
     List.iter
       (fun r ->
         Buffer.add_string buf
@@ -380,7 +390,11 @@ let summarize (events : Event.t list) : string =
              r.rr_req r.rr_sess r.rr_events r.rr_wall_ns
              (if r.rr_critical_path = [] then "-"
               else String.concat " > " r.rr_critical_path)))
-      rows
+      shown;
+    let hidden = List.length rows - List.length shown in
+    if hidden > 0 then
+      Buffer.add_string buf
+        (Printf.sprintf "  ... %d more request(s)\n" hidden)
   end;
   Buffer.contents buf
 

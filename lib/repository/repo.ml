@@ -146,8 +146,9 @@ let append ?transformation ?concern ~message ~branch ~(parent : Commit.t)
         Mof.Id.Set.cardinal diff.Mof.Diff.added
         + Mof.Id.Set.cardinal diff.Mof.Diff.modified
       in
-      Obs.observe ~unit_:"ratio" "repo.commit.shared_ratio" []
-        (float_of_int (total - changed) /. float_of_int total)
+      (* in permille: the histogram quantizes samples to integers *)
+      Obs.observe ~unit_:"permille" "repo.commit.shared_permille" []
+        (float_of_int ((total - changed) * 1000 / total))
     end
   end;
   t

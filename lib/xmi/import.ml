@@ -336,9 +336,6 @@ let from_string s =
   | Error (Invalid_xmi message) -> raise (Import_error message)
 
 let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      from_string (really_input_string ic len))
+  match In_channel.with_open_bin path In_channel.input_all with
+  | text -> Result.map_error error_to_string (parse text)
+  | exception Sys_error msg -> Error msg

@@ -34,6 +34,6 @@ val from_string : string -> Mof.Model.t
     @raise Xml_parser.Xml_error on malformed XML
     @raise Import_error on malformed XMI. *)
 
-val read_file : string -> Mof.Model.t
-(** {!from_string} on a file's contents.
-    @raise Sys_error when the file cannot be read. *)
+val read_file : string -> (Mof.Model.t, string) result
+(** {!parse} on a file's contents: the model, or the file error or the
+    parse error rendered by {!error_to_string}. *)

@@ -450,11 +450,6 @@ let query_tests =
         let m, iface = Mof.Builder.add_interface m ~owner:(Mof.Model.root m) ~name:"I" in
         let m = Mof.Builder.add_realization m ~cls ~iface in
         check ci "one realizer" 1 (List.length (Mof.Query.realizers_of m iface)));
-    Alcotest.test_case "with_stereotype" `Quick (fun () ->
-        let m, cls = with_class () in
-        let m = Mof.Builder.add_stereotype m cls "hot" in
-        check ci "found" 1 (List.length (Mof.Query.with_stereotype m "hot"));
-        check ci "absent" 0 (List.length (Mof.Query.with_stereotype m "cold")));
     Alcotest.test_case "containing_class finds the enclosing class" `Quick
       (fun () ->
         let m = Fixtures.banking () in
@@ -637,14 +632,6 @@ let store_tests =
         let m = Mof.Model.remove m cls in
         check cb "kind bucket dropped" true
           (Mof.Id.Set.is_empty (Mof.Model.by_kind m "Class")));
-    Alcotest.test_case "stereotype index follows element updates" `Quick
-      (fun () ->
-        let m, cls = with_class () in
-        let m = Mof.Builder.add_stereotype m cls "hot" in
-        check cb "indexed" true (Mof.Id.Set.mem cls (Mof.Model.by_stereotype m "hot"));
-        let m = Mof.Model.update m cls (Mof.Element.remove_stereotype "hot") in
-        check cb "dropped" true
-          (Mof.Id.Set.is_empty (Mof.Model.by_stereotype m "hot")));
     Alcotest.test_case "owned_by mirrors the owner field" `Quick (fun () ->
         let m, cls = with_class () in
         check cb "listed" true
@@ -903,14 +890,6 @@ let indexes_agree m =
        ("zz-missing"
        :: List.map (fun (e : Mof.Element.t) -> e.Mof.Element.name) elements)
   && List.for_all
-       (fun s ->
-         eq_ids (Mof.Model.by_stereotype m s)
-           (scan_ids m (Mof.Element.has_stereotype s)))
-       ("zz-missing"
-       :: List.concat_map
-            (fun (e : Mof.Element.t) -> e.Mof.Element.stereotypes)
-            elements)
-  && List.for_all
        (fun t ->
          eq_ids (Mof.Model.owned_by m t)
            (scan_ids m (fun e -> e.Mof.Element.owner = Some t))
@@ -963,12 +942,6 @@ let queries_agree m =
                     (fun e -> Mof.Element.metaclass e = "Class")
                     m)))
        names
-  && List.for_all
-       (fun s ->
-         eq_elts (Mof.Query.with_stereotype m s)
-           (Mof.Model.filter (Mof.Element.has_stereotype s) m))
-       ("zz-missing" :: List.concat_map
-          (fun (e : Mof.Element.t) -> e.Mof.Element.stereotypes) elements)
   && List.for_all
        (fun q ->
          (* among colliding matches (dotted simple names, a root-level

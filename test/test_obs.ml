@@ -319,7 +319,12 @@ let metric_tests =
             Obs.incr "c\"tricky\nname" [ ("k", "v") ];
             Obs.observe "h" [] 0.5;
             check_json "metrics snapshot"
-              (Obs.Metric.rows_to_json ~experiment:"E0" (Obs.Metric.rows ()))));
+              ("["
+              ^ String.concat ","
+                  (List.map
+                     (Obs.Metric.row_to_json ~experiment:"E0")
+                     (Obs.Metric.rows ()))
+              ^ "]")));
   ]
 
 (* ---- trace formats ------------------------------------------------------ *)
@@ -555,10 +560,14 @@ let expo_tests =
               [ 1.; 2.; 300.; 40_000. ];
             let text = Obs.Expo.render () in
             let has l = List.mem l (expo_lines ()) in
+            Alcotest.(check bool) "counter unit" true
+              (has "# HELP req_count count");
             Alcotest.(check bool) "counter type" true
               (has "# TYPE req_count counter");
             Alcotest.(check bool) "counter sample" true (has "req_count 3");
             Alcotest.(check bool) "gauge sample" true (has "pool_depth 4");
+            Alcotest.(check bool) "histogram unit" true
+              (has "# HELP svc_lat_ns ns");
             Alcotest.(check bool) "histogram type" true
               (has "# TYPE svc_lat_ns histogram");
             Alcotest.(check bool) "+Inf bucket" true
@@ -699,6 +708,18 @@ let trace_tests =
              && (equal (sub text i 13) "outer > heavy" || contains (i + 1))
            in
            contains 0);
+        (* 25 requests print the 20 heaviest and count the rest *)
+        let many =
+          with_memory (fun () ->
+              for id = 1 to 25 do
+                Obs.with_request ~id (fun () -> Obs.span "op" ignore)
+              done)
+        in
+        let lines = String.split_on_char '\n' (Obs.Trace.summarize many) in
+        Alcotest.(check int) "request rows" 20
+          (List.length (List.filter (String.starts_with ~prefix:"  req ") lines));
+        Alcotest.(check bool) "rest counted" true
+          (List.mem "  ... 5 more request(s)" lines);
         (* each batch request still reads its own wall and critical path *)
         let rows = Obs.Trace.by_request (batch_trace ()) in
         Alcotest.(check int) "one row per item" 3 (List.length rows);

@@ -357,8 +357,8 @@ let repo_tests =
           (float_of_int (Hashtbl.fold (fun _ n acc -> acc + n) objects 0))
           (published "repo.store.bytes");
         (* each commit after the root shares what its diff did not add or
-           modify *)
-        let ratios =
+           modify, in permille *)
+        let shared =
           List.filter_map
             (fun (c : Repository.Commit.t) ->
               Option.map
@@ -367,15 +367,27 @@ let repo_tests =
                   let changed =
                     Mof.Id.Set.cardinal c.diff.added + Mof.Id.Set.cardinal c.diff.modified
                   in
-                  float_of_int (total - changed) /. float_of_int total)
+                  float_of_int ((total - changed) * 1000 / total))
                 c.parent)
             versions
+          |> List.sort Float.compare
         in
-        let ratio stat = published ("repo.commit.shared_ratio." ^ stat) in
-        check (Alcotest.float 0.) "count" (float_of_int (List.length ratios)) (ratio "count");
-        check (Alcotest.float 1e-9) "sum" (List.fold_left ( +. ) 0. ratios) (ratio "sum");
-        check (Alcotest.float 0.) "min" (List.fold_left min 1. ratios) (ratio "min");
-        check (Alcotest.float 0.) "max" (List.fold_left max 0. ratios) (ratio "max"));
+        let stat s = published ("repo.commit.shared_permille." ^ s) in
+        let n = List.length shared in
+        check (Alcotest.float 0.) "count" (float_of_int n) (stat "count");
+        check (Alcotest.float 0.) "sum" (List.fold_left ( +. ) 0. shared) (stat "sum");
+        check (Alcotest.float 0.) "min" (List.hd shared) (stat "min");
+        check (Alcotest.float 0.) "max" (List.nth shared (n - 1)) (stat "max");
+        (* a quantile reads the upper bound of the bucket holding the
+           nearest-rank sample, at most 1/16 above it for samples of 16 or
+           more (every sample here is) *)
+        List.iter
+          (fun (s, q) ->
+            let want = List.nth shared (int_of_float (Float.ceil (q *. float_of_int n)) - 1) in
+            let got = stat s in
+            if not (want <= got && got <= want *. (1. +. (1. /. 16.))) then
+              Alcotest.failf "%s: %g, nearest rank %g" s got want)
+          [ ("p50", 0.5); ("p99", 0.99) ]);
   ]
 
 let branch_tests =
@@ -593,24 +605,22 @@ module Props = struct
     let agree lookup keys =
       List.for_all (fun k -> Mof.Id.Set.equal (lookup loaded k) (lookup fresh k)) keys
     in
-    let names, stereotypes, targets = keys in
+    let names, targets = keys in
     if not (Mof.Model.equal original loaded) then fail "population or root differs"
     else if Mof.Model.next original <> Mof.Model.next loaded then fail "next differs"
     else if not (agree Mof.Model.by_kind Mof.Kind.all_names) then fail "by_kind"
     else if not (agree Mof.Model.by_name names) then fail "by_name"
-    else if not (agree Mof.Model.by_stereotype stereotypes) then fail "by_stereotype"
     else if not (agree Mof.Model.owned_by targets) then fail "owned_by"
     else if not (agree Mof.Model.referrers targets) then fail "referrers"
     else true
 
-  (* The names, stereotypes and ids the elements of [models] mention, each
-     once: the keys [same_version] probes. *)
+  (* The names and ids the elements of [models] mention, each once: the
+     keys [same_version] probes. *)
   let index_keys models =
     let module Sset = Set.Make (String) in
     let elements = List.concat_map Mof.Model.elements models in
     let strings f = Sset.elements (Sset.of_list (List.concat_map f elements)) in
     ( strings (fun (e : Mof.Element.t) -> [ e.name ]),
-      strings (fun (e : Mof.Element.t) -> e.stereotypes),
       Mof.Id.Set.elements
         (Mof.Id.Set.of_list
            (List.concat_map
