@@ -33,9 +33,9 @@ let trace_arg =
     & opt (some string) None
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
-          "Record every event of the run in $(docv) as JSONL, one JSON \
-           object per line: $(b,mdweave trace summarize), $(b,slice) and \
-           $(b,chrome) read it back")
+          "Record every event of the run in $(docv) ('-' for stdout) as \
+           JSONL, one JSON object per line: $(b,mdweave trace summarize), \
+           $(b,slice) and $(b,chrome) read it back")
 
 let metrics_arg =
   Arg.(

@@ -130,13 +130,22 @@ let write_file path contents =
 
 (* Run [f] recording the requested outputs: [trace] gets every event as
    JSONL ({!Trace.to_jsonl}), [metrics] the Prometheus text exposition of
-   the registry ({!Expo.render}; "-" for stdout). Every path is checked
-   before [f] runs, so an unwritable one costs no work; the files are
-   written when [f] returns (a run that exits early leaves none). Both
-   CLIs' [--trace] and [--metrics] go through here. *)
+   the registry ({!Expo.render}). For either, "-" is stdout, written after
+   [f]'s own output. Every path is checked before [f] runs, so an
+   unwritable one costs no work; the files are written when [f] returns (a
+   run that exits early leaves none). Both CLIs' [--trace] and [--metrics]
+   go through here. *)
 let with_outputs ?trace ?metrics f =
-  Option.iter check_writable trace;
-  Option.iter (fun p -> if p <> "-" then check_writable p) metrics;
+  let check p = if p <> "-" then check_writable p in
+  Option.iter check trace;
+  Option.iter check metrics;
+  let emit what target text =
+    if target = "-" then print_string text
+    else begin
+      write_file target text;
+      Printf.printf "%s written to %s\n" what target
+    end
+  in
   let capture =
     Option.map
       (fun path ->
@@ -150,8 +159,7 @@ let with_outputs ?trace ?metrics f =
   (match capture with
   | Some (path, events) ->
       set_sink Sink.Null;
-      write_file path (Trace.to_jsonl (events ()));
-      Printf.printf "trace written to %s\n" path
+      emit "trace" path (Trace.to_jsonl (events ()))
   | None -> ());
   (match metrics with
   | None -> ()
@@ -159,9 +167,5 @@ let with_outputs ?trace ?metrics f =
       Metric.disable ();
       let text = Expo.render () in
       Metric.reset ();
-      if target = "-" then print_string text
-      else begin
-        write_file target text;
-        Printf.printf "metrics written to %s\n" target
-      end);
+      emit "metrics" target text);
   v

@@ -1,7 +1,9 @@
-(* A big-endian Patricia trie. Keys are non-negative, so every branching
-   bit is a positive power of two, bits compare as plain ints, and the keys
-   of a left subtree are all smaller than those of its right sibling. Empty
+(* A big-endian Patricia trie over {!Mof.Id.Bits}, the arithmetic
+   {!Mof.Id.Set} branches on too. Keys are non-negative, so the keys of a
+   left subtree are all smaller than those of its right sibling. Empty
    appears only as a whole trie, never as a branch's child. *)
+open Mof.Id.Bits
+
 type t =
   | Empty
   | Leaf of { key : int; digest : Store.digest }
@@ -10,21 +12,6 @@ type t =
 let empty = Empty
 
 let cardinal = function Empty -> 0 | Leaf _ -> 1 | Branch b -> b.size
-
-(* [key] with its bits at and below [bit] cleared: the part a branch on
-   [bit] shares among all its keys. *)
-let mask key bit = key land lnot (bit lor (bit - 1))
-let matches key ~prefix ~bit = mask key bit = prefix
-let goes_left key bit = key land bit = 0
-
-let highest_bit x =
-  let x = x lor (x lsr 1) in
-  let x = x lor (x lsr 2) in
-  let x = x lor (x lsr 4) in
-  let x = x lor (x lsr 8) in
-  let x = x lor (x lsr 16) in
-  let x = x lor (x lsr 32) in
-  x - (x lsr 1)
 
 let branch prefix bit left right =
   Branch { prefix; bit; left; right; size = cardinal left + cardinal right }
@@ -98,50 +85,65 @@ let bindings t =
 
 (* --- diff: both tries in step, skipping what they share ---------------- *)
 
-let add_id key set = Mof.Id.Set.add (Mof.Id.of_int key) set
-let added key (d : Mof.Diff.t) = { d with added = add_id key d.added }
-let removed key (d : Mof.Diff.t) = { d with removed = add_id key d.removed }
+(* Each subtree returns its own added, removed and modified sets, and a
+   branch joins its two halves with [Mof.Id.Set.union]. Both tries branch
+   on the bits the sets branch on, so the halves' ids lie on either side of
+   the branch's bit and every union joins two sets under one new branch.
+   Where neither half differs, the shared empty diff comes back physically,
+   so identical subtrees allocate nothing. *)
+let halves (l : Mof.Diff.t) (r : Mof.Diff.t) =
+  if l == Mof.Diff.empty then r
+  else if r == Mof.Diff.empty then l
+  else
+    {
+      added = Mof.Id.Set.union l.added r.added;
+      removed = Mof.Id.Set.union l.removed r.removed;
+      modified = Mof.Id.Set.union l.modified r.modified;
+    }
 
-let rec all mark t d =
-  match t with
-  | Empty -> d
-  | Leaf l -> mark l.key d
-  | Branch b -> all mark b.left (all mark b.right d)
+let one key = Mof.Id.Set.singleton (Mof.Id.of_int key)
+
+let rec keys = function
+  | Empty -> Mof.Id.Set.empty
+  | Leaf l -> one l.key
+  | Branch b -> Mof.Id.Set.union (keys b.left) (keys b.right)
+
+let only_added t = { Mof.Diff.empty with added = keys t }
+let only_removed t = { Mof.Diff.empty with removed = keys t }
 
 (* Where one side's keys all fall under one child of a branch on the other
    side, the other child holds only keys the first side lacks. *)
-let rec diff_into a b d =
-  if a == b then d
+let rec diff a b =
+  if a == b then Mof.Diff.empty
   else
     match (a, b) with
-    | Empty, t -> all added t d
-    | t, Empty -> all removed t d
+    | Empty, t -> only_added t
+    | t, Empty -> only_removed t
     | Leaf x, Leaf y ->
-        if x.key <> y.key then removed x.key (added y.key d)
-        else if String.equal x.digest y.digest then d
-        else { d with modified = add_id x.key d.modified }
-    | Leaf x, Branch _ -> under_b x.key a b d
-    | Branch _, Leaf y -> under_a y.key a b d
+        if x.key <> y.key then
+          { Mof.Diff.empty with added = one y.key; removed = one x.key }
+        else if String.equal x.digest y.digest then Mof.Diff.empty
+        else { Mof.Diff.empty with modified = one x.key }
+    | Leaf x, Branch _ -> under_b x.key a b
+    | Branch _, Leaf y -> under_a y.key a b
     | Branch x, Branch y ->
         if x.bit = y.bit && x.prefix = y.prefix then
-          diff_into x.left y.left (diff_into x.right y.right d)
-        else if x.bit > y.bit then under_a y.prefix a b d
-        else under_b x.prefix a b d
+          halves (diff x.left y.left) (diff x.right y.right)
+        else if higher x.bit y.bit then under_a y.prefix a b
+        else under_b x.prefix a b
 
 (* [b], whose keys all share [k] above a lower bit than branch [a]'s, falls
    under one child of [a] or under neither; [under_b] is the mirror case. *)
-and under_a k a b d =
+and under_a k a b =
   match a with
   | Branch x when matches k ~prefix:x.prefix ~bit:x.bit ->
-      if goes_left k x.bit then diff_into x.left b (all removed x.right d)
-      else diff_into x.right b (all removed x.left d)
-  | _ -> all removed a (all added b d)
+      if goes_left k x.bit then halves (diff x.left b) (only_removed x.right)
+      else halves (only_removed x.left) (diff x.right b)
+  | _ -> { Mof.Diff.empty with added = keys b; removed = keys a }
 
-and under_b k a b d =
+and under_b k a b =
   match b with
   | Branch y when matches k ~prefix:y.prefix ~bit:y.bit ->
-      if goes_left k y.bit then diff_into a y.left (all added y.right d)
-      else diff_into a y.right (all added y.left d)
-  | _ -> all removed a (all added b d)
-
-let diff a b = diff_into a b Mof.Diff.empty
+      if goes_left k y.bit then halves (diff a y.left) (only_added y.right)
+      else halves (only_added y.left) (diff a y.right)
+  | _ -> { Mof.Diff.empty with added = keys b; removed = keys a }

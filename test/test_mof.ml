@@ -1036,11 +1036,163 @@ let apply_wf_op m (sel, a, b) =
           (forged_attr ~id ~name:(name b) ~owner:(Some (pick a)) ~target:(pick b))
   with Mof.Builder.Builder_error _ -> m
 
+(* ---- Id.Set against Stdlib's set ---------------------------------------- *)
+
+(* Random scripts run on the trie and on Stdlib's balanced-tree set, which
+   is the reference here and nowhere else. Ids come from near 0, a dense
+   range, near [max_int] and the negatives down to [min_int], so the tries
+   branch on low bits, high bits and the sign bit. *)
+module Set_props = struct
+  module S = Mof.Id.Set
+  module Ref = Set.Make (Int)
+
+  type step =
+    | Add of int
+    | Remove of int
+    | Union of int list
+    | Inter of int list
+    | Diff of int list
+    | Filter of int  (** keeps [x mod k <> 0] *)
+    | Of_list of int list
+    | Earlier of int * int
+        (** (merge, back): merge with the state [back] steps before, which
+            shares subtrees with the current one *)
+
+  let id_gen =
+    QCheck2.Gen.(
+      oneof
+        [
+          int_range 0 40;
+          int_range 1000 1031;
+          map (fun d -> max_int - d) (int_range 0 40);
+          int_range (-40) (-1);
+          map (fun d -> min_int + d) (int_range 0 3);
+        ])
+
+  let step_gen =
+    QCheck2.Gen.(
+      let ids = list_size (int_range 0 12) id_gen in
+      frequency
+        [
+          (5, map (fun x -> Add x) id_gen);
+          (3, map (fun x -> Remove x) id_gen);
+          (2, map (fun l -> Union l) ids);
+          (1, map (fun l -> Inter l) ids);
+          (2, map (fun l -> Diff l) ids);
+          (1, map (fun k -> Filter k) (int_range 2 5));
+          (1, map (fun l -> Of_list l) ids);
+          (3, map2 (fun m b -> Earlier (m, b)) (int_range 0 4) (int_range 1 6));
+        ])
+
+  let script_gen = QCheck2.Gen.(list_size (int_range 1 40) step_gen)
+
+  let print_step =
+    let ints l = String.concat ";" (List.map string_of_int l) in
+    function
+    | Add x -> Printf.sprintf "add %d" x
+    | Remove x -> Printf.sprintf "remove %d" x
+    | Union l -> Printf.sprintf "union [%s]" (ints l)
+    | Inter l -> Printf.sprintf "inter [%s]" (ints l)
+    | Diff l -> Printf.sprintf "diff [%s]" (ints l)
+    | Filter k -> Printf.sprintf "filter mod %d" k
+    | Of_list l -> Printf.sprintf "of_list [%s]" (ints l)
+    | Earlier (m, b) -> Printf.sprintf "earlier %d back %d" m b
+
+  let print_script steps = String.concat "; " (List.map print_step steps)
+  let of_ints l = S.of_list (List.map Mof.Id.of_int l)
+  let ints s = List.map Mof.Id.to_int (S.elements s)
+
+  let step history (s, r) = function
+    | Add x -> (S.add (Mof.Id.of_int x) s, Ref.add x r)
+    | Remove x -> (S.remove (Mof.Id.of_int x) s, Ref.remove x r)
+    | Union l -> (S.union s (of_ints l), Ref.union r (Ref.of_list l))
+    | Inter l -> (S.inter s (of_ints l), Ref.inter r (Ref.of_list l))
+    | Diff l -> (S.diff s (of_ints l), Ref.diff r (Ref.of_list l))
+    | Filter k ->
+        let keep x = x mod k <> 0 in
+        (S.filter (fun id -> keep (Mof.Id.to_int id)) s, Ref.filter keep r)
+    | Of_list l -> (of_ints l, Ref.of_list l)
+    | Earlier (m, b) -> (
+        let s', r' = List.nth history ((b - 1) mod List.length history) in
+        match m with
+        | 0 -> (S.union s s', Ref.union r r')
+        | 1 -> (S.union s' s, Ref.union r' r)
+        | 2 -> (S.inter s s', Ref.inter r r')
+        | 3 -> (S.diff s s', Ref.diff r r')
+        | _ -> (S.diff s' s, Ref.diff r' r))
+
+  let probes = [ 0; 1; 31; 1000; 1015; 1031; max_int; max_int - 1; -1; -40; min_int; min_int + 1 ]
+
+  let extreme get s =
+    match get s with x -> Some (Mof.Id.to_int x) | exception Not_found -> None
+
+  (* Every read agrees with the reference; the same ids in another order
+     build a [Stdlib.(=)] set; no-op updates return their argument. *)
+  let agree ~ids (s, r) =
+    let want = Ref.elements r in
+    let visited = ref [] in
+    let kept =
+      S.filter
+        (fun id ->
+          visited := Mof.Id.to_int id :: !visited;
+          true)
+        s
+    in
+    ints s = want
+    && List.rev (S.fold (fun id acc -> Mof.Id.to_int id :: acc) s []) = want
+    && List.rev !visited = want
+    && S.cardinal s = Ref.cardinal r
+    && S.is_empty s = Ref.is_empty r
+    && List.for_all (fun x -> S.mem (Mof.Id.of_int x) s = Ref.mem x r) (probes @ ids)
+    && extreme S.min_elt s = Ref.min_elt_opt r
+    && Option.map Mof.Id.to_int (S.min_elt_opt s) = Ref.min_elt_opt r
+    && extreme S.max_elt s = Ref.max_elt_opt r
+    && S.equal s (of_ints (List.rev want))
+    && s = of_ints (List.rev want)
+    && kept == s
+    && List.for_all (fun x -> S.add (Mof.Id.of_int x) s == s) want
+    && List.for_all
+         (fun x -> Ref.mem x r || S.remove (Mof.Id.of_int x) s == s)
+         (probes @ ids)
+
+  let run steps =
+    let ids =
+      List.concat_map
+        (function
+          | Add x | Remove x -> [ x ]
+          | Union l | Inter l | Diff l | Of_list l -> l
+          | Filter _ | Earlier _ -> [])
+        steps
+    in
+    let check_step history state st =
+      let next = step history state st in
+      if not (agree ~ids next) then
+        QCheck2.Test.fail_reportf "after %s: trie [%s], reference [%s]"
+          (print_step st)
+          (String.concat ";" (List.map string_of_int (ints (fst next))))
+          (String.concat ";" (List.map string_of_int (Ref.elements (snd next))));
+      List.iter
+        (fun (s', r') ->
+          if S.equal (fst next) s' <> Ref.equal (snd next) r'
+             || (fst next = s') <> Ref.equal (snd next) r'
+          then
+            QCheck2.Test.fail_reportf "after %s: equal disagrees with an earlier state"
+              (print_step st))
+        history;
+      next :: history
+    in
+    ignore (List.fold_left (fun history st -> check_step history (List.hd history) st)
+      [ (S.empty, Ref.empty) ] steps);
+    true
+end
+
 (* ---- properties ------------------------------------------------------- *)
 
 let property_tests =
   List.map QCheck_alcotest.to_alcotest
     [
+      QCheck2.Test.make ~name:"Id.Set agrees with Stdlib's Set.Make (Int)"
+        ~count:300 ~print:Set_props.print_script Set_props.script_gen Set_props.run;
       QCheck2.Test.make ~name:"generated models are well-formed" ~count:50
         Gen.model_gen (fun m -> Mof.Wellformed.is_wellformed m);
       QCheck2.Test.make ~name:"self-diff is empty" ~count:50 Gen.model_gen

@@ -1265,6 +1265,39 @@ let words_per_diff n =
   done;
   (Gc.minor_words () -. before) /. float_of_int runs
 
+(* Minor-heap words one [diff_between] allocates per differing id, on a
+   300-commit history over a 100-class model: commits 1-100 rename each
+   class, 101-200 add an attribute to each and 201-300 delete each class's
+   first attribute, so the endpoints differ in 100 modified, 100 added and
+   100 removed ids. *)
+let words_per_differing_id () =
+  let module R = Repository.Repo in
+  let m0 = Par.Workload.synthetic ~classes:100 "edits" in
+  let classes = Array.of_list (Mof.Id.Set.elements (Mof.Model.by_kind m0 "Class")) in
+  let edit m i =
+    let cls = classes.((i - 1) mod Array.length classes) in
+    if i <= 100 then Mof.Builder.rename m cls (Printf.sprintf "R%d" i)
+    else if i <= 200 then
+      fst
+        (Mof.Builder.add_attribute m ~cls ~name:(Printf.sprintf "a%d" i)
+           ~typ:Mof.Kind.Dt_integer)
+    else Mof.Builder.delete_element m (Mof.Id.Set.min_elt (Mof.Model.owned_by m0 cls))
+  in
+  let rec go r i =
+    if i > 300 then r
+    else go (R.commit ~message:"edit" (edit (R.head_model r) i) r) (i + 1)
+  in
+  let r = go (R.init m0) 1 in
+  let d = Option.get (R.diff_between r ~from_id:0 ~to_id:300) in
+  check (Alcotest.list ci) "added, removed, modified" [ 100; 100; 100 ]
+    (List.map Mof.Id.Set.cardinal [ d.added; d.removed; d.modified ]);
+  let runs = 20 in
+  let before = Gc.minor_words () in
+  for _ = 1 to runs do
+    ignore (R.diff_between r ~from_id:0 ~to_id:300)
+  done;
+  (Gc.minor_words () -. before) /. float_of_int (runs * Mof.Diff.cardinal d)
+
 let cost_tests =
   [
     Alcotest.test_case "diff_between allocates no more at 1,000 commits than at 10"
@@ -1272,6 +1305,10 @@ let cost_tests =
         let small = words_per_diff 10 and large = words_per_diff 1000 in
         if large > 1.25 *. small then
           Alcotest.failf "%.0f words per diff at 1,000 commits, %.0f at 10" large small);
+    Alcotest.test_case "diff_between allocates under 25 words per differing id"
+      `Quick (fun () ->
+        let words = words_per_differing_id () in
+        if words >= 25. then Alcotest.failf "%.1f words per differing id" words);
   ]
 
 let () =
