@@ -40,8 +40,9 @@ let main () =
          oracle count)" );
       ( "--trace",
         Arg.Set_string trace,
-        "FILE  record every event of the run in FILE ('-' for stdout) as \
-         JSONL (read it back with mdweave trace summarize, slice or chrome)" );
+        "FILE  record every event of the run in FILE as JSONL (read it back \
+         with mdweave trace summarize, slice or chrome); with '-' the trace \
+         alone goes to stdout and the run's report to stderr" );
     ]
   in
   Arg.parse spec

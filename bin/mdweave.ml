@@ -33,9 +33,11 @@ let trace_arg =
     & opt (some string) None
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
-          "Record every event of the run in $(docv) ('-' for stdout) as \
-           JSONL, one JSON object per line: $(b,mdweave trace summarize), \
-           $(b,slice) and $(b,chrome) read it back")
+          "Record every event of the run in $(docv) as JSONL, one JSON \
+           object per line: $(b,mdweave trace summarize), $(b,slice) and \
+           $(b,chrome) read it back. With '-' the trace alone goes to \
+           stdout and the command's own output to stderr, so it can be \
+           piped; '-' cannot be given to $(b,--metrics) as well")
 
 let metrics_arg =
   Arg.(
@@ -43,9 +45,11 @@ let metrics_arg =
     & opt (some string) None
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
-          "Write the run's counters, gauges and histograms to $(docv) ('-' \
-           for stdout) as a Prometheus text exposition; each metric's \
-           $(b,# HELP) line names its unit")
+          "Write the run's counters, gauges and histograms to $(docv) as a \
+           Prometheus text exposition; each metric's $(b,# HELP) line names \
+           its unit. With '-' the exposition alone goes to stdout and the \
+           command's own output to stderr; '-' cannot be given to \
+           $(b,--trace) as well")
 
 (* The --trace/--metrics pair as one term, shared by every subcommand that
    takes it: [obs.run f] wraps [f] in {!Obs.with_outputs}. *)

@@ -26,35 +26,3 @@ let make ?name time pointcut body =
   { advice_name; time; pointcut; body }
 
 let proceed = Code.Jstmt.S_expr (Code.Jexpr.E_call (None, "proceed", []))
-
-let rec stmt_mentions_proceed (s : Code.Jstmt.t) =
-  let has_call e =
-    Code.Jexpr.fold_calls
-      (fun acc (recv, name, _) ->
-        acc || (recv = None && String.equal name "proceed"))
-      false e
-  in
-  match s with
-  | Code.Jstmt.S_expr e -> has_call e
-  | Code.Jstmt.S_local (_, _, init) ->
-      Option.fold ~none:false ~some:has_call init
-  | Code.Jstmt.S_return e -> Option.fold ~none:false ~some:has_call e
-  | Code.Jstmt.S_if (c, t, f) ->
-      has_call c
-      || List.exists stmt_mentions_proceed t
-      || List.exists stmt_mentions_proceed f
-  | Code.Jstmt.S_while (c, b) ->
-      has_call c || List.exists stmt_mentions_proceed b
-  | Code.Jstmt.S_throw e -> has_call e
-  | Code.Jstmt.S_try (b, catches, fin) ->
-      List.exists stmt_mentions_proceed b
-      || List.exists
-           (fun (_, _, stmts) -> List.exists stmt_mentions_proceed stmts)
-           catches
-      || List.exists stmt_mentions_proceed fin
-  | Code.Jstmt.S_sync (e, b) ->
-      has_call e || List.exists stmt_mentions_proceed b
-  | Code.Jstmt.S_comment _ -> false
-  | Code.Jstmt.S_block b -> List.exists stmt_mentions_proceed b
-
-let mentions_proceed t = List.exists stmt_mentions_proceed t.body

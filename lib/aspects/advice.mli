@@ -26,7 +26,3 @@ val make : ?name:string -> time -> Pointcut.t -> Code.Jstmt.t list -> t
 
 val proceed : Code.Jstmt.t
 (** The [proceed();] marker statement for around advice. *)
-
-val mentions_proceed : t -> bool
-(** Whether the body contains the {!proceed} marker (must hold for [Around]
-    advice; checked by {!Aspect.validate}). *)

@@ -11,43 +11,3 @@ type t = {
 
 let make ?(intertypes = []) ?(advices = []) ~name ~concern () =
   { aspect_name = name; concern; intertypes; advices }
-
-let validate t =
-  let advice_diags =
-    List.concat_map
-      (fun (a : Advice.t) ->
-        match (a.Advice.time, Advice.mentions_proceed a) with
-        | Advice.Around, false ->
-            [
-              Printf.sprintf "%s: around advice %s has no proceed() marker"
-                t.aspect_name a.Advice.advice_name;
-            ]
-        | (Advice.Before | Advice.After | Advice.After_returning), true ->
-            [
-              Printf.sprintf "%s: %s advice %s calls proceed()" t.aspect_name
-                (Advice.time_to_string a.Advice.time)
-                a.Advice.advice_name;
-            ]
-        | _, _ -> [])
-      t.advices
-  in
-  let field_keys =
-    List.filter_map
-      (function
-        | It_field (p, f) -> Some (p, f.Code.Jdecl.field_name)
-        | It_method _ -> None)
-      t.intertypes
-  in
-  let rec dup_diags seen = function
-    | [] -> []
-    | key :: rest ->
-        if List.mem key seen then
-          let pattern, name = key in
-          Printf.sprintf "%s: duplicate inter-type field %s on %s"
-            t.aspect_name name pattern
-          :: dup_diags seen rest
-        else dup_diags (key :: seen) rest
-  in
-  advice_diags @ dup_diags [] field_keys
-
-let advice_count t = List.length t.advices

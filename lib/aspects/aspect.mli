@@ -23,10 +23,3 @@ val make :
   concern:string ->
   unit ->
   t
-
-val validate : t -> string list
-(** Sanity diagnostics: around advice without a [proceed()] marker,
-    non-around advice *with* one, duplicate inter-type field names on the
-    same pattern. Empty means valid. *)
-
-val advice_count : t -> int

@@ -8,9 +8,4 @@ type t = {
 let make ~name ~concern ~formals instantiate =
   { ga_name = name; concern; formals; instantiate }
 
-let specialize t assignments =
-  match Transform.Params.build t.formals assignments with
-  | Ok set -> Ok (t.instantiate set)
-  | Error problems -> Error problems
-
 let specialize_with_set t set = t.instantiate set

@@ -21,12 +21,6 @@ val make :
   (Transform.Params.set -> Aspect.t) ->
   t
 
-val specialize :
-  t ->
-  (string * Transform.Params.value) list ->
-  (Aspect.t, Transform.Params.problem list) result
-(** Validate a fresh assignment against the formals, then instantiate. *)
-
 val specialize_with_set : t -> Transform.Params.set -> Aspect.t
-(** Instantiate with an already-validated set — the normal path, where the
-    set comes from the concern's concrete model transformation. *)
+(** Instantiate with an already-validated set: the set comes from the
+    concern's concrete model transformation. *)

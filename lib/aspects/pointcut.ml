@@ -11,9 +11,6 @@ let execution cls m = Execution (Pattern.method_pattern cls m)
 let call cls m = Call (Pattern.method_pattern cls m)
 let set_field cls f = Set_field (cls, f)
 let within cls = Within cls
-let ( &&& ) a b = And (a, b)
-let ( ||| ) a b = Or (a, b)
-let not_ a = Not a
 
 let rec to_string = function
   | Execution mp -> "execution(" ^ Pattern.method_pattern_to_string mp ^ ")"
@@ -23,9 +20,3 @@ let rec to_string = function
   | And (a, b) -> "(" ^ to_string a ^ " && " ^ to_string b ^ ")"
   | Or (a, b) -> "(" ^ to_string a ^ " || " ^ to_string b ^ ")"
   | Not a -> "!" ^ to_string a
-
-let rec execution_patterns = function
-  | Execution mp -> [ mp ]
-  | Call _ | Set_field _ | Within _ -> []
-  | And (a, b) | Or (a, b) -> execution_patterns a @ execution_patterns b
-  | Not _ -> []

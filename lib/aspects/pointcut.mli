@@ -20,14 +20,6 @@ val call : string -> string -> t
 val set_field : string -> string -> t
 val within : string -> t
 
-val ( &&& ) : t -> t -> t
-val ( ||| ) : t -> t -> t
-val not_ : t -> t
-
 val to_string : t -> string
 (** AspectJ-like rendering, e.g.
     ["execution(Account.set*) && !within(AccountProxy)"]. *)
-
-val execution_patterns : t -> Pattern.method_pattern list
-(** Every execution pattern mentioned positively (not under [Not]); used for
-    cheap shadow pre-filtering. *)

@@ -2,12 +2,6 @@
     generator plug-in (paper, Section 3) would emit for the AspectJ
     platform. *)
 
-val advice_to_string : Advice.t -> string
-
-val to_string : Aspect.t -> string
-(** A full [aspect N { … }] declaration with inter-type members and
-    advice. *)
-
 val generated_to_string : Generator.generated -> string
 (** {!to_string} with a provenance header comment recording the source
     transformation and precedence. *)

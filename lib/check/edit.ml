@@ -40,18 +40,6 @@ type op =
 
 type script = op list
 
-let creates = function
-  | Add_package _ | Add_class _ | Add_interface _ | Add_attribute _
-  | Add_operation _ | Add_parameter _ | Add_generalization _
-  | Add_association _ | Add_enumeration _ | Add_constraint _ ->
-      true
-  | Set_result _ | Add_realization _ | Add_stereotype _ | Remove_stereotype _
-  | Set_tag _ | Remove_tag _ | Rename _ | Delete _ ->
-      false
-
-let slot_count script =
-  1 + List.fold_left (fun n op -> if creates op then n + 1 else n) 0 script
-
 (* Slots bound so far, newest last. Ids of deleted elements stay in the
    table; ops aimed at them fail element lookup and are skipped. *)
 type slots = { mutable bound : Mof.Id.t array; mutable len : int }
@@ -219,8 +207,6 @@ let apply_slots slots m script =
     with Mof.Builder.Builder_error _ | Mof.Model.Element_not_found _ -> m
   in
   List.fold_left step m script
-
-let apply m script = apply_slots (slots_make (Mof.Model.root m)) m script
 
 let apply_with_slots m script =
   let slots = slots_make (Mof.Model.root m) in

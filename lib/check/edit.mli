@@ -51,20 +51,6 @@ type op =
 
 type script = op list
 
-val creates : op -> bool
-(** Whether the op binds a new slot when it succeeds. *)
-
-val slot_count : script -> int
-(** Upper bound on the number of slots a script can bind, root included
-    (assumes every creation succeeds — true for generator-produced base
-    scripts). *)
-
-val apply : Mof.Model.t -> script -> Mof.Model.t
-(** Applies the ops in order. Slot 0 is the model root; each successful
-    creation op binds the next slot. Inapplicable ops (unresolved slot,
-    wrong target kind, deleting the root) are skipped and bind nothing.
-    Total: never raises. *)
-
 val apply_with_slots : Mof.Model.t -> script -> Mof.Model.t * Mof.Id.t array
 (** Like {!apply}, also returning the bound slot table (index [i] is the id
     bound to slot [i]; index 0 is the root). *)
@@ -75,6 +61,4 @@ val apply_from : Mof.Model.t -> slots:Mof.Id.t array -> script -> Mof.Model.t
     continues a base script: slots below [Array.length slots] resolve into
     the base, new creations bind slots after it. *)
 
-val pp_op : Format.formatter -> op -> unit
-val pp : Format.formatter -> script -> unit
 val to_string : script -> string

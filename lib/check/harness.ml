@@ -147,12 +147,6 @@ let run ?(progress = fun _ -> ()) (oracle : Oracle.t) ~seed ~count =
       in
       cases 0
 
-let run_all ?(progress = fun _ _ -> ()) ~seed ~count oracles =
-  List.map
-    (fun (o : Oracle.t) ->
-      (o.Oracle.name, run ~progress:(progress o.Oracle.name) o ~seed ~count))
-    oracles
-
 let pp_failure ppf f =
   Format.fprintf ppf
     "oracle %s failed at case %d (seed %Ld)@.%s@.reproducer (%d ops):@.%s"

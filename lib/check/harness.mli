@@ -32,12 +32,4 @@ val run :
     requiring the same failure tag, and returns the reproducer.
     [progress] is called every 500 cases. *)
 
-val run_all :
-  ?progress:(string -> int -> unit) ->
-  seed:int64 ->
-  count:int ->
-  Oracle.t list ->
-  (string * (stats, failure * stats) result) list
-(** [run] over each oracle in turn; never raises. *)
-
 val pp_failure : Format.formatter -> failure -> unit

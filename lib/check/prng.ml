@@ -13,7 +13,6 @@ let next_of state =
   (s, Int64.logxor z (Int64.shift_right_logical z 31))
 
 let make seed = { state = seed }
-let of_int n = make (Int64.of_int n)
 
 let bits64 g =
   let state, z = next_of g.state in
@@ -23,8 +22,6 @@ let bits64 g =
 let mix seed salt =
   let _, z = next_of (Int64.add seed (Int64.mul (Int64.of_int salt) golden)) in
   z
-
-let split g = make (bits64 g)
 
 let int g bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";

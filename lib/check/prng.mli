@@ -1,4 +1,4 @@
-(** A seeded, splittable pseudo-random number generator (splitmix64).
+(** A seeded pseudo-random number generator (splitmix64).
 
     The harness never touches [Stdlib.Random]: every random decision flows
     from an explicit 64-bit seed, so any failing fuzz case is replayable
@@ -11,19 +11,10 @@ val make : int64 -> t
 (** A generator seeded with the given value. Equal seeds yield equal
     streams. *)
 
-val of_int : int -> t
-
 val mix : int64 -> int -> int64
 (** [mix seed salt] derives a new seed deterministically; used to give every
     fuzz case (and every auxiliary stream inside a case) its own independent
     seed. *)
-
-val split : t -> t
-(** A new generator whose stream is independent of the parent's future
-    draws. *)
-
-val bits64 : t -> int64
-(** The next raw 64-bit draw. *)
 
 val int : t -> int -> int
 (** [int g bound] is uniform in [\[0, bound)]. [bound] must be positive. *)

@@ -18,14 +18,7 @@ type options = {
       (** classifiers carrying any of these stereotypes are not generated *)
 }
 
-val default_options : options
-(** Accessors on, nothing excluded. *)
-
 val generate : ?options:options -> Mof.Model.t -> Junit.program
 (** One compilation unit per package that owns at least one classifier; the
     package name is the package's qualified name (root package omitted, as
     in {!Mof.Query.qualified_name}). *)
-
-val stub_body : Jtype.t -> Jstmt.t list
-(** The body generated for an operation stub: a TODO comment and a default
-    return. *)

@@ -56,10 +56,6 @@ type type_decl =
   | Class of class_
   | Interface of interface_
 
-let type_decl_name = function
-  | Class c -> c.class_name
-  | Interface i -> i.iface_name
-
 let find_method c name =
   List.find_opt (fun m -> String.equal m.method_name name) c.methods
 
@@ -71,5 +67,3 @@ let add_field field c =
   else { c with fields = c.fields @ [ field ] }
 
 let add_method m c = { c with methods = c.methods @ [ m ] }
-
-let equal_type_decl (a : type_decl) (b : type_decl) = a = b

@@ -52,8 +52,6 @@ type type_decl =
   | Class of class_
   | Interface of interface_
 
-val type_decl_name : type_decl -> string
-
 val find_method : class_ -> string -> method_ option
 (** First method with the given name. *)
 
@@ -67,5 +65,3 @@ val add_method : method_ -> class_ -> class_
 (** Appends a method (no signature-clash check: weaving inter-type methods
     with a colliding name is the aspect author's error and surfaces in the
     printed output). *)
-
-val equal_type_decl : type_decl -> type_decl -> bool

@@ -15,23 +15,6 @@ type t =
   | E_cast of Jtype.t * t
   | E_instanceof of t * string
 
-let equal (a : t) (b : t) = a = b
-
-let rec map_calls f e =
-  let recurse = map_calls f in
-  match e with
-  | E_null | E_this | E_bool _ | E_int _ | E_double _ | E_string _ | E_name _ ->
-      e
-  | E_field (recv, name) -> E_field (recurse recv, name)
-  | E_call (recv, name, args) ->
-      f (Option.map recurse recv) name (List.map recurse args)
-  | E_new (cls, args) -> E_new (cls, List.map recurse args)
-  | E_binary (op, a, b) -> E_binary (op, recurse a, recurse b)
-  | E_unary (op, a) -> E_unary (op, recurse a)
-  | E_assign (lhs, rhs) -> E_assign (recurse lhs, recurse rhs)
-  | E_cast (t, a) -> E_cast (t, recurse a)
-  | E_instanceof (a, cls) -> E_instanceof (recurse a, cls)
-
 let rec fold_calls f acc e =
   let recurse acc e = fold_calls f acc e in
   match e with

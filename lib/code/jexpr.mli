@@ -18,12 +18,5 @@ type t =
   | E_cast of Jtype.t * t
   | E_instanceof of t * string
 
-val equal : t -> t -> bool
-
-val map_calls : (t option -> string -> t list -> t) -> t -> t
-(** [map_calls f e] rebuilds [e] bottom-up, replacing every call node
-    [E_call (recv, name, args)] by [f recv name args] (the receiver and
-    arguments are already rewritten). Used by the call-shadow weaver. *)
-
 val fold_calls : ('a -> t option * string * t list -> 'a) -> 'a -> t -> 'a
 (** Folds over every call node, outermost last. *)

@@ -10,8 +10,6 @@ type t =
   | S_comment of string
   | S_block of t list
 
-let equal (a : t) (b : t) = a = b
-
 let rec map_expr f stmt =
   let body = List.map (map_expr f) in
   match stmt with

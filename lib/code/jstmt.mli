@@ -14,8 +14,6 @@ type t =
   | S_comment of string  (** a line comment, kept in the tree *)
   | S_block of t list
 
-val equal : t -> t -> bool
-
 val map_expr : (Jexpr.t -> Jexpr.t) -> t -> t
 (** Rewrites every expression in the statement, recursively. *)
 

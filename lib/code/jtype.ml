@@ -34,5 +34,3 @@ let rec of_datatype m = function
       | Some e -> T_named e.Mof.Element.name
       | None -> T_named ("Unresolved_" ^ Mof.Id.to_string id))
   | Mof.Kind.Dt_collection inner -> T_list (of_datatype m inner)
-
-let equal (a : t) (b : t) = a = b

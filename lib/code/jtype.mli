@@ -19,5 +19,3 @@ val default_value_text : t -> string option
 val of_datatype : Mof.Model.t -> Mof.Kind.datatype -> t
 (** Maps a model datatype: [Real] to [double], [Dt_ref c] to the
     classifier's name, collections to [List<…>]. *)
-
-val equal : t -> t -> bool

@@ -35,11 +35,6 @@ and find_class_in_decls name units = function
 
 let find_class program name = find_class_in_units name program
 
-let find_interface program name =
-  List.find_opt
-    (fun i -> String.equal i.Jdecl.iface_name name)
-    (interfaces program)
-
 let update_class program name f =
   List.map
     (fun u ->

@@ -15,10 +15,7 @@ val find_class : program -> string -> Jdecl.class_ option
     interfaces are skipped. O(classes): it walks the units and their
     declarations in place and allocates nothing but the returned option. *)
 
-val find_interface : program -> string -> Jdecl.interface_ option
-
 val classes : program -> Jdecl.class_ list
-val interfaces : program -> Jdecl.interface_ list
 
 val update_class : program -> string -> (Jdecl.class_ -> Jdecl.class_) -> program
 (** Rewrites the named class wherever it appears (identity if absent). *)

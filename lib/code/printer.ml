@@ -304,13 +304,6 @@ let render size write x =
   write buf x;
   if Buffer.length buf = 0 then "" else Buffer.sub buf 1 (Buffer.length buf - 1)
 
-let expr_to_string e =
-  let buf = Buffer.create 64 in
-  expr buf e;
-  Buffer.contents buf
-
 let stmt_to_string ?(indent = 0) s = render (stmt_size 64 s) (fun buf -> stmt buf indent) s
 let method_to_string ?(indent = 0) m = render (method_size 64 m) (fun buf -> method_ buf indent) m
-let type_decl_to_string d = render (decl_size 0 d) type_decl d
-let unit_to_string u = render (unit_size 0 u) unit_ u
 let program_to_string units = render (List.fold_left unit_size 0 units) program units

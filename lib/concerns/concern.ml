@@ -5,5 +5,4 @@ type t = {
 }
 
 let make ?(description = "") ~key ~display () = { key; display; description }
-let equal a b = String.equal a.key b.key
 let pp ppf t = Format.fprintf ppf "%s (%s)" t.display t.key

@@ -14,7 +14,4 @@ type t = {
 
 val make : ?description:string -> key:string -> display:string -> unit -> t
 
-val equal : t -> t -> bool
-(** Equality by key. *)
-
 val pp : Format.formatter -> t -> unit

@@ -14,6 +14,5 @@
     - [policy] : ["mutex" | "reader-writer"], default ["mutex"] *)
 
 val concern : Concern.t
-val formals : Transform.Params.decl list
 val transformation : Transform.Gmt.t
 val generic_aspect : Aspects.Generic.t

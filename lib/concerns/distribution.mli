@@ -17,6 +17,5 @@
     - [registry] : naming-service address, default ["localhost:1099"] *)
 
 val concern : Concern.t
-val formals : Transform.Params.decl list
 val transformation : Transform.Gmt.t
 val generic_aspect : Aspects.Generic.t

@@ -17,9 +17,5 @@
     - [queue] : queue name, default ["default-queue"] *)
 
 val concern : Concern.t
-val formals : Transform.Params.decl list
 val transformation : Transform.Gmt.t
 val generic_aspect : Aspects.Generic.t
-
-val split_target : string -> (string * string, string) result
-(** ["Account.deposit"] → [Ok ("Account", "deposit")]. *)

@@ -18,6 +18,5 @@
     - [idAttribute] : surrogate key attribute name, default ["id"] *)
 
 val concern : Concern.t
-val formals : Transform.Params.decl list
 val transformation : Transform.Gmt.t
 val generic_aspect : Aspects.Generic.t

@@ -13,10 +13,6 @@ type entry = {
   gac : Aspects.Generic.t;
 }
 
-val builtins : entry list
-(** distribution, transactions, security, concurrency, logging,
-    persistence, messaging — in that order. *)
-
 val all : unit -> entry list
 (** Builtins plus everything {!register}ed, registration order. *)
 

@@ -16,6 +16,5 @@
       ["token"] *)
 
 val concern : Concern.t
-val formals : Transform.Params.decl list
 val transformation : Transform.Gmt.t
 val generic_aspect : Aspects.Generic.t

@@ -19,6 +19,5 @@
       ["required"] *)
 
 val concern : Concern.t
-val formals : Transform.Params.decl list
 val transformation : Transform.Gmt.t
 val generic_aspect : Aspects.Generic.t

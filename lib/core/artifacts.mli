@@ -24,9 +24,6 @@ val summary : t -> string
 val render_aspects : t -> string
 (** All generated aspects as AspectJ-like source. *)
 
-val render_functional : t -> string
-val render_woven : t -> string
-
 val write_to_dir : string -> t -> unit
 (** Writes [functional.java], [aspects.aj], [woven.java], and
     [BUILD-REPORT.txt] into a directory (created if missing). *)

@@ -21,5 +21,3 @@ let of_model m =
       Some
         (Psm (Option.value ~default:"unknown" (Mof.Element.tag "platform" root)))
   | Some _ | None -> None
-
-let is_pim m = of_model m = Some Pim

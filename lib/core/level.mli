@@ -14,5 +14,3 @@ val mark : t -> Mof.Model.t -> Mof.Model.t
 
 val of_model : Mof.Model.t -> t option
 (** Reads the level back; [None] for unmarked models. *)
-
-val is_pim : Mof.Model.t -> bool

@@ -27,10 +27,6 @@ type error =
   | Aspect_generation of string
       (** no generic aspect registered for an applied transformation *)
 
-val pp_error : Format.formatter -> error -> unit
-(** Human-readable rendering; mentions the offending parameter, workflow
-    step, or condition by name. *)
-
 val error_to_string : error -> string
 
 val refine :

@@ -9,17 +9,5 @@
     code of its own; code-level platform knowledge lives in the code
     generator back-end. *)
 
-val platforms : string list
-(** ["corba"; "j2ee"; "dotnet"; "webservices"]. *)
-
-val stereotype_for : string -> string
-(** The component stereotype a platform applies to classes. *)
-
-val concern : Concerns.Concern.t
-val transformation : Transform.Gmt.t
-val generic_aspect : Aspects.Generic.t
-
-val entry : Concerns.Registry.entry
-
 val ensure_registered : unit -> unit
-(** Registers {!entry} in the concern registry (idempotent). *)
+(** Registers the projection in the concern registry (idempotent). *)

@@ -23,30 +23,11 @@
     v}
 
     Values in the manifest use the wizard's textual syntax
-    ({!Workflow.Wizard.parse_value}), so the declared parameter types from
+    ({!Workflow.Wizard.parse_assignments}), so the declared parameter types from
     the concern registry drive parsing at replay time. *)
-
-val to_wizard_text : Transform.Params.value -> (string, string) result
-(** Renders a parameter value in the wizard's input syntax (lists become
-    comma-separated items). Values the syntax cannot carry — embedded tabs,
-    newlines, or commas inside list items — are reported as errors rather
-    than silently mangled. *)
-
-val manifest_of : Project.t -> (string, string) result
-(** The manifest text for a project's applied transformations. *)
 
 val ship : dir:string -> Project.t -> (unit, string) result
 (** Writes the package (creating [dir] if needed). *)
-
-val load_manifest :
-  string -> ((string * (string * string) list) list, string) result
-(** Parses manifest text into (concern, raw assignments) steps. *)
-
-val replay : dir:string -> (Project.t, string) result
-(** Reads [initial.xmi] and [MANIFEST] and re-runs every step through
-    {!Pipeline.refine} (all checks active). The result is a fresh project
-    whose final model must equal the shipped [final.xmi] — which {!verify}
-    checks. *)
 
 val verify : dir:string -> (bool, string) result
 (** Replays the package and compares the outcome against the shipped final

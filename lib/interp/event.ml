@@ -7,14 +7,3 @@ type t = {
 let make ~source ~action ~detail = { source; action; detail }
 
 let to_string e = Printf.sprintf "%s.%s(%s)" e.source e.action e.detail
-
-let contains hay needle =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
-let matches ?detail ~source ~action e =
-  String.equal e.source source
-  && String.equal e.action action
-  &&
-  match detail with None -> true | Some d -> contains e.detail d

@@ -17,6 +17,3 @@ val make : source:string -> action:string -> detail:string -> t
 
 val to_string : t -> string
 (** ["TransactionManager.begin(serializable, required)"]. *)
-
-val matches : ?detail:string -> source:string -> action:string -> t -> bool
-(** Predicate for assertions; [detail] must be a substring when given. *)

@@ -454,11 +454,6 @@ and exec st env (stmt : Code.Jstmt.t) =
 let create ?(faults = []) program =
   { program; heap = Hashtbl.create 64; next_ref = 0; log = []; faults }
 
-let call st ~recv name args =
-  match recv with
-  | Rvalue.V_object r -> invoke st recv (heap_obj st r).obj_class name args
-  | v -> error "call on non-object %s" (Rvalue.to_string v)
-
 let run ?(faults = []) ?(args = []) program ~class_name ~method_name =
   let st = create ~faults program in
   let decl = instantiable program class_name in

@@ -35,26 +35,6 @@ type outcome = {
   events : Event.t list;  (** emission order *)
 }
 
-type t
-(** A machine instance: program + heap + event log. *)
-
-val create : ?faults:(string * string) list -> Code.Junit.program -> t
-(** [create ~faults program] prepares a machine; [faults] are
-    [(class, method)] pairs that throw on entry. *)
-
-val new_object : t -> string -> Rvalue.t
-(** Allocates an instance of a program class (fields default-initialized).
-    @raise Runtime_error for unknown classes. *)
-
-val call : t -> recv:Rvalue.t -> string -> Rvalue.t list -> Rvalue.t
-(** Invokes a method on an object for callers that want to script several
-    calls against one machine; Java exceptions escape as
-    [Runtime_error]-wrapped descriptions. Prefer {!run} for single-shot
-    use. *)
-
-val events : t -> Event.t list
-(** Events recorded so far, in emission order. *)
-
 val run :
   ?faults:(string * string) list ->
   ?args:Rvalue.t list ->

@@ -316,6 +316,5 @@ let element_bytes e =
   write_element b e;
   Buffer.contents b
 
-let digest e = Digest.string (element_bytes e)
 let digest_size = 16
 let digest_hex = Digest.to_hex

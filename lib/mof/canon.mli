@@ -36,8 +36,6 @@ val w_int : Buffer.t -> int -> unit
 val w_str : Buffer.t -> string -> unit
 (** Length-prefixed raw bytes. *)
 
-val w_bool : Buffer.t -> bool -> unit
-
 val w_opt : (Buffer.t -> 'a -> unit) -> Buffer.t -> 'a option -> unit
 
 val w_list : (Buffer.t -> 'a -> unit) -> Buffer.t -> 'a list -> unit
@@ -59,7 +57,6 @@ val r_int : reader -> int
     does not fit a non-negative int (a ninth byte with bit 6 set). *)
 
 val r_str : reader -> string
-val r_bool : reader -> bool
 val r_opt : (reader -> 'a) -> reader -> 'a option
 val r_list : (reader -> 'a) -> reader -> 'a list
 val r_id : reader -> Id.t
@@ -69,14 +66,10 @@ val r_bytes : reader -> int -> string
 
 (** {2 Elements} *)
 
-val write_element : Buffer.t -> Element.t -> unit
 val read_element : reader -> Element.t
 
 val element_bytes : Element.t -> string
 (** The canonical rendering of one element. *)
-
-val digest : Element.t -> string
-(** 16-byte raw MD5 of {!element_bytes}. *)
 
 val digest_size : int
 (** Byte width of {!digest}: 16. *)

@@ -6,9 +6,6 @@ type t = {
 
 let empty = { added = Id.Set.empty; removed = Id.Set.empty; modified = Id.Set.empty }
 
-let is_empty d =
-  Id.Set.is_empty d.added && Id.Set.is_empty d.removed && Id.Set.is_empty d.modified
-
 let compute_scan ~old_model ~new_model =
   let classify e acc =
     let id = e.Element.id in
@@ -49,16 +46,7 @@ let compute ~old_model ~new_model =
   | Some touched -> compute_journal ~old_model ~new_model touched
   | None -> compute_scan ~old_model ~new_model
 
-let union a b =
-  let added = Id.Set.union a.added b.added in
-  {
-    added;
-    removed = Id.Set.union a.removed b.removed;
-    modified = Id.Set.diff (Id.Set.union a.modified b.modified) added;
-  }
-
 let touched d = Id.Set.union d.added (Id.Set.union d.removed d.modified)
-let cardinal d = Id.Set.cardinal (touched d)
 
 let pp ppf d =
   Format.fprintf ppf "+%d -%d ~%d" (Id.Set.cardinal d.added)

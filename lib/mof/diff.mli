@@ -12,8 +12,6 @@ type t = {
 
 val empty : t
 
-val is_empty : t -> bool
-
 val compute : old_model:Model.t -> new_model:Model.t -> t
 (** [compute ~old_model ~new_model] classifies every id bound in either
     model. When [new_model] was derived from [old_model] (the common case:
@@ -27,14 +25,8 @@ val compute_scan : old_model:Model.t -> new_model:Model.t -> t
     Exposed as the baseline for the E11 experiment and the consistency
     tests; {!compute} is never worse than this. *)
 
-val union : t -> t -> t
-(** Pointwise union; an id both added and later modified counts as added. *)
-
 val touched : t -> Id.Set.t
 (** All ids mentioned by the diff. *)
-
-val cardinal : t -> int
-(** Number of touched ids. *)
 
 val pp : Format.formatter -> t -> unit
 (** Summary rendering, e.g. [+12 -0 ~3]. *)

@@ -44,11 +44,3 @@ let equal a b =
   && List.equal
        (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && String.equal v1 v2)
        a.tags b.tags
-
-let pp ppf e =
-  let pp_stereos ppf = function
-    | [] -> ()
-    | ss -> Format.fprintf ppf "<<%s>> " (String.concat ", " ss)
-  in
-  Format.fprintf ppf "%a%s %s (%a)" pp_stereos e.stereotypes (metaclass e)
-    e.name Id.pp e.id

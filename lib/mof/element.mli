@@ -48,6 +48,3 @@ val metaclass : t -> string
 
 val equal : t -> t -> bool
 (** Structural equality, including stereotypes and tags. *)
-
-val pp : Format.formatter -> t -> unit
-(** One-line rendering: [<<stereotypes>> Metaclass name (id)]. *)

@@ -14,7 +14,6 @@ let of_string s =
 
 let equal = Int.equal
 let compare = Int.compare
-let hash id = id
 let pp ppf id = Format.pp_print_string ppf (to_string id)
 
 module Map = Map.Make (Int)

@@ -28,9 +28,6 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 (** Total order on identifiers, by ordinal. *)
 
-val hash : t -> int
-(** Hash compatible with {!equal}. *)
-
 val pp : Format.formatter -> t -> unit
 (** Pretty-printer, same output as {!to_string}. *)
 
@@ -102,9 +99,6 @@ module Set : sig
   (** O(n), like Stdlib's. *)
 
   val elements : t -> elt list
-
-  val min_elt : t -> elt
-  (** @raise Not_found on the empty set. *)
 
   val min_elt_opt : t -> elt option
 

@@ -23,9 +23,7 @@ type multiplicity = {
 }
 
 let mult_one = { lower = 1; upper = Some 1 }
-let mult_opt = { lower = 0; upper = Some 1 }
 let mult_many = { lower = 0; upper = None }
-let mult_some = { lower = 1; upper = None }
 
 let mult_to_string m =
   match m.upper with

@@ -31,14 +31,8 @@ type multiplicity = {
 val mult_one : multiplicity
 (** Exactly one: [1..1]. *)
 
-val mult_opt : multiplicity
-(** Optional: [0..1]. *)
-
 val mult_many : multiplicity
 (** Any number: [0..*]. *)
-
-val mult_some : multiplicity
-(** At least one: [1..*]. *)
 
 val mult_to_string : multiplicity -> string
 (** UML surface syntax, e.g. ["0..*"] or ["1"]. *)
@@ -60,9 +54,6 @@ type datatype =
   | Dt_string
   | Dt_ref of Id.t
   | Dt_collection of datatype
-
-val datatype_refs : datatype -> Id.t list
-(** All classifier ids referenced by a datatype, outermost first. *)
 
 (** Direction of an operation parameter. The operation result is modelled as
     a parameter with direction [Dir_return]. *)

@@ -290,10 +290,8 @@ let touched_since m w =
 (* ---- whole-population traversal ----------------------------------------- *)
 
 let fold f m init = Id.Map.fold (fun _ e acc -> f e acc) m.store init
-let iter f m = Id.Map.iter (fun _ e -> f e) m.store
 let elements m = List.map snd (Id.Map.bindings m.store)
 let size m = Id.Map.cardinal m.store
 let is_empty m = Id.Map.is_empty m.store
-let filter p m = List.filter p (elements m)
 
 let equal a b = Id.equal a.root b.root && Id.Map.equal Element.equal a.store b.store

@@ -162,8 +162,6 @@ val touched_since : t -> watermark -> Id.Set.t option
 val fold : (Element.t -> 'a -> 'a) -> t -> 'a -> 'a
 (** Folds over all elements in id order. *)
 
-val iter : (Element.t -> unit) -> t -> unit
-
 val elements : t -> Element.t list
 (** All elements, in id order. *)
 
@@ -172,8 +170,6 @@ val size : t -> int
 
 val is_empty : t -> bool
 (** [is_empty m] is [size m = 0], in O(1). *)
-
-val filter : (Element.t -> bool) -> t -> Element.t list
 
 val equal : t -> t -> bool
 (** Structural equality of the element populations and roots (the id

@@ -4,11 +4,4 @@ val datatype : Model.t -> Format.formatter -> Kind.datatype -> unit
 (** Renders a datatype using classifier names, e.g. ["Account"] for a
     [Dt_ref], ["Set(Integer)"] for a collection. *)
 
-val element : Model.t -> Format.formatter -> Element.t -> unit
-(** Renders one element with its features, without recursing into owned
-    packages/classes. *)
-
-val model : Format.formatter -> Model.t -> unit
-(** Renders a whole model as an indented containment tree. *)
-
 val model_to_string : Model.t -> string

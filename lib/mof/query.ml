@@ -143,8 +143,6 @@ let find_by_qualified_name m qname =
        None
   |> Option.map (Model.find_exn m)
 
-let find_named m name = resolve_set m (Model.by_name m name)
-
 let find_class m name =
   Option.map (Model.find_exn m)
     (Id.Set.min_elt_opt

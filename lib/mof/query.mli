@@ -16,10 +16,6 @@ val associations : Model.t -> Element.t list
 val constraints : Model.t -> Element.t list
 val enumerations : Model.t -> Element.t list
 
-val of_metaclass : Model.t -> string -> Element.t list
-(** [of_metaclass m "Class"] is all elements whose metaclass has that name;
-    unknown names yield the empty list. Served by {!Model.by_kind}. *)
-
 val attributes_of : Model.t -> Id.t -> Element.t list
 (** Attributes owned directly by a class (empty for other kinds). *)
 
@@ -39,9 +35,6 @@ val public_operations_of : Model.t -> Id.t -> Element.t list
 val owned_of : Model.t -> Id.t -> Element.t list
 (** Direct contents of a package. *)
 
-val supers_of : Model.t -> Id.t -> Id.t list
-(** Direct superclasses of a class. *)
-
 val supers_transitive : Model.t -> Id.t -> Id.t list
 (** Transitive superclass closure of a class, nearest first, without
     duplicates. Cycles terminate; a class on an inheritance cycle through
@@ -49,9 +42,6 @@ val supers_transitive : Model.t -> Id.t -> Id.t list
     Dangling super ids (a referenced class that was deleted) stay in the
     closure but are not expanded, so the traversal is total on ill-formed
     models. *)
-
-val realizations_of : Model.t -> Id.t -> Id.t list
-(** Interfaces realized by a class. *)
 
 val realizers_of : Model.t -> Id.t -> Element.t list
 (** Classes that realize a given interface. *)
@@ -70,9 +60,6 @@ val find_by_qualified_name : Model.t -> string -> Element.t option
     collide with a package join), the structurally deepest one wins — the
     package-path reading beats the dotted-simple-name reading — with ties
     broken by lowest id. *)
-
-val find_named : Model.t -> string -> Element.t list
-(** All elements with the given simple name. Served by {!Model.by_name}. *)
 
 val find_class : Model.t -> string -> Element.t option
 (** First class with the given simple name (intersection of the kind and

@@ -232,8 +232,6 @@ let check m =
   let listed = listed_memo () in
   Model.fold (fun e acc -> acc @ check_element ~listed m e) m []
 
-let is_wellformed m = check m = []
-
 (* Transitive subclasses of the seed ids, walked over the reverse-reference
    index restricted to inheritance edges. A change to a class's supers can
    flip the Inheritance_cycle verdict of every class whose superclass

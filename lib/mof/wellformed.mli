@@ -24,9 +24,6 @@ and rule =
   | Empty_name  (** element with an empty name *)
   | Duplicate_literal  (** an enumeration declares a literal twice *)
 
-val rule_name : rule -> string
-(** Stable identifier of a rule, e.g. ["dangling-reference"]. *)
-
 val check : Model.t -> violation list
 (** All violations in the model, in deterministic order (elements in
     ascending id order, rules in a fixed order per element). An empty list
@@ -42,8 +39,5 @@ val check_touched : Model.t -> touched:Id.Set.t -> violation list
     would — any violation a mutation can introduce is anchored at an element
     in the scoped region. Violations outside the region that predate the
     mutations are (by design) not re-reported. *)
-
-val is_wellformed : Model.t -> bool
-(** [is_wellformed m] is [check m = []]. *)
 
 val pp_violation : Format.formatter -> violation -> unit

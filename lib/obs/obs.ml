@@ -130,20 +130,27 @@ let write_file path contents =
 
 (* Run [f] recording the requested outputs: [trace] gets every event as
    JSONL ({!Trace.to_jsonl}), [metrics] the Prometheus text exposition of
-   the registry ({!Expo.render}). For either, "-" is stdout, written after
-   [f]'s own output. Every path is checked before [f] runs, so an
-   unwritable one costs no work; the files are written when [f] returns (a
-   run that exits early leaves none). Both CLIs' [--trace] and [--metrics]
-   go through here. *)
+   the registry ({!Expo.render}). For either, "-" is stdout, and then
+   stdout carries that stream alone: [f]'s own output and any "written to"
+   line go to stderr, so the stream can be piped into a reader. One pipe
+   cannot carry both streams, so "-" for both is refused before [f] runs.
+   Every path is checked before [f] runs, so an unwritable one costs no
+   work; the files are written when [f] returns (a run that exits early
+   leaves none). Both CLIs' [--trace] and [--metrics] go through here. *)
 let with_outputs ?trace ?metrics f =
+  if trace = Some "-" && metrics = Some "-" then
+    raise
+      (Sys_error "--trace - and --metrics - cannot share stdout; write one to a file");
   let check p = if p <> "-" then check_writable p in
   Option.iter check trace;
   Option.iter check metrics;
+  let streamed = trace = Some "-" || metrics = Some "-" in
   let emit what target text =
     if target = "-" then print_string text
     else begin
       write_file target text;
-      Printf.printf "%s written to %s\n" what target
+      (if streamed then Printf.eprintf else Printf.printf)
+        "%s written to %s\n" what target
     end
   in
   let capture =
@@ -155,7 +162,20 @@ let with_outputs ?trace ?metrics f =
       trace
   in
   if Option.is_some metrics then Metric.enable ();
-  let v = f () in
+  let v =
+    if not streamed then f ()
+    else begin
+      flush stdout;
+      let saved = Unix.dup Unix.stdout in
+      Unix.dup2 Unix.stderr Unix.stdout;
+      Fun.protect
+        ~finally:(fun () ->
+          flush stdout;
+          Unix.dup2 saved Unix.stdout;
+          Unix.close saved)
+        f
+    end
+  in
   (match capture with
   | Some (path, events) ->
       set_sink Sink.Null;

@@ -6,8 +6,6 @@ type collection_kind =
   | Ck_sequence
   | Ck_bag
 
-val collection_kind_name : collection_kind -> string
-
 (** Binary operators, in increasing binding strength: implies; or/xor; and;
     relational; additive; multiplicative. *)
 type binop =
@@ -74,9 +72,6 @@ type t =
 
 val iterator_names : string list
 (** Names recognised as iterator operations. *)
-
-val pp : Format.formatter -> t -> unit
-(** Re-render an expression in OCL concrete syntax (fully parenthesised). *)
 
 val to_string : t -> string
 

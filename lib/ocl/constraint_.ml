@@ -67,8 +67,6 @@ let check ?(env = Env.empty) m c =
   | Ill_formed _ -> Obs.incr "ocl.check.ill_formed" []);
   outcome
 
-let holds ?env m c = check ?env m c = Holds
-
 let pp_outcome ppf = function
   | Holds -> Format.pp_print_string ppf "holds"
   | Fails [] -> Format.pp_print_string ppf "fails"

@@ -43,7 +43,4 @@ val check_naive : ?env:Env.t -> Mof.Model.t -> t -> outcome
     [env]. Must agree with {!check} on every model and environment — the
     differential relation the [ocl] fuzz oracle enforces. *)
 
-val holds : ?env:Env.t -> Mof.Model.t -> t -> bool
-(** [holds ?env m c] is [check ?env m c = Holds]. *)
-
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -139,42 +139,3 @@ let all_instances m name =
     (* the kind index yields the ids directly, in the same ascending order
        the full scan produced — no need to materialize the elements *)
     Some (elem_set (Mof.Id.Set.elements (Mof.Model.by_kind m name)))
-
-let common_names = [ "name"; "qualifiedName"; "metaclass"; "stereotypes"; "tagKeys"; "owner" ]
-
-let property_names metaclass =
-  let specific =
-    match metaclass with
-    | "Package" -> [ "ownedElements" ]
-    | "Class" ->
-        [
-          "attributes";
-          "operations";
-          "allOperations";
-          "supers";
-          "allSupers";
-          "interfaces";
-          "isAbstract";
-        ]
-    | "Interface" -> [ "operations"; "realizers" ]
-    | "Attribute" ->
-        [ "type"; "visibility"; "lower"; "upper"; "isDerived"; "isStatic"; "initial" ]
-    | "Operation" ->
-        [
-          "parameters";
-          "visibility";
-          "isQuery";
-          "isAbstract";
-          "isStatic";
-          "resultType";
-          "class";
-        ]
-    | "Parameter" -> [ "type"; "direction" ]
-    | "Association" -> [ "endTypes"; "endNames" ]
-    | "Generalization" -> [ "child"; "parent" ]
-    | "Dependency" -> [ "client"; "supplier" ]
-    | "Constraint" -> [ "body"; "language"; "constrained" ]
-    | "Enumeration" -> [ "literals" ]
-    | _ -> []
-  in
-  common_names @ specific

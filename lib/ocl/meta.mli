@@ -45,7 +45,3 @@ val all_instances : Mof.Model.t -> string -> Value.t option
 val is_metaclass : string -> bool
 (** Whether a name denotes a metaclass usable in [allInstances] and
     [oclIsKindOf]. ["Element"] is included. *)
-
-val property_names : string -> string list
-(** The meta-properties available on a metaclass (including the common
-    ones); used by the typechecker. *)

@@ -16,6 +16,3 @@
     and is the reference the [ocl] oracle holds probes to. *)
 
 val optimize : Ast.t -> Ast.t
-
-val optimize_count : Ast.t -> Ast.t * int
-(** Also counts rewritten sites (for telemetry and tests). *)

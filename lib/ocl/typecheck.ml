@@ -429,11 +429,3 @@ let infer ?self_type ?(vars = []) e =
   in
   let t = infer_expr st vars self_ty e in
   (t, List.rev st.diags)
-
-let check_source ?self_type ?vars src =
-  Result.map (infer ?self_type ?vars) (Parser.parse_opt src)
-
-let well_typed ?self_type src =
-  match check_source ?self_type src with
-  | Ok (_, []) -> true
-  | Ok (_, _ :: _) | Error _ -> false

@@ -20,13 +20,6 @@ type ty =
   | T_bag of ty
   | T_any
 
-val ty_to_string : ty -> string
-
-val conforms : ty -> ty -> bool
-(** [conforms a b]: may a value of type [a] be used where [b] is expected?
-    [T_integer] conforms to [T_real]; [T_any] conforms both ways; element
-    types conform when equal or when the expected metaclass is unknown. *)
-
 type diagnostic = {
   message : string;
   subject : string;  (** rendering of the offending sub-expression *)
@@ -41,13 +34,3 @@ val infer :
     a transformation's [$param$] names typed from their declarations. Any
     other free variable is diagnosed as unbound. Diagnostics come back in
     source order. *)
-
-val check_source :
-  ?self_type:string ->
-  ?vars:(string * ty) list ->
-  string ->
-  (ty * diagnostic list, string) result
-(** Parse then infer; [Error] carries the parse/lex error message. *)
-
-val well_typed : ?self_type:string -> string -> bool
-(** [true] when the source parses and produces no diagnostics. *)

@@ -55,16 +55,11 @@ let dedup items =
 let set items = V_set (dedup (sort_values items))
 let seq items = V_seq items
 let bag items = V_bag (sort_values items)
-let of_bool b = V_bool b
 let of_string s = V_string s
-
-let truth = function V_bool b -> Some b | _ -> None
 
 let items = function
   | V_set xs | V_seq xs | V_bag xs -> Some xs
   | V_bool _ | V_int _ | V_real _ | V_string _ | V_elem _ | V_undefined -> None
-
-let is_defined = function V_undefined -> false | _ -> true
 
 let type_name = function
   | V_bool _ -> "Boolean"

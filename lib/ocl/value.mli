@@ -31,17 +31,10 @@ val seq : t list -> t
 val bag : t list -> t
 (** [bag items] is a canonical [V_bag]. *)
 
-val of_bool : bool -> t
 val of_string : string -> t
-
-val truth : t -> bool option
-(** [truth v] is [Some b] for booleans and [None] otherwise (including
-    undefined) — the three-valued-logic view of a value. *)
 
 val items : t -> t list option
 (** The elements of a collection value, [None] for scalars. *)
-
-val is_defined : t -> bool
 
 val type_name : t -> string
 (** OCL type name of a value: ["Boolean"], ["Integer"], …, ["OclUndefined"].

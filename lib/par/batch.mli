@@ -29,14 +29,9 @@ type outcome = (Core.Project.t, Core.Pipeline.error) result
 (** Per-item result: the refined project, or the typed pipeline error of
     the step that refused. *)
 
-val refine_one : steps:step list -> Mof.Model.t -> outcome
-(** The sequential unit of work: start a project on the model and fold the
-    chain, stopping at the first error. Exactly what each pool worker runs
-    per item. *)
-
 val refine_all :
   ?pool:Pool.t -> steps:step list -> Mof.Model.t list -> outcome list
-(** [refine_all ~pool ~steps models] — one {!refine_one} per model on the
+(** [refine_all ~pool ~steps models] — one refinement per model on the
     pool ([None] = sequentially in the caller), outcomes in submission
     order. This is what [mdweave batch] runs and bench E14 times. Metric
     shards, and when the caller traces each item's events, are merged at

@@ -53,8 +53,6 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
     [map] may be in flight per pool; raises [Invalid_argument] on
     concurrent submission and on a pool that has been {!shutdown}. *)
 
-val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-
 val shutdown : t -> unit
 (** Joins all worker domains. Idempotent. *)
 

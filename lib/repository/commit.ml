@@ -16,5 +16,3 @@ let tree_size t = Tree.cardinal t.tree
 let summary t =
   Format.asprintf "#%d %s (%a)%s" t.id t.message Mof.Diff.pp t.diff
     (match t.concern with Some c -> " [" ^ c ^ "]" | None -> "")
-
-let pp ppf t = Format.pp_print_string ppf (summary t)

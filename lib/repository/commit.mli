@@ -42,5 +42,3 @@ val tree_size : t -> int
 
 val summary : t -> string
 (** One line: id, message, diff size. *)
-
-val pp : Format.formatter -> t -> unit

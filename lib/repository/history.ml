@@ -16,17 +16,3 @@ let render repo =
          in
          marker ^ Commit.summary c ^ tag_suffix)
        (Repo.log repo))
-
-let concerns_in_history repo =
-  List.fold_left
-    (fun acc (c : Commit.t) ->
-      match c.Commit.concern with
-      | Some key when not (List.mem key acc) -> acc @ [ key ]
-      | Some _ | None -> acc)
-    []
-    (List.rev (Repo.log repo))
-
-let total_churn repo =
-  List.fold_left
-    (fun acc (c : Commit.t) -> acc + Mof.Diff.cardinal c.Commit.diff)
-    0 (Repo.log repo)

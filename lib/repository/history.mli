@@ -1,13 +1,5 @@
-(** Rendering and statistics over repository histories. *)
+(** Rendering of repository histories. *)
 
 val render : Repo.t -> string
 (** The head-first log, one commit summary per line, head marked with
     [*] and tags shown inline. *)
-
-val concerns_in_history : Repo.t -> string list
-(** Concern keys recorded along the head chain, oldest first, without
-    duplicates. *)
-
-val total_churn : Repo.t -> int
-(** Sum of diff cardinalities along the head chain — how much the model
-    moved across all refinements. *)

@@ -31,7 +31,6 @@ val commit :
   t ->
   t
 
-val head : t -> commit
 val head_model : t -> Mof.Model.t
 val undo : t -> t option
 val redo : t -> t option

@@ -191,7 +191,6 @@ let can_undo t = (head t).Commit.parent <> None
 let can_redo t = t.redo_path <> []
 
 let tag name t = { t with tag_map = Smap.add name t.head_id t.tag_map }
-let tag_find t name = Smap.find_opt name t.tag_map
 let tags t = Smap.bindings t.tag_map
 
 let checkout name t =

@@ -110,9 +110,6 @@ val can_redo : t -> bool
 val tag : string -> t -> t
 (** Names the head commit. Re-tagging moves the tag. O(log tags). *)
 
-val tag_find : t -> string -> int option
-(** Commit id a tag points at. O(log tags). *)
-
 val checkout : string -> t -> (t, checkout_error) result
 (** Moves the head to the commit named by a tag; clears the redo path.
     O(log commits + log tags). *)
@@ -134,7 +131,10 @@ val create_branch : string -> t -> (t, [ `Branch_exists of string ]) result
 
 val switch_branch : string -> t -> (t, checkout_error) result
 (** Moves the head to the named branch's commit and makes it current;
-    clears the redo path. O(log commits + log branches). *)
+    clears the redo path. O(log commits + log branches). Only the golden
+    snapshot history in the tests switches branches, and no sequence of the
+    other operations builds that history, so it stays for the snapshot's
+    sake. *)
 
 val find : t -> int -> Commit.t option
 

@@ -38,8 +38,6 @@ let snapshot t =
   if Obs.enabled () then Obs.event ~cat:"repo" "session.read";
   v
 
-let stale t view = not (Atomic.get t.state == view)
-
 (* All writers funnel through here: one mutex serializes commits (and so,
    a fortiori, commits per branch), one atomic store publishes. Readers
    never take the lock. *)
@@ -93,11 +91,6 @@ let commit t ~branch ?expect_head ?transformation ?concern ~message model =
             ]
   | _ -> ());
   result
-
-let tag t name =
-  update t (fun repo ->
-      let repo = Repo.tag name repo in
-      Ok (repo, (Repo.head repo).Commit.id))
 
 let create_branch t name =
   update t (fun repo ->

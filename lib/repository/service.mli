@@ -24,7 +24,6 @@ type error =
   | Branch_exists of string
   | Repo_error of Repo.checkout_error
 
-val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
 val create : Repo.t -> t
@@ -32,11 +31,6 @@ val create : Repo.t -> t
 val snapshot : t -> Repo.t
 (** The current repository value — an immutable, fully consistent view.
     One atomic load; never blocks, not even against an in-flight commit. *)
-
-val stale : t -> Repo.t -> bool
-(** [stale t view] is [true] when the service has published anything since
-    [view] was taken (physical identity — exact, because every mutation
-    builds a fresh repository value). *)
 
 val commit :
   t ->
@@ -51,9 +45,6 @@ val commit :
     With [expect_head], fails with [Stale_parent] when the branch head is
     no longer the commit the session read. Diffing replays the submitted
     model's journal when it derives from the branch head's model. *)
-
-val tag : t -> string -> (int, error) result
-(** Tags the current head; returns the tagged commit id. *)
 
 val create_branch : t -> string -> (int, error) result
 (** A new branch at the current head; returns the commit id it points at. *)

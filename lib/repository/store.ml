@@ -35,7 +35,6 @@ let find_exn t d =
       invalid_arg
         ("Repository.Store.find_exn: unknown digest " ^ Mof.Canon.digest_hex d)
 
-let mem t d = Dmap.mem d t.objects
 let count t = t.count
 let bytes t = t.total_bytes
 

@@ -1,5 +1,5 @@
-(** The content-addressed object store: hash-consed elements keyed by their
-    canonical content digest ({!Mof.Canon.digest}).
+(** The content-addressed object store: hash-consed elements keyed by the
+    digest of their canonical bytes ({!Mof.Canon.element_bytes}).
 
     The store is append-only — objects are never evicted, which is what
     makes every commit tree that ever referenced an object permanently
@@ -20,13 +20,9 @@ val add : t -> Mof.Element.t -> t * digest
 (** [add t e] binds [e] under its content digest, or returns [t] unchanged
     when an equal element is already stored. O(log objects). *)
 
-val find : t -> digest -> Mof.Element.t option
-
 val find_exn : t -> digest -> Mof.Element.t
 (** @raise Invalid_argument on an unknown digest — a store/tree
     consistency break, not a user error. *)
-
-val mem : t -> digest -> bool
 
 val count : t -> int
 (** Number of distinct objects. O(1), like {!bytes}. *)

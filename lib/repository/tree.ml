@@ -68,12 +68,6 @@ let rec max_binding_opt = function
   | Leaf l -> Some (Mof.Id.of_int l.key, l.digest)
   | Branch b -> max_binding_opt b.right
 
-let rec fold f t acc =
-  match t with
-  | Empty -> acc
-  | Leaf l -> f (Mof.Id.of_int l.key) l.digest acc
-  | Branch b -> fold f b.right (fold f b.left acc)
-
 let bindings t =
   let rec go t acc =
     match t with

@@ -38,9 +38,6 @@ val remove : Mof.Id.t -> t -> t
 val max_binding_opt : t -> (Mof.Id.t * Store.digest) option
 (** The binding with the largest id. *)
 
-val fold : (Mof.Id.t -> Store.digest -> 'a -> 'a) -> t -> 'a -> 'a
-(** Folds over the bindings in ascending id order. *)
-
 val bindings : t -> (Mof.Id.t * Store.digest) list
 (** All bindings, in ascending id order. *)
 

@@ -21,7 +21,3 @@ val sequence :
   name:string -> concern:string -> Gmt.t list -> (Gmt.t, string) result
 (** [sequence ~name ~concern gmts] is the composite transformation, or an
     error for an empty list or conflicting formals. *)
-
-val merge_formals : Params.decl list list -> (Params.decl list, string) result
-(** The merged declaration list (first occurrence wins for documentation and
-    defaults); [Error] on a name declared twice with different types. *)

@@ -40,11 +40,6 @@ val variable : string -> string
 (** [variable p] is ["$p$"], the OCL variable through which conditions
     read parameter [p]. *)
 
-val param_type : Params.ptype -> Ocl.Typecheck.ty
-(** The static OCL type of a [$p$] declared with a parameter type: the
-    type of the value {!Cmt.env} binds ([P_list P_ident] is [Set(String)],
-    [P_int] is [Integer], enum cases are [String], …). *)
-
 val validate_conditions : t -> string list
 (** Statically typechecks every pre/postcondition body, with each [$p$]
     typed by {!param_type} from its declaration, and returns the

@@ -56,7 +56,6 @@ type set = {
   assigned : (string * value) list;  (* declaration order *)
 }
 
-let names s = List.map fst s.assigned
 let bindings s = s.assigned
 
 type problem =
@@ -118,14 +117,6 @@ let get_int s name =
   | v ->
       invalid_arg
         (Printf.sprintf "parameter %s is not an int: %s" name (value_to_string v))
-
-let get_bool s name =
-  match get s name with
-  | V_bool b -> b
-  | v ->
-      invalid_arg
-        (Printf.sprintf "parameter %s is not a bool: %s" name
-           (value_to_string v))
 
 let get_names s name =
   match get s name with

@@ -30,11 +30,6 @@ type value =
 val value_to_string : value -> string
 (** Human-readable rendering, e.g. for reports. *)
 
-val value_conforms : value -> ptype -> bool
-(** Does a value fit a parameter type? [V_string] is accepted for [P_enum]
-    when it is one of the cases; [V_ident]/[V_string] are interchangeable
-    where a name is expected. *)
-
 (** A formal parameter declaration. *)
 type decl = {
   pname : string;
@@ -52,9 +47,6 @@ val decl :
 (** A parameter set S_i: validated assignments to a declaration list. *)
 type set
 
-val names : set -> string list
-(** Assigned parameter names, declaration order. *)
-
 val bindings : set -> (string * value) list
 
 (** Validation problems found by {!build}. *)
@@ -68,16 +60,10 @@ val pp_problem : Format.formatter -> problem -> unit
 val build : decl list -> (string * value) list -> (set, problem list) result
 (** Validates assignments against declarations; defaults are filled in. *)
 
-val get : set -> string -> value
-(** @raise Not_found for unassigned names (cannot happen for parameters that
-    are required or have defaults). *)
-
-val find : set -> string -> value option
 val get_string : set -> string -> string
 (** Coerces [V_string]/[V_ident]; @raise Invalid_argument otherwise. *)
 
 val get_int : set -> string -> int
-val get_bool : set -> string -> bool
 
 val get_names : set -> string -> string list
 (** A [P_list P_ident] (or strings) parameter as a name list. *)

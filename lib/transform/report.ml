@@ -10,11 +10,6 @@ type t = {
   diff : Mof.Diff.t;
 }
 
-(* Count accessors kept for API stability with the old record fields. *)
-let added t = Mof.Id.Set.cardinal t.diff.Mof.Diff.added
-let removed t = Mof.Id.Set.cardinal t.diff.Mof.Diff.removed
-let modified t = Mof.Id.Set.cardinal t.diff.Mof.Diff.modified
-
 let make cmt (diff : Mof.Diff.t) =
   if Obs.enabled () then
     Obs.event ~cat:"transform" "report.make"
@@ -34,9 +29,3 @@ let make cmt (diff : Mof.Diff.t) =
 
 let summary t =
   Format.asprintf "%s [%s] %a" t.transformation t.concern Mof.Diff.pp t.diff
-
-let pp ppf t =
-  Format.fprintf ppf "%s@." (summary t);
-  List.iter
-    (fun (name, v) -> Format.fprintf ppf "  %s = %s@." name v)
-    t.parameters

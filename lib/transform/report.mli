@@ -8,16 +8,9 @@ type t = {
   diff : Mof.Diff.t;  (** what the application did, kept structurally *)
 }
 
-val added : t -> int
-val removed : t -> int
-val modified : t -> int
-
 val make : Cmt.t -> Mof.Diff.t -> t
 (** Builds the report and, when a telemetry sink is installed, emits a
     structured [report.make] event with the same counts. *)
 
 val summary : t -> string
 (** One line: ["T.distribution<...> [distribution] +12 -0 ~3"]. *)
-
-val pp : Format.formatter -> t -> unit
-(** Multi-line rendering including parameters. *)

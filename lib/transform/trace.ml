@@ -53,10 +53,3 @@ let introduced_by t id =
       (entries t)
   in
   Option.map (fun e -> e.concern) creator
-
-let pp ppf t =
-  List.iter
-    (fun e ->
-      Format.fprintf ppf "%d. %s [%s] %a@." e.seq e.transformation e.concern
-        Mof.Diff.pp e.diff)
-    (entries t)

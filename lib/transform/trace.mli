@@ -8,20 +8,11 @@
       the order in which the model transformations were applied"),
     - repository history. *)
 
-(** One applied transformation. *)
-type entry = {
-  seq : int;  (** 1-based application order *)
-  transformation : string;  (** CMT name *)
-  concern : string;  (** concern key, e.g. ["distribution"] *)
-  diff : Mof.Diff.t;
-}
-
 type t
-(** A trace: entries in application order. *)
+(** A trace: one entry per applied transformation, in application order,
+    recording its sequence number, name, concern and diff. *)
 
 val empty : t
-val entries : t -> entry list
-val length : t -> int
 
 val record : transformation:string -> concern:string -> Mof.Diff.t -> t -> t
 (** Appends an entry with the next sequence number. When a telemetry sink
@@ -49,5 +40,3 @@ val introduced_by : t -> Mof.Id.t -> string option
 (** The concern whose transformation *created* the element, if any; an
     element created by one concern and modified by another keeps its
     creator. *)
-
-val pp : Format.formatter -> t -> unit

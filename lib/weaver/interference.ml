@@ -68,27 +68,6 @@ let effect_of (a : Aspects.Advice.t) shadow =
 
 (* --- per-aspect facts -------------------------------------------------- *)
 
-(* Collect every expression of a statement list (direct expressions of each
-   statement, recursively). *)
-let rec stmts_exprs acc stmts =
-  List.fold_left
-    (fun acc s ->
-      let acc = List.rev_append (Joinpoint.direct_exprs s) acc in
-      match s with
-      | Code.Jstmt.S_if (_, t, f) -> stmts_exprs (stmts_exprs acc t) f
-      | Code.Jstmt.S_while (_, b)
-      | Code.Jstmt.S_sync (_, b)
-      | Code.Jstmt.S_block b ->
-          stmts_exprs acc b
-      | Code.Jstmt.S_try (b, catches, fin) ->
-          let acc = stmts_exprs acc b in
-          let acc =
-            List.fold_left (fun acc (_, _, s) -> stmts_exprs acc s) acc catches
-          in
-          stmts_exprs acc fin
-      | _ -> acc)
-    acc stmts
-
 let expr_calls acc e =
   Code.Jexpr.fold_calls
     (fun acc (recv, name, _) ->
@@ -183,7 +162,11 @@ let info_of shadows (g : Aspects.Generator.generated) =
           | Aspects.Aspect.It_field _ -> None)
         aspect.Aspects.Aspect.intertypes
   in
-  let exprs = List.fold_left stmts_exprs [] woven_bodies in
+  let exprs =
+    List.fold_left
+      (List.fold_left (Code.Jstmt.fold_expr (fun acc e -> e :: acc)))
+      [] woven_bodies
+  in
   let intro_calls =
     List.sort_uniq String.compare (List.fold_left expr_calls [] exprs)
   in

@@ -25,8 +25,6 @@ type effect_kind =
   | Insert_after  (** [after returning]: appends before the trailing return *)
   | Field_touch  (** statement advice at a field-set shadow *)
 
-val effect_to_string : effect_kind -> string
-
 (** Advice applying at one join point. *)
 type advising = {
   aspect_name : string;

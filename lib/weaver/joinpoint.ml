@@ -193,12 +193,12 @@ let direct_exprs = function
   | Code.Jstmt.S_sync (e, _) -> [ e ]
   | _ -> []
 
+let expr_shadows scope ~within_method e =
+  call_shadows_in_expr scope ~within_method e
+  @ field_set_shadows_in_expr scope ~within_method e
+
 let statement_shadows scope ~within_method stmt =
-  List.concat_map
-    (fun e ->
-      call_shadows_in_expr scope ~within_method e
-      @ field_set_shadows_in_expr scope ~within_method e)
-    (direct_exprs stmt)
+  List.concat_map (expr_shadows scope ~within_method) (direct_exprs stmt)
 
 let shadows_of_method (c : Code.Jdecl.class_) (m : Code.Jdecl.method_) =
   match m.Code.Jdecl.body with
@@ -206,37 +206,18 @@ let shadows_of_method (c : Code.Jdecl.class_) (m : Code.Jdecl.method_) =
   | Some body ->
       let scope = scope_of_method c m in
       let within_method = m.Code.Jdecl.method_name in
-      let rec walk acc stmts =
+      let shadows =
         List.fold_left
-          (fun acc stmt ->
-            let acc =
-              List.rev_append
-                (statement_shadows scope ~within_method stmt)
-                acc
-            in
-            match stmt with
-            | Code.Jstmt.S_if (_, t, f) -> walk (walk acc t) f
-            | Code.Jstmt.S_while (_, b)
-            | Code.Jstmt.S_sync (_, b)
-            | Code.Jstmt.S_block b ->
-                walk acc b
-            | Code.Jstmt.S_try (b, catches, fin) ->
-                let acc = walk acc b in
-                let acc =
-                  List.fold_left
-                    (fun acc (_, _, stmts) -> walk acc stmts)
-                    acc catches
-                in
-                walk acc fin
-            | _ -> acc)
-          acc stmts
+          (Code.Jstmt.fold_expr (fun acc e ->
+               List.rev_append (expr_shadows scope ~within_method e) acc))
+          [] body
       in
       Sh_execution
         {
           class_name = c.Code.Jdecl.class_name;
           method_name = m.Code.Jdecl.method_name;
         }
-      :: List.rev (walk [] body)
+      :: List.rev shadows
 
 let shadows_of_class (c : Code.Jdecl.class_) =
   List.concat_map (shadows_of_method c) c.Code.Jdecl.methods

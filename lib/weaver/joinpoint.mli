@@ -45,37 +45,10 @@ type scope
 
 val scope_of_method : Code.Jdecl.class_ -> Code.Jdecl.method_ -> scope
 
-val receiver_class : scope -> Code.Jexpr.t option -> string option
-(** Statically resolve the class of a call receiver: [None] receiver and
-    [this] resolve to the current class; names and [this.f] through the
-    scope; [new C(...)] and casts to their named type; anything else is
-    unresolved. *)
-
-val call_shadows_in_expr :
-  scope -> within_method:string -> Code.Jexpr.t -> shadow list
-(** Call shadows occurring anywhere inside an expression (the bare
-    [proceed()] marker excluded). *)
-
-val field_set_shadows_in_expr :
-  scope -> within_method:string -> Code.Jexpr.t -> shadow list
-(** Field-assignment shadows with a resolvable target class. *)
-
-val direct_exprs : Code.Jstmt.t -> Code.Jexpr.t list
-(** The expressions held directly by a statement — not those of nested
-    statements. Every expression of a body is a direct expression of
-    exactly one statement. *)
-
 val statement_shadows :
   scope -> within_method:string -> Code.Jstmt.t -> shadow list
 (** Call and set shadows of a statement's direct expressions — exactly the
     shadows statement advice considers when deciding to wrap it. *)
-
-val shadows_of_method : Code.Jdecl.class_ -> Code.Jdecl.method_ -> shadow list
-(** All shadows of one method in program order: the execution shadow first,
-    then call/set shadows statement by statement. Empty for bodyless
-    methods. *)
-
-val shadows_of_class : Code.Jdecl.class_ -> shadow list
 
 val all_shadows : Code.Junit.program -> shadow list
 (** Every shadow of a program, all three kinds, program order. *)

@@ -4,10 +4,6 @@ let order generated =
       Int.compare a.Aspects.Generator.seq b.Aspects.Generator.seq)
     generated
 
-let dominates (a : Aspects.Generator.generated) (b : Aspects.Generator.generated)
-    =
-  a.Aspects.Generator.seq < b.Aspects.Generator.seq
-
 let explain generated =
   String.concat "\n"
     (List.mapi

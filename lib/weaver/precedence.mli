@@ -12,9 +12,5 @@ val order : Aspects.Generator.generated list -> Aspects.Generator.generated list
 (** Sorted by ascending sequence number (highest precedence first);
     stable. *)
 
-val dominates :
-  Aspects.Generator.generated -> Aspects.Generator.generated -> bool
-(** [dominates a b] when [a] has higher precedence than [b]. *)
-
 val explain : Aspects.Generator.generated list -> string
 (** Human-readable precedence listing. *)

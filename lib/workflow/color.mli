@@ -10,23 +10,6 @@
 type palette = (string * string) list
 (** concern key → color name. *)
 
-val default_colors : string list
-(** The rotation used by {!assign}: red, blue, green, … (reused cyclically
-    past its length). *)
-
-val assign : string list -> palette
-(** [assign concerns] pairs each concern with the next palette color. *)
-
-val of_trace : Transform.Trace.t -> palette
-(** Palette for the concerns a trace has applied, in application order. *)
-
-val color_of : palette -> Transform.Trace.t -> Mof.Id.t -> string option
-(** The color of an element: that of the concern whose transformation
-    created it; [None] for functional (untraced) elements. *)
-
-val legend : palette -> string
-(** The association list, one [color — concern] line per entry. *)
-
 val demarcate : Mof.Model.t -> Transform.Trace.t -> string
 (** A model listing in which every concern-introduced element is prefixed
     with its color, e.g. ["[red] Class AccountProxy"], and functional

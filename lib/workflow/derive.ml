@@ -1,11 +1,3 @@
-let middleware_dependencies =
-  [
-    ("distribution", []);
-    ("transactions", [ "distribution" ]);
-    ("security", [ "distribution" ]);
-    ("concurrency", []);
-    ("logging", []);
-  ]
 
 let from_dependencies ?(optional = []) specs =
   let names = List.map fst specs in

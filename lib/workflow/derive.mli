@@ -17,7 +17,3 @@ val from_dependencies :
     optional steps. Errors: a prerequisite naming an undeclared concern, a
     concern declared twice, or a dependency cycle (the cycle's members are
     named). *)
-
-val middleware_dependencies : (string * string list) list
-(** The dependencies behind {!State.middleware_default}: transactions and
-    security presuppose distribution; concurrency and logging are free. *)

@@ -1,4 +1,3 @@
-let next_options = State.options
 
 let describe p =
   let done_lines =
@@ -60,12 +59,3 @@ let interference_brief pairs =
           pairs
       in
       String.concat "\n" (header :: lines)
-
-let consistent_with_trace p trace =
-  let from_workflow = State.applied_concerns p in
-  let from_trace =
-    List.map
-      (fun (e : Transform.Trace.entry) -> e.Transform.Trace.concern)
-      (Transform.Trace.entries trace)
-  in
-  List.equal String.equal from_workflow from_trace

@@ -1,9 +1,5 @@
 (** Developer guidance over a workflow in progress. *)
 
-val next_options : State.progress -> string list
-(** Concerns applicable right now (current step, plus later steps reachable
-    through optional ones). *)
-
 val describe : State.progress -> string
 (** Multi-line status: completed steps, current options, remaining
     concerns. *)
@@ -21,8 +17,3 @@ type interference_pair = {
 val interference_brief : interference_pair list -> string
 (** Render interference verdicts as workflow guidance: which concern
     orderings the workflow fixes are load-bearing, and which are free. *)
-
-val consistent_with_trace : State.progress -> Transform.Trace.t -> bool
-(** Whether the concerns recorded by the workflow match the transformation
-    trace, in order — a cross-check between the guidance layer and the
-    engine. *)

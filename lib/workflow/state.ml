@@ -63,29 +63,6 @@ let advance p ~concern =
                concern))
 
 let completed p = List.rev p.done_rev
-let applied_concerns p = List.map snd (completed p)
-
-let is_complete p =
-  let rec all_optional i =
-    match List.nth_opt p.definition.steps i with
-    | None -> true
-    | Some s -> s.optional && all_optional (i + 1)
-  in
-  all_optional p.position
-
-let options p =
-  let rec collect i acc =
-    match List.nth_opt p.definition.steps i with
-    | None -> acc
-    | Some s ->
-        let acc =
-          List.fold_left
-            (fun acc c -> if List.mem c acc then acc else acc @ [ c ])
-            acc s.choices
-        in
-        if s.optional then collect (i + 1) acc else acc
-  in
-  collect p.position []
 
 let remaining_concerns p =
   let rec collect i acc =

@@ -43,16 +43,6 @@ val advance : progress -> concern:string -> (progress, string) result
 val completed : progress -> (string * string) list
 (** (step name, concern applied) pairs so far. *)
 
-val applied_concerns : progress -> string list
-
-val is_complete : progress -> bool
-(** All non-optional steps satisfied. *)
-
 val remaining_concerns : progress -> string list
 (** Concerns still applicable at the current and later steps — the paper's
     "list of the remaining concerns". *)
-
-val options : progress -> string list
-(** Concerns admissible for the very next {!advance}: the current step's
-    choices plus those of later steps reachable by skipping only optional
-    steps. *)

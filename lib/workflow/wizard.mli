@@ -3,30 +3,8 @@
     CLI form: question generation from formal parameter declarations and
     parsing of textual assignments. *)
 
-(** One configuration question. *)
-type question = {
-  parameter : string;
-  type_hint : string;  (** rendered parameter type *)
-  doc : string;
-  default_hint : string option;  (** rendered default, when present *)
-}
-
-val questions : Transform.Params.decl list -> question list
-
 val render_questions : Transform.Params.decl list -> string
 (** The wizard prompt text, one line per parameter. *)
-
-val parse_value :
-  Transform.Params.ptype -> string -> (Transform.Params.value, string) result
-(** Parses textual input against a parameter type: ["true"] for booleans,
-    decimal integers, comma-separated items for lists, enum keywords
-    verbatim. *)
-
-val parse_assignment :
-  Transform.Params.decl list ->
-  string ->
-  (string * Transform.Params.value, string) result
-(** Parses ["name=text"] using the declared type of [name]. *)
 
 val parse_assignments :
   Transform.Params.decl list ->

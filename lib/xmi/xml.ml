@@ -6,39 +6,6 @@ type t =
     }
   | Text of string
 
-let elem ?(attrs = []) tag children = Elem { tag; attrs; children }
-let text s = Text s
-
-let tag = function Elem { tag; _ } -> Some tag | Text _ -> None
-
-let attr name = function
-  | Elem { attrs; _ } -> List.assoc_opt name attrs
-  | Text _ -> None
-
-let attr_exn name node =
-  match attr name node with Some v -> v | None -> raise Not_found
-
-let children = function Elem { children; _ } -> children | Text _ -> []
-
-let child_elems node =
-  List.filter (fun c -> match c with Elem _ -> true | Text _ -> false) (children node)
-
-let find_child wanted node =
-  List.find_opt
-    (fun c -> match tag c with Some t -> String.equal t wanted | None -> false)
-    (children node)
-
-let find_children wanted node =
-  List.filter
-    (fun c -> match tag c with Some t -> String.equal t wanted | None -> false)
-    (children node)
-
-let text_content node =
-  String.concat ""
-    (List.filter_map
-       (fun c -> match c with Text s -> Some s | Elem _ -> None)
-       (children node))
-
 let rec equal a b =
   match (a, b) with
   | Text x, Text y -> String.equal x y

@@ -11,33 +11,4 @@ type t =
     }
   | Text of string
 
-val elem : ?attrs:(string * string) list -> string -> t list -> t
-(** [elem tag children] is an element node. *)
-
-val text : string -> t
-
-val tag : t -> string option
-(** The tag of an element node, [None] for text. *)
-
-val attr : string -> t -> string option
-(** Attribute lookup on an element node. *)
-
-val attr_exn : string -> t -> string
-(** @raise Not_found when absent or on a text node. *)
-
-val children : t -> t list
-(** Children of an element node, [] for text. *)
-
-val child_elems : t -> t list
-(** Children that are element nodes, skipping whitespace-only text. *)
-
-val find_child : string -> t -> t option
-(** First child element with the given tag. *)
-
-val find_children : string -> t -> t list
-(** All child elements with the given tag, in order. *)
-
-val text_content : t -> string
-(** Concatenated text of the node's direct text children. *)
-
 val equal : t -> t -> bool

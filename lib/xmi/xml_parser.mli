@@ -13,10 +13,6 @@
 exception Xml_error of string * int
 (** [Xml_error (message, offset)]. *)
 
-val max_depth : int
-(** The deepest element nesting the reader accepts (256). An element opened
-    below it raises {!Xml_error} at the offset of its [<]. *)
-
 type event =
   | Open of string * (string * string) list
       (** A start tag (or an empty-element tag, which is followed at once by

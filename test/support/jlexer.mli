@@ -1,4 +1,4 @@
-(** Lexer for the Java-like source subset that {!Printer} emits. *)
+(** Lexer for the Java-like source subset that {!Code.Printer} emits. *)
 
 type token =
   | T_int of int
@@ -21,4 +21,4 @@ exception Lex_error of string * int
 
 val tokenize : string -> located list
 (** Comments are kept as tokens (the statement parser turns them into
-    {!Jstmt.S_comment}); whitespace separates. *)
+    {!Code.Jstmt.S_comment}); whitespace separates. *)

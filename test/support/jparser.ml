@@ -1,3 +1,5 @@
+open Code
+
 exception Parse_error of string * int
 
 type state = {

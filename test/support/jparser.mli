@@ -1,11 +1,15 @@
-(** Parser for the Java-like source subset emitted by {!Printer}.
+(** Parser for the Java-like source subset emitted by {!Code.Printer}: the
+    printer's round-trip reference. No step of the pipeline reads Java-like
+    text, so the parser lives with the tests rather than in [lib/code].
 
     The subset covers everything the code model can express — compilation
     units, classes/interfaces, fields, methods, the statement forms of
-    {!Jstmt}, and the expression forms of {!Jexpr} — so that
-    [parse_unit (Printer.unit_to_string u)] reconstructs [u] exactly (the
-    round-trip property the test suite enforces). Line comments become
-    {!Jstmt.S_comment} inside method bodies and are skipped elsewhere. *)
+    {!Code.Jstmt}, and the expression forms of {!Code.Jexpr} — so that
+    parsing a printed unit reconstructs it exactly (the round-trip property
+    the test suite enforces). Line comments become {!Code.Jstmt.S_comment}
+    inside method bodies and are skipped elsewhere. *)
+
+open Code
 
 exception Parse_error of string * int
 

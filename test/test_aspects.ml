@@ -11,6 +11,21 @@ let contains hay needle =
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
 
+let ( &&& ) a b = Aspects.Pointcut.And (a, b)
+let ( ||| ) a b = Aspects.Pointcut.Or (a, b)
+let not_ a = Aspects.Pointcut.Not a
+
+(* The parser's nesting bound, as its interface documents it. *)
+let max_depth = 256
+
+let advice_count (a : Aspects.Aspect.t) = List.length a.Aspects.Aspect.advices
+
+(* Aspects reach text through the generator's printer, the one the build
+   artifacts use. *)
+let aspect_text aspect =
+  Aspects.Printer.generated_to_string
+    { Aspects.Generator.aspect; from_transformation = "T"; seq = 1 }
+
 (* ---- patterns ------------------------------------------------------------ *)
 
 let pattern_tests =
@@ -75,13 +90,6 @@ let pointcut_tests =
           (to_string (execution "A" "*" &&& not_ (within "B")));
         check cs "or" "(call(A.f) || set(A.x))"
           (to_string (call "A" "f" ||| set_field "A" "x")));
-    Alcotest.test_case "execution_patterns collects positively" `Quick
-      (fun () ->
-        let open Aspects.Pointcut in
-        let pc = execution "A" "f" &&& (execution "B" "g" ||| within "C") in
-        check ci "two" 2 (List.length (execution_patterns pc));
-        check ci "not under negation" 0
-          (List.length (execution_patterns (not_ (execution "A" "f")))));
   ]
 
 (* ---- pointcut parser ------------------------------------------------------- *)
@@ -131,7 +139,7 @@ let pointcut_parser_tests =
             or_chain 100;
             or_chain 128;
             nots 100;
-            nots Aspects.Pointcut_parser.max_depth;
+            nots max_depth;
           ]);
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~name:"random pointcuts round trip" ~count:200
@@ -160,7 +168,7 @@ let pointcut_parser_tests =
              ]
           @ [
               ( "257 negations",
-                String.make (Aspects.Pointcut_parser.max_depth + 1) '!' ^ "within(A)" );
+                String.make (max_depth + 1) '!' ^ "within(A)" );
               ( "1M nested parentheses",
                 String.make deep '(' ^ "within(A)" ^ String.make deep ')' );
               ("1M negations", String.make deep '!' ^ "within(A)");
@@ -178,7 +186,7 @@ let advice_tests =
             (Aspects.Pointcut.execution "A" "*")
             [ Aspects.Advice.proceed ]
         in
-        check cb "direct" true (Aspects.Advice.mentions_proceed direct);
+        check cb "direct" true (Aspect_check.mentions_proceed direct);
         let nested =
           Aspects.Advice.make Aspects.Advice.Around
             (Aspects.Pointcut.execution "A" "*")
@@ -189,13 +197,13 @@ let advice_tests =
                   [] );
             ]
         in
-        check cb "nested" true (Aspects.Advice.mentions_proceed nested);
+        check cb "nested" true (Aspect_check.mentions_proceed nested);
         let without =
           Aspects.Advice.make Aspects.Advice.Before
             (Aspects.Pointcut.execution "A" "*")
             [ Code.Jstmt.S_comment "nothing" ]
         in
-        check cb "absent" false (Aspects.Advice.mentions_proceed without));
+        check cb "absent" false (Aspect_check.mentions_proceed without));
     Alcotest.test_case "default names are informative" `Quick (fun () ->
         let a =
           Aspects.Advice.make Aspects.Advice.Before
@@ -220,7 +228,7 @@ let aspect_tests =
               ]
             ()
         in
-        check cb "flagged" true (Aspects.Aspect.validate aspect <> []));
+        check cb "flagged" true (Aspect_check.validate aspect <> []));
     Alcotest.test_case "before with proceed flagged" `Quick (fun () ->
         let aspect =
           Aspects.Aspect.make ~name:"Bad" ~concern:"c"
@@ -232,7 +240,7 @@ let aspect_tests =
               ]
             ()
         in
-        check cb "flagged" true (Aspects.Aspect.validate aspect <> []));
+        check cb "flagged" true (Aspect_check.validate aspect <> []));
     Alcotest.test_case "duplicate inter-type fields flagged" `Quick (fun () ->
         let field =
           {
@@ -248,7 +256,7 @@ let aspect_tests =
               [ Aspects.Aspect.It_field ("A", field); Aspects.Aspect.It_field ("A", field) ]
             ()
         in
-        check cb "flagged" true (Aspects.Aspect.validate aspect <> []));
+        check cb "flagged" true (Aspect_check.validate aspect <> []));
     Alcotest.test_case "clean aspect validates" `Quick (fun () ->
         let aspect =
           Aspects.Aspect.make ~name:"Good" ~concern:"c"
@@ -260,7 +268,7 @@ let aspect_tests =
               ]
             ()
         in
-        check (Alcotest.list cs) "no diags" [] (Aspects.Aspect.validate aspect));
+        check (Alcotest.list cs) "no diags" [] (Aspect_check.validate aspect));
   ]
 
 (* ---- generic aspects + generator --------------------------------------------- *)
@@ -290,17 +298,22 @@ let counting_gmt =
 let generic_tests =
   [
     Alcotest.test_case "specialize validates assignments" `Quick (fun () ->
+        (* the assignment is checked once, by the transformation the aspect
+           shares its formals with *)
         check cb "missing rejected" true
-          (Result.is_error (Aspects.Generic.specialize counting_gac []));
+          (Result.is_error (Transform.Cmt.specialize counting_gmt []));
         match
-          Aspects.Generic.specialize counting_gac
+          Transform.Cmt.specialize counting_gmt
             [
               ( "targets",
                 Transform.Params.V_list
                   [ Transform.Params.V_ident "A"; Transform.Params.V_ident "B" ] );
             ]
         with
-        | Ok aspect -> check ci "two advices" 2 (Aspects.Aspect.advice_count aspect)
+        | Ok cmt ->
+            check ci "two advices" 2
+              (advice_count
+                 (Aspects.Generator.from_cmt counting_gac ~seq:1 cmt).Aspects.Generator.aspect)
         | Error _ -> Alcotest.fail "should specialize");
     Alcotest.test_case "from_cmt reuses the transformation's parameter set"
       `Quick (fun () ->
@@ -311,7 +324,7 @@ let generic_tests =
         let g = Aspects.Generator.from_cmt counting_gac ~seq:3 cmt in
         check ci "seq stamped" 3 g.Aspects.Generator.seq;
         check ci "one advice" 1
-          (Aspects.Aspect.advice_count g.Aspects.Generator.aspect);
+          (advice_count g.Aspects.Generator.aspect);
         check cs "provenance" "T.count<[X]>" g.Aspects.Generator.from_transformation);
     Alcotest.test_case "from_cmt rejects concern mismatches" `Quick (fun () ->
         let other_gmt =
@@ -366,7 +379,7 @@ let printer_tests =
               ]
             ()
         in
-        let text = Aspects.Printer.to_string aspect in
+        let text = aspect_text aspect in
         List.iter
           (fun needle -> check cb needle true (contains text needle))
           [
@@ -384,7 +397,9 @@ let printer_tests =
             [ Aspects.Advice.proceed ]
         in
         check cb "header" true
-          (contains (Aspects.Printer.advice_to_string a) "Object around() :"));
+          (contains
+             (aspect_text (Aspects.Aspect.make ~name:"R" ~concern:"c" ~advices:[ a ] ()))
+             "Object around() :"));
     Alcotest.test_case "inter-type methods render with the target pattern"
       `Quick (fun () ->
         let aspect =
@@ -404,7 +419,7 @@ let printer_tests =
               ]
             ()
         in
-        let text = Aspects.Printer.to_string aspect in
+        let text = aspect_text aspect in
         check cb "pattern-qualified signature" true
           (contains text "public boolean Account*.ping()"));
     Alcotest.test_case "generated header records provenance" `Quick (fun () ->

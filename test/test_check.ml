@@ -15,8 +15,8 @@ let prng_tests =
   [
     Alcotest.test_case "equal seeds give equal streams" `Quick (fun () ->
         let a = Check.Prng.make 7L and b = Check.Prng.make 7L in
-        let da = List.init 50 (fun _ -> Check.Prng.bits64 a) in
-        let db = List.init 50 (fun _ -> Check.Prng.bits64 b) in
+        let da = List.init 50 (fun _ -> Check.Prng.int a 1_000_000) in
+        let db = List.init 50 (fun _ -> Check.Prng.int b 1_000_000) in
         check cb "same" true (da = db));
     Alcotest.test_case "mix separates case streams" `Quick (fun () ->
         let s1 = Check.Prng.mix 42L 1 and s2 = Check.Prng.mix 42L 2 in
@@ -81,7 +81,7 @@ let edit_tests =
         let rng = Check.Prng.make 17L in
         for _ = 1 to 100 do
           let base = Check.Gen.base_script rng in
-          let m = Check.Edit.apply (Mof.Model.create ~name:"fuzz") base in
+          let m = fst (Check.Edit.apply_with_slots (Mof.Model.create ~name:"fuzz") base) in
           check cb "clean" true (Mof.Wellformed.check m = [])
         done);
     Alcotest.test_case "sublists of base scripts stay well-formed" `Quick
@@ -90,7 +90,7 @@ let edit_tests =
         for _ = 1 to 50 do
           let base = Check.Gen.base_script rng in
           let thin xs = List.filteri (fun i _ -> i mod 3 <> 1) xs in
-          let m = Check.Edit.apply (Mof.Model.create ~name:"fuzz") (thin base) in
+          let m = fst (Check.Edit.apply_with_slots (Mof.Model.create ~name:"fuzz") (thin base)) in
           check cb "clean" true (Mof.Wellformed.check m = [])
         done);
   ]
@@ -115,9 +115,9 @@ let oracle_tests =
         let rng = Check.Prng.make 29L in
         for _ = 1 to 50 do
           let base = Check.Gen.base_script rng in
-          let m = Check.Edit.apply (Mof.Model.create ~name:"fuzz") base in
+          let m = fst (Check.Edit.apply_with_slots (Mof.Model.create ~name:"fuzz") base) in
           let plain = Xmi.Xml_parser.parse (Xmi.Export.to_string m) in
-          let armored = Check.Gen.armor (Check.Prng.split rng) plain in
+          let armored = Check.Gen.armor rng plain in
           check cb "same tree" true
             (Xmi.Xml.equal (Xmi.Xml_parser.parse armored) plain)
         done);

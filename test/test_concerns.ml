@@ -16,6 +16,28 @@ let apply_exn gmt assignments m =
   | Error f ->
       Alcotest.fail (Format.asprintf "%a" Transform.Engine.pp_failure f)
 
+(* A concern's concrete aspect, reached the way the pipeline reaches it: the
+   assignments specialize the concern's transformation, and the generator
+   instantiates the generic aspect with that transformation's parameter set. *)
+let specialize (gac : Aspects.Generic.t) assignments =
+  match Concerns.Registry.find_gmt gac.Aspects.Generic.concern with
+  | None -> Alcotest.fail ("no transformation for " ^ gac.Aspects.Generic.concern)
+  | Some gmt ->
+      Result.map
+        (fun cmt -> (Aspects.Generator.from_cmt gac ~seq:1 cmt).Aspects.Generator.aspect)
+        (Transform.Cmt.specialize gmt assignments)
+
+let advice_count (a : Aspects.Aspect.t) = List.length a.Aspects.Aspect.advices
+
+let aspect_text aspect =
+  Aspects.Printer.generated_to_string
+    { Aspects.Generator.aspect; from_transformation = "T"; seq = 1 }
+
+(* [reset] drops every registered entry, leaving the builtins. *)
+let builtins () =
+  Concerns.Registry.reset ();
+  Concerns.Registry.all ()
+
 let apply_fails gmt assignments m =
   let cmt = Transform.Cmt.specialize_exn gmt assignments in
   match Transform.Engine.apply cmt m with
@@ -38,7 +60,7 @@ let meta_tests =
             check (Alcotest.list cs)
               e.Concerns.Registry.gmt.Transform.Gmt.name []
               (Transform.Gmt.validate_conditions e.Concerns.Registry.gmt))
-          Concerns.Registry.builtins);
+          (builtins ()));
     Alcotest.test_case "every builtin aspect shares its GMT's formals" `Quick
       (fun () ->
         List.iter
@@ -55,7 +77,7 @@ let meta_tests =
             in
             check (Alcotest.list cs) e.Concerns.Registry.concern.Concerns.Concern.key
               gmt_names gac_names)
-          Concerns.Registry.builtins);
+          (builtins ()));
     Alcotest.test_case "builtin concrete aspects validate cleanly" `Quick
       (fun () ->
         (* instantiate each aspect with plausible parameters and run the
@@ -75,10 +97,10 @@ let meta_tests =
         in
         List.iter
           (fun (gac, assignments) ->
-            match Aspects.Generic.specialize gac assignments with
+            match specialize gac assignments with
             | Ok aspect ->
                 check (Alcotest.list cs) gac.Aspects.Generic.ga_name []
-                  (Aspects.Aspect.validate aspect)
+                  (Aspect_check.validate aspect)
             | Error _ -> Alcotest.fail gac.Aspects.Generic.ga_name)
           instantiations);
   ]
@@ -163,14 +185,14 @@ let distribution_tests =
     Alcotest.test_case "aspect is specialized by the same parameters" `Quick
       (fun () ->
         match
-          Aspects.Generic.specialize Concerns.Distribution.generic_aspect
+          specialize Concerns.Distribution.generic_aspect
             [
               ("remote", v_names [ "Account"; "Teller" ]);
               ("registry", Transform.Params.V_string "r:1");
             ]
         with
         | Ok aspect ->
-            check ci "one advice per class" 2 (Aspects.Aspect.advice_count aspect);
+            check ci "one advice per class" 2 (advice_count aspect);
             check ci "one intertype per class" 2
               (List.length aspect.Aspects.Aspect.intertypes)
         | Error _ -> Alcotest.fail "specialization failed");
@@ -216,11 +238,11 @@ let transactions_tests =
             "Class.allInstances()->forAll(c | c.name = 'Account' implies \
              c.hasStereotype('transactional'))"
         in
-        check cb "generated holds" true (Ocl.Constraint_.holds m k));
+        check cb "generated holds" true (Ocl.Constraint_.check m k = Ocl.Constraint_.Holds));
     Alcotest.test_case "around advice begins, commits, rolls back" `Quick
       (fun () ->
         match
-          Aspects.Generic.specialize Concerns.Transactions.generic_aspect
+          specialize Concerns.Transactions.generic_aspect
             [
               ("transactional", v_names [ "Account" ]);
               ("isolation", Transform.Params.V_string "repeatable-read");
@@ -229,8 +251,12 @@ let transactions_tests =
         | Ok aspect ->
             let advice = List.hd aspect.Aspects.Aspect.advices in
             check cb "around" true (advice.Aspects.Advice.time = Aspects.Advice.Around);
-            check cb "has proceed" true (Aspects.Advice.mentions_proceed advice);
-            let text = Aspects.Printer.advice_to_string advice in
+            check cb "has proceed" true (Aspect_check.mentions_proceed advice);
+            let text =
+              aspect_text
+                (Aspects.Aspect.make ~name:"Tx" ~concern:"transactions"
+                   ~advices:[ advice ] ())
+            in
             let contains needle =
               let nl = String.length needle and hl = String.length text in
               let rec go i = i + nl <= hl && (String.sub text i nl = needle || go (i + 1)) in
@@ -293,14 +319,14 @@ let security_tests =
     Alcotest.test_case "before advice checks roles and authentication" `Quick
       (fun () ->
         match
-          Aspects.Generic.specialize Concerns.Security.generic_aspect
+          specialize Concerns.Security.generic_aspect
             [
               ("secured", v_names [ "Teller" ]);
               ("authentication", Transform.Params.V_string "basic");
             ]
         with
         | Ok aspect ->
-            let text = Aspects.Printer.to_string aspect in
+            let text = aspect_text aspect in
             let contains needle =
               let nl = String.length needle and hl = String.length text in
               let rec go i = i + nl <= hl && (String.sub text i nl = needle || go (i + 1)) in
@@ -336,13 +362,13 @@ let concurrency_tests =
       (fun () ->
         let text policy =
           match
-            Aspects.Generic.specialize Concerns.Concurrency.generic_aspect
+            specialize Concerns.Concurrency.generic_aspect
               [
                 ("guarded", v_names [ "Account" ]);
                 ("policy", Transform.Params.V_string policy);
               ]
           with
-          | Ok aspect -> Aspects.Printer.to_string aspect
+          | Ok aspect -> aspect_text aspect
           | Error _ -> Alcotest.fail "specialization failed"
         in
         let contains hay needle =
@@ -377,9 +403,9 @@ let logging_tests =
               'Account').hasStereotype('logged')"));
     Alcotest.test_case "defaults cover everything at info level" `Quick
       (fun () ->
-        match Aspects.Generic.specialize Concerns.Logging.generic_aspect [] with
+        match specialize Concerns.Logging.generic_aspect [] with
         | Ok aspect ->
-            check ci "enter+exit advice" 2 (Aspects.Aspect.advice_count aspect)
+            check ci "enter+exit advice" 2 (advice_count aspect)
         | Error _ -> Alcotest.fail "specialization failed");
   ]
 
@@ -433,12 +459,12 @@ let persistence_tests =
           (apply_fails gmt [ ("persistent", v_names [ "Account" ]) ] m));
     Alcotest.test_case "aspect targets setters and getters" `Quick (fun () ->
         match
-          Aspects.Generic.specialize Concerns.Persistence.generic_aspect
+          specialize Concerns.Persistence.generic_aspect
             [ ("persistent", v_names [ "Account" ]) ]
         with
         | Ok aspect ->
-            check ci "two advices" 2 (Aspects.Aspect.advice_count aspect);
-            let text = Aspects.Printer.to_string aspect in
+            check ci "two advices" 2 (advice_count aspect);
+            let text = aspect_text aspect in
             let contains needle =
               let nl = String.length needle and hl = String.length text in
               let rec go i = i + nl <= hl && (String.sub text i nl = needle || go (i + 1)) in
@@ -456,11 +482,23 @@ let messaging_tests =
   let gmt = Concerns.Messaging.transformation in
   [
     Alcotest.test_case "split_target" `Quick (fun () ->
-        check cb "ok" true
-          (Concerns.Messaging.split_target "Account.deposit"
-          = Ok ("Account", "deposit"));
-        check cb "missing dot" true
-          (Result.is_error (Concerns.Messaging.split_target "deposit")));
+        (* a target splits at its dot into the advised execution; one
+           without a dot advises nothing *)
+        let pointcuts target =
+          match
+            specialize Concerns.Messaging.generic_aspect
+              [ ("async", v_names [ target ]) ]
+          with
+          | Ok aspect ->
+              List.map
+                (fun (a : Aspects.Advice.t) ->
+                  Aspects.Pointcut.to_string a.Aspects.Advice.pointcut)
+                aspect.Aspects.Aspect.advices
+          | Error _ -> Alcotest.fail "specialization failed"
+        in
+        check (Alcotest.list cs) "ok" [ "execution(Account.deposit)" ]
+          (pointcuts "Account.deposit");
+        check (Alcotest.list cs) "missing dot" [] (pointcuts "deposit"));
     Alcotest.test_case "marks operations and adds the queue" `Quick (fun () ->
         let m =
           apply_exn gmt
@@ -489,12 +527,12 @@ let messaging_tests =
     Alcotest.test_case "aspect targets exactly the configured operation" `Quick
       (fun () ->
         match
-          Aspects.Generic.specialize Concerns.Messaging.generic_aspect
+          specialize Concerns.Messaging.generic_aspect
             [ ("async", v_names [ "Account.deposit" ]) ]
         with
         | Ok aspect ->
-            check ci "one advice" 1 (Aspects.Aspect.advice_count aspect);
-            let text = Aspects.Printer.to_string aspect in
+            check ci "one advice" 1 (advice_count aspect);
+            let text = aspect_text aspect in
             let contains needle =
               let nl = String.length needle and hl = String.length text in
               let rec go i = i + nl <= hl && (String.sub text i nl = needle || go (i + 1)) in
@@ -600,7 +638,7 @@ let composition_tests =
             [ ("secured", v_names [ "Teller" ]) ]
             m
         in
-        check cb "well-formed after all three" true (Mof.Wellformed.is_wellformed m);
+        check cb "well-formed after all three" true (Mof.Wellformed.check m = []);
         check cb "all marks present" true
           (holds m
              "Class.allInstances()->exists(c | c.hasStereotype('remote')) and \
@@ -661,7 +699,7 @@ let property_tests =
               [ ("remote", v_names [ "R0" ]) ]
               m
           with
-          | Ok outcome -> Mof.Wellformed.is_wellformed outcome.Transform.Engine.model
+          | Ok outcome -> Mof.Wellformed.check outcome.Transform.Engine.model = []
           | Error _ -> false);
       QCheck2.Test.make
         ~name:"transactions keeps random models well-formed" ~count:25
@@ -671,7 +709,7 @@ let property_tests =
               [ ("transactional", v_names [ "R0" ]) ]
               m
           with
-          | Ok outcome -> Mof.Wellformed.is_wellformed outcome.Transform.Engine.model
+          | Ok outcome -> Mof.Wellformed.check outcome.Transform.Engine.model = []
           | Error _ -> false);
       QCheck2.Test.make
         ~name:"refined random models still round trip through XMI" ~count:25

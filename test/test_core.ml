@@ -36,6 +36,11 @@ let fig2_project () =
   in
   project
 
+(* The platform projection, as the concern registry serves it. *)
+let platform_gmt () =
+  Core.Platform.ensure_registered ();
+  Option.get (Concerns.Registry.find_gmt "platform")
+
 (* ---- level -------------------------------------------------------------- *)
 
 let level_tests =
@@ -44,7 +49,7 @@ let level_tests =
         let m = Fixtures.banking () in
         check cb "unmarked" true (Core.Level.of_model m = None);
         let m = Core.Level.mark Core.Level.Pim m in
-        check cb "pim" true (Core.Level.is_pim m);
+        check cb "pim" true (Core.Level.of_model m = Some Core.Level.Pim);
         let m = Core.Level.mark (Core.Level.Psm "corba") m in
         check cb "psm" true (Core.Level.of_model m = Some (Core.Level.Psm "corba"));
         check cs "rendering" "PSM(corba)"
@@ -57,7 +62,7 @@ let platform_tests =
   [
     Alcotest.test_case "requires a PIM" `Quick (fun () ->
         let cmt =
-          Transform.Cmt.specialize_exn Core.Platform.transformation
+          Transform.Cmt.specialize_exn (platform_gmt ())
             [ ("platform", Transform.Params.V_string "corba") ]
         in
         match Transform.Engine.apply cmt (Fixtures.banking ()) with
@@ -66,7 +71,7 @@ let platform_tests =
     Alcotest.test_case "projects a PIM to a stereotyped PSM" `Quick (fun () ->
         let m = Core.Level.mark Core.Level.Pim (Fixtures.banking ()) in
         let cmt =
-          Transform.Cmt.specialize_exn Core.Platform.transformation
+          Transform.Cmt.specialize_exn (platform_gmt ())
             [ ("platform", Transform.Params.V_string "j2ee") ]
         in
         match Transform.Engine.apply cmt m with
@@ -86,7 +91,7 @@ let platform_tests =
         let m, infra = Mof.Builder.add_class m ~owner:(Mof.Model.root m) ~name:"Infra" in
         let m = Mof.Builder.add_stereotype m infra "infrastructure" in
         let cmt =
-          Transform.Cmt.specialize_exn Core.Platform.transformation
+          Transform.Cmt.specialize_exn (platform_gmt ())
             [ ("platform", Transform.Params.V_string "corba") ]
         in
         match Transform.Engine.apply cmt m with
@@ -97,10 +102,30 @@ let platform_tests =
         | Error f ->
             Alcotest.fail (Format.asprintf "%a" Transform.Engine.pp_failure f));
     Alcotest.test_case "stereotype_for covers every platform" `Quick (fun () ->
+        (* every platform the parameter admits gives each class a component
+           stereotype *)
+        let gmt = platform_gmt () in
+        let platforms =
+          match gmt.Transform.Gmt.formals with
+          | [ { Transform.Params.ptype = Transform.Params.P_enum ps; _ } ] -> ps
+          | _ -> Alcotest.fail "one enum formal expected"
+        in
+        check ci "four platforms" 4 (List.length platforms);
         List.iter
           (fun p ->
-            check cb p true (String.length (Core.Platform.stereotype_for p) > 0))
-          Core.Platform.platforms);
+            let cmt =
+              Transform.Cmt.specialize_exn gmt [ ("platform", Transform.Params.V_string p) ]
+            in
+            match
+              Transform.Engine.apply cmt (Core.Level.mark Core.Level.Pim (Fixtures.banking ()))
+            with
+            | Ok outcome ->
+                check cb p true
+                  (List.for_all
+                     (fun (c : Mof.Element.t) -> c.Mof.Element.stereotypes <> [])
+                     (Mof.Query.classes outcome.Transform.Engine.model))
+            | Error f -> Alcotest.fail (Format.asprintf "%a" Transform.Engine.pp_failure f))
+          platforms);
     Alcotest.test_case "ensure_registered is idempotent" `Quick (fun () ->
         Core.Platform.ensure_registered ();
         Core.Platform.ensure_registered ();
@@ -113,7 +138,8 @@ let pipeline_tests =
   [
     Alcotest.test_case "create marks the PIM and commits it" `Quick (fun () ->
         let project = Core.Project.create (Fixtures.banking ()) in
-        check cb "pim" true (Core.Level.is_pim (Core.Project.model project));
+        check cb "pim" true
+          (Core.Level.of_model (Core.Project.model project) = Some Core.Level.Pim);
         check cb "history has the root" true
           (contains (Core.Project.history project) "initial model"));
     Alcotest.test_case "unknown concern refused" `Quick (fun () ->
@@ -145,7 +171,7 @@ let pipeline_tests =
         let project = fig2_project () in
         check ci "three applied" 3 (List.length (Core.Project.applied project));
         check ci "trace entries" 3
-          (Transform.Trace.length (Core.Project.trace project));
+          (List.length (Transform.Trace.concerns_applied (Core.Project.trace project)));
         check cb "repo head refined" true
           (contains (Core.Project.history project) "apply T.security");
         check (Alcotest.list cs) "concern order"
@@ -163,7 +189,7 @@ let pipeline_tests =
         let project' = Option.get (Core.Pipeline.undo project) in
         check ci "two applied" 2 (List.length (Core.Project.applied project'));
         check ci "trace shrank" 2
-          (Transform.Trace.length (Core.Project.trace project'));
+          (List.length (Transform.Trace.concerns_applied (Core.Project.trace project')));
         check cb "secured gone" true
           (Mof.Model.fold
              (fun e gone -> gone && not (Mof.Element.has_stereotype "secured" e))
@@ -193,7 +219,7 @@ let pipeline_tests =
         match project'.Core.Project.progress with
         | Some p ->
             check (Alcotest.list cs) "replayed" [ "distribution" ]
-              (Workflow.State.applied_concerns p)
+              (List.map snd (Workflow.State.completed p))
         | None -> Alcotest.fail "progress lost");
   ]
 
@@ -209,7 +235,14 @@ let artifact_tests =
         check cb "no naming service" true
           (Code.Junit.find_class functional "NamingService" = None);
         check cb "no remote interface" true
-          (Code.Junit.find_interface functional "AccountRemote" = None);
+          (List.for_all
+             (fun (u : Code.Junit.t) ->
+               List.for_all
+                 (function
+                   | Code.Jdecl.Interface i -> i.Code.Jdecl.iface_name <> "AccountRemote"
+                   | Code.Jdecl.Class _ -> true)
+                 u.Code.Junit.decls)
+             functional);
         check cb "functional classes present" true
           (Code.Junit.find_class functional "Account" <> None));
     Alcotest.test_case "monolithic code includes everything" `Quick (fun () ->
@@ -282,7 +315,9 @@ let artifact_tests =
         check cb "aspect source" true
           (contains (Core.Artifacts.render_aspects artifacts) "public aspect TransactionAspect");
         check cb "woven source" true
-          (contains (Core.Artifacts.render_woven artifacts) "tx.begin(\"serializable\""));
+          (contains
+             (Code.Printer.program_to_string artifacts.Core.Artifacts.woven)
+             "tx.begin(\"serializable\""));
     Alcotest.test_case "write_to_dir produces the artifact files" `Quick
       (fun () ->
         let artifacts = Result.get_ok (Core.Pipeline.build (fig2_project ())) in
@@ -360,12 +395,19 @@ let with_temp_dir f =
       end)
     (fun () -> f dir)
 
+let append_manifest dir line =
+  let oc = open_out_gen [ Open_append ] 0o644 (Filename.concat dir "MANIFEST") in
+  output_string oc line;
+  close_out oc
+
 let shipping_tests =
   [
     Alcotest.test_case "manifest records concerns and parameters" `Quick
       (fun () ->
         let manifest =
-          Result.get_ok (Core.Shipping.manifest_of (fig2_project ()))
+          with_temp_dir (fun dir ->
+              Result.get_ok (Core.Shipping.ship ~dir (fig2_project ()));
+              In_channel.with_open_bin (Filename.concat dir "MANIFEST") In_channel.input_all)
         in
         List.iter
           (fun needle -> check cb needle true (contains manifest needle))
@@ -395,46 +437,43 @@ let shipping_tests =
             Result.get_ok (Core.Shipping.ship ~dir (fig2_project ()));
             check cb "verified" true (Result.get_ok (Core.Shipping.verify ~dir))));
     Alcotest.test_case "replayed project can keep refining" `Quick (fun () ->
+        (* a step appended to the manifest refines the replayed project
+           past the shipped final model *)
         with_temp_dir (fun dir ->
             Result.get_ok (Core.Shipping.ship ~dir (fig2_project ()));
-            let project = Result.get_ok (Core.Shipping.replay ~dir) in
-            match
-              Core.Pipeline.refine project ~concern:"logging"
-                ~params:
-                  [
-                    ( "targets",
-                      Transform.Params.V_list [ Transform.Params.V_string "*" ] );
-                  ]
-            with
-            | Ok _ -> ()
-            | Error e -> Alcotest.fail (Core.Pipeline.error_to_string e)));
+            append_manifest dir "step\tlogging\ttargets=*\n";
+            match Core.Shipping.verify ~dir with
+            | Ok same -> check cb "refined past final" false same
+            | Error e -> Alcotest.fail e));
     Alcotest.test_case "manifest parsing rejects malformed lines" `Quick
       (fun () ->
-        check cb "bad keyword" true
-          (Result.is_error (Core.Shipping.load_manifest "frob\tx\ty=1"));
-        check cb "missing equals" true
-          (Result.is_error (Core.Shipping.load_manifest "step\tsecurity\troles")));
+        let replays_line line =
+          with_temp_dir (fun dir ->
+              Result.get_ok (Core.Shipping.ship ~dir (fig2_project ()));
+              append_manifest dir line;
+              Result.is_ok (Core.Shipping.verify ~dir))
+        in
+        check cb "bad keyword" false (replays_line "frob\tx\ty=1\n");
+        check cb "missing equals" false (replays_line "step\tsecurity\troles\n"));
     Alcotest.test_case "unshippable values are refused, not mangled" `Quick
       (fun () ->
-        check cb "tab" true
-          (Result.is_error
-             (Core.Shipping.to_wizard_text (Transform.Params.V_string "a\tb")));
+        let ship value =
+          let project, _ =
+            refine_exn (Core.Project.create (Fixtures.banking ())) ~concern:"logging"
+              ~params:[ ("targets", Transform.Params.V_list [ value ]) ]
+          in
+          with_temp_dir (fun dir -> Core.Shipping.ship ~dir project)
+        in
+        check cb "tab" true (Result.is_error (ship (Transform.Params.V_string "a\tb")));
         check cb "comma in list item" true
-          (Result.is_error
-             (Core.Shipping.to_wizard_text
-                (Transform.Params.V_list [ Transform.Params.V_string "a,b" ])));
-        check cb "plain ok" true
-          (Core.Shipping.to_wizard_text (Transform.Params.V_string "plain")
-          = Ok "plain"));
+          (Result.is_error (ship (Transform.Params.V_string "a,b")));
+        check cb "plain ok" true (ship (Transform.Params.V_string "plain") = Ok ()));
     Alcotest.test_case "replay fails cleanly on an unknown concern" `Quick
       (fun () ->
         with_temp_dir (fun dir ->
             Result.get_ok (Core.Shipping.ship ~dir (fig2_project ()));
-            let path = Filename.concat dir "MANIFEST" in
-            let oc = open_out_gen [ Open_append ] 0o644 path in
-            output_string oc "step\tghost-concern\tx=1\n";
-            close_out oc;
-            match Core.Shipping.replay ~dir with
+            append_manifest dir "step\tghost-concern\tx=1\n";
+            match Core.Shipping.verify ~dir with
             | Error msg -> check cb "names it" true (contains msg "ghost-concern")
             | Ok _ -> Alcotest.fail "should fail"));
   ]

@@ -35,6 +35,55 @@ let fig2_woven () =
   | Ok artifacts -> artifacts.Core.Artifacts.woven
   | Error e -> Alcotest.fail (Core.Pipeline.error_to_string e)
 
+(* An event of [source].[action] whose rendered arguments contain
+   [detail]. *)
+let has_event ~source ~action ~detail (e : Interp.Event.t) =
+  let contains hay needle =
+    let nl = String.length needle and hl = String.length hay in
+    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+    go 0
+  in
+  String.equal e.Interp.Event.source source
+  && String.equal e.Interp.Event.action action
+  && contains e.Interp.Event.detail detail
+
+(* [program] plus a Driver class whose [main] runs [body]: several calls on
+   one heap, driven through [Machine.run]. *)
+let run_driver ?(return_type = Code.Jtype.T_void) program body =
+  let main =
+    {
+      Code.Jdecl.method_name = "main";
+      method_mods = [ Code.Jdecl.M_public ];
+      return_type;
+      params = [];
+      throws = [];
+      body = Some body;
+    }
+  in
+  let driver =
+    {
+      Code.Jdecl.class_name = "Driver";
+      class_mods = [ Code.Jdecl.M_public ];
+      extends = None;
+      implements = [];
+      fields = [];
+      methods = [ main ];
+    }
+  in
+  Interp.Machine.run
+    (program @ [ Code.Junit.unit_ ~package:"test" [ Code.Jdecl.Class driver ] ])
+    ~class_name:"Driver" ~method_name:"main"
+
+(* Account a = new Account(); a.setBalance(v); a.getBalance(); *)
+let account_round_trip v =
+  let a = Some (Code.Jexpr.E_name "a") in
+  [
+    Code.Jstmt.S_local
+      (Code.Jtype.T_named "Account", "a", Some (Code.Jexpr.E_new ("Account", [])));
+    Code.Jstmt.S_expr (Code.Jexpr.E_call (a, "setBalance", [ Code.Jexpr.E_double v ]));
+    Code.Jstmt.S_return (Some (Code.Jexpr.E_call (a, "getBalance", [])));
+  ]
+
 let event_sigs events =
   List.map (fun (e : Interp.Event.t) -> e.Interp.Event.source ^ "." ^ e.Interp.Event.action) events
 
@@ -79,14 +128,12 @@ let basics_tests =
     Alcotest.test_case "generated accessors round trip through the heap"
       `Quick (fun () ->
         let program = Code.Generator.generate (Fixtures.banking ()) in
-        let st = Interp.Machine.create program in
-        let acct = Interp.Machine.new_object st "Account" in
-        ignore
-          (Interp.Machine.call st ~recv:acct "setBalance"
-             [ Interp.Rvalue.V_double 75.5 ]);
+        let outcome =
+          run_driver ~return_type:Code.Jtype.T_double program (account_round_trip 75.5)
+        in
         check cb "read back" true
-          (Interp.Machine.call st ~recv:acct "getBalance" []
-          = Interp.Rvalue.V_double 75.5));
+          (outcome.Interp.Machine.result
+          = Ok (Interp.Rvalue.V_double 75.5)));
     Alcotest.test_case "arithmetic, locals, and control flow" `Quick (fun () ->
         (* int f(int n) { int acc = 0; while (n > 0) { acc = acc + n; n = n - 1; } return acc; } *)
         let n = Code.Jexpr.E_name "n" and acc = Code.Jexpr.E_name "acc" in
@@ -466,12 +513,12 @@ let woven_tests =
         in
         check cb "registry address" true
           (List.exists
-             (Interp.Event.matches ~source:"RemoteRuntime" ~action:"ensureExported"
+             (has_event ~source:"RemoteRuntime" ~action:"ensureExported"
                 ~detail:"localhost:1099")
              outcome.Interp.Machine.events);
         check cb "isolation level" true
           (List.exists
-             (Interp.Event.matches ~source:"TransactionManager" ~action:"begin"
+             (has_event ~source:"TransactionManager" ~action:"begin"
                 ~detail:"serializable")
              outcome.Interp.Machine.events));
     Alcotest.test_case "concurrency aspect produces monitor events at runtime"
@@ -512,12 +559,12 @@ let woven_tests =
         in
         check cb "enter logged" true
           (List.exists
-             (Interp.Event.matches ~source:"Logger" ~action:"log"
+             (has_event ~source:"Logger" ~action:"log"
                 ~detail:"enter execution(Teller.transfer)")
              outcome.Interp.Machine.events);
         check cb "exit logged" true
           (List.exists
-             (Interp.Event.matches ~source:"Logger" ~action:"log"
+             (has_event ~source:"Logger" ~action:"log"
                 ~detail:"exit execution(Teller.transfer)")
              outcome.Interp.Machine.events));
     Alcotest.test_case "messaging aspect publishes before the async operation"
@@ -540,7 +587,7 @@ let woven_tests =
         in
         check cb "published" true
           (List.exists
-             (Interp.Event.matches ~source:"MessageQueue" ~action:"publish"
+             (has_event ~source:"MessageQueue" ~action:"publish"
                 ~detail:"payments, execution(Account.deposit)")
              outcome.Interp.Machine.events);
         (* the non-async operation stays silent *)
@@ -560,15 +607,9 @@ let woven_tests =
         let woven =
           (Result.get_ok (Core.Pipeline.build project)).Core.Artifacts.woven
         in
-        let st = Interp.Machine.create woven in
-        let acct = Interp.Machine.new_object st "Account" in
-        ignore
-          (Interp.Machine.call st ~recv:acct "setBalance"
-             [ Interp.Rvalue.V_double 5.0 ]);
-        ignore (Interp.Machine.call st ~recv:acct "getBalance" []);
         check (Alcotest.list cs) "dirty then loaded"
           [ "PersistenceManager.markDirty"; "PersistenceManager.ensureLoaded" ]
-          (event_sigs (Interp.Machine.events st)));
+          (event_sigs (run_driver woven (account_round_trip 5.0)).Interp.Machine.events));
   ]
 
 (* ---- what class and method lookup means ------------------------------------ *)

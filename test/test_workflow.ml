@@ -20,29 +20,43 @@ let diff_adding ids =
     modified = Mof.Id.Set.empty;
   }
 
+(* The legend lines of a demarcation whose trace applies [concerns] in
+   order, one added element each. *)
+let legend concerns =
+  let trace, _ =
+    List.fold_left
+      (fun (t, id) concern ->
+        ( Transform.Trace.record ~transformation:("T." ^ concern) ~concern
+            (diff_adding [ id ]) t,
+          id + 1 ))
+      (Transform.Trace.empty, 1000) concerns
+  in
+  List.filter
+    (fun line -> contains line " — ")
+    (String.split_on_char '\n' (Workflow.Color.demarcate (Fixtures.banking ()) trace))
+
 let color_tests =
   [
     Alcotest.test_case "assignment follows first-application order" `Quick
       (fun () ->
-        let palette = Workflow.Color.assign [ "x"; "y" ] in
-        check cb "x red" true (List.assoc_opt "x" palette = Some "red");
-        check cb "y blue" true (List.assoc_opt "y" palette = Some "blue"));
+        check (Alcotest.list cs) "legend" [ "red — x"; "blue — y" ] (legend [ "x"; "y" ]));
     Alcotest.test_case "palette wraps past its length" `Quick (fun () ->
-        let many = List.init 10 (fun i -> "c" ^ string_of_int i) in
-        let palette = Workflow.Color.assign many in
-        check ci "all assigned" 10 (List.length palette);
-        check cb "wrapped" true
-          (List.assoc_opt "c8" palette = List.assoc_opt "c0" palette));
+        let lines = legend (List.init 10 (fun i -> "c" ^ string_of_int i)) in
+        check ci "all assigned" 10 (List.length lines);
+        check cs "c0" "red — c0" (List.nth lines 0);
+        check cs "wrapped" "red — c8" (List.nth lines 8));
     Alcotest.test_case "color_of resolves through the trace" `Quick (fun () ->
+        let m = Fixtures.banking () in
+        let m, traced = Mof.Builder.add_class m ~owner:(Mof.Model.root m) ~name:"Traced" in
+        let m, _ = Mof.Builder.add_class m ~owner:(Mof.Model.root m) ~name:"Plain" in
         let trace =
           Transform.Trace.record ~transformation:"T" ~concern:"dist"
-            (diff_adding [ 5 ]) Transform.Trace.empty
+            (diff_adding [ Mof.Id.to_int traced ])
+            Transform.Trace.empty
         in
-        let palette = Workflow.Color.of_trace trace in
-        check cb "traced element" true
-          (Workflow.Color.color_of palette trace (Mof.Id.of_int 5) = Some "red");
-        check cb "functional element" true
-          (Workflow.Color.color_of palette trace (Mof.Id.of_int 6) = None));
+        let text = Workflow.Color.demarcate m trace in
+        check cb "traced element" true (contains text "[red] Class Traced");
+        check cb "functional element" true (contains text "\nClass Plain"));
     Alcotest.test_case "HTML demarcation escapes and colors" `Quick (fun () ->
         let m = Fixtures.banking () in
         let m2, added =
@@ -80,6 +94,19 @@ let color_tests =
 
 (* ---- state ------------------------------------------------------------------ *)
 
+(* What is left of the workflow can be skipped: every step from the current
+   one on is optional. *)
+let only_optional_left p =
+  let steps = (Workflow.State.definition p).Workflow.State.steps in
+  match Workflow.State.current_step p with
+  | None -> true
+  | Some current ->
+      let rec from = function
+        | [] -> []
+        | s :: rest -> if s == current then s :: rest else from rest
+      in
+      List.for_all (fun (s : Workflow.State.step) -> s.Workflow.State.optional) (from steps)
+
 let state_tests =
   let wf = Workflow.State.middleware_default in
   [
@@ -94,14 +121,14 @@ let state_tests =
         let p = advance p "distribution" in
         let p = advance p "transactions" in
         let p = advance p "security" in
-        check cb "complete after mandatory steps" true (Workflow.State.is_complete p);
+        check cb "complete after mandatory steps" true (only_optional_left p);
         check (Alcotest.list cs) "applied"
           [ "distribution"; "transactions"; "security" ]
-          (Workflow.State.applied_concerns p);
+          (List.map snd (Workflow.State.completed p));
         (* optional steps still available *)
         let p = advance p "concurrency" in
         let p = advance p "logging" in
-        check cb "still complete" true (Workflow.State.is_complete p));
+        check cb "still complete" true (only_optional_left p));
     Alcotest.test_case "wrong order is rejected with a helpful message" `Quick
       (fun () ->
         let p = Workflow.State.start wf in
@@ -118,7 +145,7 @@ let state_tests =
         (* jump straight to logging, skipping the optional concurrency step *)
         match Workflow.State.advance p ~concern:"logging" with
         | Ok p' ->
-            check cb "complete" true (Workflow.State.is_complete p');
+            check cb "complete" true (only_optional_left p');
             check cb "workflow exhausted" true
               (Workflow.State.current_step p' = None)
         | Error e -> Alcotest.fail e);
@@ -141,9 +168,10 @@ let state_tests =
             ]
         in
         let p = Workflow.State.start wf2 in
-        check (Alcotest.list cs) "both visible" [ "a"; "b" ] (Workflow.State.options p);
-        check cb "b allowed directly" true
-          (Result.is_ok (Workflow.State.advance p ~concern:"b")));
+        let admitted c = Result.is_ok (Workflow.State.advance p ~concern:c) in
+        check (Alcotest.list cs) "both visible" [ "a"; "b" ]
+          (List.filter admitted [ "a"; "b"; "c" ]);
+        check cb "b allowed directly" true (admitted "b"));
     Alcotest.test_case "remaining_concerns covers the tail" `Quick (fun () ->
         let p = Workflow.State.start wf in
         let p = Result.get_ok (Workflow.State.advance p ~concern:"distribution") in
@@ -222,13 +250,19 @@ let derive_tests =
           Result.get_ok
             (Workflow.Derive.from_dependencies
                ~optional:[ "concurrency"; "logging" ]
-               Workflow.Derive.middleware_dependencies)
+               [
+                 ("distribution", []);
+                 ("transactions", [ "distribution" ]);
+                 ("security", [ "distribution" ]);
+                 ("concurrency", []);
+                 ("logging", []);
+               ])
         in
         let p = Workflow.State.start wf in
         let p = Result.get_ok (Workflow.State.advance p ~concern:"distribution") in
         let p = Result.get_ok (Workflow.State.advance p ~concern:"transactions") in
         let p = Result.get_ok (Workflow.State.advance p ~concern:"security") in
-        check cb "complete" true (Workflow.State.is_complete p));
+        check cb "complete" true (only_optional_left p));
   ]
 
 (* ---- guidance ----------------------------------------------------------------- *)
@@ -243,20 +277,6 @@ let guidance_tests =
         check cb "done line" true (contains text "[x] distribute: distribution");
         check cb "current line" true (contains text "[ ] make-transactional");
         check cb "remaining" true (contains text "remaining concerns:"));
-    Alcotest.test_case "consistent_with_trace compares sequences" `Quick
-      (fun () ->
-        let p = Workflow.State.start Workflow.State.middleware_default in
-        let p = Result.get_ok (Workflow.State.advance p ~concern:"distribution") in
-        let trace =
-          Transform.Trace.record ~transformation:"T" ~concern:"distribution"
-            Mof.Diff.empty Transform.Trace.empty
-        in
-        check cb "consistent" true (Workflow.Guidance.consistent_with_trace p trace);
-        let trace2 =
-          Transform.Trace.record ~transformation:"T" ~concern:"security"
-            Mof.Diff.empty Transform.Trace.empty
-        in
-        check cb "inconsistent" false (Workflow.Guidance.consistent_with_trace p trace2));
     Alcotest.test_case "interference_brief with no pairs is reassuring" `Quick
       (fun () ->
         let text = Workflow.Guidance.interference_brief [] in
@@ -294,46 +314,46 @@ let guidance_tests =
 (* ---- wizard ------------------------------------------------------------------- *)
 
 let wizard_tests =
-  let decls = Concerns.Distribution.formals in
+  let decls = Concerns.Distribution.transformation.Transform.Gmt.formals in
+  let parse ptype text =
+    Workflow.Wizard.parse_assignments [ Transform.Params.decl "x" ptype ] [ "x=" ^ text ]
+  in
   [
     Alcotest.test_case "questions mirror the declarations" `Quick (fun () ->
-        let qs = Workflow.Wizard.questions decls in
+        let qs = String.split_on_char '\n' (Workflow.Wizard.render_questions decls) in
         check ci "three" 3 (List.length qs);
         let q = List.hd qs in
-        check cs "name" "remote" q.Workflow.Wizard.parameter;
-        check cs "type" "list(ident)" q.Workflow.Wizard.type_hint;
-        check cb "required" true (q.Workflow.Wizard.default_hint = None));
+        check cb "name and type" true (String.starts_with ~prefix:"  remote : list(ident) — " q);
+        check cb "required" true (String.ends_with ~suffix:"(required)" q));
     Alcotest.test_case "render_questions mentions defaults" `Quick (fun () ->
         let text = Workflow.Wizard.render_questions decls in
         check cb "required marker" true (contains text "(required)");
         check cb "default marker" true (contains text "(default \"rmi\")"));
     Alcotest.test_case "parse_value per type" `Quick (fun () ->
         let ok = Result.is_ok and err = Result.is_error in
-        check cb "int" true (ok (Workflow.Wizard.parse_value Transform.Params.P_int "42"));
-        check cb "bad int" true (err (Workflow.Wizard.parse_value Transform.Params.P_int "x"));
-        check cb "bool" true (ok (Workflow.Wizard.parse_value Transform.Params.P_bool "true"));
-        check cb "bad bool" true (err (Workflow.Wizard.parse_value Transform.Params.P_bool "yes"));
+        check cb "int" true (ok (parse Transform.Params.P_int "42"));
+        check cb "bad int" true (err (parse Transform.Params.P_int "x"));
+        check cb "bool" true (ok (parse Transform.Params.P_bool "true"));
+        check cb "bad bool" true (err (parse Transform.Params.P_bool "yes"));
         check cb "enum" true
-          (ok (Workflow.Wizard.parse_value (Transform.Params.P_enum [ "a"; "b" ]) "a"));
+          (ok (parse (Transform.Params.P_enum [ "a"; "b" ]) "a"));
         check cb "bad enum" true
-          (err (Workflow.Wizard.parse_value (Transform.Params.P_enum [ "a"; "b" ]) "c"));
+          (err (parse (Transform.Params.P_enum [ "a"; "b" ]) "c"));
         match
-          Workflow.Wizard.parse_value
-            (Transform.Params.P_list Transform.Params.P_ident)
-            "A, B , C"
+          parse (Transform.Params.P_list Transform.Params.P_ident) "A, B , C"
         with
-        | Ok (Transform.Params.V_list vs) -> check ci "three items" 3 (List.length vs)
+        | Ok [ (_, Transform.Params.V_list vs) ] -> check ci "three items" 3 (List.length vs)
         | _ -> Alcotest.fail "list parse failed");
     Alcotest.test_case "parse_assignment uses the declared type" `Quick
       (fun () ->
-        (match Workflow.Wizard.parse_assignment decls "remote=Account,Teller" with
-        | Ok ("remote", Transform.Params.V_list vs) ->
+        (match Workflow.Wizard.parse_assignments decls [ "remote=Account,Teller" ] with
+        | Ok [ ("remote", Transform.Params.V_list vs) ] ->
             check ci "two" 2 (List.length vs)
         | _ -> Alcotest.fail "assignment failed");
         check cb "unknown param" true
-          (Result.is_error (Workflow.Wizard.parse_assignment decls "nope=1"));
+          (Result.is_error (Workflow.Wizard.parse_assignments decls [ "nope=1" ]));
         check cb "missing equals" true
-          (Result.is_error (Workflow.Wizard.parse_assignment decls "remote")));
+          (Result.is_error (Workflow.Wizard.parse_assignments decls [ "remote" ])));
     Alcotest.test_case "parse_assignments is all-or-nothing" `Quick (fun () ->
         check cb "good" true
           (Result.is_ok

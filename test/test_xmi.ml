@@ -11,29 +11,29 @@ let parse = Xmi.Xml_parser.parse
 
 let xml_tests =
   let tree =
-    Xmi.Xml.elem ~attrs:[ ("a", "1"); ("b", "2") ] "root"
+    Xml_read.elem ~attrs:[ ("a", "1"); ("b", "2") ] "root"
       [
-        Xmi.Xml.elem "child" [ Xmi.Xml.text "hello" ];
-        Xmi.Xml.elem ~attrs:[ ("k", "v") ] "child" [];
-        Xmi.Xml.elem "other" [];
+        Xml_read.elem "child" [ Xml_read.text "hello" ];
+        Xml_read.elem ~attrs:[ ("k", "v") ] "child" [];
+        Xml_read.elem "other" [];
       ]
   in
   [
     Alcotest.test_case "attr lookup" `Quick (fun () ->
-        check cb "a" true (Xmi.Xml.attr "a" tree = Some "1");
-        check cb "missing" true (Xmi.Xml.attr "z" tree = None));
+        check cb "a" true (Xml_read.attr "a" tree = Some "1");
+        check cb "missing" true (Xml_read.attr "z" tree = None));
     Alcotest.test_case "find_child / find_children" `Quick (fun () ->
         check ci "children named child" 2
-          (List.length (Xmi.Xml.find_children "child" tree));
+          (List.length (Xml_read.find_children "child" tree));
         check cb "first child has text" true
-          (match Xmi.Xml.find_child "child" tree with
-          | Some c -> Xmi.Xml.text_content c = "hello"
+          (match Xml_read.find_child "child" tree with
+          | Some c -> Xml_read.text_content c = "hello"
           | None -> false));
     Alcotest.test_case "child_elems skips text" `Quick (fun () ->
-        let mixed = Xmi.Xml.elem "m" [ Xmi.Xml.text "t"; Xmi.Xml.elem "e" [] ] in
-        check ci "one element" 1 (List.length (Xmi.Xml.child_elems mixed)));
+        let mixed = Xml_read.elem "m" [ Xml_read.text "t"; Xml_read.elem "e" [] ] in
+        check ci "one element" 1 (List.length (Xml_read.child_elems mixed)));
     Alcotest.test_case "tag of text is None" `Quick (fun () ->
-        check cb "none" true (Xmi.Xml.tag (Xmi.Xml.text "x") = None));
+        check cb "none" true (Xml_read.tag (Xml_read.text "x") = None));
   ]
 
 (* ---- xml parser -------------------------------------------------------- *)
@@ -42,23 +42,23 @@ let parser_tests =
   [
     Alcotest.test_case "attributes with both quote styles" `Quick (fun () ->
         let tree = parse "<a x=\"1\" y='2'/>" in
-        check cb "x" true (Xmi.Xml.attr "x" tree = Some "1");
-        check cb "y" true (Xmi.Xml.attr "y" tree = Some "2"));
+        check cb "x" true (Xml_read.attr "x" tree = Some "1");
+        check cb "y" true (Xml_read.attr "y" tree = Some "2"));
     Alcotest.test_case "entities resolved" `Quick (fun () ->
         let tree = parse "<a x=\"&lt;&gt;&amp;&quot;&apos;\">&amp;text</a>" in
-        check cb "attr" true (Xmi.Xml.attr "x" tree = Some "<>&\"'");
-        check cs "text" "&text" (Xmi.Xml.text_content tree));
+        check cb "attr" true (Xml_read.attr "x" tree = Some "<>&\"'");
+        check cs "text" "&text" (Xml_read.text_content tree));
     Alcotest.test_case "character references" `Quick (fun () ->
         let tree = parse "<a>&#65;&#x42;</a>" in
-        check cs "AB" "AB" (Xmi.Xml.text_content tree));
+        check cs "AB" "AB" (Xml_read.text_content tree));
     Alcotest.test_case "character references decode to UTF-8" `Quick (fun () ->
         (* &#233; = é (2 bytes), &#x1F600; = 😀 (4 bytes): references above
            U+007F must produce UTF-8, not raw Latin-1 bytes *)
         let tree = parse "<a>&#233; &#x433; &#x20AC; &#x1F600;</a>" in
         check cs "utf8" "\xC3\xA9 \xD0\xB3 \xE2\x82\xAC \xF0\x9F\x98\x80"
-          (Xmi.Xml.text_content tree);
+          (Xml_read.text_content tree);
         let tree = parse "<a x=\"caf&#xE9;\"/>" in
-        check cb "attr" true (Xmi.Xml.attr "x" tree = Some "caf\xC3\xA9"));
+        check cb "attr" true (Xml_read.attr "x" tree = Some "caf\xC3\xA9"));
     Alcotest.test_case "surrogate and out-of-range references rejected" `Quick
       (fun () ->
         List.iter
@@ -76,19 +76,19 @@ let parser_tests =
           ]);
     Alcotest.test_case "CDATA preserved verbatim" `Quick (fun () ->
         let tree = parse "<a><![CDATA[1 < 2 && 3 > 2]]></a>" in
-        check cs "cdata" "1 < 2 && 3 > 2" (Xmi.Xml.text_content tree));
+        check cs "cdata" "1 < 2 && 3 > 2" (Xml_read.text_content tree));
     Alcotest.test_case "comments and prolog skipped" `Quick (fun () ->
         let tree =
           parse "<?xml version=\"1.0\"?><!-- hi --><a><!-- in --><b/></a>"
         in
-        check ci "one child" 1 (List.length (Xmi.Xml.child_elems tree)));
+        check ci "one child" 1 (List.length (Xml_read.child_elems tree)));
     Alcotest.test_case "nested structure and order" `Quick (fun () ->
         let tree = parse "<a><b/><c/><b/></a>" in
         check (Alcotest.list cs) "order" [ "b"; "c"; "b" ]
-          (List.filter_map Xmi.Xml.tag (Xmi.Xml.children tree)));
+          (List.filter_map Xml_read.tag (Xml_read.children tree)));
     Alcotest.test_case "whitespace-only text dropped" `Quick (fun () ->
         let tree = parse "<a>\n  <b/>\n</a>" in
-        check ci "children" 1 (List.length (Xmi.Xml.children tree)));
+        check ci "children" 1 (List.length (Xml_read.children tree)));
     Alcotest.test_case "mismatched closing tag rejected" `Quick (fun () ->
         check cb "raises" true
           (try
@@ -157,7 +157,7 @@ let reader_error_tests =
   @ [
       Alcotest.test_case "256 levels are accepted" `Quick (fun () ->
           let src = nested 256 ^ String.concat "" (List.init 256 (fun _ -> "</a>")) in
-          check cs "root" "a" (Option.get (Xmi.Xml.tag (parse src))));
+          check cs "root" "a" (Option.get (Xml_read.tag (parse src))));
       Alcotest.test_case "a million levels are rejected at the bound" `Quick
         (fun () ->
           let src = nested 1_000_000 in
@@ -338,7 +338,7 @@ let xmi_tests =
         let m = Fixtures.banking () in
         let m' = Xmi.Import.from_string (Xmi.Export.to_string m) in
         let m'', id = Mof.Builder.add_class m' ~owner:(Mof.Model.root m') ~name:"New" in
-        check cb "well-formed" true (Mof.Wellformed.is_wellformed m'');
+        check cb "well-formed" true (Mof.Wellformed.check m'' = []);
         check cb "fresh id unbound before" true (not (Mof.Model.mem m' id)));
     Alcotest.test_case "import rejects a non-XMI root" `Quick (fun () ->
         check cb "raises" true
