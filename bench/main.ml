@@ -426,6 +426,26 @@ let e14 row =
     (float_of_int (Domain.recommended_domain_count ()))
     "domains"
 
+(* ---- E15: loading a repository history ----------------------------------- *)
+
+(* One snapshot of a repo-edit-shaped 1,000-commit history. [load] builds
+   only the head's model; the second row then reads every version, newest
+   first, which builds the rest along the parent chain: the cost [load]
+   no longer pays, and what a client pays that reads them all. *)
+let e15_tests () =
+  let module R = Repository.Repo in
+  let bytes = R.save (Fixtures.edit_history 1000) in
+  let load () = match R.load bytes with Ok r -> r | Error e -> failwith e in
+  [
+    ("repo/load:1000-commits", fun () -> ignore (load ()));
+    ( "repo/load+read-all:1000-commits",
+      fun () ->
+        let r = load () in
+        for id = R.size r - 1 downto 0 do
+          ignore (R.model_at r id)
+        done );
+  ]
+
 (* ---- E16: the aspect-major weave and the pointcut deciders ----------------- *)
 
 (* Whole-weave wall time: 8 logging aspects over a 100-class program, then 8
@@ -612,8 +632,8 @@ let collect_counters () =
 let () =
   print_endline
     "mdweave benchmark harness — experiments E1..E17 (see EXPERIMENTS.md; \
-     E12 is the fuzz harness, driven by bin/check_cli; E2, E6, E7, E9 and \
-     E15 are retired)";
+     E12 is the fuzz harness, driven by bin/check_cli; E2, E6, E7 and E9 \
+     are retired)";
   print_newline ();
   group ~experiment:"E1"
     "E1  Fig.1: one refinement step (specialize+check+apply+CAC)"
@@ -633,6 +653,8 @@ let () =
   group ~experiment:"E13" "E13 OCL planner vs its reference" (timed e13_tests);
   group ~experiment:"E14" "E14 parallel batch: domain-pool throughput scaling"
     e14;
+  group ~experiment:"E15" "E15 repository: loading a 1,000-commit history"
+    (timed e15_tests);
   group ~experiment:"E16"
     "E16 weaver: aspect-major weave and pointcut deciders" e16;
   group ~experiment:"E17"

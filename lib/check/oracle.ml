@@ -656,13 +656,10 @@ let repo_check_diffs cas naive =
       | _ -> Error "[repo] diff_between availability differs")
     (Ok ()) pairs
 
-(* Every stored version as [model_at] returns it must equal
-   the model the naive repository embedded for that commit, and answer
-   every index lookup like a model rebuilt from its own elements. The keys
-   probed are those of every version, so a bucket left stale by an earlier
+(* The names and ids the elements of every version mention: the keys
+   [repo_index_disagreement] probes, so a bucket left stale by an earlier
    version shows up too. *)
-let repo_check_versions cas naive =
-  let ids = repo_commit_ids cas in
+let repo_index_keys naive ids =
   let all_elements =
     List.concat_map
       (fun id ->
@@ -678,40 +675,60 @@ let repo_check_versions cas naive =
         (e.id :: Option.to_list e.owner) @ Mof.Kind.refs e.kind)
       all_elements
   in
-  let index_disagreement m =
-    let fresh =
-      Mof.Model.of_elements ~root:(Mof.Model.root m) ~next:(Mof.Model.next m)
-        (Mof.Model.elements m)
-    in
-    let agree lookup keys =
-      List.for_all (fun k -> Mof.Id.Set.equal (lookup m k) (lookup fresh k)) keys
-    in
-    if not (agree Mof.Model.by_kind Mof.Kind.all_names) then Some "by_kind"
-    else if not (agree Mof.Model.by_name names) then Some "by_name"
-    else if not (agree Mof.Model.owned_by targets) then Some "owned_by"
-    else if not (agree Mof.Model.referrers targets) then Some "referrers"
-    else None
+  (names, targets)
+
+(* The first index of [m] that answers a lookup unlike a model rebuilt from
+   [m]'s own elements, if any. *)
+let repo_index_disagreement (names, targets) m =
+  let fresh =
+    Mof.Model.of_elements ~root:(Mof.Model.root m) ~next:(Mof.Model.next m)
+      (Mof.Model.elements m)
   in
+  let agree lookup keys =
+    List.for_all (fun k -> Mof.Id.Set.equal (lookup m k) (lookup fresh k)) keys
+  in
+  if not (agree Mof.Model.by_kind Mof.Kind.all_names) then Some "by_kind"
+  else if not (agree Mof.Model.by_name names) then Some "by_name"
+  else if not (agree Mof.Model.owned_by targets) then Some "owned_by"
+  else if not (agree Mof.Model.referrers targets) then Some "referrers"
+  else None
+
+(* [model_at repo id] for each of [ids] must equal [expected id], the
+   [reference] model, and agree with a rebuild of its own elements on every
+   index lookup. *)
+let repo_check_models ~what repo ~reference ~expected ids keys =
   List.fold_left
     (fun acc id ->
       let* () = acc in
-      match (R.model_at cas id, N.find naive id) with
-      | Some m, Some c ->
-          if not (Mof.Model.equal m c.N.model) then
-            Error (Printf.sprintf "[repo] model_at %d differs from the naive model" id)
+      match (R.model_at repo id, expected id) with
+      | Some m, Some e ->
+          if not (Mof.Model.equal m e) then
+            Error (Printf.sprintf "[repo] %s %d differs from the %s" what id reference)
           else (
-            match index_disagreement m with
+            match repo_index_disagreement keys m with
             | Some index ->
                 Error
                   (Printf.sprintf
-                     "[repo] model_at %d: %s disagrees with a model rebuilt \
+                     "[repo] %s %d: %s disagrees with a model rebuilt \
                       from its elements"
-                     id index)
+                     what id index)
             | None -> Ok ())
-      | _ -> Error (Printf.sprintf "[repo] model_at %d availability differs" id))
+      | _ -> Error (Printf.sprintf "[repo] %s %d availability differs" what id))
     (Ok ()) ids
 
-let repo_check_snapshot cas =
+(* Every stored version as [model_at] returns it must equal the model the
+   naive repository embedded for that commit, and answer every index lookup
+   like a model rebuilt from its own elements. *)
+let repo_check_versions cas naive keys =
+  repo_check_models ~what:"model_at" cas ~reference:"naive model"
+    ~expected:(fun id -> Option.map (fun c -> c.N.model) (N.find naive id))
+    (repo_commit_ids cas) keys
+
+(* [load] builds only the head; every other version is built on its first
+   read, from the nearest built ancestor. Reading all of them in a seeded
+   order starts those builds from varying ancestors, and each must come out
+   as the version committed in process, with indexes that agree. *)
+let repo_check_snapshot rng cas keys =
   let s1 = R.save cas in
   match R.load s1 with
   | Error e -> Error (Printf.sprintf "[repo] snapshot load failed: %s" e)
@@ -722,7 +739,11 @@ let repo_check_snapshot cas =
         Error "[repo] reloaded head model differs"
       else if R.tags cas <> R.tags r2 || R.branches cas <> R.branches r2 then
         Error "[repo] reloaded tags or branches differ"
-      else Ok ()
+      else
+        repo_check_models ~what:"reloaded model_at" r2
+          ~reference:"version committed in process" ~expected:(R.model_at cas)
+          (Prng.shuffle rng (repo_commit_ids cas))
+          keys
 
 let repo_check_sharing cas =
   let objects = R.store_objects cas and bytes = R.store_bytes cas in
@@ -827,8 +848,9 @@ let check_repo ~aux ~base ~edits =
   let* () = repo_agree (-1) cas naive in
   let* cas, naive = repo_script rng cas naive in
   let* () = repo_check_diffs cas naive in
-  let* () = repo_check_versions cas naive in
-  let* () = repo_check_snapshot cas in
+  let keys = repo_index_keys naive (repo_commit_ids cas) in
+  let* () = repo_check_versions cas naive keys in
+  let* () = repo_check_snapshot rng cas keys in
   let* () = repo_check_sharing cas in
   repo_check_sessions cas
 

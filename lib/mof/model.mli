@@ -106,11 +106,12 @@ val update : t -> Id.t -> (Element.t -> Element.t) -> t
 val with_root : root:Id.t -> next:int -> t -> t
 (** [with_root ~root ~next m] is [m] with root package [root] and id
     counter [next]; the element population, indexes and journal are
-    untouched. Its caller is the forward replay in the repository's
-    snapshot loader, which rebuilds each version by applying its tree delta
-    to its parent's model and then gives it its own root and counter; the
-    loader checks both invariants first, so a malformed snapshot is
-    reported by commit, not by this function. Raises [Invalid_argument]
+    untouched. Its caller is the repository's forward replay, which builds
+    a loaded version on its first read by applying its tree diff to its
+    parent's model and then gives it its own root and counter; the
+    snapshot loader checks both invariants for every commit, so a
+    malformed snapshot is reported by commit at load, never by this
+    function. Raises [Invalid_argument]
     when [root] is unbound or [next] does not exceed every bound id — the
     invariants {!of_elements} checks. O(log n). *)
 

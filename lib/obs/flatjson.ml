@@ -18,9 +18,15 @@ type value =
 
 exception Bad of string
 
+(* Arrays and objects nest at most this deep: deeper input is refused at
+   the offset of the bracket that opens level 257, before the recursion
+   grows the stack. *)
+let max_depth = 256
+
 let parse (s : string) : (value, string) result =
   let n = String.length s in
   let pos = ref 0 in
+  let depth = ref 0 in
   let peek () = if !pos < n then Some s.[!pos] else None in
   let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
   let rec skip_ws () =
@@ -113,12 +119,19 @@ let parse (s : string) : (value, string) result =
     | Some f -> Num f
     | None -> fail (Printf.sprintf "bad number %S" text)
   in
+  let nested parse =
+    if !depth >= max_depth then fail (Printf.sprintf "nested deeper than %d levels" max_depth);
+    incr depth;
+    let v = parse () in
+    decr depth;
+    v
+  in
   let rec value () =
     skip_ws ();
     let v =
       match peek () with
-      | Some '{' -> obj ()
-      | Some '[' -> arr ()
+      | Some '{' -> nested obj
+      | Some '[' -> nested arr
       | Some '"' -> Str (string_ ())
       | Some 't' -> literal "true" (Bool true)
       | Some 'f' -> literal "false" (Bool false)

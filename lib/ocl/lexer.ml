@@ -28,12 +28,11 @@ let is_ident_start c =
 
 let is_ident_char c = is_ident_start c || is_digit c
 
-let tokenize src =
+let next src i =
   let len = String.length src in
-  let tokens = ref [] in
-  let emit pos token = tokens := { Token.token; pos } :: !tokens in
+  let tok pos token stop = ({ Token.token; pos }, stop) in
   let rec scan i =
-    if i >= len then emit i Token.Eof
+    if i >= len then tok i Token.Eof i
     else
       let c = src.[i] in
       match c with
@@ -42,68 +41,27 @@ let tokenize src =
           (* comment to end of line *)
           let rec skip j = if j < len && src.[j] <> '\n' then skip (j + 1) else j in
           scan (skip (i + 2))
-      | '-' when i + 1 < len && src.[i + 1] = '>' ->
-          emit i Token.Arrow;
-          scan (i + 2)
-      | '-' ->
-          emit i Token.Minus;
-          scan (i + 1)
-      | '.' when i + 1 < len && is_digit src.[i + 1] ->
-          scan_number i
-      | '.' ->
-          emit i Token.Dot;
-          scan (i + 1)
-      | ',' ->
-          emit i Token.Comma;
-          scan (i + 1)
-      | ';' ->
-          emit i Token.Semicolon;
-          scan (i + 1)
-      | ':' ->
-          emit i Token.Colon;
-          scan (i + 1)
-      | '|' ->
-          emit i Token.Pipe;
-          scan (i + 1)
-      | '(' ->
-          emit i Token.Lparen;
-          scan (i + 1)
-      | ')' ->
-          emit i Token.Rparen;
-          scan (i + 1)
-      | '{' ->
-          emit i Token.Lbrace;
-          scan (i + 1)
-      | '}' ->
-          emit i Token.Rbrace;
-          scan (i + 1)
-      | '=' ->
-          emit i Token.Eq;
-          scan (i + 1)
-      | '<' when i + 1 < len && src.[i + 1] = '>' ->
-          emit i Token.Neq;
-          scan (i + 2)
-      | '<' when i + 1 < len && src.[i + 1] = '=' ->
-          emit i Token.Le;
-          scan (i + 2)
-      | '<' ->
-          emit i Token.Lt;
-          scan (i + 1)
-      | '>' when i + 1 < len && src.[i + 1] = '=' ->
-          emit i Token.Ge;
-          scan (i + 2)
-      | '>' ->
-          emit i Token.Gt;
-          scan (i + 1)
-      | '+' ->
-          emit i Token.Plus;
-          scan (i + 1)
-      | '*' ->
-          emit i Token.Star;
-          scan (i + 1)
-      | '/' ->
-          emit i Token.Slash;
-          scan (i + 1)
+      | '-' when i + 1 < len && src.[i + 1] = '>' -> tok i Token.Arrow (i + 2)
+      | '-' -> tok i Token.Minus (i + 1)
+      | '.' when i + 1 < len && is_digit src.[i + 1] -> scan_number i
+      | '.' -> tok i Token.Dot (i + 1)
+      | ',' -> tok i Token.Comma (i + 1)
+      | ';' -> tok i Token.Semicolon (i + 1)
+      | ':' -> tok i Token.Colon (i + 1)
+      | '|' -> tok i Token.Pipe (i + 1)
+      | '(' -> tok i Token.Lparen (i + 1)
+      | ')' -> tok i Token.Rparen (i + 1)
+      | '{' -> tok i Token.Lbrace (i + 1)
+      | '}' -> tok i Token.Rbrace (i + 1)
+      | '=' -> tok i Token.Eq (i + 1)
+      | '<' when i + 1 < len && src.[i + 1] = '>' -> tok i Token.Neq (i + 2)
+      | '<' when i + 1 < len && src.[i + 1] = '=' -> tok i Token.Le (i + 2)
+      | '<' -> tok i Token.Lt (i + 1)
+      | '>' when i + 1 < len && src.[i + 1] = '=' -> tok i Token.Ge (i + 2)
+      | '>' -> tok i Token.Gt (i + 1)
+      | '+' -> tok i Token.Plus (i + 1)
+      | '*' -> tok i Token.Star (i + 1)
+      | '/' -> tok i Token.Slash (i + 1)
       | '\'' -> scan_string i
       | c when is_digit c -> scan_number i
       | '$' -> scan_param i
@@ -119,17 +77,13 @@ let tokenize src =
       let frac_end = digits (int_end + 1) in
       let text = String.sub src start (frac_end - start) in
       match float_of_string_opt text with
-      | Some f ->
-          emit start (Token.Real f);
-          scan frac_end
+      | Some f -> tok start (Token.Real f) frac_end
       | None -> error start "malformed real literal %s" text
     end
     else begin
       let text = String.sub src start (int_end - start) in
       match int_of_string_opt text with
-      | Some n ->
-          emit start (Token.Int n);
-          scan int_end
+      | Some n -> tok start (Token.Int n) int_end
       | None -> error start "malformed integer literal %s" text
     end
   and scan_string start =
@@ -141,10 +95,7 @@ let tokenize src =
           Buffer.add_char buf '\'';
           walk (j + 2)
         end
-        else begin
-          emit start (Token.String (Buffer.contents buf));
-          scan (j + 1)
-        end
+        else tok start (Token.String (Buffer.contents buf)) (j + 1)
       else begin
         Buffer.add_char buf src.[j];
         walk (j + 1)
@@ -157,18 +108,20 @@ let tokenize src =
     (* [$name$]: one identifier token, dollars included *)
     let stop = ident_end (start + 1) in
     if stop < len && src.[stop] = '$' && is_ident_start src.[start + 1]
-    then begin
-      emit start (Token.Ident (String.sub src start (stop + 1 - start)));
-      scan (stop + 1)
-    end
+    then tok start (Token.Ident (String.sub src start (stop + 1 - start))) (stop + 1)
     else error start "malformed parameter reference, expected $name$"
   and scan_ident start =
     let stop = ident_end start in
     let text = String.sub src start (stop - start) in
-    (match keyword_of_ident text with
-    | Some kw -> emit start kw
-    | None -> emit start (Token.Ident text));
-    scan stop
+    tok start
+      (match keyword_of_ident text with Some kw -> kw | None -> Token.Ident text)
+      stop
   in
-  scan 0;
-  List.rev !tokens
+  scan i
+
+let tokenize src =
+  let rec go i acc =
+    let t, stop = next src i in
+    if t.Token.token = Token.Eof then List.rev (t :: acc) else go stop (t :: acc)
+  in
+  go 0 []

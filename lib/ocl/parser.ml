@@ -1,13 +1,22 @@
 exception Parse_error of string * int
 
+(* Tokens are lexed as the parse reaches them, so input refused early (say,
+   at the nesting bound) costs nothing past that point. *)
 type state = {
-  tokens : Token.located array;
-  mutable cursor : int;
+  src : string;
+  mutable current : Token.located;
+  mutable stop : int;  (** offset just past [current]: where lexing resumes *)
+  mutable depth : int;
 }
 
-let peek st = st.tokens.(st.cursor)
-let peek_token st = (peek st).Token.token
-let advance st = st.cursor <- st.cursor + 1
+let max_depth = 256
+let peek st = st.current
+let peek_token st = st.current.Token.token
+
+let advance st =
+  let t, stop = Lexer.next st.src st.stop in
+  st.current <- t;
+  st.stop <- stop
 
 let error st fmt =
   let pos = (peek st).Token.pos in
@@ -34,31 +43,60 @@ let expect_binder st =
       error st "parameter %s cannot be bound by an expression" name
   | _ -> expect_ident st
 
-(* Lookahead: does the parenthesised argument list starting at the current
-   cursor (just after '(') contain a '|' at depth 1 — i.e. is this an
-   iterator body rather than plain arguments? *)
-let has_toplevel_pipe st =
-  let rec scan i depth =
-    if i >= Array.length st.tokens then false
-    else
-      match st.tokens.(i).Token.token with
-      | Token.Lparen | Token.Lbrace -> scan (i + 1) (depth + 1)
-      | Token.Rparen | Token.Rbrace ->
-          if depth = 1 then false else scan (i + 1) (depth - 1)
-      | Token.Pipe -> depth = 1 || scan (i + 1) depth
-      | Token.Eof -> false
-      | _ -> scan (i + 1) depth
-  in
-  scan st.cursor 1
+(* Every recursive descent goes through here: each nested expression
+   (parenthesised, an argument, an iterator body, a branch of [if] or
+   [let]), each operand of a prefix [-] or [not], each right operand of
+   [implies] and each type argument is one level deeper, so hostile nesting
+   is refused after [max_depth] levels instead of growing the stack. *)
+let nested st parse =
+  if st.depth >= max_depth then error st "nested deeper than %d levels" max_depth;
+  st.depth <- st.depth + 1;
+  let e = parse st in
+  st.depth <- st.depth - 1;
+  e
 
-let rec parse_expr st = parse_implies st
+(* Lookahead from the current token (just after '('): do the arguments
+   open with an iterator's variables, [v1 (: T)?, v2 (: T)?, ... |], so this
+   is an iterator body rather than plain arguments? In input that parses,
+   a '|' sits at depth 1 only right after such a list, so this answers as a
+   scan for that '|' would. It lexes ahead without consuming and reads
+   only the variables and their type annotations (giving up [max_depth]
+   type arguments down, past what the parse accepts), so it costs the
+   variable list, never the whole argument, and nested calls stay linear. *)
+let has_toplevel_pipe st =
+  let next (_, stop) = Lexer.next st.src stop in
+  let token ((t : Token.located), _) = t.Token.token in
+  let rec type_name depth t =
+    match token t with
+    | Token.Ident _ when depth <= max_depth -> (
+        let t = next t in
+        if token t <> Token.Lparen then Some t
+        else
+          match type_name (depth + 1) (next t) with
+          | Some t when token t = Token.Rparen -> Some (next t)
+          | _ -> None)
+    | _ -> None
+  in
+  let rec binders t =
+    match token t with
+    | Token.Ident _ -> (
+        let t = next t in
+        match if token t = Token.Colon then type_name 0 (next t) else Some t with
+        | Some t when token t = Token.Pipe -> true
+        | Some t when token t = Token.Comma -> binders (next t)
+        | _ -> false)
+    | _ -> false
+  in
+  binders (st.current, st.stop)
+
+let rec parse_expr st = nested st parse_implies
 
 and parse_implies st =
   let lhs = parse_or st in
   if peek_token st = Token.Kw_implies then begin
     advance st;
     (* implies is right-associative *)
-    Ast.E_binop (Ast.Op_implies, lhs, parse_implies st)
+    Ast.E_binop (Ast.Op_implies, lhs, nested st parse_implies)
   end
   else lhs
 
@@ -139,10 +177,10 @@ and parse_unary st =
   match peek_token st with
   | Token.Minus ->
       advance st;
-      Ast.E_neg (parse_unary st)
+      Ast.E_neg (nested st parse_unary)
   | Token.Kw_not ->
       advance st;
-      Ast.E_not (parse_unary st)
+      Ast.E_not (nested st parse_unary)
   | _ -> parse_postfix st
 
 and parse_postfix st =
@@ -232,7 +270,7 @@ and parse_type_name st =
   let name = expect_ident st in
   if peek_token st = Token.Lparen then begin
     advance st;
-    let inner = parse_type_name st in
+    let inner = nested st parse_type_name in
     expect st Token.Rparen;
     name ^ "(" ^ inner ^ ")"
   end
@@ -317,13 +355,13 @@ and parse_primary st =
 and is_collection_literal st name =
   (String.equal name "Set" || String.equal name "Sequence"
  || String.equal name "Bag")
-  && st.cursor + 1 < Array.length st.tokens
-  && st.tokens.(st.cursor + 1).Token.token = Token.Lbrace
+  && (fst (Lexer.next st.src st.stop)).Token.token = Token.Lbrace
 
 let parse src =
-  let tokens = Array.of_list (Lexer.tokenize src) in
-  let st = { tokens; cursor = 0 } in
-  let e = parse_expr st in
+  let current, stop = Lexer.next src 0 in
+  let st = { src; current; stop; depth = 0 } in
+  (* the top-level expression is level 0 *)
+  let e = parse_implies st in
   if peek_token st <> Token.Eof then
     error st "trailing input starting with %s" (Token.to_string (peek_token st));
   e

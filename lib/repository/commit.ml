@@ -1,11 +1,13 @@
 type tree = Tree.t
 
+type version = Built of Mof.Model.t | Unbuilt of { root : Mof.Id.t; next : int }
+
 type t = {
   id : int;
   parent : int option;
   message : string;
   tree : tree;
-  model : Mof.Model.t;
+  model : version Atomic.t;
   diff : Mof.Diff.t;
   transformation : string option;
   concern : string option;

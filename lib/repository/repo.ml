@@ -37,9 +37,9 @@ let tree_of_model store model =
     model
     (store, Tree.empty)
 
-(* Build a model from a commit tree alone: O(n log n) in every index. Only
-   [load] pays this, once, for the root commit; every other version it
-   loads is its parent's model with the tree delta applied. *)
+(* Build a model from a commit tree alone: O(n log n) in every index. [load]
+   pays this for the head, and a first read for the root of a chain no
+   built version reaches. *)
 let materialize store tree ~root ~next =
   let elements =
     (* bindings come back in ascending id order, the order [of_elements]
@@ -49,6 +49,37 @@ let materialize store tree ~root ~next =
       (Tree.bindings tree)
   in
   Mof.Model.of_elements ~root ~next elements
+
+(* [child]'s version from its parent's model [m]: the two trees differ only
+   where [Tree.diff] says, so removals, then updates and additions from the
+   store, then the child's own root and id counter. *)
+let replay store ~(parent : Commit.t) ~(child : Commit.t) ~root ~next m =
+  let d = Tree.diff parent.Commit.tree child.Commit.tree in
+  let element id = Store.find_exn store (Option.get (Tree.find_opt id child.Commit.tree)) in
+  let m = Mof.Id.Set.fold (fun id m -> Mof.Model.remove m id) d.Mof.Diff.removed m in
+  let m =
+    Mof.Id.Set.fold
+      (fun id m -> Mof.Model.update m id (fun _ -> element id))
+      d.Mof.Diff.modified m
+  in
+  let m = Mof.Id.Set.fold (fun id m -> Mof.Model.add m (element id)) d.Mof.Diff.added m in
+  Mof.Model.with_root ~root ~next m
+
+(* Fill [c]'s cell with [m], unless another domain filled it first; either
+   way, the model the cell holds. *)
+let rec publish (c : Commit.t) m =
+  match Atomic.get c.Commit.model with
+  | Commit.Built built -> built
+  | Commit.Unbuilt _ as seen ->
+      if Atomic.compare_and_set c.Commit.model seen (Commit.Built m) then m
+      else publish c m
+
+(* [c]'s model built from its own tree, with nothing to replay from. *)
+let build_alone store (c : Commit.t) =
+  match Atomic.get c.Commit.model with
+  | Commit.Built m -> m
+  | Commit.Unbuilt { root; next } ->
+      publish c (materialize store c.Commit.tree ~root ~next)
 
 let publish_store_metrics t =
   if Obs.Metric.enabled () then begin
@@ -66,7 +97,7 @@ let init ?(branch = "main") model =
       parent = None;
       message = "initial model";
       tree;
-      model;
+      model = Atomic.make (Commit.Built model);
       diff = Mof.Diff.empty;
       transformation = None;
       concern = None;
@@ -94,7 +125,26 @@ let head t =
   | Some c -> c
   | None -> assert false (* head always points at a stored commit *)
 
-let head_model t = (head t).Commit.model
+(* [c]'s model, built on its first read: walk up to the nearest built
+   ancestor, or build the chain's root from its tree when no ancestor is
+   built, then replay forward, publishing every version passed. So each
+   version is built at most once, from its parent. *)
+let version t (c : Commit.t) =
+  let rec walk pending (c : Commit.t) =
+    match (Atomic.get c.Commit.model, c.Commit.parent) with
+    | Commit.Built m, _ -> (m, c, pending)
+    | Commit.Unbuilt _, None -> (build_alone t.store c, c, pending)
+    | Commit.Unbuilt { root; next }, Some p ->
+        walk ((c, root, next) :: pending) (Int_map.find p t.commits)
+  in
+  let m, base, pending = walk [] c in
+  fst
+    (List.fold_left
+       (fun (m, parent) (child, root, next) ->
+         (publish child (replay t.store ~parent ~child ~root ~next m), child))
+       (m, base) pending)
+
+let head_model t = version t (head t)
 
 (* Append [model] as a child of commit [parent], on branch [branch] — the
    shared machinery behind [commit] and [commit_on]. The child tree is the
@@ -102,7 +152,7 @@ let head_model t = (head t).Commit.model
    shared. *)
 let append ?transformation ?concern ~message ~branch ~(parent : Commit.t)
     model t =
-  let diff = Mof.Diff.compute ~old_model:parent.Commit.model ~new_model:model in
+  let diff = Mof.Diff.compute ~old_model:(version t parent) ~new_model:model in
   let tree =
     Mof.Id.Set.fold Tree.remove diff.Mof.Diff.removed parent.Commit.tree
   in
@@ -120,7 +170,7 @@ let append ?transformation ?concern ~message ~branch ~(parent : Commit.t)
       parent = Some parent.Commit.id;
       message;
       tree;
-      model;
+      model = Atomic.make (Commit.Built model);
       diff;
       transformation;
       concern;
@@ -216,7 +266,7 @@ let switch_branch name t =
         Ok { t with head_id = id; redo_path = []; current_branch = name }
       else Error (Dangling { name; commit = id })
 
-let model_at t id = Option.map (fun (c : Commit.t) -> c.Commit.model) (find t id)
+let model_at t id = Option.map (version t) (find t id)
 
 let log t =
   (* head-first chain *)
@@ -314,8 +364,13 @@ let save t =
       Mof.Canon.w_str buf c.Commit.message;
       Mof.Canon.w_opt Mof.Canon.w_str buf c.Commit.transformation;
       Mof.Canon.w_opt Mof.Canon.w_str buf c.Commit.concern;
-      Mof.Canon.w_id buf (Mof.Model.root c.Commit.model);
-      Mof.Canon.w_int buf (Mof.Model.next c.Commit.model);
+      (match Atomic.get c.Commit.model with
+      | Commit.Built m ->
+          Mof.Canon.w_id buf (Mof.Model.root m);
+          Mof.Canon.w_int buf (Mof.Model.next m)
+      | Commit.Unbuilt { root; next } ->
+          Mof.Canon.w_id buf root;
+          Mof.Canon.w_int buf next);
       w_tree_delta c;
       w_id_set buf c.Commit.diff.Mof.Diff.added;
       w_id_set buf c.Commit.diff.Mof.Diff.removed;
@@ -363,25 +418,24 @@ let load data =
             let er = Mof.Canon.reader bytes in
             let e = Mof.Canon.read_element er in
             if not (Mof.Canon.at_end er) then corrupt "trailing bytes after element";
-            let store', d = Store.add !store e in
-            if not (String.equal d digest) then corrupt "non-canonical object payload";
-            store := store';
+            if not (String.equal (Mof.Canon.element_bytes e) bytes) then
+              corrupt "non-canonical object payload";
+            store := Store.add_canonical !store digest e bytes;
             (digest, e))
       in
       let object_at i =
         if i < 0 || i >= n_objects then corrupt "object index out of range"
         else objects.(i)
       in
-      (* Every version is rebuilt here, once, in ascending id order: the root
-         commit from its whole tree, every other commit from its parent's
-         model with its tree delta applied. What the rebuild and the version
-         walks rely on is checked first, in O(changes · log n) per commit:
-         ids ascend, so a parent (always read before its child) has the
-         smaller id; exactly one commit has no parent, so every two commits
-         share an ancestor; a tree differs from its parent's only at ids the
-         stored diff touched; each binding's object holds the id it is bound
-         to; and every tree holds its root package and no id at or above its
-         next-id counter. *)
+      (* Every tree is rebuilt here, in ascending id order, and checked for
+         what the version walks and every later build of a version rely on,
+         in O(changes · log n) per commit: ids ascend, so a parent (always
+         read before its child) has the smaller id; exactly one commit has
+         no parent, so every two commits share an ancestor; a tree differs
+         from its parent's only at ids the stored diff touched; each
+         binding's object holds the id it is bound to; and every tree holds
+         its root package and no id at or above its next-id counter. Only
+         the head's model is built here; see [version]. *)
       let n_commits = Mof.Canon.r_int r in
       let commits = ref Int_map.empty in
       for _ = 1 to n_commits do
@@ -417,7 +471,7 @@ let load data =
                 corrupt "commit #%d binds %s to an object holding %s" id
                   (Mof.Id.to_string eid)
                   (Mof.Id.to_string e.Mof.Element.id);
-              (eid, digest, e))
+              (eid, digest))
             r
         in
         let tree =
@@ -430,7 +484,7 @@ let load data =
         in
         let tree =
           List.fold_left
-            (fun tr (eid, digest, _) -> Tree.add eid digest tr)
+            (fun tr (eid, digest) -> Tree.add eid digest tr)
             tree set
         in
         let added = r_id_set r in
@@ -442,7 +496,7 @@ let load data =
            match
              List.find_opt
                (fun eid -> not (Mof.Id.Set.mem eid touched))
-               (removed @ List.map (fun (eid, _, _) -> eid) set)
+               (removed @ List.map fst set)
            with
            | Some eid ->
                corrupt "commit #%d changes %s outside its stored diff" id
@@ -456,20 +510,7 @@ let load data =
             corrupt "commit #%d holds %s, not below its next-id counter %d" id
               (Mof.Id.to_string eid) next_id
         | _ -> ());
-        let model =
-          match parent_commit with
-          | None -> materialize !store tree ~root ~next:next_id
-          | Some pc ->
-              let m = List.fold_left Mof.Model.remove pc.Commit.model removed in
-              let m =
-                List.fold_left
-                  (fun m (eid, _, e) ->
-                    if Mof.Model.mem m eid then Mof.Model.update m eid (fun _ -> e)
-                    else Mof.Model.add m e)
-                  m set
-              in
-              Mof.Model.with_root ~root ~next:next_id m
-        in
+        let model = Atomic.make (Commit.Unbuilt { root; next = next_id }) in
         let c =
           { Commit.id; parent; message; tree; model; diff; transformation; concern }
         in
@@ -503,23 +544,26 @@ let load data =
       let current_branch = Mof.Canon.r_str r in
       if not (Mof.Canon.at_end r) then
         raise (Mof.Canon.Corrupt "trailing bytes after snapshot");
-      if not (Int_map.mem head_id !commits) then
-        Error (Printf.sprintf "snapshot head #%d is not stored" head_id)
-      else
-        let t =
-          {
-            store = !store;
-            commits = !commits;
-            head_id;
-            redo_path;
-            tag_map;
-            branch_map;
-            current_branch;
-            next;
-          }
-        in
-        publish_store_metrics t;
-        Ok t
+      match Int_map.find_opt head_id !commits with
+      | None -> Error (Printf.sprintf "snapshot head #%d is not stored" head_id)
+      | Some head ->
+          let t =
+            {
+              store = !store;
+              commits = !commits;
+              head_id;
+              redo_path;
+              tag_map;
+              branch_map;
+              current_branch;
+              next;
+            }
+          in
+          (* the head is built from its own tree, here, so reading it costs
+             no replay *)
+          ignore (build_alone t.store head : Mof.Model.t);
+          publish_store_metrics t;
+          Ok t
     end
   with
   | Mof.Canon.Corrupt msg -> Error ("repository snapshot: " ^ msg)

@@ -8,8 +8,9 @@
     a 10k-commit history costs O(total changes), not O(commits × model).
     Each tree is a Patricia trie ({!Tree}) that shares with its parent's
     every subtree the diff did not reach, and each commit also keeps its
-    model, a persistent value sharing all but its changes with its parent's
-    (see "Versions cost what changed"). The per-commit diff is computed
+    model once built, a persistent value sharing all but its changes with
+    the model it was built from (see "Versions cost what changed"). The
+    per-commit diff is computed
     once at [commit] time (journal replay when the new model derives from
     its parent's, scan fallback otherwise) and stored on the commit, where
     [save] writes each tree delta from it and [load] checks each delta
@@ -28,26 +29,43 @@
 
     {2 Versions cost what changed}
 
-    Every commit keeps the model it was created with ({!Commit.t}'s [model]),
-    so reading a version — {!head_model}, {!model_at}, and the new head
-    after {!undo}, {!redo}, {!checkout} or {!switch_branch} — is one
-    O(log commits) lookup, and {!commit_on} diffs against the
-    branch head's own model. Models are persistent, so a commit's model
-    shares every element and index node its diff did not touch with its
-    parent's: each version costs the O(c · log n) path copies of its c
-    changes, not a model (a 1,000-commit history over a 100-class model
-    holds about 4.5 times one model's words).
+    Every commit made in process keeps the model it was created with
+    ({!Commit.t}'s [model] cell), so reading a version — {!head_model},
+    {!model_at}, and the new head after {!undo}, {!redo}, {!checkout} or
+    {!switch_branch} — is one O(log commits) lookup, and {!commit_on}
+    diffs against the branch head's own model. Models are persistent, so a
+    commit's model shares every element and index node its diff did not
+    touch with its parent's: each version costs the O(c · log n) path
+    copies of its c changes, not a model (a 1,000-commit history over a
+    100-class model holds about 4.5 times one model's words).
+
+    {!load} builds only the head's model. Any other loaded version is built
+    on its first read — by {!model_at}, {!head_model} after {!undo} or
+    {!checkout}, {!commit} or {!commit_on} on top of it, or
+    {!diff_between_scan} — and kept: the read walks up the parent chain to
+    the nearest built version (or, when none is, builds the chain's root
+    from its tree), then replays each tree diff forward, keeping every
+    version it passes. So each version is built at most once, from its
+    parent; a client that reads every version of a loaded history pays the
+    replays [load] used to pay, plus the head's own build (E15). Each cell
+    is filled by one compare-and-set, so a repository loaded once can be
+    read lock-free from several domains (see {!Service}): two domains that
+    race build equal models, the loser reads the winner's, and every read
+    of a version returns the same model physically.
+
+    Nothing can fail at first read. A build relies only on what {!load}
+    checks for every commit: its tree holds its root package and no id at
+    or above its next-id counter, and each binding's object holds the id
+    it is bound to.
 
     A committed model is the client's own value, journal included: a
     client that edits the model it read from a version and commits it on
-    top of that version gets the incremental, journal-replaying diff.
-    {!load} rebuilds every version once, in ascending id order: the root
-    commit from its whole tree, every other commit by applying its tree
-    delta to its parent's model. So all loaded versions share the root
-    version's journal lineage, each extending its parent's by one entry per
-    applied change. Nothing observable depends on this: {!Mof.Model.equal}
-    compares populations and roots only, and the indexes are maintained by
-    the same incremental updates as any edit. *)
+    top of that version gets the incremental, journal-replaying diff. A
+    loaded version built by replay shares the journal lineage of the
+    version it was replayed from, extended by one entry per applied change.
+    Nothing observable depends on this: {!Mof.Model.equal} compares
+    populations and roots only, and the indexes are maintained by the same
+    incremental updates as any edit. *)
 
 type t
 
@@ -92,13 +110,16 @@ val commit_on :
 
 val head : t -> Commit.t
 val head_model : t -> Mof.Model.t
-(** The head version: the head commit's stored model, O(log commits). After a
-    commit it is physically the model that was committed, so journal
-    lineage survives and the next commit's diff replays the journal. *)
+(** The head version: the head commit's model, O(log commits) once built.
+    After a commit it is physically the model that was committed, so
+    journal lineage survives and the next commit's diff replays the
+    journal. After {!load} it is built; after an {!undo}, {!checkout} or
+    {!switch_branch} on a loaded repository it may be built here, as
+    {!model_at} says. *)
 
 val undo : t -> t option
-(** Move head to its parent; [None] at the root. O(log commits): the
-    parent's model is stored. *)
+(** Move head to its parent; [None] at the root. O(log commits): no model
+    is built until one is read. *)
 
 val redo : t -> t option
 (** Re-advance head after an undo; [None] when there is nothing to redo.
@@ -139,8 +160,14 @@ val switch_branch : string -> t -> (t, checkout_error) result
 val find : t -> int -> Commit.t option
 
 val model_at : t -> int -> Mof.Model.t option
-(** The version a commit holds: its stored model, physically the one it was
-    committed with (or rebuilt by {!load}). O(log commits). *)
+(** The version a commit holds: physically the model it was committed
+    with, or for a loaded commit the one built on its first read and kept
+    in its cell. O(log commits) once built. The first read of a loaded
+    version replays the tree diffs from its nearest built ancestor, or
+    builds the chain's root from its tree and replays from there: O(c ·
+    log n) per version replayed for c changes, plus O(n log n) for the
+    root. Every version it passes is kept, so the same read never replays
+    twice. Never raises: {!load} checked what the build relies on. *)
 
 val log : t -> Commit.t list
 (** Head-first chain of commits from the head to the root. *)
@@ -188,21 +215,23 @@ val save : t -> string
 
 val load : string -> (t, string) result
 (** Rejects bad magic, truncated input, an object count the remaining bytes
-    cannot hold (before allocating for it), digest mismatches, and dangling
-    internal references with a descriptive message; never raises. Also
-    rejects what would break the version walks or the rebuilt versions,
-    naming the commit and the ids: commit ids out of ascending order, a
-    second commit without a parent, a tree delta that changes an id its
-    commit's stored diff does not touch, a binding whose stored object
-    holds a different id, a commit whose tree lacks its root package or
-    holds an id at or above its next-id counter, a redo path through an
-    unknown commit, and a next commit id that does not exceed every stored
-    one.
+    cannot hold (before allocating for it), digest mismatches, payloads
+    that are not their element's canonical bytes, and dangling internal
+    references with a descriptive message; never raises. Also rejects what
+    would break the version walks or a later build of a version, naming
+    the commit and the ids: commit ids out of ascending order, a second
+    commit without a parent, a tree delta that changes an id its commit's
+    stored diff does not touch, a binding whose stored object holds a
+    different id, a commit whose tree lacks its root package or holds an
+    id at or above its next-id counter, a redo path through an unknown
+    commit, and a next commit id that does not exceed every stored one.
+    Every check runs here, eagerly, so a snapshot that loads reads back
+    every version without an error.
 
-    Every version is rebuilt here, once and eagerly, in the same ascending
-    pass that reads the commits: the root commit's model from its whole
-    tree (O(n log n)), every other commit's by applying its tree delta to
-    its parent's model, then restoring its root and id counter with
-    {!Mof.Model.with_root} — O(changes · log n) per commit, like the
-    checks. Eager, because a loaded repository is read lock-free from
-    several domains (see {!Service}) and [Lazy.force] is not domain-safe. *)
+    Each object is digested once, to check its payload, then decoded and
+    re-encoded to check its canonical form, and stored under the digest
+    in hand. Every commit's tree is rebuilt from its parent's and its
+    delta, O(changes · log n) per commit, like the checks. Only the head's
+    model is built, from its whole tree (O(n log n)); every other version
+    is built on its first read (see {!model_at}), so loading a history
+    costs its head, not its history. *)

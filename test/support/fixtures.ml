@@ -113,3 +113,26 @@ let synthetic ?(attrs = 3) ?(ops = 3) n =
 
 let class_names m =
   List.map (fun (e : Mof.Element.t) -> e.Mof.Element.name) (Mof.Query.classes m)
+
+(* A history shaped like mdbench's repo-edit workload: a 100-class model
+   and [commits] commits on top, each renaming a class, adding an attribute
+   to one or giving one a stereotype. The edits are fixed, not seeded. *)
+let edit_history commits =
+  let module R = Repository.Repo in
+  let base = Par.Workload.synthetic ~classes:100 "history" in
+  let classes = Array.of_list (Mof.Id.Set.elements (Mof.Model.by_kind base "Class")) in
+  let edit m i =
+    let cls = classes.(i * 37 mod Array.length classes) in
+    match i mod 3 with
+    | 0 -> Mof.Builder.rename m cls (Printf.sprintf "K%d" i)
+    | 1 ->
+        fst
+          (Mof.Builder.add_attribute m ~cls ~name:(Printf.sprintf "a%d" i)
+             ~typ:Mof.Kind.Dt_integer)
+    | _ -> Mof.Builder.add_stereotype m cls (Printf.sprintf "s%d" i)
+  in
+  let rec go r i =
+    if i > commits then r
+    else go (R.commit ~message:"edit" (edit (R.head_model r) i) r) (i + 1)
+  in
+  go (R.init base) 1

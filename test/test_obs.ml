@@ -681,6 +681,27 @@ let trace_tests =
               true
               (String.length msg >= 7 && String.sub msg 0 7 = "line 2:"))
     ;
+    (* the event object is level 1, so [n] arrays inside it reach n + 1 *)
+    Alcotest.test_case "256 levels are accepted" `Quick (fun () ->
+        let line = "{\"ph\":\"i\",\"x\":" ^ String.make 255 '[' ^ String.make 255 ']' ^ "}" in
+        match Obs.Trace.parse line with
+        | Ok [ e ] -> Alcotest.(check bool) "an instant" true (e.Obs.Event.kind = Obs.Event.Instant)
+        | Ok _ -> Alcotest.fail "expected one event"
+        | Error msg -> Alcotest.failf "refused: %s" msg)
+    ;
+    Alcotest.test_case "a million levels are rejected at the bound" `Quick (fun () ->
+        let line = "{\"ph\":\"i\",\"x\":" ^ String.make 1_000_000 '[' in
+        let t0 = Unix.gettimeofday () in
+        let result = Obs.Trace.parse line in
+        let elapsed = Unix.gettimeofday () -. t0 in
+        (* the 256th '[' opens level 257, at offset 14 + 255 *)
+        (match result with
+        | Ok _ -> Alcotest.fail "accepted"
+        | Error msg ->
+            Alcotest.(check string) "error"
+              "line 1: nested deeper than 256 levels at offset 269" msg);
+        if elapsed >= 0.01 then Alcotest.failf "took %.4f s" elapsed)
+    ;
     Alcotest.test_case "summarize counts and critical path" `Quick (fun () ->
         let events =
           with_memory (fun () ->

@@ -23,6 +23,26 @@ let expect_error ?(m = empty_model) src =
        false
      with Ocl.Eval.Eval_error _ -> true)
 
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+(* Each construct the parser nests through, [n] levels deep. *)
+let nestings =
+  let times n s = String.concat "" (List.init n (fun _ -> s)) in
+  [
+    ("parentheses", fun n -> String.make n '(' ^ "1" ^ String.make n ')');
+    ("not", fun n -> times n "not " ^ "true");
+    ("minus", fun n -> times n "- " ^ "1");
+    ("implies", fun n -> times n "true implies " ^ "true");
+    ("arguments", fun n -> times n "self.f(" ^ "1" ^ String.make n ')');
+    ("iterator bodies", fun n -> times n "Set{1}->forAll(x | " ^ "true" ^ String.make n ')');
+    ("if branches", fun n -> times n "if true then " ^ "1" ^ times n " else 2 endif");
+    ( "type arguments",
+      fun n -> "let x : " ^ times n "Set(" ^ "Integer" ^ String.make n ')' ^ " = 1 in x" );
+  ]
+
 (* ---- lexer ------------------------------------------------------------ *)
 
 let lexer_tests =
@@ -136,6 +156,13 @@ let parser_tests =
         match Ocl.Parser.parse "Set{Set{1}}->includes(Set{1}->select(x | x > 0))" with
         | Ocl.Ast.E_coll_op (_, "includes", [ Ocl.Ast.E_iter _ ]) -> ()
         | _ -> Alcotest.fail "expected coll_op around iter");
+    Alcotest.test_case "the lookahead reads the variable list only" `Quick (fun () ->
+        (match Ocl.Parser.parse "Set{1}->forAll(x : Set(Integer), y | true)" with
+        | Ocl.Ast.E_iter (_, "forAll", [ "x"; "y" ], _) -> ()
+        | _ -> Alcotest.fail "expected E_iter over x and y");
+        match Ocl.Parser.parse "Set{1}->including(x, Set{1}->select(y | true))" with
+        | Ocl.Ast.E_coll_op (_, "including", [ _; Ocl.Ast.E_iter _ ]) -> ()
+        | _ -> Alcotest.fail "expected coll_op with two arguments");
     Alcotest.test_case "trailing input is an error" `Quick (fun () ->
         check cb "trailing" false (parses "1 + 2 extra"));
     Alcotest.test_case "incomplete input is an error" `Quick (fun () ->
@@ -161,6 +188,34 @@ let parser_tests =
         let e = Ocl.Parser.parse "Set{1}->forAll(x | x > y)" in
         let vars = List.rev (Ocl.Ast.fold_vars (fun v acc -> v :: acc) e []) in
         check (Alcotest.list cs) "vars" [ "x"; "x"; "y" ] vars);
+    Alcotest.test_case "256 levels are accepted" `Quick (fun () ->
+        List.iter
+          (fun (what, deep) ->
+            match Ocl.Parser.parse_opt (deep 256) with
+            | Ok _ -> ()
+            | Error e -> Alcotest.failf "%s: %s" what e)
+          nestings);
+    Alcotest.test_case "257 levels are refused" `Quick (fun () ->
+        List.iter
+          (fun (what, deep) ->
+            match Ocl.Parser.parse_opt (deep 257) with
+            | Ok _ -> Alcotest.failf "%s: accepted" what
+            | Error e ->
+                if not (contains e "nested deeper than 256 levels") then
+                  Alcotest.failf "%s: %s" what e)
+          nestings);
+    Alcotest.test_case "a million levels are rejected at the bound" `Quick (fun () ->
+        let src = String.make 1_000_000 '(' in
+        let t0 = Unix.gettimeofday () in
+        (match Ocl.Parser.parse src with
+        | _ -> Alcotest.fail "accepted"
+        | exception Ocl.Parser.Parse_error (msg, pos) ->
+            check cs "message" "nested deeper than 256 levels" msg;
+            (* the expression 257 levels down starts after the 257th '(' *)
+            check ci "offset" 257 pos);
+        check cb "parse_opt" true (Result.is_error (Ocl.Parser.parse_opt src));
+        let elapsed = Unix.gettimeofday () -. t0 in
+        if elapsed >= 0.01 then Alcotest.failf "took %.4f s" elapsed);
   ]
 
 (* ---- values ----------------------------------------------------------- *)

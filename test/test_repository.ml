@@ -348,7 +348,7 @@ let repo_tests =
               (fun e ->
                 let bytes = Mof.Canon.element_bytes e in
                 Hashtbl.replace objects (Digest.string bytes) (String.length bytes))
-              (Mof.Model.elements c.model))
+              (Mof.Model.elements (Option.get (R.model_at repo c.id))))
           versions;
         check (Alcotest.float 0.) "repo.store.objects"
           (float_of_int (Hashtbl.length objects))
@@ -363,7 +363,7 @@ let repo_tests =
             (fun (c : Repository.Commit.t) ->
               Option.map
                 (fun _ ->
-                  let total = Mof.Model.size c.model in
+                  let total = Mof.Model.size (Option.get (R.model_at repo c.id)) in
                   let changed =
                     Mof.Id.Set.cardinal c.diff.added + Mof.Id.Set.cardinal c.diff.modified
                   in
@@ -647,24 +647,31 @@ module Props = struct
             Bytes.blit b src b dst (min (1 + Random.State.int rng 8) (n - max src dst));
             Bytes.to_string b)
 
+  (* [ids] in an order drawn from a generator seeded by [s], like [mutants]. *)
+  let shuffle s ids =
+    let rng = Random.State.make [| Hashtbl.hash s |] in
+    List.map snd
+      (List.sort compare (List.map (fun id -> (Random.State.bits rng, id)) ids))
+
   let diff_eq (a : Mof.Diff.t) (b : Mof.Diff.t) =
     Mof.Id.Set.equal a.added b.added
     && Mof.Id.Set.equal a.removed b.removed
     && Mof.Id.Set.equal a.modified b.modified
 
-  (* A loaded repository must read back every version it names (its log,
-     tags and branches, and the small ids a script's commits take) as a
-     model holding exactly its tree's ids, diff each against the head as
-     the scan baseline does, undo and redo without raising, and save to
-     bytes that load again to the same size and head model. *)
+  (* A loaded repository must read back every version it stores, highest
+     id first, as a model holding exactly its tree's ids, diff each against
+     the head as the scan baseline does, undo and redo without raising, and
+     save to bytes that load again to the same size and head model. [load]
+     builds only the head, so this is what holds a snapshot that loads to
+     every later build succeeding. The stored ids are found by probing
+     upward from 0 until [size] of them answer. *)
   let check_loaded t =
     let module R = Repository.Repo in
     let head = (R.head t).Repository.Commit.id in
-    let ids =
-      List.init 64 Fun.id
-      @ List.map (fun (c : Repository.Commit.t) -> c.id) (R.log t)
-      @ List.map snd (R.tags t)
-      @ List.map snd (R.branches t)
+    let rec stored id found acc =
+      if found = R.size t then acc
+      else if Option.is_some (R.find t id) then stored (id + 1) (found + 1) (id :: acc)
+      else stored (id + 1) found acc
     in
     List.iter
       (fun id ->
@@ -680,8 +687,8 @@ module Props = struct
             | Some a, Some b when diff_eq a b -> ()
             | None, None -> ()
             | _ -> QCheck2.Test.fail_reportf "commit #%d: diff_between is not the scan's" id)
-        | _ -> ())
-      (List.sort_uniq compare ids);
+        | _ -> QCheck2.Test.fail_reportf "commit #%d: stored but not read back" id)
+      (stored 0 0 []);
     Option.iter (fun t -> ignore (R.redo t)) (R.undo t);
     match R.load (R.save t) with
     | Error e -> QCheck2.Test.fail_reportf "saved bytes do not load again: %s" e
@@ -754,10 +761,13 @@ let property_tests =
               let ids = List.init (R.size r) Fun.id in
               let version r id = Option.get (R.model_at r id) in
               let keys = Props.index_keys (List.map (version r) ids) in
+              (* in a seeded order, so most versions are built along the
+                 chain from an ancestor built earlier, not from a parent
+                 built just before *)
               List.for_all
                 (fun id ->
                   Props.same_version ~keys ~id (version r id) (version loaded id))
-                ids);
+                (Props.shuffle (R.save r) ids));
       QCheck2.Test.make
         ~name:"a mutated snapshot loads to an error or to versions matching their trees"
         ~count:50 ~print gen
@@ -1298,6 +1308,88 @@ let cost_tests =
       `Quick (fun () ->
         let words = words_per_differing_id () in
         if words >= 25. then Alcotest.failf "%.1f words per differing id" words);
+    Alcotest.test_case "a loaded history holds under 0.7x its words once all is read"
+      `Quick (fun () ->
+        (* [load] builds the head alone; reading every version builds the
+           other 1,000 models, which share all but their changes *)
+        let module R = Repository.Repo in
+        let loaded = ok_exn Fun.id (R.load (R.save (Fixtures.edit_history 1000))) in
+        let words () = Obj.reachable_words (Obj.repr loaded) in
+        let fresh = words () in
+        for id = 0 to R.size loaded - 1 do
+          ignore (R.model_at loaded id)
+        done;
+        let all = words () in
+        let ratio = float_of_int fresh /. float_of_int all in
+        if ratio >= 0.7 then
+          Alcotest.failf "fresh %d words, %d once every version is read: %.2fx" fresh all
+            ratio);
+  ]
+
+(* --- the object store and versions built on first read ------------------- *)
+
+let store_tests =
+  let module S = Repository.Store in
+  let element i =
+    Mof.Element.make ~id:(Mof.Id.of_int i) ~name:(string_of_int i) ~owner:None
+      (Mof.Kind.Package { owned = [] })
+  in
+  [
+    Alcotest.test_case "digests sharing their leading 62 bits fold in digest order"
+      `Quick (fun () ->
+        (* made-up digests: the key is the first 62 bits, so the last two
+           bits of byte 7 and bytes 8-15 do not reach it *)
+        let digest b7 b8 =
+          "\001\000\000\000\000\000\000" ^ String.make 1 b7 ^ String.make 1 b8
+          ^ String.make 7 '\000'
+        in
+        let digests =
+          [
+            digest '\003' '\000'; digest '\000' '\001'; digest '\004' '\000';
+            digest '\001' '\000'; digest '\000' '\000'; String.make 16 '\255';
+            digest '\002' '\009'; String.make 16 '\000';
+          ]
+        in
+        let store =
+          List.fold_left
+            (fun (store, i) d ->
+              (S.add_canonical store d (element i) (string_of_int i), i + 1))
+            (S.empty, 0) digests
+          |> fst
+        in
+        check ci "count" (List.length digests) (S.count store);
+        check (Alcotest.list cs) "fold order" (List.sort compare digests)
+          (List.rev (S.fold (fun d _ _ acc -> d :: acc) store []));
+        List.iteri
+          (fun i d ->
+            check cb (Printf.sprintf "find %d" i) true
+              (Mof.Element.equal (S.find_exn store d) (element i));
+            check cb (Printf.sprintf "re-add %d" i) true
+              (S.add_canonical store d (element i) (string_of_int i) == store))
+          digests;
+        check cb "unknown digest" true
+          (match S.find_exn store (digest '\001' '\001') with
+          | _ -> false
+          | exception Invalid_argument _ -> true));
+    Alcotest.test_case "two domains read every loaded version in opposite orders"
+      `Quick (fun () ->
+        let module R = Repository.Repo in
+        let live = Fixtures.edit_history 299 in
+        let loaded = ok_exn Fun.id (R.load (R.save live)) in
+        let ids = List.init (R.size live) Fun.id in
+        let read order =
+          Domain.spawn (fun () ->
+              List.map (fun id -> (id, Option.get (R.model_at loaded id))) order)
+        in
+        let up = read ids and down = read (List.rev ids) in
+        let reads = Domain.join up @ Domain.join down in
+        List.iter
+          (fun (id, m) ->
+            if not (Mof.Model.equal m (Option.get (R.model_at live id))) then
+              Alcotest.failf "#%d is not the version committed" id;
+            if Option.get (R.model_at loaded id) != m then
+              Alcotest.failf "#%d: a later read returns another model" id)
+          reads);
   ]
 
 let () =
@@ -1307,6 +1399,7 @@ let () =
       ("branches", branch_tests);
       ("properties", property_tests);
       ("tree", tree_tests);
+      ("store", store_tests);
       ("cost", cost_tests);
       ("load", load_tests);
       ("service", service_tests);
