@@ -223,6 +223,102 @@ let pipeline_tests =
         | None -> Alcotest.fail "progress lost");
   ]
 
+(* ---- a project's views against its repository ---------------------------- *)
+
+(* One random step: a builtin concern with a non-empty target list drawn
+   from the banking PIM. A step may still be refused (a class distributed
+   twice, say); a refused step is an operation the views must survive too. *)
+let random_step rng =
+  let classes () =
+    match
+      List.filter
+        (fun _ -> Check.Prng.bool rng)
+        [ "Account"; "Teller"; "Customer"; "SavingsAccount" ]
+    with
+    | [] -> [ "Account" ]
+    | names -> names
+  in
+  match Check.Prng.int rng 7 with
+  | 0 -> ("distribution", [ ("remote", v_names (classes ())) ])
+  | 1 -> ("transactions", [ ("transactional", v_names (classes ())) ])
+  | 2 -> ("security", [ ("secured", v_names (classes ())) ])
+  | 3 -> ("concurrency", [ ("guarded", v_names (classes ())) ])
+  | 4 -> ("persistence", [ ("persistent", v_names (classes ())) ])
+  | 5 ->
+      ( "messaging",
+        [ ("async", v_names [ Check.Prng.choose rng [ "Account.deposit"; "Teller.transfer" ] ]) ] )
+  | _ ->
+      ( "logging",
+        [
+          ( "targets",
+            Transform.Params.V_list
+              [ Transform.Params.V_string (Check.Prng.choose rng [ "*"; "Account" ]) ] );
+        ] )
+
+let same_diff (a : Mof.Diff.t) (b : Mof.Diff.t) =
+  Mof.Id.Set.equal a.added b.added
+  && Mof.Id.Set.equal a.removed b.removed
+  && Mof.Id.Set.equal a.modified b.modified
+
+(* The commits above the root, oldest first. *)
+let step_commits repo =
+  match List.rev (Repository.Repo.log repo) with
+  | [] -> []
+  | _root :: commits -> commits
+
+let check_views what p =
+  let repo = p.Core.Project.repo in
+  let applied = Core.Project.applied p in
+  let diffs = List.map (fun r -> r.Transform.Report.diff) p.Core.Project.session.Transform.Engine.reports in
+  let commits = step_commits repo in
+  check ci (what ^ ": one step per commit above the root")
+    (List.length (Repository.Repo.log repo) - 1)
+    (List.length applied);
+  check (Alcotest.list (Alcotest.option cs)) (what ^ ": concerns in commit order")
+    (List.map (fun c -> c.Repository.Commit.concern) commits)
+    (List.map (fun cmt -> Some (Transform.Cmt.concern cmt)) applied);
+  check cb (what ^ ": each step's diff is its commit's")
+    true
+    (List.length diffs = List.length commits
+    && List.for_all2 (fun d c -> same_diff d c.Repository.Commit.diff) diffs commits);
+  check cb (what ^ ": the model is the head's") true
+    (Core.Project.model p == Repository.Repo.head_model repo)
+
+let view_tests =
+  [
+    Alcotest.test_case "refine and undo keep every view on the repository"
+      `Quick (fun () ->
+        let rng = Check.Prng.make 42L in
+        let accepted = ref 0 and undone = ref 0 in
+        for run = 1 to 12 do
+          let p = Core.Project.create (Fixtures.banking ()) in
+          check_views (Printf.sprintf "run %d, created" run) p;
+          ignore
+            (List.fold_left
+               (fun p op ->
+                 let what = Printf.sprintf "run %d, op %d" run op in
+                 let p =
+                   if Check.Prng.chance rng 1 4 then (
+                     match Core.Pipeline.undo p with
+                     | Some p ->
+                         incr undone;
+                         p
+                     | None -> p)
+                   else
+                     let concern, params = random_step rng in
+                     match Core.Pipeline.refine p ~concern ~params with
+                     | Ok (p, _) ->
+                         incr accepted;
+                         p
+                     | Error _ -> p
+                 in
+                 check_views what p;
+                 p)
+               p (List.init 10 Fun.id))
+        done;
+        check cb "steps were accepted and undone" true (!accepted > 20 && !undone > 5));
+  ]
+
 (* ---- artifacts ------------------------------------------------------------------ *)
 
 let artifact_tests =
@@ -484,6 +580,7 @@ let () =
       ("level", level_tests);
       ("platform", platform_tests);
       ("pipeline", pipeline_tests);
+      ("views", view_tests);
       ("artifacts", artifact_tests @ interference_artifact_tests);
       ("shipping", shipping_tests);
     ]
