@@ -118,10 +118,3 @@ let next src i =
       stop
   in
   scan i
-
-let tokenize src =
-  let rec go i acc =
-    let t, stop = next src i in
-    if t.Token.token = Token.Eof then List.rev (t :: acc) else go stop (t :: acc)
-  in
-  go 0 []

@@ -12,8 +12,3 @@ val next : string -> int -> Token.located * int
     parser pulls its tokens through this one at a time, so it lexes only as
     far as it reads.
     @raise Lexical_error on a malformed token. *)
-
-val tokenize : string -> Token.located list
-(** [tokenize src] is the whole token stream of [src], {!next} after
-    {!next} from offset 0, ending with {!Token.Eof}.
-    @raise Lexical_error on any malformed input. *)

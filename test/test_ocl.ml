@@ -45,11 +45,21 @@ let nestings =
 
 (* ---- lexer ------------------------------------------------------------ *)
 
+(* The whole token stream of [src]: {!Ocl.Lexer.next} after next from
+   offset 0, ending with Eof. Raises [Lexical_error] on malformed input. *)
+let tokenize src =
+  let rec go i acc =
+    let t, stop = Ocl.Lexer.next src i in
+    if t.Ocl.Token.token = Ocl.Token.Eof then List.rev (t :: acc)
+    else go stop (t :: acc)
+  in
+  go 0 []
+
 let lexer_tests =
   let token_strings src =
     List.map
       (fun (t : Ocl.Token.located) -> Ocl.Token.to_string t.Ocl.Token.token)
-      (Ocl.Lexer.tokenize src)
+      (tokenize src)
   in
   [
     Alcotest.test_case "operators and punctuation" `Quick (fun () ->
@@ -61,7 +71,7 @@ let lexer_tests =
           [ "1"; "2"; "<eof>" ]
           (token_strings "1 -- a comment\n2"));
     Alcotest.test_case "string literal with escaped quote" `Quick (fun () ->
-        match Ocl.Lexer.tokenize "'it''s'" with
+        match tokenize "'it''s'" with
         | [ { Ocl.Token.token = Ocl.Token.String s; _ }; _ ] ->
             check cs "contents" "it's" s
         | _ -> Alcotest.fail "unexpected token stream");
@@ -78,13 +88,13 @@ let lexer_tests =
     Alcotest.test_case "unterminated string raises" `Quick (fun () ->
         check cb "raises" true
           (try
-             ignore (Ocl.Lexer.tokenize "'oops");
+             ignore (tokenize "'oops");
              false
            with Ocl.Lexer.Lexical_error _ -> true));
     Alcotest.test_case "unexpected character raises" `Quick (fun () ->
         check cb "raises" true
           (try
-             ignore (Ocl.Lexer.tokenize "a # b");
+             ignore (tokenize "a # b");
              false
            with Ocl.Lexer.Lexical_error _ -> true));
     Alcotest.test_case "a parameter reference is one identifier" `Quick
@@ -96,12 +106,12 @@ let lexer_tests =
           (fun src ->
             check cb src true
               (try
-                 ignore (Ocl.Lexer.tokenize src);
+                 ignore (tokenize src);
                  false
                with Ocl.Lexer.Lexical_error _ -> true))
           [ "$p"; "$$"; "$1$"; "a$b"; "$a b$"; "$" ]);
     Alcotest.test_case "positions recorded" `Quick (fun () ->
-        match Ocl.Lexer.tokenize "ab cd" with
+        match tokenize "ab cd" with
         | [ a; b; _eof ] ->
             check ci "first" 0 a.Ocl.Token.pos;
             check ci "second" 3 b.Ocl.Token.pos
