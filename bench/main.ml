@@ -306,7 +306,8 @@ let e10_tests () =
     ( "ablation/compose:sequential-apply",
       fun () ->
         engine_exn
-          (Result.map_error snd (Transform.Engine.run m [ tx_cmt; sec_cmt ])) );
+          (Result.bind (Transform.Engine.apply tx_cmt m) (fun outcome ->
+               Transform.Engine.apply sec_cmt outcome.Transform.Engine.model)) );
   ]
 
 (* ---- E11: indexed store — lookup, diff and scoped WF scaling ------------- *)

@@ -197,10 +197,10 @@ let apply_cmd =
     match Transform.Engine.apply cmt m with
     | Error failure ->
         or_die (Error (Format.asprintf "%a" Transform.Engine.pp_failure failure))
-    | Ok outcome ->
-        Xmi.Export.write_file out outcome.Transform.Engine.model;
+    | Ok { Transform.Engine.model; diff } ->
+        Xmi.Export.write_file out model;
         Printf.printf "%s\n-> %s\n"
-          (Transform.Report.summary outcome.Transform.Engine.report)
+          (Transform.Trace.summary { Transform.Trace.cmt; diff })
           out
   in
   Cmd.v
@@ -290,8 +290,8 @@ let refined_project m steps =
       let concern, raw_params = or_die (parse_step text) in
       let _, assignments = or_die (resolve_cmt concern raw_params) in
       match Core.Pipeline.refine project ~concern ~params:assignments with
-      | Ok (project, report) ->
-          print_endline (Transform.Report.summary report);
+      | Ok (project, step) ->
+          print_endline (Transform.Trace.summary step);
           project
       | Error e -> or_die (Error (Core.Pipeline.error_to_string e)))
     project steps
@@ -604,7 +604,7 @@ let color_cmd =
     | Some path ->
         Obs.write_file path
           (Workflow.Color.demarcate_html (Core.Project.model project)
-             (Core.Project.trace project));
+             project.Core.Project.trace);
         Printf.printf "HTML demarcation written to %s\n" path
   in
   Cmd.v
@@ -680,7 +680,7 @@ let stats_cmd =
     Printf.printf "  %d association(s), %d constraint(s)\n"
       (count Mof.Query.associations)
       (count Mof.Query.constraints);
-    let trace = Core.Project.trace project in
+    let trace = project.Core.Project.trace in
     let concerns = Transform.Trace.concerns_applied trace in
     Printf.printf "concerns applied: %s\n"
       (if concerns = [] then "none" else String.concat ", " concerns);
@@ -812,7 +812,7 @@ let workflow_cmd =
               Printf.printf "  note: %s\n" msg;
               p)
         (Workflow.State.start Workflow.State.middleware_default)
-        (Transform.Trace.concerns_applied (Core.Project.trace project))
+        (Transform.Trace.concerns_applied project.Core.Project.trace)
     in
     print_endline (Workflow.Guidance.describe progress);
     (* and say where the order the workflow fixes actually matters *)

@@ -35,8 +35,8 @@ let pim () =
 
 let refine project ~concern ~params =
   match Core.Pipeline.refine project ~concern ~params with
-  | Ok (project, report) ->
-      Printf.printf "applied: %s\n" (Transform.Report.summary report);
+  | Ok (project, step) ->
+      Printf.printf "applied: %s\n" (Transform.Trace.summary step);
       project
   | Error e -> failwith (Core.Pipeline.error_to_string e)
 

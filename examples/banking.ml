@@ -63,17 +63,17 @@ let pim () =
   m
 
 let show_guidance project =
-  match project.Core.Project.progress with
+  match Core.Project.progress project with
   | Some p -> print_endline (Workflow.Guidance.describe p)
   | None -> ()
 
 let refine project ~concern ~params =
-  let project, report =
+  let project, step =
     match Core.Pipeline.refine project ~concern ~params with
     | Ok result -> result
     | Error e -> failwith (Core.Pipeline.error_to_string e)
   in
-  Printf.printf "\napplied: %s\n" (Transform.Report.summary report);
+  Printf.printf "\napplied: %s\n" (Transform.Trace.summary step);
   show_guidance project;
   project
 

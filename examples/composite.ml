@@ -109,10 +109,9 @@ let () =
       ]
   in
   (match Transform.Engine.apply cmt m with
-  | Ok outcome ->
-      let refined = outcome.Transform.Engine.model in
+  | Ok { Transform.Engine.model = refined; diff } ->
       Printf.printf "composite applied: %s\n"
-        (Transform.Report.summary outcome.Transform.Engine.report);
+        (Transform.Trace.summary { Transform.Trace.cmt; diff });
       Printf.printf "Store stereotypes: %s\n"
         (match Mof.Query.find_class refined "Store" with
         | Some c -> String.concat ", " c.Mof.Element.stereotypes

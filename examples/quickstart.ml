@@ -31,13 +31,13 @@ let () =
       ("isolation", Transform.Params.V_string "repeatable-read");
     ]
   in
-  let project, report =
+  let project, step =
     match Core.Pipeline.refine project ~concern:"transactions" ~params with
     | Ok result -> result
     | Error e -> failwith (Core.Pipeline.error_to_string e)
   in
   print_endline "== refinement report ==";
-  print_endline (Transform.Report.summary report);
+  print_endline (Transform.Trace.summary step);
 
   print_endline "\n== refined model ==";
   print_string (Mof.Pp.model_to_string (Core.Project.model project));

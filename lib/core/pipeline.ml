@@ -40,77 +40,43 @@ let refine project ~concern ~params =
           Error
             (Invalid_params { transformation = gmt.Transform.Gmt.name; problems })
       | Ok cmt -> (
-          let progress_result =
-            match project.Project.progress with
-            | None -> Ok None
+          let admitted =
+            match Project.progress project with
+            | None -> Ok ()
             | Some p -> (
                 match Workflow.State.advance p ~concern with
-                | Ok p -> Ok (Some p)
+                | Ok _ -> Ok ()
                 | Error reason -> Error (Workflow_violation { concern; reason }))
           in
-          match progress_result with
+          match admitted with
           | Error e -> Error e
-          | Ok progress -> (
-              match Transform.Engine.step project.Project.session cmt with
+          | Ok () -> (
+              match Transform.Engine.apply cmt (Project.model project) with
               | Error failure ->
                   Error
                     (Engine_failure
                        { transformation = Transform.Cmt.name cmt; failure })
-              | Ok session ->
-                  let report =
-                    match List.rev session.Transform.Engine.reports with
-                    | r :: _ -> r
-                    | [] -> assert false
+              | Ok { Transform.Engine.model; diff } ->
+                  let entry = { Transform.Trace.cmt; diff } in
+                  let trace =
+                    Transform.Trace.record entry project.Project.trace
                   in
+                  let name = Transform.Cmt.name cmt in
                   let repo =
-                    Repository.Repo.commit
-                      ~transformation:(Transform.Cmt.name cmt)
-                      ~concern
-                      ~message:("apply " ^ Transform.Cmt.name cmt)
-                      session.Transform.Engine.current project.Project.repo
+                    Repository.Repo.commit ~transformation:name ~concern
+                      ~message:("apply " ^ name) model project.Project.repo
                   in
-                  Ok ({ project with Project.session; repo; progress }, report))))
+                  Ok ({ project with Project.repo; trace }, entry))))
 
 let undo project =
-  match List.rev project.Project.session.Transform.Engine.applied with
-  | [] -> None
-  | _last :: earlier_rev ->
-      let remaining = List.rev earlier_rev in
-      (match Repository.Repo.undo project.Project.repo with
-      | None -> None
-      | Some repo ->
-          let session =
-            {
-              project.Project.session with
-              Transform.Engine.current = Repository.Repo.head_model repo;
-              trace =
-                Transform.Trace.drop_last
-                  project.Project.session.Transform.Engine.trace;
-              applied = remaining;
-              reports =
-                (match List.rev project.Project.session.Transform.Engine.reports with
-                | [] -> []
-                | _ :: rest -> List.rev rest);
-            }
-          in
-          let progress =
-            (* replay the remaining concern sequence over a fresh progress *)
-            match project.Project.progress with
-            | None -> None
-            | Some p ->
-                let fresh = Workflow.State.start (Workflow.State.definition p) in
-                Some
-                  (List.fold_left
-                     (fun acc cmt ->
-                       match
-                         Workflow.State.advance acc
-                           ~concern:(Transform.Cmt.concern cmt)
-                       with
-                       | Ok acc -> acc
-                       | Error _ -> acc)
-                     fresh remaining)
-          in
-          Some { project with Project.session; repo; progress })
+  Option.map
+    (fun repo ->
+      {
+        project with
+        Project.repo;
+        trace = Transform.Trace.drop_last project.Project.trace;
+      })
+    (Repository.Repo.undo project.Project.repo)
 
 let redo_info project =
   match Repository.Repo.redo project.Project.repo with

@@ -33,16 +33,18 @@ val refine :
   Project.t ->
   concern:string ->
   params:(string * Transform.Params.value) list ->
-  (Project.t * Transform.Report.t, error) result
-(** One refinement step. Fails (model untouched) on: unknown concern,
-    parameter validation problems, workflow violations, failed
-    pre/postconditions, broken well-formedness. *)
+  (Project.t * Transform.Trace.entry, error) result
+(** One refinement step: the applied model is committed to the
+    repository, and the step is appended to the trace and returned. Fails
+    (project unchanged) on: unknown concern, parameter validation problems,
+    workflow violations, failed pre/postconditions, broken
+    well-formedness. *)
 
 val undo : Project.t -> Project.t option
-(** Reverts the last refinement: repository head moves back, the trace
-    loses its last entry, the session model reverts. [None] when nothing
-    has been applied. (The workflow progress, when present, is rebuilt from
-    the remaining applied concerns.) *)
+(** Reverts the last refinement: the repository head moves back to its
+    parent and the trace loses its last entry, so the model and the
+    workflow progress are the earlier ones. [None] when nothing has been
+    applied. *)
 
 val redo_info : Project.t -> string option
 (** The message of the commit a repository redo would restore, if any —

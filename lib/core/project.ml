@@ -1,8 +1,8 @@
 type t = {
   name : string;
-  session : Transform.Engine.session;
   repo : Repository.Repo.t;
-  progress : Workflow.State.progress option;
+  trace : Transform.Trace.t;
+  workflow : Workflow.State.t option;
 }
 
 let create ?workflow model =
@@ -14,14 +14,33 @@ let create ?workflow model =
   in
   {
     name = Mof.Model.name model;
-    session = Transform.Engine.start model;
     repo = Repository.Repo.init model;
-    progress = Option.map Workflow.State.start workflow;
+    trace = Transform.Trace.empty;
+    workflow;
   }
 
-let model t = t.session.Transform.Engine.current
-let initial_model t = t.session.Transform.Engine.initial
-let trace t = t.session.Transform.Engine.trace
-let applied t = t.session.Transform.Engine.applied
+let model t = Repository.Repo.head_model t.repo
+
+let initial_model t =
+  match List.rev (Repository.Repo.log t.repo) with
+  | root :: _ ->
+      Option.get (Repository.Repo.model_at t.repo root.Repository.Commit.id)
+  | [] -> assert false (* the log always holds the head *)
+
+let applied t = Transform.Trace.applied t.trace
+
+(* Every step [Pipeline.refine] recorded was admitted by the progress
+   before it, so each advance succeeds. *)
+let progress t =
+  Option.map
+    (fun workflow ->
+      List.fold_left
+        (fun p cmt ->
+          let concern = Transform.Cmt.concern cmt in
+          match Workflow.State.advance p ~concern with Ok p -> p | Error _ -> p)
+        (Workflow.State.start workflow)
+        (applied t))
+    t.workflow
+
 let history t = Repository.History.render t.repo
-let coloring t = Workflow.Color.demarcate (model t) (trace t)
+let coloring t = Workflow.Color.demarcate (model t) t.trace

@@ -24,11 +24,7 @@ let pp_failure ppf = function
         violations
   | Rewrite_failed msg -> Format.fprintf ppf "rewrite failed: %s" msg
 
-type outcome = {
-  model : Mof.Model.t;
-  diff : Mof.Diff.t;
-  report : Report.t;
-}
+type outcome = { model : Mof.Model.t; diff : Mof.Diff.t }
 
 let failed_conditions ~env model conditions =
   List.filter_map
@@ -39,8 +35,13 @@ let failed_conditions ~env model conditions =
     conditions
 
 let apply cmt model =
+  (* the concrete name renders every parameter value: only a recorded span
+     pays for it *)
   Obs.span ~cat:"transform" "engine.apply"
-    ~args:[ ("transformation", Obs.Event.V_string (Cmt.name cmt)) ]
+    ~args:
+      (if Obs.enabled () then
+         [ ("transformation", Obs.Event.V_string (Cmt.name cmt)) ]
+       else [])
   @@ fun () ->
   let env = Cmt.env cmt in
   let outcome =
@@ -87,46 +88,21 @@ let apply cmt model =
             match violations with
             | _ :: _ -> Error (Not_wellformed violations)
             | [] ->
-                let report = Report.make cmt diff in
-                Ok { model = new_model; diff; report })
+                if Obs.enabled () then begin
+                  let count ids = Obs.Event.V_int (Mof.Id.Set.cardinal ids) in
+                  Obs.event ~cat:"transform" "report.make"
+                    ~args:
+                      [
+                        ("transformation", Obs.Event.V_string (Cmt.name cmt));
+                        ("concern", Obs.Event.V_string (Cmt.concern cmt));
+                        ("added", count diff.Mof.Diff.added);
+                        ("removed", count diff.Mof.Diff.removed);
+                        ("modified", count diff.Mof.Diff.modified);
+                      ]
+                end;
+                Ok { model = new_model; diff })
   in
   (match outcome with
   | Ok _ -> Obs.incr "engine.apply.ok" []
   | Error _ -> Obs.incr "engine.apply.failed" []);
   outcome
-
-type session = {
-  initial : Mof.Model.t;
-  current : Mof.Model.t;
-  trace : Trace.t;
-  applied : Cmt.t list;
-  reports : Report.t list;
-}
-
-let start model =
-  { initial = model; current = model; trace = Trace.empty; applied = []; reports = [] }
-
-let step session cmt =
-  match apply cmt session.current with
-  | Error failure -> Error failure
-  | Ok { model; diff; report } ->
-      Ok
-        {
-          session with
-          current = model;
-          trace =
-            Trace.record ~transformation:(Cmt.name cmt)
-              ~concern:(Cmt.concern cmt) diff session.trace;
-          applied = session.applied @ [ cmt ];
-          reports = session.reports @ [ report ];
-        }
-
-let run model cmts =
-  let rec loop session = function
-    | [] -> Ok session
-    | cmt :: rest -> (
-        match step session cmt with
-        | Ok session -> loop session rest
-        | Error failure -> Error (Cmt.name cmt, failure))
-  in
-  loop (start model) cmts

@@ -1,5 +1,5 @@
 (** The transformation engine: checked application of concrete
-    transformations, and refinement sessions accumulating a trace.
+    transformations.
 
     One application runs the paper's full refinement step:
     + evaluate the specialized preconditions on the input model,
@@ -7,8 +7,10 @@
     + evaluate the specialized postconditions on the output model,
     + compute the diff (replayed from the model's update journal, O(changes)),
     + re-check structural well-formedness on the touched region
-      ({!Mof.Wellformed.check_touched}),
-    + extend the trace.
+      ({!Mof.Wellformed.check_touched}).
+
+    Recording the step is the caller's: [Core.Pipeline.refine] appends it
+    to the project's {!Trace} and commits the model.
 
     Every check always runs: a transformation is a refinement step only
     with its pre- and postconditions checked (Section 2 of the paper). What
@@ -28,11 +30,7 @@ type failure =
 val pp_failure : Format.formatter -> failure -> unit
 
 (** Result of one successful application. *)
-type outcome = {
-  model : Mof.Model.t;
-  diff : Mof.Diff.t;
-  report : Report.t;
-}
+type outcome = { model : Mof.Model.t; diff : Mof.Diff.t }
 
 val apply : Cmt.t -> Mof.Model.t -> (outcome, failure) result
 (** Applies one concrete transformation. The well-formedness check
@@ -40,24 +38,6 @@ val apply : Cmt.t -> Mof.Model.t -> (outcome, failure) result
     {!Mof.Wellformed.check_touched}). That reports exactly what the
     whole-model {!Mof.Wellformed.check} would whenever the input model was
     well-formed — which [apply] has already guaranteed for every model it
-    produced; the [wf] oracle holds the two to that. *)
-
-(** A refinement session: the current model plus the trace of applied
-    transformations. *)
-type session = {
-  initial : Mof.Model.t;
-  current : Mof.Model.t;
-  trace : Trace.t;
-  applied : Cmt.t list;  (** application order *)
-  reports : Report.t list;  (** application order *)
-}
-
-val start : Mof.Model.t -> session
-
-val step : session -> Cmt.t -> (session, failure) result
-(** Applies a transformation to the session's current model and extends the
-    trace. On failure the session is unchanged. *)
-
-val run : Mof.Model.t -> Cmt.t list -> (session, string * failure) result
-(** Applies a whole sequence; stops at the first failure, reporting the
-    offending transformation's concrete name. *)
+    produced; the [wf] oracle holds the two to that. When a telemetry sink
+    is installed, a successful application also emits a [report.make]
+    event with the transformation, its concern and the diff counts. *)

@@ -1,18 +1,9 @@
-type entry = {
-  seq : int;
-  transformation : string;
-  concern : string;
-  diff : Mof.Diff.t;
-}
-
-type t = entry list (* reversed: most recent first *)
+type entry = { cmt : Cmt.t; diff : Mof.Diff.t }
+type t = entry list (* application order *)
 
 let empty = []
-let entries t = List.rev t
-let length = List.length
 
-(* Shared telemetry rendering of a diff — the one place its counts become
-   event arguments (Report reuses it, so Trace/Report/obs stay one path). *)
+(* The telemetry rendering of a diff: its counts as event arguments. *)
 let diff_args (diff : Mof.Diff.t) =
   [
     ("added", Obs.Event.V_int (Mof.Id.Set.cardinal diff.Mof.Diff.added));
@@ -20,22 +11,29 @@ let diff_args (diff : Mof.Diff.t) =
     ("modified", Obs.Event.V_int (Mof.Id.Set.cardinal diff.Mof.Diff.modified));
   ]
 
-let record ~transformation ~concern diff t =
+let record entry t =
   if Obs.enabled () then
     Obs.event ~cat:"transform" "trace.record"
       ~args:
-        (("transformation", Obs.Event.V_string transformation)
-        :: ("concern", Obs.Event.V_string concern)
-        :: ("seq", Obs.Event.V_int (length t + 1))
-        :: diff_args diff);
-  { seq = length t + 1; transformation; concern; diff } :: t
+        (("transformation", Obs.Event.V_string (Cmt.name entry.cmt))
+        :: ("concern", Obs.Event.V_string (Cmt.concern entry.cmt))
+        :: ("seq", Obs.Event.V_int (List.length t + 1))
+        :: diff_args entry.diff);
+  t @ [ entry ]
 
-let drop_last = function [] -> [] | _ :: rest -> rest
+let drop_last t =
+  match List.rev t with [] -> [] | _ :: earlier -> List.rev earlier
+
+let applied t = List.map (fun e -> e.cmt) t
+
+let summary e =
+  Format.asprintf "%s [%s] %a" (Cmt.name e.cmt) (Cmt.concern e.cmt) Mof.Diff.pp
+    e.diff
 
 let concern_space t ~concern =
   List.fold_left
     (fun acc e ->
-      if String.equal e.concern concern then
+      if String.equal (Cmt.concern e.cmt) concern then
         Mof.Id.Set.union acc
           (Mof.Id.Set.union e.diff.Mof.Diff.added e.diff.Mof.Diff.modified)
       else acc)
@@ -43,13 +41,13 @@ let concern_space t ~concern =
 
 let concerns_applied t =
   List.fold_left
-    (fun acc e -> if List.mem e.concern acc then acc else acc @ [ e.concern ])
-    [] (entries t)
+    (fun acc e ->
+      let concern = Cmt.concern e.cmt in
+      if List.mem concern acc then acc else acc @ [ concern ])
+    [] t
 
 let introduced_by t id =
   let creator =
-    List.find_opt
-      (fun e -> Mof.Id.Set.mem id e.diff.Mof.Diff.added)
-      (entries t)
+    List.find_opt (fun e -> Mof.Id.Set.mem id e.diff.Mof.Diff.added) t
   in
-  Option.map (fun e -> e.concern) creator
+  Option.map (fun e -> Cmt.concern e.cmt) creator

@@ -1,32 +1,40 @@
-(** Transformation traces — the paper's "concern spaces".
+(** Transformation traces — the paper's "concern spaces", and the one
+    record of a refinement's steps.
 
-    Each applied concrete transformation contributes one entry recording the
-    model elements it created or modified. Traces drive:
+    Each applied concrete transformation contributes one entry: the
+    transformation itself and what it did to the model. Traces drive:
     - the colored demarcation of concern spaces (Section 3),
     - the precedence of generated aspects (Section 2: "the order in which
       specialized aspects will be applied at code level is dictated by
       the order in which the model transformations were applied"),
-    - repository history. *)
+    - the shipped manifest of a refinement and workflow progress. *)
 
-type t
-(** A trace: one entry per applied transformation, in application order,
-    recording its sequence number, name, concern and diff. *)
+type entry = {
+  cmt : Cmt.t;  (** the applied transformation, concern and parameters *)
+  diff : Mof.Diff.t;  (** what the application did, kept structurally *)
+}
+
+type t = private entry list
+(** One entry per applied transformation, in application order; an
+    entry's sequence number is its 1-based position. *)
 
 val empty : t
 
-val record : transformation:string -> concern:string -> Mof.Diff.t -> t -> t
-(** Appends an entry with the next sequence number. When a telemetry sink
-    is installed, also emits a structured [trace.record] event carrying the
-    same data — the trace and the event stream are one path. *)
-
-val diff_args : Mof.Diff.t -> (string * Obs.Event.value) list
-(** The shared event-argument rendering of a diff (added/removed/modified
-    counts), reused by {!Report} so every telemetry consumer sees the same
-    shape. *)
+val record : entry -> t -> t
+(** Appends an entry. When a telemetry sink is installed, also emits a
+    structured [trace.record] event carrying the entry's transformation,
+    concern, sequence number and diff counts — the trace and the event
+    stream are one path. *)
 
 val drop_last : t -> t
 (** Removes the most recent entry (identity on the empty trace) — the trace
     side of the repository's Undo facility. *)
+
+val applied : t -> Cmt.t list
+(** The entries' transformations, in application order. *)
+
+val summary : entry -> string
+(** One line: ["T.distribution<...> [distribution] +12 -0 ~3"]. *)
 
 val concern_space : t -> concern:string -> Mof.Id.Set.t
 (** All element ids created or modified by transformations of the given

@@ -136,3 +136,11 @@ let edit_history commits =
     else go (R.commit ~message:"edit" (edit (R.head_model r) i) r) (i + 1)
   in
   go (R.init base) 1
+
+(* A trace entry of [concern] that did [diff]: the transformation it names
+   is an identity "T.<concern>" with no parameters. *)
+let trace_step ~concern diff =
+  let gmt =
+    Transform.Gmt.make ~name:("T." ^ concern) ~concern ~formals:[] (fun _ m -> m)
+  in
+  { Transform.Trace.cmt = Transform.Cmt.specialize_exn gmt []; diff }

@@ -171,12 +171,57 @@ let pipeline_tests =
         let project = fig2_project () in
         check ci "three applied" 3 (List.length (Core.Project.applied project));
         check ci "trace entries" 3
-          (List.length (Transform.Trace.concerns_applied (Core.Project.trace project)));
+          (List.length (Transform.Trace.concerns_applied project.Core.Project.trace));
         check cb "repo head refined" true
           (contains (Core.Project.history project) "apply T.security");
         check (Alcotest.list cs) "concern order"
           [ "distribution"; "transactions"; "security" ]
-          (Transform.Trace.concerns_applied (Core.Project.trace project)));
+          (Transform.Trace.concerns_applied project.Core.Project.trace));
+    Alcotest.test_case "each step adds one entry" `Quick (fun () ->
+        let project = Core.Project.create (Fixtures.banking ()) in
+        let steps (p : Core.Project.t) = (p.trace :> Transform.Trace.entry list) in
+        let project, first =
+          refine_exn project ~concern:"distribution"
+            ~params:[ ("remote", v_names [ "Account" ]) ]
+        in
+        check ci "one entry" 1 (List.length (steps project));
+        let project, second =
+          refine_exn project ~concern:"transactions"
+            ~params:[ ("transactional", v_names [ "Account" ]) ]
+        in
+        check cb "the entries refine returned, in order" true
+          (match steps project with [ a; b ] -> a == first && b == second | _ -> false);
+        check ci "two applied" 2 (List.length (Core.Project.applied project));
+        check cb "initial preserved" true
+          (Mof.Query.find_class (Core.Project.initial_model project) "AccountProxy" = None);
+        check cb "current refined" true
+          (Mof.Query.find_class (Core.Project.model project) "AccountProxy" <> None));
+    Alcotest.test_case "no steps leaves the initial model" `Quick (fun () ->
+        let project = Core.Project.create (Fixtures.banking ()) in
+        check ci "no entries" 0 (List.length (Core.Project.applied project));
+        check cb "current is initial" true
+          (Core.Project.model project == Core.Project.initial_model project));
+    Alcotest.test_case "a refused step leaves the project physically unchanged"
+      `Quick (fun () ->
+        let project, _ =
+          refine_exn
+            (Core.Project.create (Fixtures.banking ()))
+            ~concern:"distribution"
+            ~params:[ ("remote", v_names [ "Account" ]) ]
+        in
+        let model = Core.Project.model project in
+        (* Account is distributed already: the precondition refuses *)
+        match
+          Core.Pipeline.refine project ~concern:"distribution"
+            ~params:[ ("remote", v_names [ "Account" ]) ]
+        with
+        | Error (Core.Pipeline.Engine_failure _) ->
+            check cb "model" true (Core.Project.model project == model);
+            check ci "one entry" 1 (List.length (Core.Project.applied project));
+            check ci "root and one commit" 2
+              (Repository.Repo.size project.Core.Project.repo)
+        | Error e -> Alcotest.fail (Core.Pipeline.error_to_string e)
+        | Ok _ -> Alcotest.fail "expected the engine to refuse");
     Alcotest.test_case "coloring demarcates the concern spaces" `Quick
       (fun () ->
         let text = Core.Project.coloring (fig2_project ()) in
@@ -189,7 +234,7 @@ let pipeline_tests =
         let project' = Option.get (Core.Pipeline.undo project) in
         check ci "two applied" 2 (List.length (Core.Project.applied project'));
         check ci "trace shrank" 2
-          (List.length (Transform.Trace.concerns_applied (Core.Project.trace project')));
+          (List.length (Transform.Trace.concerns_applied project'.Core.Project.trace));
         check cb "secured gone" true
           (Mof.Model.fold
              (fun e gone -> gone && not (Mof.Element.has_stereotype "secured" e))
@@ -216,7 +261,7 @@ let pipeline_tests =
             ~params:[ ("transactional", v_names [ "Account" ]) ]
         in
         let project' = Option.get (Core.Pipeline.undo project) in
-        match project'.Core.Project.progress with
+        match Core.Project.progress project' with
         | Some p ->
             check (Alcotest.list cs) "replayed" [ "distribution" ]
               (List.map snd (Workflow.State.completed p))
@@ -269,7 +314,11 @@ let step_commits repo =
 let check_views what p =
   let repo = p.Core.Project.repo in
   let applied = Core.Project.applied p in
-  let diffs = List.map (fun r -> r.Transform.Report.diff) p.Core.Project.session.Transform.Engine.reports in
+  let diffs =
+    List.map
+      (fun (e : Transform.Trace.entry) -> e.diff)
+      (p.Core.Project.trace :> Transform.Trace.entry list)
+  in
   let commits = step_commits repo in
   check ci (what ^ ": one step per commit above the root")
     (List.length (Repository.Repo.log repo) - 1)

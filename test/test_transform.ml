@@ -151,10 +151,8 @@ let diff_with ~added ~modified =
     modified = Mof.Id.Set.of_list (List.map Mof.Id.of_int modified);
   }
 
-(* Entries in a trace, counted by dropping them one by one: every entry
-   names a concern, so a trace is empty when it applies none. *)
-let rec trace_length t =
-  if Trace.concerns_applied t = [] then 0 else 1 + trace_length (Trace.drop_last t)
+let trace_length (t : Trace.t) = List.length (t :> Trace.entry list)
+let step concern diff = Fixtures.trace_step ~concern diff
 
 let trace_tests =
   [
@@ -165,8 +163,8 @@ let trace_tests =
         let sink, events = Obs.Sink.memory () in
         Obs.set_sink sink;
         Fun.protect ~finally:Obs.reset (fun () ->
-            let t = Trace.record ~transformation:"T1" ~concern:"a" Mof.Diff.empty Trace.empty in
-            ignore (Trace.record ~transformation:"T2" ~concern:"b" Mof.Diff.empty t));
+            let t = Trace.record (step "a" Mof.Diff.empty) Trace.empty in
+            ignore (Trace.record (step "b" Mof.Diff.empty) t));
         check (Alcotest.list ci) "seqs" [ 1; 2 ]
           (List.filter_map
              (fun (e : Obs.Event.t) ->
@@ -176,13 +174,13 @@ let trace_tests =
              (events ())));
     Alcotest.test_case "concern_space unions adds and mods" `Quick (fun () ->
         let t =
-          Trace.record ~transformation:"T1" ~concern:"a"
-            (diff_with ~added:[ 1; 2 ] ~modified:[ 3 ])
+          Trace.record
+            (step "a" (diff_with ~added:[ 1; 2 ] ~modified:[ 3 ]))
             Trace.empty
         in
         let t =
-          Trace.record ~transformation:"T2" ~concern:"a"
-            (diff_with ~added:[ 4 ] ~modified:[])
+          Trace.record
+            (step "a" (diff_with ~added:[ 4 ] ~modified:[]))
             t
         in
         check ci "four ids" 4 (Mof.Id.Set.cardinal (Trace.concern_space t ~concern:"a"));
@@ -191,27 +189,30 @@ let trace_tests =
     Alcotest.test_case "concerns_applied preserves first-seen order" `Quick
       (fun () ->
         let t = Trace.empty in
-        let t = Trace.record ~transformation:"T1" ~concern:"b" Mof.Diff.empty t in
-        let t = Trace.record ~transformation:"T2" ~concern:"a" Mof.Diff.empty t in
-        let t = Trace.record ~transformation:"T3" ~concern:"b" Mof.Diff.empty t in
+        let t = Trace.record (step "b" Mof.Diff.empty) t in
+        let t = Trace.record (step "a" Mof.Diff.empty) t in
+        let t = Trace.record (step "b" Mof.Diff.empty) t in
         check (Alcotest.list cs) "order" [ "b"; "a" ] (Trace.concerns_applied t));
     Alcotest.test_case "introduced_by is the creating concern" `Quick (fun () ->
         let t =
-          Trace.record ~transformation:"T1" ~concern:"a"
-            (diff_with ~added:[ 7 ] ~modified:[])
+          Trace.record
+            (step "a" (diff_with ~added:[ 7 ] ~modified:[]))
             Trace.empty
         in
         let t =
-          Trace.record ~transformation:"T2" ~concern:"b"
-            (diff_with ~added:[] ~modified:[ 7 ])
+          Trace.record
+            (step "b" (diff_with ~added:[] ~modified:[ 7 ]))
             t
         in
         check cb "creator wins" true
           (Trace.introduced_by t (Mof.Id.of_int 7) = Some "a");
         check cb "untraced" true (Trace.introduced_by t (Mof.Id.of_int 99) = None));
     Alcotest.test_case "drop_last" `Quick (fun () ->
-        let t = Trace.record ~transformation:"T1" ~concern:"a" Mof.Diff.empty Trace.empty in
+        let t = Trace.record (step "a" Mof.Diff.empty) Trace.empty in
         check ci "emptied" 0 (trace_length (Trace.drop_last t));
+        let t = Trace.record (step "b" Mof.Diff.empty) t in
+        check (Alcotest.list cs) "the last one goes" [ "a" ]
+          (Trace.concerns_applied (Trace.drop_last t));
         check ci "empty stays empty" 0 (trace_length (Trace.drop_last Trace.empty)));
   ]
 
@@ -451,8 +452,7 @@ let engine_tests =
             check cb "class present" true
               (Mof.Query.find_class outcome.Engine.model "Fresh" <> None);
             check ci "one added" 1
-              (Mof.Id.Set.cardinal outcome.Engine.diff.Mof.Diff.added);
-            check cs "report concern" "testing" outcome.Engine.report.Report.concern
+              (Mof.Id.Set.cardinal outcome.Engine.diff.Mof.Diff.added)
         | Error f ->
             Alcotest.fail (Format.asprintf "%a" Engine.pp_failure f));
     Alcotest.test_case "precondition failure leaves the model alone" `Quick
@@ -510,47 +510,6 @@ let engine_tests =
         | Error (Engine.Postcondition_failed [ ("named", Fails []) ]) -> ()
         | Error f -> Alcotest.fail (Format.asprintf "%a" Engine.pp_failure f)
         | Ok _ -> Alcotest.fail "the crafted value satisfied the condition");
-    Alcotest.test_case "sessions accumulate trace and reports" `Quick (fun () ->
-        let session = Engine.start (Fixtures.banking ()) in
-        let session =
-          match Engine.step session (adder [ "One" ]) with
-          | Ok s -> s
-          | Error f -> Alcotest.fail (Format.asprintf "%a" Engine.pp_failure f)
-        in
-        let session =
-          match Engine.step session (adder [ "Two" ]) with
-          | Ok s -> s
-          | Error f -> Alcotest.fail (Format.asprintf "%a" Engine.pp_failure f)
-        in
-        check ci "trace" 2 (trace_length session.Engine.trace);
-        check ci "applied" 2 (List.length session.Engine.applied);
-        check ci "reports" 2 (List.length session.Engine.reports);
-        check cb "initial preserved" true
-          (Mof.Query.find_class session.Engine.initial "One" = None);
-        check cb "current refined" true
-          (Mof.Query.find_class session.Engine.current "Two" <> None));
-    Alcotest.test_case "run stops at the first failure" `Quick (fun () ->
-        match
-          Engine.run (Fixtures.banking ())
-            [ adder [ "One" ]; adder [ "One" ]; adder [ "Never" ] ]
-        with
-        | Error (name, Engine.Precondition_failed _) ->
-            check cs "offender" "T.adder<[One]>" name
-        | _ -> Alcotest.fail "expected failure on the duplicate");
-    Alcotest.test_case "run on an empty sequence is the identity session"
-      `Quick (fun () ->
-        match Engine.run (Fixtures.banking ()) [] with
-        | Ok session ->
-            check ci "no trace" 0 (trace_length session.Engine.trace);
-            check cb "model untouched" true
-              (Mof.Model.equal session.Engine.initial session.Engine.current)
-        | Error _ -> Alcotest.fail "empty run must succeed");
-    Alcotest.test_case "failed step leaves the session unchanged" `Quick
-      (fun () ->
-        let session = Engine.start (Fixtures.banking ()) in
-        match Engine.step session (adder [ "Account" ]) with
-        | Error _ -> ()
-        | Ok _ -> Alcotest.fail "expected failure");
     Alcotest.test_case "scoped and full well-formedness agree on Fig. 2" `Quick
       (fun () ->
         (* the paper's banking pipeline: every refinement step the engine
@@ -596,16 +555,17 @@ let engine_tests =
         | _ -> Alcotest.fail "expected well-formedness failures");
   ]
 
-(* ---- report --------------------------------------------------------------- *)
+(* ---- report: the one line a step prints ----------------------------------- *)
 
 let report_tests =
   [
     Alcotest.test_case "summary contains the concrete name and the counts"
       `Quick (fun () ->
         let m = Fixtures.banking () in
-        match Engine.apply (adder [ "Fresh" ]) m with
-        | Ok outcome ->
-            let s = Report.summary outcome.Engine.report in
+        let cmt = adder [ "Fresh" ] in
+        match Engine.apply cmt m with
+        | Ok { Engine.diff; _ } ->
+            let s = Trace.summary { Trace.cmt; diff } in
             check cb "name" true
               (String.length s > 0
               && String.sub s 0 7 = "T.adder");

@@ -26,8 +26,7 @@ let legend concerns =
   let trace, _ =
     List.fold_left
       (fun (t, id) concern ->
-        ( Transform.Trace.record ~transformation:("T." ^ concern) ~concern
-            (diff_adding [ id ]) t,
+        ( Transform.Trace.record (Fixtures.trace_step ~concern (diff_adding [ id ])) t,
           id + 1 ))
       (Transform.Trace.empty, 1000) concerns
   in
@@ -50,8 +49,8 @@ let color_tests =
         let m, traced = Mof.Builder.add_class m ~owner:(Mof.Model.root m) ~name:"Traced" in
         let m, _ = Mof.Builder.add_class m ~owner:(Mof.Model.root m) ~name:"Plain" in
         let trace =
-          Transform.Trace.record ~transformation:"T" ~concern:"dist"
-            (diff_adding [ Mof.Id.to_int traced ])
+          Transform.Trace.record
+            (Fixtures.trace_step ~concern:"dist" (diff_adding [ Mof.Id.to_int traced ]))
             Transform.Trace.empty
         in
         let text = Workflow.Color.demarcate m trace in
@@ -63,8 +62,8 @@ let color_tests =
           Mof.Builder.add_class m ~owner:(Mof.Model.root m) ~name:"A<B>&C"
         in
         let trace =
-          Transform.Trace.record ~transformation:"T" ~concern:"dist"
-            (diff_adding [ Mof.Id.to_int added ])
+          Transform.Trace.record
+            (Fixtures.trace_step ~concern:"dist" (diff_adding [ Mof.Id.to_int added ]))
             Transform.Trace.empty
         in
         let html = Workflow.Color.demarcate_html m2 trace in
@@ -82,8 +81,8 @@ let color_tests =
         let m = Fixtures.banking () in
         let m2, added = Mof.Builder.add_class m ~owner:(Mof.Model.root m) ~name:"Proxy9" in
         let trace =
-          Transform.Trace.record ~transformation:"T" ~concern:"dist"
-            (diff_adding [ Mof.Id.to_int added ])
+          Transform.Trace.record
+            (Fixtures.trace_step ~concern:"dist" (diff_adding [ Mof.Id.to_int added ]))
             Transform.Trace.empty
         in
         let text = Workflow.Color.demarcate m2 trace in
