@@ -168,24 +168,29 @@ let out_arg =
     & opt (some string) None
     & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output path")
 
-let resolve_cmt concern params =
+(* The concern's GMT and the assignments, each read at its formal's type;
+   [Transform.Cmt.specialize] checks them against the formals as a whole. *)
+let parse_params concern params =
   match Concerns.Registry.find_gmt concern with
   | None -> Error (Printf.sprintf "unknown concern %s" concern)
-  | Some gmt -> (
-      match
-        Workflow.Wizard.parse_assignments gmt.Transform.Gmt.formals params
-      with
-      | Error e -> Error e
-      | Ok assignments -> (
-          match Transform.Cmt.specialize gmt assignments with
-          | Ok cmt -> Ok (cmt, assignments)
-          | Error problems ->
-              Error
-                (Format.asprintf "%a"
-                   (Format.pp_print_list
-                      ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
-                      Transform.Params.pp_problem)
-                   problems)))
+  | Some gmt ->
+      Result.map
+        (fun assignments -> (gmt, assignments))
+        (Workflow.Wizard.parse_assignments gmt.Transform.Gmt.formals params)
+
+let resolve_cmt concern params =
+  match parse_params concern params with
+  | Error e -> Error e
+  | Ok (gmt, assignments) -> (
+      match Transform.Cmt.specialize gmt assignments with
+      | Ok cmt -> Ok (cmt, assignments)
+      | Error problems ->
+          Error
+            (Format.asprintf "%a"
+               (Format.pp_print_list
+                  ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
+                  Transform.Params.pp_problem)
+               problems))
 
 let apply_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
@@ -288,7 +293,8 @@ let refined_project m steps =
   List.fold_left
     (fun project text ->
       let concern, raw_params = or_die (parse_step text) in
-      let _, assignments = or_die (resolve_cmt concern raw_params) in
+      (* [refine] specializes, and names the GMT in a parameter error *)
+      let _, assignments = or_die (parse_params concern raw_params) in
       match Core.Pipeline.refine project ~concern ~params:assignments with
       | Ok (project, step) ->
           print_endline (Transform.Trace.summary step);
