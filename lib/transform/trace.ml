@@ -3,23 +3,7 @@ type t = entry list (* application order *)
 
 let empty = []
 
-(* The telemetry rendering of a diff: its counts as event arguments. *)
-let diff_args (diff : Mof.Diff.t) =
-  [
-    ("added", Obs.Event.V_int (Mof.Id.Set.cardinal diff.Mof.Diff.added));
-    ("removed", Obs.Event.V_int (Mof.Id.Set.cardinal diff.Mof.Diff.removed));
-    ("modified", Obs.Event.V_int (Mof.Id.Set.cardinal diff.Mof.Diff.modified));
-  ]
-
-let record entry t =
-  if Obs.enabled () then
-    Obs.event ~cat:"transform" "trace.record"
-      ~args:
-        (("transformation", Obs.Event.V_string (Cmt.name entry.cmt))
-        :: ("concern", Obs.Event.V_string (Cmt.concern entry.cmt))
-        :: ("seq", Obs.Event.V_int (List.length t + 1))
-        :: diff_args entry.diff);
-  t @ [ entry ]
+let record entry t = t @ [ entry ]
 
 let drop_last t =
   match List.rev t with [] -> [] | _ :: earlier -> List.rev earlier

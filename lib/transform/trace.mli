@@ -21,10 +21,8 @@ type t = private entry list
 val empty : t
 
 val record : entry -> t -> t
-(** Appends an entry. When a telemetry sink is installed, also emits a
-    structured [trace.record] event carrying the entry's transformation,
-    concern, sequence number and diff counts — the trace and the event
-    stream are one path. *)
+(** Appends an entry. Its event is {!Engine.apply}'s [report.make], which
+    carries the same transformation, concern and diff counts. *)
 
 val drop_last : t -> t
 (** Removes the most recent entry (identity on the empty trace) — the trace

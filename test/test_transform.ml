@@ -156,22 +156,6 @@ let step concern diff = Fixtures.trace_step ~concern diff
 
 let trace_tests =
   [
-    Alcotest.test_case "sequence numbers increase" `Quick (fun () ->
-        (* the numbers each entry is recorded under, as its trace.record
-           event carries them *)
-        Obs.reset ();
-        let sink, events = Obs.Sink.memory () in
-        Obs.set_sink sink;
-        Fun.protect ~finally:Obs.reset (fun () ->
-            let t = Trace.record (step "a" Mof.Diff.empty) Trace.empty in
-            ignore (Trace.record (step "b" Mof.Diff.empty) t));
-        check (Alcotest.list ci) "seqs" [ 1; 2 ]
-          (List.filter_map
-             (fun (e : Obs.Event.t) ->
-               match List.assoc_opt "seq" e.Obs.Event.args with
-               | Some (Obs.Event.V_int n) -> Some n
-               | _ -> None)
-             (events ())));
     Alcotest.test_case "concern_space unions adds and mods" `Quick (fun () ->
         let t =
           Trace.record
