@@ -342,7 +342,7 @@ let e11_tests () =
                    Mof.Element.metaclass e = "Class"
                    && String.equal e.Mof.Element.name target)
                  (Mof.Model.elements m)) );
-        ( Printf.sprintf "store/journal:diff:%d-elements" size,
+        ( Printf.sprintf "store/trie:diff:%d-elements" size,
           fun () -> ignore (Mof.Diff.compute ~old_model:m ~new_model:edited) );
         ( Printf.sprintf "store/scan:diff:%d-elements" size,
           fun () ->

@@ -22,22 +22,41 @@ let build ~base ~edits =
 let pp_violations ppf vs =
   List.iter (fun v -> Format.fprintf ppf "@.  %a" Mof.Wellformed.pp_violation v) vs
 
-(* ---- R1: journal diff vs full scan -------------------------------------- *)
+(* ---- R1: the id trie's diff vs full scan --------------------------------- *)
 
+(* The base against its edited descendant, which shares every subtree the
+   edits did not reach, and both directions against a copy of the edited
+   model rebuilt element by element, which shares nothing with either. *)
 let check_diff ~aux:_ ~base ~edits =
   let base_m, m' = build ~base ~edits in
-  let fast = Mof.Diff.compute ~old_model:base_m ~new_model:m' in
-  let scan = Mof.Diff.compute_scan ~old_model:base_m ~new_model:m' in
-  let eq = Mof.Id.Set.equal in
-  if
-    eq fast.Mof.Diff.added scan.Mof.Diff.added
-    && eq fast.Mof.Diff.removed scan.Mof.Diff.removed
-    && eq fast.Mof.Diff.modified scan.Mof.Diff.modified
-  then Ok ()
-  else
-    Error
-      (Format.asprintf "[diff] journal replay %a disagrees with scan %a"
-         Mof.Diff.pp fast Mof.Diff.pp scan)
+  let copy =
+    Mof.Model.of_elements ~root:(Mof.Model.root m') ~next:(Mof.Model.next m')
+      (Mof.Model.elements m')
+  in
+  let disagreement (what, old_model, new_model) =
+    let trie = Mof.Diff.compute ~old_model ~new_model in
+    let scan = Mof.Diff.compute_scan ~old_model ~new_model in
+    let eq = Mof.Id.Set.equal in
+    if
+      eq trie.Mof.Diff.added scan.Mof.Diff.added
+      && eq trie.Mof.Diff.removed scan.Mof.Diff.removed
+      && eq trie.Mof.Diff.modified scan.Mof.Diff.modified
+    then None
+    else
+      Some
+        (Format.asprintf "[diff] %s: trie diff %a disagrees with scan %a" what
+           Mof.Diff.pp trie Mof.Diff.pp scan)
+  in
+  match
+    List.find_map disagreement
+      [
+        ("base -> edited", base_m, m');
+        ("base -> unshared copy", base_m, copy);
+        ("unshared copy -> base", copy, base_m);
+      ]
+  with
+  | None -> Ok ()
+  | Some msg -> Error msg
 
 (* ---- R2: scoped well-formedness vs full check --------------------------- *)
 
@@ -99,7 +118,7 @@ let check_xmi ~aux ~base ~edits =
 (* ---- R4: indexes, extents, and qualified-name lookup vs fresh scans ------ *)
 
 module Sm = Map.Make (String)
-module Im = Mof.Id.Map
+module Im = Map.Make (Mof.Id)
 
 let check_query ~aux:_ ~base ~edits =
   let _, m' = build ~base ~edits in
@@ -841,8 +860,8 @@ let check_repo ~aux ~base ~edits =
   let base_m, m' = build ~base ~edits in
   let rng = Prng.make aux in
   let cas = R.init base_m and naive = N.init base_m in
-  (* first commit is the edited model itself — derived from the base with
-     journal lineage intact, so the replay diff path is on the hook *)
+  (* first commit is the edited model itself, which shares every subtree
+     the edits did not reach with the base *)
   let cas = R.commit ~message:"edits" m' cas
   and naive = N.commit ~message:"edits" m' naive in
   let* () = repo_agree (-1) cas naive in

@@ -5,7 +5,11 @@
     against its algebraic decomposition — so no oracle needs to know the
     "right answer", only that the two paths must agree:
 
-    - [diff]: journal-replay {!Mof.Diff.compute} ≡ {!Mof.Diff.compute_scan};
+    - [diff]: {!Mof.Diff.compute}, the id trie's diff, ≡
+      {!Mof.Diff.compute_scan}, from a base to its edited descendant (which
+      shares structure with it) and both ways between the base and a copy
+      of the descendant rebuilt by {!Mof.Model.of_elements} (which shares
+      none);
     - [wf]: scoped {!Mof.Wellformed.check_touched} ≡ full check on models
       edited from a clean base;
     - [xmi]: export → import → export is a fixpoint (byte-identical second

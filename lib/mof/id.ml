@@ -16,8 +16,6 @@ let equal = Int.equal
 let compare = Int.compare
 let pp ppf id = Format.pp_print_string ppf (to_string id)
 
-module Map = Map.Make (Int)
-
 module Bits = struct
   let mask key bit = key land lnot (bit lor (bit - 1))
   let matches key ~prefix ~bit = mask key bit = prefix
@@ -36,11 +34,14 @@ module Bits = struct
   let higher b0 b1 = b0 - 1 > b1 - 1
 end
 
-(* A big-endian Patricia trie over the bits of [x lxor min_int]: flipping
-   the sign bit makes unsigned trie order (a left subtree's keys below its
-   right sibling's) the signed order of the elements. Empty appears only as
-   a whole set, never as a branch's child, so a set's shape depends only on
-   its elements. *)
+(* {!Set} and {!Map} are big-endian Patricia tries over the bits of
+   [x lxor min_int]: flipping the sign bit makes unsigned trie order (a left
+   subtree's keys below its right sibling's) the signed order of the ids.
+   Empty appears only as a whole trie, never as a branch's child, so a
+   trie's shape depends only on its keys. *)
+let key x = x lxor min_int
+let elt k = k lxor min_int
+
 module Set = struct
   type elt = int
 
@@ -49,8 +50,6 @@ module Set = struct
     | Leaf of int
     | Branch of { prefix : int; bit : int; left : t; right : t }
 
-  let key x = x lxor min_int
-  let elt k = k lxor min_int
   let empty = Empty
   let is_empty = function Empty -> true | Leaf _ | Branch _ -> false
   let singleton x = Leaf (key x)
@@ -220,4 +219,204 @@ module Set = struct
   let max_elt s = elt (max_key s)
   let min_elt_opt = function Empty -> None | s -> Some (min_elt s)
   let of_list l = List.fold_left (fun s x -> add x s) Empty l
+end
+
+(* Keyed and shaped like {!Set}, so the keys of any subtree are a set of the
+   same shape and [diff] builds its sets from the branches it walks. Every
+   branch carries its size. *)
+module Map = struct
+  type key = int
+
+  type 'a t =
+    | Empty
+    | Leaf of { key : int; value : 'a }
+    | Branch of { prefix : int; bit : int; left : 'a t; right : 'a t; size : int }
+
+  let empty = Empty
+  let is_empty = function Empty -> true | Leaf _ | Branch _ -> false
+  let singleton x value = Leaf { key = key x; value }
+  let cardinal = function Empty -> 0 | Leaf _ -> 1 | Branch b -> b.size
+
+  let branch prefix bit left right =
+    Branch { prefix; bit; left; right; size = cardinal left + cardinal right }
+
+  let join k0 t0 k1 t1 =
+    let bit = Bits.highest_bit (k0 lxor k1) in
+    if Bits.goes_left k0 bit then branch (Bits.mask k0 bit) bit t0 t1
+    else branch (Bits.mask k0 bit) bit t1 t0
+
+  let rebuild t prefix bit l0 r0 l r =
+    if l == l0 && r == r0 then t
+    else
+      match (l, r) with
+      | Empty, s | s, Empty -> s
+      | _ -> branch prefix bit l r
+
+  let rec find_key k = function
+    | Empty -> None
+    | Leaf l -> if l.key = k then Some l.value else None
+    | Branch b -> find_key k (if Bits.goes_left k b.bit then b.left else b.right)
+
+  let rec mem_key k = function
+    | Empty -> false
+    | Leaf l -> l.key = k
+    | Branch b -> mem_key k (if Bits.goes_left k b.bit then b.left else b.right)
+
+  let find_opt x m = find_key (key x) m
+  let mem x m = mem_key (key x) m
+
+  (* [add], [update] and [remove] copy the path to the key and share the
+     rest; where nothing changes they return the trie itself. *)
+  let rec add_key k v = function
+    | Empty -> Leaf { key = k; value = v }
+    | Leaf l as t ->
+        if l.key <> k then join k (Leaf { key = k; value = v }) l.key t
+        else if l.value == v then t
+        else Leaf { key = k; value = v }
+    | Branch { prefix; bit; left; right; size = _ } as t ->
+        if not (Bits.matches k ~prefix ~bit) then join k (Leaf { key = k; value = v }) prefix t
+        else if Bits.goes_left k bit then
+          let l = add_key k v left in
+          if l == left then t else branch prefix bit l right
+        else
+          let r = add_key k v right in
+          if r == right then t else branch prefix bit left r
+
+  let add x v m = add_key (key x) v m
+
+  let rec update_key k f = function
+    | Empty -> ( match f None with None -> Empty | Some v -> Leaf { key = k; value = v })
+    | Leaf l as t ->
+        if l.key <> k then
+          match f None with
+          | None -> t
+          | Some v -> join k (Leaf { key = k; value = v }) l.key t
+        else (
+          match f (Some l.value) with
+          | None -> Empty
+          | Some v -> if v == l.value then t else Leaf { key = k; value = v })
+    | Branch { prefix; bit; left; right; size = _ } as t ->
+        if not (Bits.matches k ~prefix ~bit) then
+          match f None with
+          | None -> t
+          | Some v -> join k (Leaf { key = k; value = v }) prefix t
+        else if Bits.goes_left k bit then
+          rebuild t prefix bit left right (update_key k f left) right
+        else rebuild t prefix bit left right left (update_key k f right)
+
+  let update x f m = update_key (key x) f m
+
+  let rec remove_key k = function
+    | Empty -> Empty
+    | Leaf l as t -> if l.key = k then Empty else t
+    | Branch { prefix; bit; left; right; size = _ } as t ->
+        if not (Bits.matches k ~prefix ~bit) then t
+        else if Bits.goes_left k bit then
+          rebuild t prefix bit left right (remove_key k left) right
+        else rebuild t prefix bit left right left (remove_key k right)
+
+  let remove x m = remove_key (key x) m
+
+  let rec fold f m acc =
+    match m with
+    | Empty -> acc
+    | Leaf l -> f (elt l.key) l.value acc
+    | Branch b -> fold f b.right (fold f b.left acc)
+
+  let bindings m =
+    let rec go m acc =
+      match m with
+      | Empty -> acc
+      | Leaf l -> (elt l.key, l.value) :: acc
+      | Branch b -> go b.left (go b.right acc)
+    in
+    go m []
+
+  let rec max_binding_opt = function
+    | Empty -> None
+    | Leaf l -> Some (elt l.key, l.value)
+    | Branch b -> max_binding_opt b.right
+
+  let rec equal eq a b =
+    a == b
+    ||
+    match (a, b) with
+    | Leaf x, Leaf y -> x.key = y.key && eq x.value y.value
+    | Branch x, Branch y ->
+        x.size = y.size && x.bit = y.bit && x.prefix = y.prefix && equal eq x.left y.left
+        && equal eq x.right y.right
+    | _ -> false
+
+  (* --- diff: both tries in step, skipping what they share ---------------- *)
+
+  type changes = { added : Set.t; removed : Set.t; modified : Set.t }
+
+  let no_changes = { added = Set.Empty; removed = Set.Empty; modified = Set.Empty }
+
+  let rec keys = function
+    | Empty -> Set.Empty
+    | Leaf l -> Set.Leaf l.key
+    | Branch b -> Set.branch b.prefix b.bit (keys b.left) (keys b.right)
+
+  let only_added t = { no_changes with added = keys t }
+  let only_removed t = { no_changes with removed = keys t }
+
+  (* The changes under a branch on [prefix]/[bit] from those of its two
+     children, whose keys lie on either side of [bit]: each set is one new
+     branch on the same bits, or the one side that is not empty. Where
+     neither child differs, the shared [no_changes] comes back physically,
+     so identical subtrees allocate nothing. *)
+  let side prefix bit l r =
+    match (l, r) with
+    | Set.Empty, s | s, Set.Empty -> s
+    | _ -> Set.branch prefix bit l r
+
+  let halves prefix bit l r =
+    if l == no_changes then r
+    else if r == no_changes then l
+    else
+      {
+        added = side prefix bit l.added r.added;
+        removed = side prefix bit l.removed r.removed;
+        modified = side prefix bit l.modified r.modified;
+      }
+
+  (* Where one side's keys all fall under one child of a branch on the other
+     side, the other child holds only keys the first side lacks. *)
+  let rec diff eq a b =
+    if a == b then no_changes
+    else
+      match (a, b) with
+      | Empty, t -> only_added t
+      | t, Empty -> only_removed t
+      | Leaf x, Leaf y ->
+          if x.key <> y.key then
+            { no_changes with added = Set.Leaf y.key; removed = Set.Leaf x.key }
+          else if eq x.value y.value then no_changes
+          else { no_changes with modified = Set.Leaf x.key }
+      | Leaf x, Branch _ -> under_b eq x.key a b
+      | Branch _, Leaf y -> under_a eq y.key a b
+      | Branch x, Branch y ->
+          if x.bit = y.bit && x.prefix = y.prefix then
+            halves x.prefix x.bit (diff eq x.left y.left) (diff eq x.right y.right)
+          else if Bits.higher x.bit y.bit then under_a eq y.prefix a b
+          else under_b eq x.prefix a b
+
+  (* [b], whose keys all share [k] above a lower bit than branch [a]'s, falls
+     under one child of [a] or under neither; [under_b] is the mirror case. *)
+  and under_a eq k a b =
+    match a with
+    | Branch x when Bits.matches k ~prefix:x.prefix ~bit:x.bit ->
+        if Bits.goes_left k x.bit then
+          halves x.prefix x.bit (diff eq x.left b) (only_removed x.right)
+        else halves x.prefix x.bit (only_removed x.left) (diff eq x.right b)
+    | _ -> { no_changes with added = keys b; removed = keys a }
+
+  and under_b eq k a b =
+    match b with
+    | Branch y when Bits.matches k ~prefix:y.prefix ~bit:y.bit ->
+        if Bits.goes_left k y.bit then
+          halves y.prefix y.bit (diff eq a y.left) (only_added y.right)
+        else halves y.prefix y.bit (only_added y.left) (diff eq a y.right)
+    | _ -> { no_changes with added = keys b; removed = keys a }
 end

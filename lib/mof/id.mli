@@ -31,16 +31,12 @@ val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 (** Pretty-printer, same output as {!to_string}. *)
 
-module Map : Map.S with type key = t
-(** Maps keyed by identifiers: Stdlib's balanced trees ([Map.Make (Int)]). *)
-
 (** The bit arithmetic of a big-endian Patricia trie over ints (Okasaki and
-    Gill, "Fast Mergeable Integer Maps", 1998), shared by {!Set} and by the
-    repository's commit trees so that both branch on the same bits of an
-    id. A branch on [bit], a power of two, holds keys that agree above
-    [bit]; those with [bit] clear go left. {!Set} keys each element with
-    its sign bit flipped, which leaves every lower bit alone, so on
-    non-negative ids both tries branch on the same bits. *)
+    Gill, "Fast Mergeable Integer Maps", 1998), shared by {!Set}, {!Map}
+    and the repository's object store. A branch on [bit], a power of two,
+    holds keys that agree above [bit]; those with [bit] clear go left.
+    {!Set} and {!Map} key each id with its sign bit flipped, so the two
+    branch on the same bits of an id. *)
 module Bits : sig
   val mask : int -> int -> int
   (** [mask key bit] is [key] with its bits at and below [bit] cleared: the
@@ -106,4 +102,66 @@ module Set : sig
   (** @raise Not_found on the empty set. *)
 
   val of_list : elt list -> t
+end
+
+(** Maps keyed by identifiers, as a big-endian Patricia trie keyed and
+    shaped like {!Set}: the model store, its owner and referrer indexes,
+    and the repository's commit trees.
+
+    - {!fold} and {!bindings} run in ascending id order, negative ids
+      below non-negative ones, and {!max_binding_opt} is the largest id.
+    - A map's shape depends only on its keys, never on the order they
+      were added or removed in.
+    - {!cardinal} is O(1): every branch carries its size.
+    - {!add}, {!update} and {!remove} copy the path to the key and share
+      everything else. Where nothing changes they return their argument
+      physically: an {!add} of the value already bound (physically), an
+      {!update} whose function returns it or [None] for an unbound key,
+      a {!remove} of an unbound key.
+    - {!equal} and {!diff} descend both maps in step and skip every
+      subtree the two share physically, so a map and its edited copy
+      compare in what the edits touched. *)
+module Map : sig
+  type key = t
+  type 'a t
+
+  val empty : 'a t
+  val is_empty : 'a t -> bool
+  val singleton : key -> 'a -> 'a t
+
+  val cardinal : 'a t -> int
+  (** O(1). *)
+
+  val find_opt : key -> 'a t -> 'a option
+  val mem : key -> 'a t -> bool
+  val add : key -> 'a -> 'a t -> 'a t
+  val update : key -> ('a option -> 'a option) -> 'a t -> 'a t
+  val remove : key -> 'a t -> 'a t
+  val fold : (key -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
+  val bindings : 'a t -> (key * 'a) list
+  val max_binding_opt : 'a t -> (key * 'a) option
+
+  val equal : ('a -> 'a -> bool) -> 'a t -> 'a t -> bool
+  (** [equal eq a b]: the same keys, bound to values [eq] holds equal. *)
+
+  (** What differs between two maps, by key. *)
+  type changes = {
+    added : Set.t;  (** keys bound in the second map only *)
+    removed : Set.t;  (** keys bound in the first map only *)
+    modified : Set.t;  (** keys both bind, to values [eq] tells apart *)
+  }
+
+  val no_changes : changes
+  (** Three empty sets: what {!diff} returns, physically, when nothing
+      differs. *)
+
+  val diff : ('a -> 'a -> bool) -> 'a t -> 'a t -> changes
+  (** [diff eq a b] classifies every key bound in either map, in one walk
+      of both that skips the subtrees they share physically and calls [eq]
+      only where the two bind one key in leaves they do not share. Its sets
+      are built from the branches it walks ({!Set} branches on the same
+      bits), so it allocates a few words per differing key, and two maps
+      that bind the same keys to equal values, shared or not, diff to
+      {!no_changes} itself with no allocation. Two maps that share nothing
+      are walked whole. *)
 end

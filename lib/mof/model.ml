@@ -16,26 +16,7 @@ type indexes = {
          references stay discoverable after a removal *)
 }
 
-type t = {
-  store : Element.t Id.Map.t;
-  root : Id.t;
-  next : int;
-  idx : indexes;
-  origin : unit ref;
-      (* lineage token: all models derived by add/update/remove share their
-         ancestor's [origin]; create/of_elements mint a fresh one *)
-  rev : int;  (* bumped once per mutation *)
-  journal : (int * Id.t) list;
-      (* touched ids, newest first, each stamped with the revision that
-         touched it; a descendant's journal extends its ancestor's by
-         prepending, which is what makes watermark comparison O(changes) *)
-}
-
-type watermark = {
-  w_origin : unit ref;
-  w_rev : int;
-  w_tail : (int * Id.t) list;
-}
+type t = { store : Element.t Id.Map.t; root : Id.t; next : int; idx : indexes }
 
 exception Element_not_found of Id.t
 
@@ -162,11 +143,6 @@ let reindex_element e e' idx =
            (Kind.refs e'.Element.kind) idx.ix_referrers);
   }
 
-(* One journal entry per mutation, even when the new element is equal to the
-   old one: consumers classify journal candidates against both models, so a
-   spurious entry costs one comparison, never a wrong diff. *)
-let touch m id = { m with rev = m.rev + 1; journal = (m.rev + 1, id) :: m.journal }
-
 let create ~name =
   let root = Id.of_int 0 in
   let root_elt =
@@ -177,9 +153,6 @@ let create ~name =
     root;
     next = 1;
     idx = index_element root_elt empty_indexes;
-    origin = ref ();
-    rev = 0;
-    journal = [];
   }
 
 let root m = m.root
@@ -201,7 +174,7 @@ let of_elements ~root ~next elements =
   in
   if not (Id.Map.mem root store) then
     invalid_arg "Mof.Model.of_elements: root element missing";
-  { store; root; next; idx; origin = ref (); rev = 0; journal = [] }
+  { store; root; next; idx }
 
 let find m id = Id.Map.find_opt id m.store
 
@@ -224,23 +197,19 @@ let add m e =
   if mem m id then
     invalid_arg ("Mof.Model.add: duplicate id " ^ Id.to_string id)
   else
-    touch
-      {
-        m with
-        store = Id.Map.add id e m.store;
-        (* keep the invariant that [next] exceeds every bound id, so
-           [next] is directly serializable (see Xmi.Export) *)
-        next = max m.next (Id.to_int id + 1);
-        idx = index_element e m.idx;
-      }
-      id
+    {
+      m with
+      store = Id.Map.add id e m.store;
+      (* keep the invariant that [next] exceeds every bound id, so
+         [next] is directly serializable (see Xmi.Export) *)
+      next = max m.next (Id.to_int id + 1);
+      idx = index_element e m.idx;
+    }
 
 let update m id f =
   let e = find_exn m id in
   let e' = f e in
-  touch
-    { m with store = Id.Map.add id e' m.store; idx = reindex_element e e' m.idx }
-    id
+  { m with store = Id.Map.add id e' m.store; idx = reindex_element e e' m.idx }
 
 let with_root ~root ~next m =
   if not (mem m root) then invalid_arg "Mof.Model.with_root: root element missing"
@@ -256,10 +225,7 @@ let set_level_tag level m = update m m.root (Element.set_tag "level" level)
 let remove m id =
   match find m id with
   | None -> m
-  | Some e ->
-      touch
-        { m with store = Id.Map.remove id m.store; idx = unindex_element e m.idx }
-        id
+  | Some e -> { m with store = Id.Map.remove id m.store; idx = unindex_element e m.idx }
 
 (* ---- indexed lookups ---------------------------------------------------- *)
 
@@ -270,25 +236,9 @@ let by_name m name = set_of (Smap.find_opt name m.idx.ix_name)
 let owned_by m id = set_of (Id.Map.find_opt id m.idx.ix_owner)
 let referrers m id = set_of (Id.Map.find_opt id m.idx.ix_referrers)
 
-(* ---- journal ------------------------------------------------------------ *)
-
-let watermark m = { w_origin = m.origin; w_rev = m.rev; w_tail = m.journal }
-
-let touched_since m w =
-  if not (w.w_origin == m.origin) then None
-  else
-    let rec strip acc = function
-      | (r, id) :: rest when r > w.w_rev -> strip (Id.Set.add id acc) rest
-      | rest ->
-          (* [m] descends from the watermarked model exactly when, after
-             stripping the newer entries, we are looking at the very list the
-             watermark captured *)
-          if rest == w.w_tail then Some acc else None
-    in
-    strip Id.Set.empty m.journal
-
 (* ---- whole-population traversal ----------------------------------------- *)
 
+let store m = m.store
 let fold f m init = Id.Map.fold (fun _ e acc -> f e acc) m.store init
 let elements m = List.map snd (Id.Map.bindings m.store)
 let size m = Id.Map.cardinal m.store

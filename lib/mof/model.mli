@@ -1,10 +1,13 @@
 (** The model store: an immutable, id-indexed collection of elements with a
-    distinguished root package, secondary indexes, and an update journal.
+    distinguished root package and secondary indexes.
 
     Models are persistent values — every update returns a new model — which
     is what makes transformation traces, repository versions, and undo/redo
     cheap and safe. Fresh ids are drawn from a counter carried by the model
-    itself, so transformations are deterministic.
+    itself, so transformations are deterministic. The elements sit in an
+    {!Id.Map}, so a model shares every subtree an edit did not reach with
+    the model it was edited from, and {!Diff.compute} of the two walks only
+    what they do not share.
 
     {2 Indexes}
 
@@ -25,21 +28,7 @@
     set whose elements come back in ascending id order, matching the
     historical scan order of {!fold}/{!elements}. The invariant — each index
     equals the map a full scan of the store would rebuild — is asserted by
-    the randomized consistency test in [test_mof.ml].
-
-    {2 Journal and watermarks}
-
-    Every mutation stamps the touched id into a journal. {!watermark}
-    captures the current journal position; {!touched_since} later replays
-    the ids touched after that position in O(changes), independent of model
-    size — the basis of incremental {!Diff.compute} and scoped
-    {!Wellformed.check_touched}. A watermark is only meaningful against
-    models {e derived} from the watermarked one (same [create]/
-    [of_elements] lineage, mutations applied on top); [touched_since]
-    detects unrelated or divergent models and returns [None] so callers can
-    fall back to a full scan. Journal entries are never dropped: a
-    long-lived refinement session grows the journal by one small cons cell
-    per mutation. *)
+    the randomized consistency test in [test_mof.ml]. *)
 
 type t
 (** The type of models. *)
@@ -54,9 +43,7 @@ val of_elements : root:Id.t -> next:int -> Element.t list -> t
 (** Reconstructs a model from a previously serialized element population
     (used by the XMI importer), rebuilding all indexes. [next] must exceed
     every bound id; the element list must contain [root]. Raises
-    [Invalid_argument] otherwise, or on duplicate ids. The reconstructed
-    model starts a fresh lineage: its journal is empty and watermarks taken
-    from other models do not apply to it. *)
+    [Invalid_argument] otherwise, or on duplicate ids. *)
 
 val name : t -> string
 (** The model name (the root package's name). O(log n). *)
@@ -77,10 +64,10 @@ val next : t -> int
     {!of_elements}. *)
 
 val fresh_id : t -> t * Id.t
-(** Allocates a fresh element id. Does not journal (nothing is bound yet). *)
+(** Allocates a fresh element id; nothing is bound yet. *)
 
 val add : t -> Element.t -> t
-(** [add m e] stores [e], indexes it, and journals [e.id]. Raises
+(** [add m e] stores [e] and indexes it. Raises
     [Invalid_argument] if [e.id] is already bound — elements are inserted
     once and then {!update}d. O(k log n) for k index keys. *)
 
@@ -94,7 +81,7 @@ val find_exn : t -> Id.t -> Element.t
 
 val update : t -> Id.t -> (Element.t -> Element.t) -> t
 (** [update m id f] replaces the element bound to [id] by [f] applied to
-    it and journals [id]. [f] must keep the element's id (every caller
+    it. [f] must keep the element's id (every caller
     edits a field of the element it is given). Only the index keys that
     changed are reindexed: the kind name, the name, the owner, and the
     refs that one side mentions and the other does not. A rename touches
@@ -105,8 +92,7 @@ val update : t -> Id.t -> (Element.t -> Element.t) -> t
 
 val with_root : root:Id.t -> next:int -> t -> t
 (** [with_root ~root ~next m] is [m] with root package [root] and id
-    counter [next]; the element population, indexes and journal are
-    untouched. Its caller is the repository's forward replay, which builds
+    counter [next]; the element population and indexes are untouched. Its caller is the repository's forward replay, which builds
     a loaded version on its first read by applying its tree diff to its
     parent's model and then gives it its own root and counter; the
     snapshot loader checks both invariants for every commit, so a
@@ -117,9 +103,8 @@ val with_root : root:Id.t -> next:int -> t -> t
 
 val remove : t -> Id.t -> t
 (** Removes the binding for [id] (and only that binding; callers are
-    responsible for unlinking references, cf. {!Builder.delete_element}),
-    drops its index entries, and journals [id]. Removing an unbound id is a
-    no-op that leaves the journal untouched. *)
+    responsible for unlinking references, cf. {!Builder.delete_element})
+    and drops its index entries. Removing an unbound id returns [m]. *)
 
 (** {2 Indexed lookups}
 
@@ -141,24 +126,13 @@ val referrers : t -> Id.t -> Id.Set.t
 (** Ids of all elements whose {!Kind.refs} mention the given id. Defined
     whether or not the target is bound. *)
 
-(** {2 Journal} *)
-
-type watermark
-(** A position in a model's update journal (O(1) to take and to hold). *)
-
-val watermark : t -> watermark
-(** The current journal position. *)
-
-val touched_since : t -> watermark -> Id.Set.t option
-(** [touched_since m w] is [Some ids] — every id touched by a mutation
-    applied after [w] was taken — when [m] was derived from the watermarked
-    model by a chain of {!add}/{!update}/{!remove}; [None] when the models
-    are unrelated or divergent (caller falls back to a full comparison).
-    O(changes since [w]). *)
-
 (** {2 Whole-population traversal}
 
-    All O(n) except {!is_empty}; prefer the indexed lookups on hot paths. *)
+    {!fold} and {!elements} are O(n); prefer the indexed lookups on hot
+    paths. *)
+
+val store : t -> Element.t Id.Map.t
+(** The elements by id, the map {!Diff.compute} walks. O(1). *)
 
 val fold : (Element.t -> 'a -> 'a) -> t -> 'a -> 'a
 (** Folds over all elements in id order. *)
@@ -167,12 +141,13 @@ val elements : t -> Element.t list
 (** All elements, in id order. *)
 
 val size : t -> int
-(** Number of elements. *)
+(** Number of elements. O(1). *)
 
 val is_empty : t -> bool
 (** [is_empty m] is [size m = 0], in O(1). *)
 
 val equal : t -> t -> bool
 (** Structural equality of the element populations and roots (the id
-    counter, indexes, and journal are ignored, so a model equals itself
-    after a no-op transformation and after an XMI round trip). *)
+    counter and indexes are ignored, so a model equals itself after a no-op
+    transformation and after an XMI round trip). Subtrees the two stores
+    share physically are not visited. *)

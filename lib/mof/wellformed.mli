@@ -31,7 +31,7 @@ val check : Model.t -> violation list
 
 val check_touched : Model.t -> touched:Id.Set.t -> violation list
 (** Re-validates only the region of the model whose verdicts can depend on
-    the [touched] ids (typically {!Diff.touched} of a journal diff): the
+    the [touched] ids (typically {!Diff.touched} of a step's diff): the
     touched elements, their referrers, the elements they own, and their
     transitive subclasses. Cost is proportional to that region, not the
     model. Sound for incremental use: if the model was well-formed before

@@ -1,4 +1,4 @@
-type tree = Tree.t
+type tree = Store.digest Mof.Id.Map.t
 
 type version = Built of Mof.Model.t | Unbuilt of { root : Mof.Id.t; next : int }
 
@@ -13,7 +13,7 @@ type t = {
   concern : string option;
 }
 
-let tree_size t = Tree.cardinal t.tree
+let tree_size t = Mof.Id.Map.cardinal t.tree
 
 let summary t =
   Format.asprintf "#%d %s (%a)%s" t.id t.message Mof.Diff.pp t.diff

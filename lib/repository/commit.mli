@@ -10,10 +10,13 @@
     versions are computed from the trees, and snapshot deltas from the
     trees and the stored diffs, never from the models. *)
 
-type tree = Tree.t
-(** Element id → content digest. Persistent: a child commit's tree is the
-    parent's with only the changed bindings replaced, so the two share
-    every subtree the diff did not reach. *)
+type tree = Store.digest Mof.Id.Map.t
+(** Element id → content digest, in the trie the model store uses.
+    Persistent: a child commit's tree is the parent's with only the changed
+    bindings replaced, so the two share every subtree the diff did not
+    reach, and {!Mof.Id.Map.diff} of two versions' trees costs what differs
+    between them, not the size of the model or the number of commits
+    between them. *)
 
 (** What a commit's [model] cell holds. *)
 type version =
@@ -40,8 +43,8 @@ type t = {
           so every later read of the commit returns the same model
           physically. *)
   diff : Mof.Diff.t;
-      (** against the parent, computed once at commit time (journal replay
-          when lineage allows, scan otherwise); empty for a root commit.
+      (** against the parent, computed once at commit time
+          ({!Mof.Diff.compute}); empty for a root commit.
           [tree] differs from the parent's tree only at ids this diff
           touches, which is what snapshot deltas are written from and what
           [Repo.load] checks. *)

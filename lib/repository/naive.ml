@@ -55,7 +55,7 @@ let commit ?transformation ?concern ~message model t =
       parent = Some parent.id;
       message;
       model;
-      diff = Mof.Diff.compute ~old_model:parent.model ~new_model:model;
+      diff = Mof.Diff.compute_scan ~old_model:parent.model ~new_model:model;
       transformation;
       concern;
     }
@@ -113,7 +113,7 @@ let size t = Int_map.cardinal t.commits
 let diff_between t ~from_id ~to_id =
   match (find t from_id, find t to_id) with
   | Some a, Some b ->
-      Some (Mof.Diff.compute ~old_model:a.model ~new_model:b.model)
+      Some (Mof.Diff.compute_scan ~old_model:a.model ~new_model:b.model)
   | _, _ -> None
 
 let estimated_bytes t =

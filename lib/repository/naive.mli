@@ -2,9 +2,11 @@
     kept verbatim as the differential baseline for the [repo] oracle and
     the snapshot-size test in [test_repository.ml].
 
-    Every commit embeds a complete model value and [diff_between]
-    recomputes from the embedded models; nothing is shared through a
-    store. Semantically it must agree with {!Repo} on the whole observable
+    Every commit embeds a complete model value; nothing is shared through
+    a store. Its diffs, at commit and in [diff_between], are
+    {!Mof.Diff.compute_scan} of the embedded models, which reads neither
+    model's id trie, so the oracle holds {!Repo}'s trie diffs to a scan
+    and not to themselves. Semantically it must agree with {!Repo} on the whole observable
     surface (head model, undo/redo, tags, log, diffs) — that agreement is
     exactly what the oracle checks, so this module should never be
     "improved" in ways that change behavior. *)

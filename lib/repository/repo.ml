@@ -33,9 +33,9 @@ let tree_of_model store model =
   Mof.Model.fold
     (fun e (store, tree) ->
       let store, digest = Store.add store e in
-      (store, Tree.add e.Mof.Element.id digest tree))
+      (store, Mof.Id.Map.add e.Mof.Element.id digest tree))
     model
-    (store, Tree.empty)
+    (store, Mof.Id.Map.empty)
 
 (* Build a model from a commit tree alone: O(n log n) in every index. [load]
    pays this for the head, and a first read for the root of a chain no
@@ -46,16 +46,18 @@ let materialize store tree ~root ~next =
        and the historical scans expect *)
     List.map
       (fun (_, digest) -> Store.find_exn store digest)
-      (Tree.bindings tree)
+      (Mof.Id.Map.bindings tree)
   in
   Mof.Model.of_elements ~root ~next elements
 
 (* [child]'s version from its parent's model [m]: the two trees differ only
-   where [Tree.diff] says, so removals, then updates and additions from the
+   where their diff says, so removals, then updates and additions from the
    store, then the child's own root and id counter. *)
 let replay store ~(parent : Commit.t) ~(child : Commit.t) ~root ~next m =
-  let d = Tree.diff parent.Commit.tree child.Commit.tree in
-  let element id = Store.find_exn store (Option.get (Tree.find_opt id child.Commit.tree)) in
+  let d = Mof.Id.Map.diff String.equal parent.Commit.tree child.Commit.tree in
+  let element id =
+    Store.find_exn store (Option.get (Mof.Id.Map.find_opt id child.Commit.tree))
+  in
   let m = Mof.Id.Set.fold (fun id m -> Mof.Model.remove m id) d.Mof.Diff.removed m in
   let m =
     Mof.Id.Set.fold
@@ -154,13 +156,13 @@ let append ?transformation ?concern ~message ~branch ~(parent : Commit.t)
     model t =
   let diff = Mof.Diff.compute ~old_model:(version t parent) ~new_model:model in
   let tree =
-    Mof.Id.Set.fold Tree.remove diff.Mof.Diff.removed parent.Commit.tree
+    Mof.Id.Set.fold Mof.Id.Map.remove diff.Mof.Diff.removed parent.Commit.tree
   in
   let store, tree =
     Mof.Id.Set.fold
       (fun id (store, tree) ->
         let store, digest = Store.add store (Mof.Model.find_exn model id) in
-        (store, Tree.add id digest tree))
+        (store, Mof.Id.Map.add id digest tree))
       (Mof.Id.Set.union diff.Mof.Diff.added diff.Mof.Diff.modified)
       (t.store, tree)
   in
@@ -285,7 +287,7 @@ let size t = Int_map.cardinal t.commits
 let diff_between t ~from_id ~to_id =
   match (find t from_id, find t to_id) with
   | None, _ | _, None -> None
-  | Some a, Some b -> Some (Tree.diff a.Commit.tree b.Commit.tree)
+  | Some a, Some b -> Some (Mof.Id.Map.diff String.equal a.Commit.tree b.Commit.tree)
 
 let diff_between_scan t ~from_id ~to_id =
   match (model_at t from_id, model_at t to_id) with
@@ -336,14 +338,15 @@ let save t =
      it replaces: O(changes · log n) per commit, not O(n). *)
   let w_tree_delta (c : Commit.t) =
     match c.Commit.parent with
-    | None -> w_delta [] (Tree.bindings c.Commit.tree)
+    | None -> w_delta [] (Mof.Id.Map.bindings c.Commit.tree)
     | Some p ->
         let parent_tree = (Int_map.find p t.commits).Commit.tree in
         let removed, set =
           Mof.Id.Set.fold
             (fun id (removed, set) ->
               match
-                (Tree.find_opt id parent_tree, Tree.find_opt id c.Commit.tree)
+                ( Mof.Id.Map.find_opt id parent_tree,
+                  Mof.Id.Map.find_opt id c.Commit.tree )
               with
               | Some _, None -> (id :: removed, set)
               | Some d, Some digest when String.equal d digest -> (removed, set)
@@ -476,15 +479,15 @@ let load data =
         in
         let tree =
           List.fold_left
-            (fun tr rid -> Tree.remove rid tr)
+            (fun tr rid -> Mof.Id.Map.remove rid tr)
             (match parent_commit with
             | Some (pc : Commit.t) -> pc.Commit.tree
-            | None -> Tree.empty)
+            | None -> Mof.Id.Map.empty)
             removed
         in
         let tree =
           List.fold_left
-            (fun tr (eid, digest) -> Tree.add eid digest tr)
+            (fun tr (eid, digest) -> Mof.Id.Map.add eid digest tr)
             tree set
         in
         let added = r_id_set r in
@@ -502,10 +505,10 @@ let load data =
                corrupt "commit #%d changes %s outside its stored diff" id
                  (Mof.Id.to_string eid)
            | None -> ());
-        if not (Tree.mem root tree) then
+        if not (Mof.Id.Map.mem root tree) then
           corrupt "commit #%d does not hold its root package %s" id
             (Mof.Id.to_string root);
-        (match Tree.max_binding_opt tree with
+        (match Mof.Id.Map.max_binding_opt tree with
         | Some (eid, _) when Mof.Id.to_int eid >= next_id ->
             corrupt "commit #%d holds %s, not below its next-id counter %d" id
               (Mof.Id.to_string eid) next_id

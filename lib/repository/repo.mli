@@ -6,17 +6,16 @@
     Commits are trees of element refs into a hash-consed object {!Store}:
     consecutive versions share every element the diff says is unchanged, so
     a 10k-commit history costs O(total changes), not O(commits × model).
-    Each tree is a Patricia trie ({!Tree}) that shares with its parent's
-    every subtree the diff did not reach, and each commit also keeps its
-    model once built, a persistent value sharing all but its changes with
-    the model it was built from (see "Versions cost what changed"). The
-    per-commit diff is computed
-    once at [commit] time (journal replay when the new model derives from
-    its parent's, scan fallback otherwise) and stored on the commit, where
-    [save] writes each tree delta from it and [load] checks each delta
-    against it; {!diff_between} diffs the two endpoint trees and skips what
-    they share, with {!diff_between_scan} kept as the differential
-    baseline. Tags and branches are cheap named
+    Each tree is a {!Mof.Id.Map}, the trie a model stores its elements in,
+    that shares with its parent's every subtree the diff did not reach, and
+    each commit also keeps its model once built, a persistent value sharing
+    all but its changes with the model it was built from (see "Versions
+    cost what changed"). The per-commit diff is computed once at [commit]
+    time ({!Mof.Diff.compute} against the parent's model) and stored on the
+    commit, where [save] writes each tree delta from it and [load] checks
+    each delta against it; {!diff_between} diffs the two endpoint trees and
+    skips what they share, with {!diff_between_scan} kept as the
+    differential baseline. Tags and branches are cheap named
     pointers with O(log n) lookup; the current branch pointer tracks the
     head through commit/undo/redo/checkout. {!save}/{!load} give a compact
     length-prefixed binary snapshot whose rendering is a byte-for-byte
@@ -58,14 +57,13 @@
     or above its next-id counter, and each binding's object holds the id
     it is bound to.
 
-    A committed model is the client's own value, journal included: a
-    client that edits the model it read from a version and commits it on
-    top of that version gets the incremental, journal-replaying diff. A
-    loaded version built by replay shares the journal lineage of the
-    version it was replayed from, extended by one entry per applied change.
-    Nothing observable depends on this: {!Mof.Model.equal} compares
-    populations and roots only, and the indexes are maintained by the same
-    incremental updates as any edit. *)
+    A committed model is the client's own value: a client that edits the
+    model it read from a version and commits it on top of that version
+    shares every untouched subtree with that version, so the commit's diff
+    walks only the edits. A loaded version built by replay shares all but
+    the applied changes with the version it was replayed from, so the same
+    holds after {!load}; a version built from its tree alone shares
+    nothing, and its first commit's diff walks both stores once. *)
 
 type t
 
@@ -104,18 +102,17 @@ val commit_on :
   (t, checkout_error) result
 (** Like {!commit}, but on top of the named branch's head (the head and
     current branch move to the new commit). The diff is taken against the
-    branch head's stored model: journal replay when the given model was
-    derived from it, scan otherwise. [Unknown_branch] when the branch does
-    not exist. *)
+    branch head's stored model. [Unknown_branch] when the branch does not
+    exist. *)
 
 val head : t -> Commit.t
 val head_model : t -> Mof.Model.t
 (** The head version: the head commit's model, O(log commits) once built.
-    After a commit it is physically the model that was committed, so
-    journal lineage survives and the next commit's diff replays the
-    journal. After {!load} it is built; after an {!undo}, {!checkout} or
-    {!switch_branch} on a loaded repository it may be built here, as
-    {!model_at} says. *)
+    After a commit it is physically the model that was committed, so an
+    edit of it shares all but its changes with it and the next commit's
+    diff walks only those. After {!load} it is built; after an {!undo},
+    {!checkout} or {!switch_branch} on a loaded repository it may be built
+    here, as {!model_at} says. *)
 
 val undo : t -> t option
 (** Move head to its parent; [None] at the root. O(log commits): no model
@@ -176,8 +173,8 @@ val size : t -> int
 (** Number of commits stored. *)
 
 val diff_between : t -> from_id:int -> to_id:int -> Mof.Diff.t option
-(** Structural diff between two stored versions: {!Tree.diff} of the two
-    commit trees, with no model built and no walk along the commits between
+(** Structural diff between two stored versions: {!Mof.Id.Map.diff} of the
+    two commit trees, with no model built and no walk along the commits between
     them. A child's tree is its parent's with its diff applied, on any
     branch and after {!load}, so two versions share every subtree that no
     commit between them reached, and the diff skips those: it visits at

@@ -6,7 +6,7 @@
     isolation by persistence — later commits cannot affect it), while
     writers serialize through one mutex and publish the new repository
     value with one atomic store. A session that wants optimistic
-    concurrency passes the branch-head watermark it read ([expect_head]);
+    concurrency passes the branch head it read ([expect_head]);
     a commit that raced past it fails with [Stale_parent] instead of
     silently building on a head the session never saw.
 
@@ -43,8 +43,8 @@ val commit :
   (int, error) result
 (** Serialized commit on the named branch; returns the new commit id.
     With [expect_head], fails with [Stale_parent] when the branch head is
-    no longer the commit the session read. Diffing replays the submitted
-    model's journal when it derives from the branch head's model. *)
+    no longer the commit the session read. The diff walks only what the
+    submitted model does not share with the branch head's model. *)
 
 val create_branch : t -> string -> (int, error) result
 (** A new branch at the current head; returns the commit id it points at. *)

@@ -10,7 +10,7 @@
     exactly once).
 
     Objects sit in a big-endian Patricia trie over {!Mof.Id.Bits} (the
-    arithmetic {!Tree} and {!Mof.Id.Set} branch on), keyed by the digest's
+    arithmetic {!Mof.Id.Map} and {!Mof.Id.Set} branch on), keyed by the digest's
     leading 62 bits as a non-negative int. An add descends the trie once
     and compares the full digest at the leaf it reaches. Each leaf holds
     its object inline; only digests that share their leading 62 bits share

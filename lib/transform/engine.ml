@@ -63,16 +63,8 @@ let apply cmt model =
           in
           if post_failures <> [] then Error (Postcondition_failed post_failures)
           else
-            (* journal-based: O(changes) when the rewrite derived [new_model]
-               from [model] (always the case for Builder-written rewrites) *)
             let diff =
               Obs.span ~cat:"transform" "engine.diff" @@ fun () ->
-              if Obs.Metric.enabled () then
-                (match
-                   Mof.Model.touched_since new_model (Mof.Model.watermark model)
-                 with
-                | Some _ -> Obs.incr "engine.diff.journal" []
-                | None -> Obs.incr "engine.diff.scan" []);
               Mof.Diff.compute ~old_model:model ~new_model
             in
             let violations =

@@ -5,7 +5,8 @@
     + evaluate the specialized preconditions on the input model,
     + run the rewrite,
     + evaluate the specialized postconditions on the output model,
-    + compute the diff (replayed from the model's update journal, O(changes)),
+    + compute the diff ({!Mof.Diff.compute}, which walks only what the
+      rewrite did not share with the input),
     + re-check structural well-formedness on the touched region
       ({!Mof.Wellformed.check_touched}).
 
@@ -34,8 +35,8 @@ type outcome = { model : Mof.Model.t; diff : Mof.Diff.t }
 
 val apply : Cmt.t -> Mof.Model.t -> (outcome, failure) result
 (** Applies one concrete transformation. The well-formedness check
-    re-validates only the elements the rewrite touched (journal diff →
-    {!Mof.Wellformed.check_touched}). That reports exactly what the
+    re-validates only the elements the rewrite touched ({!Mof.Diff.touched}
+    → {!Mof.Wellformed.check_touched}). That reports exactly what the
     whole-model {!Mof.Wellformed.check} would whenever the input model was
     well-formed — which [apply] has already guaranteed for every model it
     produced; the [wf] oracle holds the two to that. When a telemetry sink

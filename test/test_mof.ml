@@ -604,7 +604,7 @@ let diff_tests =
         check cs "zeroes" "+0 -0 ~0" (Format.asprintf "%a" Mof.Diff.pp d));
   ]
 
-(* ---- Store (indexes + journal) ---------------------------------------- *)
+(* ---- Store (indexes) --------------------------------------------------- *)
 
 let forged_attr ~id ~name ~owner ~target =
   Mof.Element.make ~id ~name ~owner
@@ -657,29 +657,6 @@ let store_tests =
         let m = Mof.Model.remove m aid in
         check cb "dropped" true
           (Mof.Id.Set.is_empty (Mof.Model.referrers m ghost)));
-    Alcotest.test_case "touched_since replays the journal" `Quick (fun () ->
-        let m, cls = with_class () in
-        let w = Mof.Model.watermark m in
-        let m2 = Mof.Builder.add_stereotype m cls "s" in
-        (match Mof.Model.touched_since m2 w with
-        | Some s -> check cb "cls touched" true (Mof.Id.Set.mem cls s)
-        | None -> Alcotest.fail "descendant not recognized");
-        match Mof.Model.touched_since m w with
-        | Some s -> check ci "self empty" 0 (Mof.Id.Set.cardinal s)
-        | None -> Alcotest.fail "self not recognized");
-    Alcotest.test_case "touched_since refuses foreign lineages" `Quick
-      (fun () ->
-        let m, _ = with_class () in
-        let other =
-          Mof.Model.of_elements ~root:(Mof.Model.root m) ~next:100
-            (Mof.Model.elements m)
-        in
-        check cb "unrelated" true
-          (Mof.Model.touched_since other (Mof.Model.watermark m) = None);
-        let left = Mof.Builder.add_stereotype m (Mof.Model.root m) "l" in
-        let right = Mof.Builder.add_stereotype m (Mof.Model.root m) "r" in
-        check cb "divergent branches" true
-          (Mof.Model.touched_since left (Mof.Model.watermark right) = None));
     Alcotest.test_case "next is the serialized counter" `Quick (fun () ->
         let m, _ = with_class () in
         let m' =
@@ -690,7 +667,7 @@ let store_tests =
         let m'', id = Mof.Model.fresh_id m' in
         check ci "fresh uses it" 100 (Mof.Id.to_int id);
         check ci "bumped" 101 (Mof.Model.next m''));
-    Alcotest.test_case "diff falls back to scanning foreign lineages" `Quick
+    Alcotest.test_case "diff of models sharing no structure is the scan's" `Quick
       (fun () ->
         let a = Fixtures.banking () in
         let b =
@@ -903,26 +880,6 @@ let indexes_agree m =
               (scan_ids m (fun e ->
                    List.exists (Mof.Id.equal t) (Mof.Kind.refs e.Mof.Element.kind))))
        id_probes
-
-(* Every id absent from [touched_since] must be bound identically in both
-   models: the journal may over-report (touch-and-revert) but never miss a
-   difference. *)
-let journal_complete base final =
-  match Mof.Model.touched_since final (Mof.Model.watermark base) with
-  | None -> false
-  | Some touched ->
-      let covered a b =
-        Mof.Model.fold
-          (fun e ok ->
-            ok
-            && (Mof.Id.Set.mem e.Mof.Element.id touched
-               ||
-               match Mof.Model.find b e.Mof.Element.id with
-               | Some e' -> Mof.Element.equal e e'
-               | None -> false))
-          a true
-      in
-      covered final base && covered base final
 
 let filter p m = List.filter p (Mof.Model.elements m)
 
@@ -1195,6 +1152,161 @@ module Set_props = struct
     true
 end
 
+(* ---- Id.Map against Stdlib's map ---------------------------------------- *)
+
+(* Scripts of adds, updates and removes run on the trie and on Stdlib's
+   balanced-tree map, which is the reference here and nowhere else. Ids come
+   from near 0, a dense range, near [max_int] and the negatives down to
+   [min_int], so the tries branch on low bits, high bits and the sign
+   bit. *)
+module Map_props = struct
+  module M = Mof.Id.Map
+  module Ref = Map.Make (Int)
+
+  type op =
+    | Add of int * string
+    | Update of int * int
+        (** [update] by [change k]: unbind on 0, keep the bound value on 1,
+            otherwise bind ["d<k>"] *)
+    | Remove of int
+
+  let id_gen =
+    QCheck2.Gen.(
+      oneof
+        [
+          int_range 0 9;
+          int_range 1000 1031;
+          int_range (max_int - 9) max_int;
+          int_range (-9) (-1);
+          map (fun d -> min_int + d) (int_range 0 3);
+        ])
+
+  let op_gen =
+    QCheck2.Gen.(
+      frequency
+        [
+          (3, map2 (fun x k -> Add (x, Printf.sprintf "d%d" k)) id_gen (int_bound 2));
+          (2, map2 (fun x k -> Update (x, k)) id_gen (int_bound 3));
+          (1, map (fun x -> Remove x) id_gen);
+        ])
+
+  let script_gen = QCheck2.Gen.(list_size (int_range 0 50) op_gen)
+
+  let print_script =
+    let print_op = function
+      | Add (x, d) -> Printf.sprintf "+%d:%s" x d
+      | Update (x, k) -> Printf.sprintf "~%d:%d" x k
+      | Remove x -> Printf.sprintf "-%d" x
+    in
+    fun script -> String.concat " " (List.map print_op script)
+
+  let change k = function
+    | _ when k = 0 -> None
+    | Some v when k = 1 -> Some v
+    | None when k = 1 -> None
+    | _ -> Some (Printf.sprintf "d%d" k)
+
+  let id = Mof.Id.of_int
+
+  let on_trie =
+    List.fold_left (fun m -> function
+      | Add (x, d) -> M.add (id x) d m
+      | Update (x, k) -> M.update (id x) (change k) m
+      | Remove x -> M.remove (id x) m)
+
+  let on_ref =
+    List.fold_left (fun r -> function
+      | Add (x, d) -> Ref.add x d r
+      | Update (x, k) -> Ref.update x (change k) r
+      | Remove x -> Ref.remove x r)
+
+  let ints bindings = List.map (fun (x, v) -> (Mof.Id.to_int x, v)) bindings
+
+  (* The same bindings, added in descending order, with values that are
+     equal but not physically shared: a map that shares nothing with [m]. *)
+  let rebuilt m =
+    List.fold_left
+      (fun acc (x, v) -> M.add x (Bytes.to_string (Bytes.of_string v)) acc)
+      M.empty
+      (List.rev (M.bindings m))
+
+  (* [m] answers every read as [r] does, at the ids the scripts mention and
+     at ids no script can draw; a no-op [add], [update] or [remove] returns
+     [m] itself; and [m] and its rebuilt copy are [Stdlib.(=)], [equal] and
+     diff to [no_changes] itself. *)
+  let agree ~ids m r =
+    let probes = [ 10; 999; 1032; max_int - 10; -10; min_int + 4 ] @ ids in
+    let copy = rebuilt m in
+    ints (M.bindings m) = Ref.bindings r
+    && List.rev (M.fold (fun x v acc -> (Mof.Id.to_int x, v) :: acc) m []) = Ref.bindings r
+    && M.cardinal m = Ref.cardinal r
+    && M.is_empty m = Ref.is_empty r
+    && Option.map (fun (x, v) -> (Mof.Id.to_int x, v)) (M.max_binding_opt m)
+       = Ref.max_binding_opt r
+    && List.for_all
+         (fun x -> M.find_opt (id x) m = Ref.find_opt x r && M.mem (id x) m = Ref.mem x r)
+         probes
+    && List.for_all (fun (x, v) -> M.add x v m == m) (M.bindings m)
+    && List.for_all (fun x -> M.update (id x) (change 1) m == m) probes
+    && List.for_all (fun x -> Ref.mem x r || M.remove (id x) m == m) probes
+    && copy = m
+    && M.equal String.equal m copy
+    && M.diff String.equal m copy == M.no_changes
+    && M.diff String.equal copy m == M.no_changes
+
+  (* The classification [M.diff] must give, by folding over both reference
+     maps. *)
+  let classify ra rb =
+    let put x set = Mof.Id.Set.add (id x) set in
+    let d =
+      Ref.fold
+        (fun x va (d : M.changes) ->
+          match Ref.find_opt x rb with
+          | None -> { d with removed = put x d.removed }
+          | Some vb when String.equal va vb -> d
+          | Some _ -> { d with modified = put x d.modified })
+        ra M.no_changes
+    in
+    Ref.fold
+      (fun x _ (d : M.changes) -> if Ref.mem x ra then d else { d with added = put x d.added })
+      rb d
+
+  let run (s1, s2, s3) =
+    (* [descendant] is derived from [base] and shares its untouched
+       subtrees; [independent] is built from nothing *)
+    let base = on_trie M.empty s1 and base_ref = on_ref Ref.empty s1 in
+    let descendant = on_trie base s2 and descendant_ref = on_ref base_ref s2 in
+    let independent = on_trie M.empty s3 and independent_ref = on_ref Ref.empty s3 in
+    let ids =
+      List.map (function Add (x, _) | Update (x, _) | Remove x -> x) (s1 @ s2 @ s3)
+    in
+    List.iter
+      (fun (what, m, r) ->
+        if not (agree ~ids m r) then QCheck2.Test.fail_reportf "%s reads differ from Stdlib's" what)
+      [
+        ("base", base, base_ref);
+        ("descendant", descendant, descendant_ref);
+        ("independent", independent, independent_ref);
+      ];
+    List.iter
+      (fun (what, (a, ra), (b, rb)) ->
+        if not (diff_equal (M.diff String.equal a b) (classify ra rb)) then
+          QCheck2.Test.fail_reportf "diff %s is not the fold's" what;
+        if M.equal String.equal a b <> Ref.equal String.equal ra rb then
+          QCheck2.Test.fail_reportf "equal %s disagrees with Stdlib's" what)
+      [
+        ("base -> descendant", (base, base_ref), (descendant, descendant_ref));
+        ("descendant -> base", (descendant, descendant_ref), (base, base_ref));
+        ("base -> independent", (base, base_ref), (independent, independent_ref));
+        ("independent -> descendant", (independent, independent_ref), (descendant, descendant_ref));
+        ("empty -> base", (M.empty, Ref.empty), (base, base_ref));
+        ("descendant -> empty", (descendant, descendant_ref), (M.empty, Ref.empty));
+        ("empty -> empty", (M.empty, Ref.empty), (M.empty, Ref.empty));
+        ("base -> base", (base, base_ref), (base, base_ref));
+      ];
+    true
+end
+
 (* ---- properties ------------------------------------------------------- *)
 
 let property_tests =
@@ -1202,6 +1314,13 @@ let property_tests =
     [
       QCheck2.Test.make ~name:"Id.Set agrees with Stdlib's Set.Make (Int)"
         ~count:300 ~print:Set_props.print_script Set_props.script_gen Set_props.run;
+      QCheck2.Test.make ~name:"Id.Map agrees with Stdlib's Map.Make (Int)" ~count:500
+        ~print:(fun (s1, s2, s3) ->
+          Printf.sprintf "base [%s]; descendant [%s]; independent [%s]"
+            (Map_props.print_script s1) (Map_props.print_script s2)
+            (Map_props.print_script s3))
+        QCheck2.Gen.(triple Map_props.script_gen Map_props.script_gen Map_props.script_gen)
+        Map_props.run;
       QCheck2.Test.make ~name:"generated models are well-formed" ~count:50
         Gen.model_gen (fun m -> Mof.Wellformed.check m = []);
       QCheck2.Test.make ~name:"self-diff is empty" ~count:50 Gen.model_gen
@@ -1219,13 +1338,12 @@ let property_tests =
               String.length q > 0)
             (Mof.Model.elements m));
       QCheck2.Test.make
-        ~name:"indexes, journal, diff and queries match a full rescan"
+        ~name:"indexes, diff and queries match a full rescan"
         ~count:60 ops_gen
         (fun ops ->
           let base = Fixtures.banking () in
           let final, _ = List.fold_left apply_store_op (base, []) ops in
           indexes_agree final
-          && journal_complete base final
           && diff_equal
                (Mof.Diff.compute ~old_model:base ~new_model:final)
                (Mof.Diff.compute_scan ~old_model:base ~new_model:final)

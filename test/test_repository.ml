@@ -567,9 +567,9 @@ module Props = struct
     final
 
   (* A fork at the head: "side" is created there and main moves on, then
-     "side" takes a commit derived from its own head (the diff replays the
-     journal) and one derived from main's head (the diff falls back to the
-     scan), and main takes one more. *)
+     "side" takes a commit derived from its own head and one derived from
+     main's head (whose diff against side's head takes in both branches'
+     edits), and main takes one more. *)
   let side_branch r =
     let module R = Repository.Repo in
     let ok = function
@@ -678,7 +678,7 @@ module Props = struct
         match (R.find t id, R.model_at t id) with
         | Some c, Some m -> (
             let held = List.map (fun (e : Mof.Element.t) -> e.id) (Mof.Model.elements m) in
-            if held <> List.map fst (Repository.Tree.bindings c.Repository.Commit.tree) then
+            if held <> List.map fst (Mof.Id.Map.bindings c.Repository.Commit.tree) then
               QCheck2.Test.fail_reportf "commit #%d: model is not its tree" id;
             match
               ( R.diff_between t ~from_id:id ~to_id:head,
@@ -1119,121 +1119,24 @@ let history_tests =
         check cb "root listed" true (contains text "#0 initial model"));
   ]
 
-(* --- the commit-tree trie against Mof.Id.Map ----------------------------- *)
+(* --- commit trees ------------------------------------------------------------ *)
 
-module Tree_props = struct
-  module T = Repository.Tree
-
-  type op = Add of Mof.Id.t * string | Remove of Mof.Id.t
-
-  (* Ids near 0, from a dense small range and near [max_int], so the trie
-     branches on its lowest bits, on middle ones and on the highest. *)
-  let id_gen =
-    QCheck2.Gen.(
-      map Mof.Id.of_int
-        (oneof [ int_range 0 9; int_range 1000 1031; int_range (max_int - 9) max_int ]))
-
-  let op_gen =
-    QCheck2.Gen.(
-      frequency
-        [
-          (3, map2 (fun id k -> Add (id, Printf.sprintf "d%d" k)) id_gen (int_bound 2));
-          (1, map (fun id -> Remove id) id_gen);
-        ])
-
-  let script_gen = QCheck2.Gen.(list_size (int_range 0 50) op_gen)
-
-  let print_script =
-    let print_op = function
-      | Add (id, d) -> Printf.sprintf "+%s:%s" (Mof.Id.to_string id) d
-      | Remove id -> "-" ^ Mof.Id.to_string id
-    in
-    fun script -> String.concat " " (List.map print_op script)
-
-  let on_trie t =
-    List.fold_left (fun t -> function Add (id, d) -> T.add id d t | Remove id -> T.remove id t) t
-
-  let on_map m =
-    List.fold_left
-      (fun m -> function
-        | Add (id, d) -> Mof.Id.Map.add id d m
-        | Remove id -> Mof.Id.Map.remove id m)
-      m
-
-  (* [t] answers every read as the map [m] does, at the ids the scripts
-     mention and at ids no script can draw. *)
-  let same_as_map ~ids t m =
-    T.bindings t = Mof.Id.Map.bindings m
-    && T.cardinal t = Mof.Id.Map.cardinal m
-    && T.max_binding_opt t = Mof.Id.Map.max_binding_opt m
-    && List.for_all
-         (fun id -> T.find_opt id t = Mof.Id.Map.find_opt id m && T.mem id t = Mof.Id.Map.mem id m)
-         (List.map Mof.Id.of_int [ 10; 999; 1032; max_int - 10 ] @ ids)
-
-  (* The classification [T.diff] must give, by folding over both tries'
-     bindings. *)
-  let classify a b =
-    let put id set = Mof.Id.Set.add id set in
-    let d =
-      List.fold_left
-        (fun (d : Mof.Diff.t) (id, da) ->
-          match T.find_opt id b with
-          | None -> { d with removed = put id d.removed }
-          | Some db when String.equal da db -> d
-          | Some _ -> { d with modified = put id d.modified })
-        Mof.Diff.empty (T.bindings a)
-    in
-    List.fold_left
-      (fun (d : Mof.Diff.t) (id, _) -> if T.mem id a then d else { d with added = put id d.added })
-      d (T.bindings b)
-end
-
+(* A negative id never reaches a commit tree: every element is encoded
+   into the store before its id is bound, and the encoding refuses it. *)
 let tree_tests =
-  let open Tree_props in
-  let gen = QCheck2.Gen.triple script_gen script_gen script_gen in
-  let print (s1, s2, s3) =
-    Printf.sprintf "base [%s]; descendant [%s]; independent [%s]" (print_script s1)
-      (print_script s2) (print_script s3)
+  let module R = Repository.Repo in
+  let negative m =
+    Mof.Model.add m
+      (Mof.Element.make ~id:(Mof.Id.of_int (-1)) ~name:"neg" ~owner:(Some (Mof.Model.root m))
+         (Mof.Kind.Package { owned = [] }))
   in
+  let refused f = match f () with _ -> false | exception Invalid_argument _ -> true in
   [
-    QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make
-         ~name:"tries read like Id.Map and diff like a fold over both" ~count:500
-         ~print gen (fun (s1, s2, s3) ->
-           (* [descendant] is derived from [base] and shares its untouched
-              subtrees; [independent] is built from nothing *)
-           let base = on_trie T.empty s1 and base_map = on_map Mof.Id.Map.empty s1 in
-           let descendant = on_trie base s2 and descendant_map = on_map base_map s2 in
-           let independent = on_trie T.empty s3 in
-           let ids =
-             List.map (function Add (id, _) | Remove id -> id) (s1 @ s2 @ s3)
-           in
-           if not (same_as_map ~ids base base_map) then
-             QCheck2.Test.fail_reportf "base reads differ from Id.Map";
-           if not (same_as_map ~ids descendant descendant_map) then
-             QCheck2.Test.fail_reportf "descendant reads differ from Id.Map";
-           if not (same_as_map ~ids independent (on_map Mof.Id.Map.empty s3)) then
-             QCheck2.Test.fail_reportf "independent reads differ from Id.Map";
-           List.iter
-             (fun (what, a, b) ->
-               if not (Props.diff_eq (T.diff a b) (classify a b)) then
-                 QCheck2.Test.fail_reportf "diff %s is not the fold's" what)
-             [
-               ("base -> descendant", base, descendant);
-               ("descendant -> base", descendant, base);
-               ("base -> independent", base, independent);
-               ("independent -> descendant", independent, descendant);
-               ("empty -> base", T.empty, base);
-               ("descendant -> empty", descendant, T.empty);
-               ("empty -> empty", T.empty, T.empty);
-               ("base -> base", base, base);
-             ];
-           true));
     Alcotest.test_case "a negative id is refused" `Quick (fun () ->
-        check cb "invalid_arg" true
-          (match T.add (Mof.Id.of_int (-1)) "d" T.empty with
-          | _ -> false
-          | exception Invalid_argument _ -> true));
+        let m = Fixtures.banking () in
+        check cb "init" true (refused (fun () -> R.init (negative m)));
+        check cb "commit" true
+          (refused (fun () -> R.commit ~message:"neg" (negative m) (R.init m))));
   ]
 
 (* Minor-heap words one [diff_between 0 n] allocates on a history of [n]
