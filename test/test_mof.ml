@@ -1200,11 +1200,8 @@ module Map_props = struct
     in
     fun script -> String.concat " " (List.map print_op script)
 
-  let change k = function
-    | _ when k = 0 -> None
-    | Some v when k = 1 -> Some v
-    | None when k = 1 -> None
-    | _ -> Some (Printf.sprintf "d%d" k)
+  let change k bound =
+    if k = 0 then None else if k = 1 then bound else Some (Printf.sprintf "d%d" k)
 
   let id = Mof.Id.of_int
 
