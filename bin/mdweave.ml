@@ -90,7 +90,7 @@ let sample_pim () =
   let m, _ =
     Mof.Builder.add_parameter m ~op:tr ~name:"amount" ~typ:Mof.Kind.Dt_real
   in
-  Core.Level.mark Core.Level.Pim m
+  Concerns.Level.mark Concerns.Level.Pim m
 
 let sample_cmd =
   let out =
@@ -113,8 +113,8 @@ let info_cmd =
     let m = or_die (Xmi.Import.read_file file) in
     Printf.printf "model: %s (%d elements, level %s)\n" (Mof.Model.name m)
       (Mof.Model.size m)
-      (match Core.Level.of_model m with
-      | Some l -> Core.Level.to_string l
+      (match Concerns.Level.of_model m with
+      | Some l -> Concerns.Level.to_string l
       | None -> "unmarked");
     print_string (Mof.Pp.model_to_string m);
     match Mof.Wellformed.check m with
@@ -132,7 +132,6 @@ let info_cmd =
 
 let concerns_cmd =
   let run () =
-    Core.Platform.ensure_registered ();
     List.iter
       (fun (e : Concerns.Registry.entry) ->
         Format.printf "%a@.  %s@.%s@.@." Concerns.Concern.pp
@@ -195,7 +194,6 @@ let resolve_cmt concern params =
 let apply_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let run file concern params out (obs : obs) =
-    Core.Platform.ensure_registered ();
     obs.run @@ fun () ->
     let m = or_die (Xmi.Import.read_file file) in
     let cmt, _ = or_die (resolve_cmt concern params) in
@@ -288,20 +286,6 @@ let parse_step text =
       in
       Ok (concern, params)
 
-let refined_project m steps =
-  let project = Core.Project.create m in
-  List.fold_left
-    (fun project text ->
-      let concern, raw_params = or_die (parse_step text) in
-      (* [refine] specializes, and names the GMT in a parameter error *)
-      let _, assignments = or_die (parse_params concern raw_params) in
-      match Core.Pipeline.refine project ~concern ~params:assignments with
-      | Ok (project, step) ->
-          print_endline (Transform.Trace.summary step);
-          project
-      | Error e -> or_die (Error (Core.Pipeline.error_to_string e)))
-    project steps
-
 let steps_arg =
   Arg.(
     value & opt_all string []
@@ -311,8 +295,29 @@ let steps_arg =
            assignments; list items use | as the separator (repeatable, \
            applied in order)")
 
-let build_cmd =
+(* The model FILE refined by the -s steps, as one term shared by every
+   subcommand that builds a project. Like [obs_arg] it returns a function:
+   a command forces it where it reads its model, inside [obs.run] when it
+   is traced. *)
+let project_arg =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
+  let refined_project file steps () =
+    List.fold_left
+      (fun project text ->
+        let concern, raw_params = or_die (parse_step text) in
+        (* [refine] specializes, and names the GMT in a parameter error *)
+        let _, assignments = or_die (parse_params concern raw_params) in
+        match Core.Pipeline.refine project ~concern ~params:assignments with
+        | Ok (project, step) ->
+            print_endline (Transform.Trace.summary step);
+            project
+        | Error e -> or_die (Error (Core.Pipeline.error_to_string e)))
+      (Core.Project.create (or_die (Xmi.Import.read_file file)))
+      steps
+  in
+  Term.(const refined_project $ file $ steps_arg)
+
+let build_cmd =
   let outdir =
     Arg.(
       required
@@ -329,11 +334,9 @@ let build_cmd =
              join point and, for every aspect pair, whether their weaves \
              provably commute")
   in
-  let run file steps outdir explain (obs : obs) =
-    Core.Platform.ensure_registered ();
+  let run project outdir explain (obs : obs) =
     obs.run @@ fun () ->
-    let m = or_die (Xmi.Import.read_file file) in
-    let project = refined_project m steps in
+    let project = project () in
     let artifacts =
       or_die
         (Result.map_error Core.Pipeline.error_to_string
@@ -355,7 +358,7 @@ let build_cmd =
        ~doc:"Apply a transformation sequence and emit code, aspects, woven \
              output")
     Term.(
-      const run $ file $ steps_arg $ outdir $ explain_interference $ obs_arg)
+      const run $ project_arg $ outdir $ explain_interference $ obs_arg)
 
 (* ---- batch ------------------------------------------------------------ *)
 
@@ -391,7 +394,6 @@ let batch_cmd =
           ~doc:"Write each refined model as DIR/NAME.xmi")
   in
   let run files synthetic classes jobs steps outdir (obs : obs) =
-    Core.Platform.ensure_registered ();
     let failures =
       obs.run @@ fun () ->
       let steps =
@@ -476,7 +478,6 @@ let batch_cmd =
 (* ---- joinpoints -------------------------------------------------------- *)
 
 let joinpoints_cmd =
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let pointcut =
     Arg.(
       required
@@ -486,10 +487,8 @@ let joinpoints_cmd =
             "Pointcut expression, e.g. \"execution(Account.set*) && \
              !within(*Proxy)\"")
   in
-  let run file steps pointcut_text =
-    Core.Platform.ensure_registered ();
-    let m = or_die (Xmi.Import.read_file file) in
-    let project = refined_project m steps in
+  let run project pointcut_text =
+    let project = project () in
     let pc =
       match Aspects.Pointcut_parser.parse pointcut_text with
       | Ok pc -> pc
@@ -510,12 +509,11 @@ let joinpoints_cmd =
        ~doc:
          "List the join points (execution, call, field-set) of the \
           generated functional code matching a pointcut")
-    Term.(const run $ file $ steps_arg $ pointcut)
+    Term.(const run $ project_arg $ pointcut)
 
 (* ---- run ----------------------------------------------------------------- *)
 
 let run_cmd =
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let class_name =
     Arg.(
       required
@@ -534,11 +532,9 @@ let run_cmd =
       & info [ "fault" ] ~docv:"CLASS.METHOD"
           ~doc:"Inject a RuntimeException on entering this method (repeatable)")
   in
-  let run file steps class_name method_name fault_specs (obs : obs) =
-    Core.Platform.ensure_registered ();
+  let run project class_name method_name fault_specs (obs : obs) =
     obs.run @@ fun () ->
-    let m = or_die (Xmi.Import.read_file file) in
-    let project = refined_project m steps in
+    let project = project () in
     let artifacts =
       or_die
         (Result.map_error Core.Pipeline.error_to_string
@@ -587,23 +583,19 @@ let run_cmd =
          "Interpret a method of the woven program against the recording \
           middleware runtime")
     Term.(
-      const run $ file $ steps_arg $ class_name $ method_name $ faults
-      $ obs_arg)
+      const run $ project_arg $ class_name $ method_name $ faults $ obs_arg)
 
 (* ---- color ----------------------------------------------------------------- *)
 
 let color_cmd =
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let html =
     Arg.(
       value
       & opt (some string) None
       & info [ "html" ] ~docv:"FILE" ~doc:"Also write an HTML demarcation page")
   in
-  let run file steps html =
-    Core.Platform.ensure_registered ();
-    let m = or_die (Xmi.Import.read_file file) in
-    let project = refined_project m steps in
+  let run project html =
+    let project = project () in
     print_endline (Core.Project.coloring project);
     match html with
     | None -> ()
@@ -618,22 +610,19 @@ let color_cmd =
        ~doc:
          "Demarcate the concern spaces of a refined model by color (text, \
           optionally HTML)")
-    Term.(const run $ file $ steps_arg $ html)
+    Term.(const run $ project_arg $ html)
 
 (* ---- ship / replay -------------------------------------------------------- *)
 
 let ship_cmd =
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let outdir =
     Arg.(
       required
       & opt (some string) None
       & info [ "o"; "output" ] ~docv:"DIR" ~doc:"Package output directory")
   in
-  let run file steps outdir =
-    Core.Platform.ensure_registered ();
-    let m = or_die (Xmi.Import.read_file file) in
-    let project = refined_project m steps in
+  let run project outdir =
+    let project = project () in
     (match Core.Shipping.ship ~dir:outdir project with
     | Ok () -> ()
     | Error e -> or_die (Error e));
@@ -646,7 +635,7 @@ let ship_cmd =
        ~doc:
          "Package a refinement: every intermediate model plus a replayable \
           manifest of concerns and parameter sets")
-    Term.(const run $ file $ steps_arg $ outdir)
+    Term.(const run $ project_arg $ outdir)
 
 let replay_cmd =
   let dir = Arg.(required & pos 0 (some dir) None & info [] ~docv:"DIR") in
@@ -666,16 +655,13 @@ let replay_cmd =
 (* ---- stats ------------------------------------------------------------ *)
 
 let stats_cmd =
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
-  let run file steps =
-    Core.Platform.ensure_registered ();
-    let m = or_die (Xmi.Import.read_file file) in
-    let project = refined_project m steps in
+  let run project =
+    let project = project () in
     let model = Core.Project.model project in
     let count f = List.length (f model) in
     Printf.printf "model: %s (%s)\n" (Mof.Model.name model)
-      (match Core.Level.of_model model with
-      | Some l -> Core.Level.to_string l
+      (match Concerns.Level.of_model model with
+      | Some l -> Concerns.Level.to_string l
       | None -> "unmarked");
     Printf.printf "elements: %d total\n" (Mof.Model.size model);
     Printf.printf
@@ -701,7 +687,7 @@ let stats_cmd =
        ~doc:
          "Summarize a model (after any $(b,-s) steps): element counts by \
           kind and the size of each applied concern's space")
-    Term.(const run $ file $ steps_arg)
+    Term.(const run $ project_arg)
 
 (* ---- trace ------------------------------------------------------------ *)
 
@@ -803,11 +789,8 @@ let bench_diff_cmd =
 (* ---- workflow ---------------------------------------------------------- *)
 
 let workflow_cmd =
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
-  let run file steps =
-    Core.Platform.ensure_registered ();
-    let m = or_die (Xmi.Import.read_file file) in
-    let project = refined_project m steps in
+  let run project =
+    let project = project () in
     (* replay the applied concerns through the middleware workflow *)
     let progress =
       List.fold_left
@@ -849,7 +832,7 @@ let workflow_cmd =
          "Show middleware-workflow guidance for a refinement in progress: \
           completed steps, admissible next concerns, and which concern \
           orderings are load-bearing per the interference analysis")
-    Term.(const run $ file $ steps_arg)
+    Term.(const run $ project_arg)
 
 (* ---- repo ------------------------------------------------------------ *)
 

@@ -40,8 +40,8 @@ let refine project ~concern ~params =
   | Error e -> failwith (Core.Pipeline.error_to_string e)
 
 let level_string project =
-  match Core.Level.of_model (Core.Project.model project) with
-  | Some l -> Core.Level.to_string l
+  match Concerns.Level.of_model (Core.Project.model project) with
+  | Some l -> Concerns.Level.to_string l
   | None -> "unmarked"
 
 let build_exn project =

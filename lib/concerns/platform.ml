@@ -8,7 +8,7 @@ let stereotype_for = function
   | p -> p ^ "-component"
 
 let concern =
-  Concerns.Concern.make ~key:"platform" ~display:"Platform projection"
+  Concern.make ~key:"platform" ~display:"Platform projection"
     ~description:"Projection of a PIM onto a selected execution platform." ()
 
 let formals =
@@ -42,26 +42,12 @@ let rewrite params m =
     m (Mof.Query.classes m)
 
 let transformation =
-  Transform.Gmt.make ~name:"T.platform" ~concern:concern.Concerns.Concern.key
-    ~description:concern.Concerns.Concern.description ~formals ~preconditions
+  Transform.Gmt.make ~name:"T.platform" ~concern:concern.Concern.key
+    ~description:concern.Concern.description ~formals ~preconditions
     ~postconditions rewrite
 
 let generic_aspect =
-  Aspects.Generic.make ~name:"A.platform" ~concern:concern.Concerns.Concern.key
+  Aspects.Generic.make ~name:"A.platform" ~concern:concern.Concern.key
     ~formals (fun _set ->
       Aspects.Aspect.make ~name:"PlatformAspect"
-        ~concern:concern.Concerns.Concern.key ())
-
-let entry =
-  { Concerns.Registry.concern; gmt = transformation; gac = generic_aspect }
-
-let ensure_registered () =
-  match Concerns.Registry.find concern.Concerns.Concern.key with
-  | Some _ -> ()
-  | None -> (
-      match Concerns.Registry.register entry with
-      | Ok () -> ()
-      | Error diags ->
-          invalid_arg
-            ("platform projection failed to register: "
-            ^ String.concat "; " diags))
+        ~concern:concern.Concern.key ())

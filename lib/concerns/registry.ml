@@ -41,6 +41,11 @@ let builtins =
       gmt = Messaging.transformation;
       gac = Messaging.generic_aspect;
     };
+    {
+      concern = Platform.concern;
+      gmt = Platform.transformation;
+      gac = Platform.generic_aspect;
+    };
   ]
 
 let registered : entry list ref = ref []

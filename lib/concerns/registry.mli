@@ -3,9 +3,12 @@
 
     Each entry pairs a concern's generic model transformation with its
     generic aspect — Fig. 1's GMT_Ci/GAC_i association — declared over the
-    same formal parameters. The five middleware concerns of the paper's
-    Section 1 are registered by default; {!register} admits user-defined
-    concerns after validating the pairing. *)
+    same formal parameters. Eight concerns are builtin, in this order: the
+    seven middleware concerns (distribution, transactions, security,
+    concurrency, logging, persistence, messaging) and the PIM-to-PSM
+    projection ({!Platform}). Nothing changes the registry at run time but
+    {!register}, which admits user-defined concerns after validating the
+    pairing, and {!reset}. *)
 
 type entry = {
   concern : Concern.t;
@@ -14,7 +17,7 @@ type entry = {
 }
 
 val all : unit -> entry list
-(** Builtins plus everything {!register}ed, registration order. *)
+(** The builtins, then everything {!register}ed, in registration order. *)
 
 val find : string -> entry option
 (** Lookup by concern key. *)

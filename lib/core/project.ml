@@ -6,11 +6,10 @@ type t = {
 }
 
 let create ?workflow model =
-  Platform.ensure_registered ();
   let model =
-    match Level.of_model model with
+    match Concerns.Level.of_model model with
     | Some _ -> model
-    | None -> Level.mark Level.Pim model
+    | None -> Concerns.Level.mark Concerns.Level.Pim model
   in
   {
     name = Mof.Model.name model;

@@ -17,8 +17,8 @@ type t = {
 
 val create : ?workflow:Workflow.State.t -> Mof.Model.t -> t
 (** Starts a project on a model. The model is marked PIM when it carries no
-    level tag; the repository's root commit holds the (marked) model. Also
-    ensures the platform projection is registered ({!Platform}). *)
+    level tag ({!Concerns.Level}); the repository's root commit holds the
+    (marked) model. *)
 
 val model : t -> Mof.Model.t
 (** The current (most refined) model: the repository head's. *)

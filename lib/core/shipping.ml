@@ -101,7 +101,6 @@ let load_manifest text =
   parse [] lines
 
 let replay ~dir =
-  Platform.ensure_registered ();
   let* manifest =
     match
       In_channel.with_open_bin (Filename.concat dir "MANIFEST")

@@ -7,18 +7,6 @@ let step ~concern ~params = { concern; params }
 
 type outcome = (Core.Project.t, Core.Pipeline.error) result
 
-(* Pool workers resolve concerns through the registry; make sure the one
-   mutation it ever performs (registering the platform projection) happens
-   in the submitting domain, before any worker reads it. The mutex covers
-   the corner where two submitters race their first batch. *)
-let registry_mutex = Mutex.create ()
-
-let ensure_registry () =
-  Mutex.lock registry_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock registry_mutex)
-    Core.Platform.ensure_registered
-
 let refine_one ~steps model =
   let project = Core.Project.create model in
   let rec go project = function
@@ -38,7 +26,6 @@ let refine_one ~steps model =
   outcome
 
 let run_batch ?pool ~label f models =
-  ensure_registry ();
   let jobs = match pool with None -> 1 | Some p -> Pool.jobs p in
   (* Each item is a session (its 1-based batch position) carrying a fresh
      request id, established on whichever domain runs it — so every event

@@ -570,6 +570,7 @@ let registry_tests =
             "logging";
             "persistence";
             "messaging";
+            "platform";
           ]);
     Alcotest.test_case "find_gmt and find_gac agree" `Quick (fun () ->
         check cb "gmt" true (Concerns.Registry.find_gmt "security" <> None);

@@ -38,7 +38,6 @@ let fig2_project () =
 
 (* The platform projection, as the concern registry serves it. *)
 let platform_gmt () =
-  Core.Platform.ensure_registered ();
   Option.get (Concerns.Registry.find_gmt "platform")
 
 (* ---- level -------------------------------------------------------------- *)
@@ -47,13 +46,13 @@ let level_tests =
   [
     Alcotest.test_case "mark and read back" `Quick (fun () ->
         let m = Fixtures.banking () in
-        check cb "unmarked" true (Core.Level.of_model m = None);
-        let m = Core.Level.mark Core.Level.Pim m in
-        check cb "pim" true (Core.Level.of_model m = Some Core.Level.Pim);
-        let m = Core.Level.mark (Core.Level.Psm "corba") m in
-        check cb "psm" true (Core.Level.of_model m = Some (Core.Level.Psm "corba"));
+        check cb "unmarked" true (Concerns.Level.of_model m = None);
+        let m = Concerns.Level.mark Concerns.Level.Pim m in
+        check cb "pim" true (Concerns.Level.of_model m = Some Concerns.Level.Pim);
+        let m = Concerns.Level.mark (Concerns.Level.Psm "corba") m in
+        check cb "psm" true (Concerns.Level.of_model m = Some (Concerns.Level.Psm "corba"));
         check cs "rendering" "PSM(corba)"
-          (Core.Level.to_string (Core.Level.Psm "corba")));
+          (Concerns.Level.to_string (Concerns.Level.Psm "corba")));
   ]
 
 (* ---- platform projection -------------------------------------------------- *)
@@ -69,7 +68,7 @@ let platform_tests =
         | Error (Transform.Engine.Precondition_failed _) -> ()
         | _ -> Alcotest.fail "unmarked model should be refused");
     Alcotest.test_case "projects a PIM to a stereotyped PSM" `Quick (fun () ->
-        let m = Core.Level.mark Core.Level.Pim (Fixtures.banking ()) in
+        let m = Concerns.Level.mark Concerns.Level.Pim (Fixtures.banking ()) in
         let cmt =
           Transform.Cmt.specialize_exn (platform_gmt ())
             [ ("platform", Transform.Params.V_string "j2ee") ]
@@ -78,7 +77,7 @@ let platform_tests =
         | Ok outcome ->
             let psm = outcome.Transform.Engine.model in
             check cb "level" true
-              (Core.Level.of_model psm = Some (Core.Level.Psm "j2ee"));
+              (Concerns.Level.of_model psm = Some (Concerns.Level.Psm "j2ee"));
             check cb "ejb stereotype" true
               (List.for_all
                  (Mof.Element.has_stereotype "ejb")
@@ -87,7 +86,7 @@ let platform_tests =
             Alcotest.fail (Format.asprintf "%a" Transform.Engine.pp_failure f));
     Alcotest.test_case "infrastructure classes are not stereotyped" `Quick
       (fun () ->
-        let m = Core.Level.mark Core.Level.Pim (Fixtures.banking ()) in
+        let m = Concerns.Level.mark Concerns.Level.Pim (Fixtures.banking ()) in
         let m, infra = Mof.Builder.add_class m ~owner:(Mof.Model.root m) ~name:"Infra" in
         let m = Mof.Builder.add_stereotype m infra "infrastructure" in
         let cmt =
@@ -117,7 +116,7 @@ let platform_tests =
               Transform.Cmt.specialize_exn gmt [ ("platform", Transform.Params.V_string p) ]
             in
             match
-              Transform.Engine.apply cmt (Core.Level.mark Core.Level.Pim (Fixtures.banking ()))
+              Transform.Engine.apply cmt (Concerns.Level.mark Concerns.Level.Pim (Fixtures.banking ()))
             with
             | Ok outcome ->
                 check cb p true
@@ -126,10 +125,6 @@ let platform_tests =
                      (Mof.Query.classes outcome.Transform.Engine.model))
             | Error f -> Alcotest.fail (Format.asprintf "%a" Transform.Engine.pp_failure f))
           platforms);
-    Alcotest.test_case "ensure_registered is idempotent" `Quick (fun () ->
-        Core.Platform.ensure_registered ();
-        Core.Platform.ensure_registered ();
-        check cb "registered" true (Concerns.Registry.find "platform" <> None));
   ]
 
 (* ---- project / pipeline ------------------------------------------------------ *)
@@ -139,7 +134,7 @@ let pipeline_tests =
     Alcotest.test_case "create marks the PIM and commits it" `Quick (fun () ->
         let project = Core.Project.create (Fixtures.banking ()) in
         check cb "pim" true
-          (Core.Level.of_model (Core.Project.model project) = Some Core.Level.Pim);
+          (Concerns.Level.of_model (Core.Project.model project) = Some Concerns.Level.Pim);
         check cb "history has the root" true
           (contains (Core.Project.history project) "initial model"));
     Alcotest.test_case "unknown concern refused" `Quick (fun () ->

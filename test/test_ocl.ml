@@ -906,10 +906,11 @@ let agree_with_naive ?(env = Ocl.Env.empty) m body =
 let first n xs = List.filteri (fun i _ -> i < n) xs
 
 (* The planner's real traffic: every builtin concern specialized with
-   targets all present, all absent, mixed and empty, and each
-   pre/postcondition compared under the specialization's bindings on the
-   input model, after the rewrite and after a second application. Returns
-   the number of comparisons. *)
+   targets all present, all absent, mixed and empty (an enum formal, the
+   platform's, with each value it admits), and each pre/postcondition
+   compared under the specialization's bindings on the input model, after
+   the rewrite and after a second application. Returns the number of
+   comparisons. *)
 let builtin_condition_comparisons () =
   let compared = ref 0 in
   let agree label env m (c : Ocl.Constraint_.t) =
@@ -934,27 +935,37 @@ let builtin_condition_comparisons () =
           [ "Nope.never"; "Gone.away" ] )
       else (Fixtures.class_names m, [ "Nope"; "Gone" ])
     in
-    [
-      ("present", first 2 present);
-      ("absent", absent);
-      ("mixed", first 1 present @ first 1 absent);
-      ("empty", []);
-    ]
+    List.map
+      (fun (kind, names) ->
+        ( kind ^ " targets",
+          Transform.Params.V_list
+            (List.map (fun n -> Transform.Params.V_string n) names) ))
+      [
+        ("present", first 2 present);
+        ("absent", absent);
+        ("mixed", first 1 present @ first 1 absent);
+        ("empty", []);
+      ]
+  in
+  let values key (formal : Transform.Params.decl) m =
+    match formal.Transform.Params.ptype with
+    | Transform.Params.P_enum admitted ->
+        List.map (fun v -> (v, Transform.Params.V_string v)) admitted
+    | _ -> targets key m
   in
   List.iter
     (fun (entry : Concerns.Registry.entry) ->
       let gmt = entry.Concerns.Registry.gmt in
       let key = entry.Concerns.Registry.concern.Concerns.Concern.key in
-      let formal = (List.hd gmt.Transform.Gmt.formals).Transform.Params.pname in
+      let formal = List.hd gmt.Transform.Gmt.formals in
       List.iter
         (fun (model_name, model) ->
           List.iter
-            (fun (target_kind, names) ->
-              let value =
-                Transform.Params.V_list
-                  (List.map (fun n -> Transform.Params.V_string n) names)
+            (fun (value_kind, value) ->
+              let cmt =
+                Transform.Cmt.specialize_exn gmt
+                  [ (formal.Transform.Params.pname, value) ]
               in
-              let cmt = Transform.Cmt.specialize_exn gmt [ (formal, value) ] in
               let env = Transform.Cmt.env cmt in
               let conditions =
                 gmt.Transform.Gmt.preconditions
@@ -962,8 +973,8 @@ let builtin_condition_comparisons () =
               in
               let rec stage applied m =
                 let label =
-                  Printf.sprintf "%s on %s, %s targets, %d rewrite(s)" key
-                    model_name target_kind applied
+                  Printf.sprintf "%s on %s, %s, %d rewrite(s)" key model_name
+                    value_kind applied
                 in
                 List.iter (agree label env m) conditions;
                 if applied < 2 then
@@ -972,7 +983,7 @@ let builtin_condition_comparisons () =
                   | exception Transform.Gmt.Rewrite_error _ -> ()
               in
               stage 0 model)
-            (targets key model))
+            (values key formal model))
         [ ("banking", Fixtures.banking ()); ("synthetic-8", Fixtures.synthetic 8) ])
     (Concerns.Registry.all ());
   !compared
