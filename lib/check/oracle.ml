@@ -657,21 +657,15 @@ let repo_check_diffs cas naive =
       let* () = acc in
       match
         ( R.diff_between cas ~from_id ~to_id,
-          R.diff_between_scan cas ~from_id ~to_id,
           N.diff_between naive ~from_id ~to_id )
       with
-      | Some between, Some scanned, Some reference ->
-          if not (repo_diff_eq between scanned) then
-            Error
-              (Printf.sprintf
-                 "[repo] diff_between %d->%d disagrees with the scan" from_id
-                 to_id)
-          else if not (repo_diff_eq between reference) then
+      | Some between, Some reference ->
+          if repo_diff_eq between reference then Ok ()
+          else
             Error
               (Printf.sprintf
                  "[repo] diff %d->%d disagrees with the naive recompute"
                  from_id to_id)
-          else Ok ()
       | _ -> Error "[repo] diff_between availability differs")
     (Ok ()) pairs
 

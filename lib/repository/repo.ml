@@ -289,12 +289,6 @@ let diff_between t ~from_id ~to_id =
   | None, _ | _, None -> None
   | Some a, Some b -> Some (Mof.Id.Map.diff String.equal a.Commit.tree b.Commit.tree)
 
-let diff_between_scan t ~from_id ~to_id =
-  match (model_at t from_id, model_at t to_id) with
-  | Some old_model, Some new_model ->
-      Some (Mof.Diff.compute_scan ~old_model ~new_model)
-  | _ -> None
-
 let store_objects t = Store.count t.store
 let store_bytes t = Store.bytes t.store
 

@@ -14,10 +14,9 @@
     time ({!Mof.Diff.compute} against the parent's model) and stored on the
     commit, where [save] writes each tree delta from it and [load] checks
     each delta against it; {!diff_between} diffs the two endpoint trees and
-    skips what they share, with {!diff_between_scan} kept as the
-    differential baseline. Tags and branches are cheap named
-    pointers with O(log n) lookup; the current branch pointer tracks the
-    head through commit/undo/redo/checkout. {!save}/{!load} give a compact
+    skips what they share. Tags and branches are cheap named pointers with
+    O(log n) lookup; the current branch pointer tracks the head through
+    commit/undo/redo/checkout. {!save}/{!load} give a compact
     length-prefixed binary snapshot whose rendering is a byte-for-byte
     fixpoint (save ∘ load ∘ save = save), locked like the XMI oracle.
 
@@ -40,11 +39,10 @@
 
     {!load} builds only the head's model. Any other loaded version is built
     on its first read — by {!model_at}, {!head_model} after {!undo} or
-    {!checkout}, {!commit} or {!commit_on} on top of it, or
-    {!diff_between_scan} — and kept: the read walks up the parent chain to
-    the nearest built version (or, when none is, builds the chain's root
-    from its tree), then replays each tree diff forward, keeping every
-    version it passes. So each version is built at most once, from its
+    {!checkout}, or {!commit} or {!commit_on} on top of it — and kept: the
+    read walks up the parent chain to the nearest built version (or, when
+    none is, builds the chain's root from its tree), then replays each tree
+    diff forward, keeping every version it passes. So each version is built at most once, from its
     parent; a client that reads every version of a loaded history pays the
     replays [load] used to pay, plus the head's own build (E15). Each cell
     is filled by one compare-and-set, so a repository loaded once can be
@@ -181,12 +179,6 @@ val diff_between : t -> from_id:int -> to_id:int -> Mof.Diff.t option
     most one trie path per id those commits touched, never more nodes than
     the two trees hold, and builds its result in O(d · log d) for d ids
     that differ. [None] when either id is unknown. *)
-
-val diff_between_scan : t -> from_id:int -> to_id:int -> Mof.Diff.t option
-(** The scan baseline: both versions through {!model_at}, then
-    {!Mof.Diff.compute_scan}, O(n) in the two populations; exposed for the
-    [repo] differential oracle and the repository tests, which check that
-    it agrees with {!diff_between}. *)
 
 (** {2 Store statistics} *)
 
