@@ -162,13 +162,18 @@ let of_elements ~root ~next elements =
     List.fold_left
       (fun (store, idx) e ->
         let id = e.Element.id in
-        if Id.Map.mem id store then
-          invalid_arg ("Mof.Model.of_elements: duplicate id " ^ Id.to_string id)
-        else if Id.to_int id >= next then
+        (* every id already bound is below [next], so one at or above it is
+           never a duplicate *)
+        if Id.to_int id >= next then
           invalid_arg
             ("Mof.Model.of_elements: id " ^ Id.to_string id
            ^ " exceeds the next-id counter")
-        else (Id.Map.add id e store, index_element e idx))
+        else
+          let store' = Id.Map.add id e store in
+          if Id.Map.cardinal store' = Id.Map.cardinal store then
+            invalid_arg
+              ("Mof.Model.of_elements: duplicate id " ^ Id.to_string id)
+          else (store', index_element e idx))
       (Id.Map.empty, empty_indexes)
       elements
   in
@@ -194,12 +199,13 @@ let fresh_id m = ({ m with next = m.next + 1 }, Id.of_int m.next)
 
 let add m e =
   let id = e.Element.id in
-  if mem m id then
+  let store = Id.Map.add id e m.store in
+  if Id.Map.cardinal store = Id.Map.cardinal m.store then
     invalid_arg ("Mof.Model.add: duplicate id " ^ Id.to_string id)
   else
     {
       m with
-      store = Id.Map.add id e m.store;
+      store;
       (* keep the invariant that [next] exceeds every bound id, so
          [next] is directly serializable (see Xmi.Export) *)
       next = max m.next (Id.to_int id + 1);

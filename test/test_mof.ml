@@ -194,7 +194,7 @@ let model_tests =
         let m', _ = Mof.Model.fresh_id m in
         check cb "equal" true (Mof.Model.equal m m'));
     Alcotest.test_case "of_elements validates" `Quick (fun () ->
-        let m, _ = with_class () in
+        let m, cls = with_class () in
         let elements = Mof.Model.elements m in
         (* valid reconstruction *)
         let m' = Mof.Model.of_elements ~root:(Mof.Model.root m) ~next:100 elements in
@@ -211,7 +211,16 @@ let model_tests =
              ignore
                (Mof.Model.of_elements ~root:(Mof.Id.of_int 77) ~next:100 elements);
              false
-           with Invalid_argument _ -> true));
+           with Invalid_argument _ -> true);
+        (* duplicate id *)
+        check cs "duplicate id"
+          ("Mof.Model.of_elements: duplicate id " ^ Mof.Id.to_string cls)
+          (try
+             ignore
+               (Mof.Model.of_elements ~root:(Mof.Model.root m) ~next:100
+                  (elements @ [ Mof.Model.find_exn m cls ]));
+             "accepted"
+           with Invalid_argument msg -> msg));
   ]
 
 (* ---- Builder ---------------------------------------------------------- *)
