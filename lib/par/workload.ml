@@ -1,6 +1,6 @@
-(* Mirrors the shape of the test suite's Fixtures.synthetic (the E14
-   batch workload): every class carries [attrs] attributes and [ops]
-   operations with one integer parameter and an integer result. *)
+(* The E14 batch workload's shape, and the tests' and benches' synthetic
+   model: every class carries [attrs] attributes and [ops] operations with
+   one integer parameter and an integer result. *)
 
 let synthetic ?(attrs = 3) ?(ops = 3) ~classes name =
   let m = Mof.Model.create ~name in

@@ -76,40 +76,10 @@ let class_id m name =
 
 (* A synthetic model with [n] classes, each carrying [attrs] attributes and
    [ops] operations with one parameter — the scaling workload for benches
-   and property tests. *)
-let synthetic ?(attrs = 3) ?(ops = 3) n =
-  let m = Mof.Model.create ~name:"synthetic" in
-  let root = Mof.Model.root m in
-  let rec add_class m i =
-    if i >= n then m
-    else
-      let m, cls =
-        Mof.Builder.add_class m ~owner:root ~name:(Printf.sprintf "C%d" i)
-      in
-      let rec add_attr m j =
-        if j >= attrs then m
-        else
-          let m, _ =
-            Mof.Builder.add_attribute m ~cls ~name:(Printf.sprintf "f%d" j)
-              ~typ:(if j mod 2 = 0 then Mof.Kind.Dt_integer else Mof.Kind.Dt_string)
-          in
-          add_attr m (j + 1)
-      in
-      let rec add_op m j =
-        if j >= ops then m
-        else
-          let m, op =
-            Mof.Builder.add_operation m ~owner:cls ~name:(Printf.sprintf "m%d" j)
-          in
-          let m, _ =
-            Mof.Builder.add_parameter m ~op ~name:"x" ~typ:Mof.Kind.Dt_integer
-          in
-          let m = Mof.Builder.set_result m ~op ~typ:Mof.Kind.Dt_integer in
-          add_op m (j + 1)
-      in
-      add_class (add_op (add_attr m 0) 0) (i + 1)
-  in
-  add_class m 0
+   and property tests, from the generator [mdweave batch --synthetic]
+   uses. *)
+let synthetic ?attrs ?ops n =
+  Par.Workload.synthetic ?attrs ?ops ~classes:n "synthetic"
 
 let class_names m =
   List.map (fun (e : Mof.Element.t) -> e.Mof.Element.name) (Mof.Query.classes m)
