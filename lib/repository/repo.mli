@@ -42,13 +42,14 @@
     {!checkout}, or {!commit} or {!commit_on} on top of it — and kept: the
     read walks up the parent chain to the nearest built version (or, when
     none is, builds the chain's root from its tree), then replays each tree
-    diff forward, keeping every version it passes. So each version is built at most once, from its
-    parent; a client that reads every version of a loaded history pays the
-    replays [load] used to pay, plus the head's own build (E15). Each cell
-    is filled by one compare-and-set, so a repository loaded once can be
-    read lock-free from several domains (see {!Service}): two domains that
-    race build equal models, the loser reads the winner's, and every read
-    of a version returns the same model physically.
+    diff forward, keeping every version it passes. So each version is
+    built at most once, from its parent; a client that reads every version
+    of a loaded history pays the replays [load] used to pay, plus the
+    head's own build (E15). Each cell is filled by one compare-and-set, so
+    a repository loaded once can be read lock-free from several domains
+    (see {!Service}): two domains that race build equal models, the loser
+    reads the winner's, and every read of a version returns the same model
+    physically.
 
     Nothing can fail at first read. A build relies only on what {!load}
     checks for every commit: its tree holds its root package and no id at

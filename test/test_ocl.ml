@@ -935,23 +935,24 @@ let builtin_condition_comparisons () =
           [ "Nope.never"; "Gone.away" ] )
       else (Fixtures.class_names m, [ "Nope"; "Gone" ])
     in
-    List.map
-      (fun (kind, names) ->
-        ( kind ^ " targets",
-          Transform.Params.V_list
-            (List.map (fun n -> Transform.Params.V_string n) names) ))
-      [
-        ("present", first 2 present);
-        ("absent", absent);
-        ("mixed", first 1 present @ first 1 absent);
-        ("empty", []);
-      ]
+    [
+      ("present", first 2 present);
+      ("absent", absent);
+      ("mixed", first 1 present @ first 1 absent);
+      ("empty", []);
+    ]
   in
   let values key (formal : Transform.Params.decl) m =
     match formal.Transform.Params.ptype with
     | Transform.Params.P_enum admitted ->
         List.map (fun v -> (v, Transform.Params.V_string v)) admitted
-    | _ -> targets key m
+    | _ ->
+        List.map
+          (fun (target_kind, names) ->
+            ( target_kind ^ " targets",
+              Transform.Params.V_list
+                (List.map (fun n -> Transform.Params.V_string n) names) ))
+          (targets key m)
   in
   List.iter
     (fun (entry : Concerns.Registry.entry) ->
