@@ -20,38 +20,9 @@ let intertype_to_string = function
         (Code.Jtype.to_string f.Code.Jdecl.field_type)
         pattern f.Code.Jdecl.field_name
   | Aspect.It_method (pattern, m) ->
-      let rendered = Code.Printer.method_to_string ~indent:1 m in
-      (* inject the target pattern into the signature: C.m(...) *)
-      let marker = " " ^ m.Code.Jdecl.method_name ^ "(" in
-      let replacement = " " ^ pattern ^ "." ^ m.Code.Jdecl.method_name ^ "(" in
-      (match String.index_opt rendered '(' with
-      | Some _ -> (
-          let parts = String.split_on_char '\n' rendered in
-          match parts with
-          | first :: rest ->
-              let patched =
-                match String.length first with
-                | _ -> (
-                    match
-                      (* replace the first occurrence of marker *)
-                      let rec find i =
-                        if i + String.length marker > String.length first then None
-                        else if String.sub first i (String.length marker) = marker
-                        then Some i
-                        else find (i + 1)
-                      in
-                      find 0
-                    with
-                    | Some i ->
-                        String.sub first 0 i ^ replacement
-                        ^ String.sub first
-                            (i + String.length marker)
-                            (String.length first - i - String.length marker)
-                    | None -> first)
-              in
-              String.concat "\n" (patched :: rest)
-          | [] -> rendered)
-      | None -> rendered)
+      (* the signature names the target pattern: C.m(...) *)
+      Code.Printer.method_to_string ~indent:1
+        { m with Code.Jdecl.method_name = pattern ^ "." ^ m.Code.Jdecl.method_name }
 
 let to_string (t : Aspect.t) =
   String.concat "\n"

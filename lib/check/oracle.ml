@@ -118,7 +118,6 @@ let check_xmi ~aux ~base ~edits =
 (* ---- R4: indexes, extents, and qualified-name lookup vs fresh scans ------ *)
 
 module Sm = Map.Make (String)
-module Im = Map.Make (Mof.Id)
 
 let check_query ~aux:_ ~base ~edits =
   let _, m' = build ~base ~edits in
@@ -128,25 +127,11 @@ let check_query ~aux:_ ~base ~edits =
       (fun s -> Some (Mof.Id.Set.add id (Option.value ~default:Mof.Id.Set.empty s)))
       m
   in
-  let ibucket m key id =
-    Im.update key
-      (fun s -> Some (Mof.Id.Set.add id (Option.value ~default:Mof.Id.Set.empty s)))
-      m
-  in
-  let by_kind, by_name, owned, refs =
+  let by_kind, by_name =
     List.fold_left
-      (fun (k, n, o, r) (e : Mof.Element.t) ->
-        let k = bucket k (Mof.Kind.name e.kind) e.id in
-        let n = bucket n e.name e.id in
-        let o =
-          match e.owner with Some ow -> ibucket o ow e.id | None -> o
-        in
-        let r =
-          List.fold_left (fun r t -> ibucket r t e.id) r (Mof.Kind.refs e.kind)
-        in
-        (k, n, o, r))
-      (Sm.empty, Sm.empty, Im.empty, Im.empty)
-      elems
+      (fun (k, n) (e : Mof.Element.t) ->
+        (bucket k (Mof.Kind.name e.kind) e.id, bucket n e.name e.id))
+      (Sm.empty, Sm.empty) elems
   in
   let fail = ref None in
   let record msg = if !fail = None then fail := Some msg in
@@ -160,20 +145,8 @@ let check_query ~aux:_ ~base ~edits =
                label key))
       expected
   in
-  let compare_im label lookup expected =
-    Im.iter
-      (fun key want ->
-        let got = lookup m' key in
-        if not (Mof.Id.Set.equal got want) then
-          record
-            (Printf.sprintf "[query] %s index disagrees with scan at id %s"
-               label (Mof.Id.to_string key)))
-      expected
-  in
   compare_sm "by_kind" Mof.Model.by_kind by_kind;
   compare_sm "by_name" Mof.Model.by_name by_name;
-  compare_im "owned_by" Mof.Model.owned_by owned;
-  compare_im "referrers" Mof.Model.referrers refs;
   (* classifier extents: Meta.all_instances vs the scan-built extent *)
   Sm.iter
     (fun kname want ->
@@ -669,30 +642,21 @@ let repo_check_diffs cas naive =
       | _ -> Error "[repo] diff_between availability differs")
     (Ok ()) pairs
 
-(* The names and ids the elements of every version mention: the keys
+(* The names the elements of every version bear: the keys
    [repo_index_disagreement] probes, so a bucket left stale by an earlier
    version shows up too. *)
 let repo_index_keys naive ids =
-  let all_elements =
-    List.concat_map
-      (fun id ->
-        match N.find naive id with
-        | Some c -> Mof.Model.elements c.N.model
-        | None -> [])
-      ids
-  in
-  let names = List.map (fun (e : Mof.Element.t) -> e.name) all_elements in
-  let targets =
-    List.concat_map
-      (fun (e : Mof.Element.t) ->
-        (e.id :: Option.to_list e.owner) @ Mof.Kind.refs e.kind)
-      all_elements
-  in
-  (names, targets)
+  List.concat_map
+    (fun id ->
+      match N.find naive id with
+      | Some c ->
+          List.map (fun (e : Mof.Element.t) -> e.name) (Mof.Model.elements c.N.model)
+      | None -> [])
+    ids
 
 (* The first index of [m] that answers a lookup unlike a model rebuilt from
    [m]'s own elements, if any. *)
-let repo_index_disagreement (names, targets) m =
+let repo_index_disagreement names m =
   let fresh =
     Mof.Model.of_elements ~root:(Mof.Model.root m) ~next:(Mof.Model.next m)
       (Mof.Model.elements m)
@@ -702,8 +666,6 @@ let repo_index_disagreement (names, targets) m =
   in
   if not (agree Mof.Model.by_kind Mof.Kind.all_names) then Some "by_kind"
   else if not (agree Mof.Model.by_name names) then Some "by_name"
-  else if not (agree Mof.Model.owned_by targets) then Some "owned_by"
-  else if not (agree Mof.Model.referrers targets) then Some "referrers"
   else None
 
 (* [model_at repo id] for each of [ids] must equal [expected id], the

@@ -52,8 +52,14 @@ let registered : entry list ref = ref []
 
 let all () = builtins @ List.rev !registered
 
+(* [register] refuses a key already taken, so at most one entry of the two
+   lists has [key]: searching them in turn answers as [all ()] would,
+   without copying the builtins. *)
 let find key =
-  List.find_opt (fun e -> String.equal e.concern.Concern.key key) (all ())
+  let has_key e = String.equal e.concern.Concern.key key in
+  match List.find_opt has_key builtins with
+  | Some _ as e -> e
+  | None -> List.find_opt has_key !registered
 
 let find_gmt key = Option.map (fun e -> e.gmt) (find key)
 let find_gac key = Option.map (fun e -> e.gac) (find key)

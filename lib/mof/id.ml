@@ -147,26 +147,6 @@ module Set = struct
           else if not (Bits.matches b.prefix ~prefix:a.prefix ~bit:a.bit) then Empty
           else inter (if Bits.goes_left b.prefix a.bit then a.left else a.right) t
 
-  let rec diff s t =
-    if s == t then Empty
-    else
-      match (s, t) with
-      | Empty, _ -> Empty
-      | _, Empty -> s
-      | Leaf k, _ -> if mem_key k t then Empty else s
-      | _, Leaf k -> remove_key k s
-      | Branch a, Branch b ->
-          if a.bit = b.bit && a.prefix = b.prefix then
-            rebuild s a.prefix a.bit a.left a.right (diff a.left b.left)
-              (diff a.right b.right)
-          else if Bits.higher a.bit b.bit then
-            if not (Bits.matches b.prefix ~prefix:a.prefix ~bit:a.bit) then s
-            else if Bits.goes_left b.prefix a.bit then
-              rebuild s a.prefix a.bit a.left a.right (diff a.left t) a.right
-            else rebuild s a.prefix a.bit a.left a.right a.left (diff a.right t)
-          else if not (Bits.matches a.prefix ~prefix:b.prefix ~bit:b.bit) then s
-          else diff s (if Bits.goes_left a.prefix b.bit then b.left else b.right)
-
   let rec equal s t =
     s == t
     ||
@@ -265,8 +245,8 @@ module Map = struct
   let find_opt x m = find_key (key x) m
   let mem x m = mem_key (key x) m
 
-  (* [add], [update] and [remove] copy the path to the key and share the
-     rest; where nothing changes they return the trie itself. *)
+  (* [add] and [remove] copy the path to the key and share the rest; where
+     nothing changes they return the trie itself. *)
   let rec add_key k v = function
     | Empty -> Leaf { key = k; value = v }
     | Leaf l as t ->
@@ -283,28 +263,6 @@ module Map = struct
           if r == right then t else branch prefix bit left r
 
   let add x v m = add_key (key x) v m
-
-  let rec update_key k f = function
-    | Empty -> ( match f None with None -> Empty | Some v -> Leaf { key = k; value = v })
-    | Leaf l as t ->
-        if l.key <> k then
-          match f None with
-          | None -> t
-          | Some v -> join k (Leaf { key = k; value = v }) l.key t
-        else (
-          match f (Some l.value) with
-          | None -> Empty
-          | Some v -> if v == l.value then t else Leaf { key = k; value = v })
-    | Branch { prefix; bit; left; right; size = _ } as t ->
-        if not (Bits.matches k ~prefix ~bit) then
-          match f None with
-          | None -> t
-          | Some v -> join k (Leaf { key = k; value = v }) prefix t
-        else if Bits.goes_left k bit then
-          rebuild t prefix bit left right (update_key k f left) right
-        else rebuild t prefix bit left right left (update_key k f right)
-
-  let update x f m = update_key (key x) f m
 
   let rec remove_key k = function
     | Empty -> Empty

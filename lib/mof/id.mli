@@ -65,9 +65,9 @@ end
       were added or removed in, so [Stdlib.(=)] agrees with {!equal}.
     - A no-op {!add}, {!remove} or {!filter} returns its argument
       physically.
-    - {!union}, {!inter} and {!diff} descend both sets in one pass, skip
-      the subtrees the two share physically and keep the subtrees the
-      result shares with an argument. Two sets whose elements first differ
+    - {!union} and {!inter} descend both sets in one pass, skip the
+      subtrees the two share physically and keep the subtrees the result
+      shares with an argument. Two sets whose elements first differ
       at one bit, all of one set's on one side of it and all of the
       other's on the other, are joined under one new branch in constant
       time. A merge therefore costs what differs between its arguments. *)
@@ -83,10 +83,6 @@ module Set : sig
   val remove : elt -> t -> t
   val union : t -> t -> t
   val inter : t -> t -> t
-
-  val diff : t -> t -> t
-  (** [diff s t]: the elements of [s] not in [t]. *)
-
   val equal : t -> t -> bool
   val fold : (elt -> 'a -> 'a) -> t -> 'a -> 'a
   val filter : (elt -> bool) -> t -> t
@@ -105,19 +101,18 @@ module Set : sig
 end
 
 (** Maps keyed by identifiers, as a big-endian Patricia trie keyed and
-    shaped like {!Set}: the model store, its owner and referrer indexes,
-    and the repository's commit trees.
+    shaped like {!Set}: the model store and the repository's commit
+    trees.
 
     - {!fold} and {!bindings} run in ascending id order, negative ids
       below non-negative ones, and {!max_binding_opt} is the largest id.
     - A map's shape depends only on its keys, never on the order they
       were added or removed in.
     - {!cardinal} is O(1): every branch carries its size.
-    - {!add}, {!update} and {!remove} copy the path to the key and share
-      everything else. Where nothing changes they return their argument
-      physically: an {!add} of the value already bound (physically), an
-      {!update} whose function returns it or [None] for an unbound key,
-      a {!remove} of an unbound key.
+    - {!add} and {!remove} copy the path to the key and share everything
+      else. Where nothing changes they return their argument physically:
+      an {!add} of the value already bound (physically), a {!remove} of an
+      unbound key.
     - {!equal} and {!diff} descend both maps in step and skip every
       subtree the two share physically, so a map and its edited copy
       compare in what the edits touched. *)
@@ -135,7 +130,6 @@ module Map : sig
   val find_opt : key -> 'a t -> 'a option
   val mem : key -> 'a t -> bool
   val add : key -> 'a -> 'a t -> 'a t
-  val update : key -> ('a option -> 'a option) -> 'a t -> 'a t
   val remove : key -> 'a t -> 'a t
   val fold : (key -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
   val bindings : 'a t -> (key * 'a) list

@@ -9,24 +9,13 @@ module Smap = Map.Make (String)
 type indexes = {
   ix_kind : Id.Set.t Smap.t;  (* metaclass name -> ids of that kind *)
   ix_name : Id.Set.t Smap.t;  (* simple name -> ids bearing it *)
-  ix_owner : Id.Set.t Id.Map.t;  (* owner id -> ids whose [owner] field is it *)
-  ix_referrers : Id.Set.t Id.Map.t;
-      (* target id -> ids whose [Kind.refs] mention it; keyed by the target
-         whether or not the target is currently bound, so dangling
-         references stay discoverable after a removal *)
 }
 
 type t = { store : Element.t Id.Map.t; root : Id.t; next : int; idx : indexes }
 
 exception Element_not_found of Id.t
 
-let empty_indexes =
-  {
-    ix_kind = Smap.empty;
-    ix_name = Smap.empty;
-    ix_owner = Id.Map.empty;
-    ix_referrers = Id.Map.empty;
-  }
+let empty_indexes = { ix_kind = Smap.empty; ix_name = Smap.empty }
 
 let sbucket_add key id map =
   Smap.update key
@@ -43,35 +32,11 @@ let sbucket_drop key id map =
           if Id.Set.is_empty s then None else Some s)
     map
 
-let ibucket_add key id map =
-  Id.Map.update key
-    (function
-      | None -> Some (Id.Set.singleton id) | Some s -> Some (Id.Set.add id s))
-    map
-
-let ibucket_drop key id map =
-  Id.Map.update key
-    (function
-      | None -> None
-      | Some s ->
-          let s = Id.Set.remove id s in
-          if Id.Set.is_empty s then None else Some s)
-    map
-
 let index_element e idx =
   let id = e.Element.id in
   {
     ix_kind = sbucket_add (Kind.name e.Element.kind) id idx.ix_kind;
     ix_name = sbucket_add e.Element.name id idx.ix_name;
-    ix_owner =
-      (match e.Element.owner with
-      | Some o -> ibucket_add o id idx.ix_owner
-      | None -> idx.ix_owner);
-    ix_referrers =
-      List.fold_left
-        (fun acc target -> ibucket_add target id acc)
-        idx.ix_referrers
-        (Kind.refs e.Element.kind);
   }
 
 let unindex_element e idx =
@@ -79,46 +44,13 @@ let unindex_element e idx =
   {
     ix_kind = sbucket_drop (Kind.name e.Element.kind) id idx.ix_kind;
     ix_name = sbucket_drop e.Element.name id idx.ix_name;
-    ix_owner =
-      (match e.Element.owner with
-      | Some o -> ibucket_drop o id idx.ix_owner
-      | None -> idx.ix_owner);
-    ix_referrers =
-      List.fold_left
-        (fun acc target -> ibucket_drop target id acc)
-        idx.ix_referrers
-        (Kind.refs e.Element.kind);
   }
 
-(* [key_changes compare olds news] is the pair (keys only in [olds], keys only
-   in [news]), each without duplicates: a sort-merge in O(k log k). Pairwise
-   [List.mem] would be quadratic in a package's owned refs, which run past a
-   hundred in a large model's root. *)
-let key_changes compare olds news =
-  let rec merge gone came olds news =
-    match (olds, news) with
-    | [], [] -> (gone, came)
-    | o :: olds, [] -> merge (o :: gone) came olds []
-    | [], n :: news -> merge gone (n :: came) [] news
-    | o :: olds', n :: news' ->
-        let c = compare o n in
-        if c = 0 then merge gone came olds' news'
-        else if c < 0 then merge (o :: gone) came olds' news
-        else merge gone (n :: came) olds news'
-  in
-  merge [] [] (List.sort_uniq compare olds) (List.sort_uniq compare news)
-
-(* Move [e]'s id from the buckets of the keys [e] had to those [e'] has, for
-   the keys that differ and only those: an update typically changes one key
-   (a rename, one ref appended to a containment list), and dropping and
-   re-adding every other bucket was most of its cost. *)
+(* Move [e]'s id between the buckets of the keys that differ from [e'] and
+   only those: a stereotype, tag or containment edit changes neither key,
+   and leaves the indexes as they were. *)
 let reindex_element e e' idx =
   let id = e.Element.id in
-  let moved drop add compare olds news acc =
-    let gone, came = key_changes compare olds news in
-    let acc = List.fold_left (fun acc k -> drop k id acc) acc gone in
-    List.fold_left (fun acc k -> add k id acc) acc came
-  in
   let kind = Kind.name e.Element.kind and kind' = Kind.name e'.Element.kind in
   let name = e.Element.name and name' = e'.Element.name in
   {
@@ -128,19 +60,6 @@ let reindex_element e e' idx =
     ix_name =
       (if String.equal name name' then idx.ix_name
        else sbucket_add name' id (sbucket_drop name id idx.ix_name));
-    ix_owner =
-      (match (e.Element.owner, e'.Element.owner) with
-      | Some o, Some o' when Id.equal o o' -> idx.ix_owner
-      | None, None -> idx.ix_owner
-      | o, o' ->
-          let drop = match o with Some o -> ibucket_drop o id | None -> Fun.id in
-          let add = match o' with Some o' -> ibucket_add o' id | None -> Fun.id in
-          add (drop idx.ix_owner));
-    ix_referrers =
-      (if e.Element.kind == e'.Element.kind then idx.ix_referrers
-       else
-         moved ibucket_drop ibucket_add Id.compare (Kind.refs e.Element.kind)
-           (Kind.refs e'.Element.kind) idx.ix_referrers);
   }
 
 let create ~name =
@@ -239,8 +158,6 @@ let set_of = function None -> Id.Set.empty | Some s -> s
 
 let by_kind m kind = set_of (Smap.find_opt kind m.idx.ix_kind)
 let by_name m name = set_of (Smap.find_opt name m.idx.ix_name)
-let owned_by m id = set_of (Id.Map.find_opt id m.idx.ix_owner)
-let referrers m id = set_of (Id.Map.find_opt id m.idx.ix_referrers)
 
 (* ---- whole-population traversal ----------------------------------------- *)
 

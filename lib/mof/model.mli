@@ -11,24 +11,19 @@
 
     {2 Indexes}
 
-    Beyond the primary id map, every model maintains four secondary indexes,
+    Beyond the primary id map, every model maintains two secondary indexes,
     updated incrementally by {!add}, {!update} and {!remove}:
 
     - {!by_kind}: metaclass name → ids ({!Kind.name} of the element's kind);
-    - {!by_name}: simple name → ids;
-    - {!owned_by}: owner id → ids whose [owner] field designates it;
-    - {!referrers}: target id → ids whose {!Kind.refs} mention it. The key
-      is the {e target}, bound or not, so the referrers of a removed element
-      remain discoverable (how {!Wellformed.check_touched} finds dangling
-      references after a deletion).
+    - {!by_name}: simple name → ids.
 
-    Index maintenance is O(k log n) per {!add} or {!remove} of an element
-    with k index keys; an {!update} moves the element only between the
-    buckets of the keys that changed. Every lookup is O(log n) and returns a
-    set whose elements come back in ascending id order, matching the
-    historical scan order of {!fold}/{!elements}. The invariant — each index
-    equals the map a full scan of the store would rebuild — is asserted by
-    the randomized consistency test in [test_mof.ml]. *)
+    Index maintenance is O(log n) per {!add} or {!remove}; an {!update}
+    moves the element only between the buckets of the keys that changed.
+    Every lookup is O(log n) and returns a set whose elements come back in
+    ascending id order, matching the historical scan order of
+    {!fold}/{!elements}. The invariant — each index equals the map a full
+    scan of the store would rebuild — is asserted by the randomized
+    consistency test in [test_mof.ml]. *)
 
 type t
 (** The type of models. *)
@@ -69,7 +64,7 @@ val fresh_id : t -> t * Id.t
 val add : t -> Element.t -> t
 (** [add m e] stores [e] and indexes it. Raises
     [Invalid_argument] if [e.id] is already bound — elements are inserted
-    once and then {!update}d. O(k log n) for k index keys. *)
+    once and then {!update}d. O(log n). *)
 
 val mem : t -> Id.t -> bool
 (** O(log n). *)
@@ -82,12 +77,10 @@ val find_exn : t -> Id.t -> Element.t
 val update : t -> Id.t -> (Element.t -> Element.t) -> t
 (** [update m id f] replaces the element bound to [id] by [f] applied to
     it. [f] must keep the element's id (every caller
-    edits a field of the element it is given). Only the index keys that
-    changed are reindexed: the kind name, the name, the owner, and the
-    refs that one side mentions and the other does not. A rename touches
-    two name buckets, appending a child to a package's containment list
-    adds one referrer entry, and a stereotype or tag touches no index.
-    O(k log k + c log n) for k refs and c changed keys.
+    edits a field of the element it is given). The element moves between
+    kind and name buckets only, and only for the keys that changed: a
+    rename touches two name buckets, and a stereotype, tag or containment
+    edit touches none. O(log n).
     @raise Element_not_found if [id] is unbound. *)
 
 val with_root : root:Id.t -> next:int -> t -> t
@@ -116,15 +109,6 @@ val by_kind : t -> string -> Id.Set.t
 
 val by_name : t -> string -> Id.Set.t
 (** Ids of all elements with the given simple name. *)
-
-val owned_by : t -> Id.t -> Id.Set.t
-(** Ids of all elements whose [owner] field designates the given id (the
-    owner-field view of containment; the payload view is the owner's own
-    containment lists). *)
-
-val referrers : t -> Id.t -> Id.Set.t
-(** Ids of all elements whose {!Kind.refs} mention the given id. Defined
-    whether or not the target is bound. *)
 
 (** {2 Whole-population traversal}
 

@@ -53,10 +53,10 @@ let check_references m e =
     (Kind.refs e.Element.kind)
 
 (* Membership in an owner's containment lists (the payload view — distinct
-   from the [owned_by] index, which is the owner-field view the rule is
-   checking against). Memoized per check run: a scoped or full check visits
-   every child of an owner, and scanning the owner's lists once per child
-   is quadratic in its fan-out. *)
+   from the [owner] field, which is the view the rule is checking against).
+   Memoized per check run: a scoped or full check visits every child of an
+   owner, and scanning the owner's lists once per child is quadratic in its
+   fan-out. *)
 let listed_memo () =
   let tbl = Hashtbl.create 16 in
   fun (owner_elt : Element.t) child ->
@@ -232,63 +232,72 @@ let check m =
   let listed = listed_memo () in
   Model.fold (fun e acc -> acc @ check_element ~listed m e) m []
 
-(* Transitive subclasses of the seed ids, walked over the reverse-reference
-   index restricted to inheritance edges. A change to a class's supers can
-   flip the Inheritance_cycle verdict of every class whose superclass
-   closure passes through it — exactly its transitive subclasses. *)
-let subclasses_closure m seeds =
-  let subclasses_of id =
-    Id.Set.filter
-      (fun r ->
-        match Model.find m r with
-        | Some { Element.kind = Kind.Class c; _ } ->
-            List.exists (Id.equal id) c.supers
-        | Some _ | None -> false)
-      (Model.referrers m id)
-  in
-  let rec walk seen = function
-    | [] -> seen
-    | id :: rest ->
-        let fresh = Id.Set.diff (subclasses_of id) seen in
-        walk (Id.Set.union seen fresh) (Id.Set.elements fresh @ rest)
-  in
-  walk seeds (Id.Set.elements seeds)
-
-(* The ids whose rule verdicts can depend on a touched id, split by how
-   much re-checking each needs:
+(* The ids whose rule verdicts can depend on a touched id, found in one
+   pass over the model and split by how much re-checking each needs:
 
    - full re-check: the touched elements themselves (every local rule);
-     their referrers, one hop (Dangling_reference after a removal or
-     re-addition; Duplicate_name and Abstract_leaf, which an owner checks by
-     reading its children's payloads — the owner references its children);
-     and transitive subclasses of touched ids (Inheritance_cycle);
+     every element whose refs mention a touched id (Dangling_reference
+     after a removal or re-addition; Duplicate_name and Abstract_leaf,
+     which an owner checks by reading its children's payloads — the owner
+     references its children); and transitive subclasses of touched ids
+     (Inheritance_cycle: a change to a class's supers can flip the verdict
+     of every class whose superclass closure passes through it);
 
    - owner check only: the elements whose [owner] field designates a
      touched id. An untouched child's payload-local rules cannot flip, and
      every cross-element rule except Owner_mismatch reaches the child
-     through refs — covered by the referrer hop above. Only the owner's
+     through refs — covered by the refs test above. Only the owner's
      containment lists, which Owner_mismatch reads, may have changed under
      it, so re-running the other eight rules on every child of a touched
      owner (all classes of a package that gained one constraint, say) is
      pure waste.
+
+   The pass collects each class's supers, and the subclasses are closed
+   over that list afterwards: a class joins when one of its supers is
+   touched or already joined, until a round adds none.
 
    This over-approximates — re-checking an unaffected element is merely
    redundant work — but never under-approximates: every rule reads only the
    element itself, its reference targets, its owner's payload, or its
    superclass closure, and each of those dependencies is covered above. *)
 let scope_of m touched =
-  let full =
-    Id.Set.fold
-      (fun id acc -> Id.Set.union (Model.referrers m id) acc)
-      touched touched
+  let touches = List.exists (fun id -> Id.Set.mem id touched) in
+  let refer, owned, classes =
+    Model.fold
+      (fun e (refer, owned, classes) ->
+        let id = e.Element.id in
+        let refer =
+          if touches (Kind.refs e.Element.kind) then Id.Set.add id refer else refer
+        in
+        let owned =
+          match e.Element.owner with
+          | Some o when Id.Set.mem o touched -> Id.Set.add id owned
+          | Some _ | None -> owned
+        in
+        let classes =
+          match e.Element.kind with
+          | Kind.Class { supers = _ :: _ as supers; _ } -> (id, supers) :: classes
+          | _ -> classes
+        in
+        (refer, owned, classes))
+      m
+      (Id.Set.empty, Id.Set.empty, [])
   in
-  let full = Id.Set.union full (subclasses_closure m touched) in
-  let owner_only =
-    Id.Set.fold
-      (fun id acc -> Id.Set.union (Model.owned_by m id) acc)
-      touched Id.Set.empty
+  (* in ascending id order: a subclass is usually created after its supers,
+     so one round reaches down a whole chain *)
+  let classes = List.rev classes in
+  let rec close subs =
+    let grown =
+      List.fold_left
+        (fun subs (id, supers) ->
+          if List.exists (fun s -> Id.Set.mem s subs) supers then Id.Set.add id subs
+          else subs)
+        subs classes
+    in
+    if grown == subs then subs else close grown
   in
-  (Id.Set.filter (Model.mem m) (Id.Set.union full owner_only), full)
+  let full = Id.Set.union (close touched) refer in
+  (Id.Set.filter (Model.mem m) (Id.Set.union full owned), full)
 
 let check_touched m ~touched =
   (* Id.Set.fold visits ids in ascending order, so the violations of scoped

@@ -32,9 +32,10 @@ val check : Model.t -> violation list
 val check_touched : Model.t -> touched:Id.Set.t -> violation list
 (** Re-validates only the region of the model whose verdicts can depend on
     the [touched] ids (typically {!Diff.touched} of a step's diff): the
-    touched elements, their referrers, the elements they own, and their
-    transitive subclasses. Cost is proportional to that region, not the
-    model. Sound for incremental use: if the model was well-formed before
+    touched elements, the elements whose references mention one, the
+    elements they own, and their transitive subclasses. It finds that
+    region in one pass over the model, then re-checks only the region.
+    Sound for incremental use: if the model was well-formed before
     the touching mutations, [check_touched] reports exactly what {!check}
     would — any violation a mutation can introduce is anchored at an element
     in the scoped region. Violations outside the region that predate the
