@@ -714,8 +714,9 @@ let store_tests =
         check cb "same as full" true (Mof.Wellformed.check_touched m2 ~touched = full));
     Alcotest.test_case "scoped recheck reports an untouched referrer of a removed element"
       `Quick (fun () ->
-        (* deleting C touches C and the package; D.x is neither, nor owned by
-           either, and only its type names C *)
+        (* deleting C touches C and the package; neither D.x nor its owner
+           D is touched, so only D.x's type, which names C, brings it into
+           the scope *)
         let m = fresh () in
         let root = Mof.Model.root m in
         let m, c = Mof.Builder.add_class m ~owner:root ~name:"C" in
