@@ -284,6 +284,25 @@ let edit_script rng ~base =
   let total () = Array.length !slots in
   let any () = Prng.int rng (total ()) in
   let existing_name () = (!slots).(any ()).s_name in
+  (* (leaf, root) for each base chain leaf -> mid -> root. Closing one with
+     root -> leaf puts leaf in a cycle, although leaf is neither touched nor
+     refers to a touched id: only the scoped check's subclass closure
+     reaches it. *)
+  let chains =
+    let edges =
+      List.filter_map
+        (function
+          | Edit.Add_generalization { child; parent } -> Some (child, parent)
+          | _ -> None)
+        base
+    in
+    List.concat_map
+      (fun (leaf, mid) ->
+        List.filter_map
+          (fun (child, root) -> if child = mid then Some (leaf, root) else None)
+          edges)
+      edges
+  in
   let size = Prng.range rng 1 12 in
   let ops = ref [] in
   let emit op = ops := op :: !ops in
@@ -307,8 +326,13 @@ let edit_script rng ~base =
       emit (Edit.Rename { target; name })
     end
     else if roll < 32 then begin
-      (* generalization in an arbitrary direction: cycles allowed *)
-      emit (Edit.Add_generalization { child = any (); parent = any () })
+      (* generalization in an arbitrary direction, or closing a chain:
+         cycles allowed *)
+      match chains with
+      | _ :: _ when Prng.bool rng ->
+          let leaf, root = Prng.choose rng chains in
+          emit (Edit.Add_generalization { child = root; parent = leaf })
+      | _ -> emit (Edit.Add_generalization { child = any (); parent = any () })
     end
     else if roll < 42 then begin
       let owner = any () in

@@ -6,15 +6,33 @@ let error fmt = Format.kasprintf (fun s -> raise (Runtime_error s)) fmt
 exception Java_throw of Rvalue.t * string (* value, class name *)
 exception Java_return of Rvalue.t
 
+(* A local variable or an object field. A method has a few locals and an
+   object a few fields, so each lives in a short list of cells. *)
+type cell = { name : string; mutable value : Rvalue.t }
+
+let rec cell name = function
+  | [] -> raise_notrace Not_found
+  | c :: cells -> if String.equal c.name name then c else cell name cells
+
+(* [cells] with [name] bound to [v]. An existing cell takes the value in
+   place, so a local declared in a loop body keeps one cell. *)
+let bind cells name v =
+  match cell name cells with
+  | c ->
+      c.value <- v;
+      cells
+  | exception Not_found -> { name; value = v } :: cells
+
 type obj = {
   obj_class : string;
-  fields : (string, Rvalue.t) Hashtbl.t;
+  mutable fields : cell list;
 }
 
 type t = {
   program : Code.Junit.program;
-  heap : (int, obj) Hashtbl.t;
+  mutable heap : obj array; (* reference [r] is [heap.(r)] for [r < next_ref] *)
   mutable next_ref : int;
+  mutable singletons : (string * Rvalue.t) list; (* builtin class, instance *)
   mutable log : Event.t list; (* reversed *)
   faults : (string * string) list;
 }
@@ -60,12 +78,13 @@ let dispatch program class_name decl method_name =
   | None -> error "class %s has no method %s" class_name method_name
 
 (* exception conformance: program extends chain, plus the builtin
-   RuntimeException <: Exception <: Throwable ladder *)
+   RuntimeException <: Exception <: Throwable and Error <: Throwable
+   ladder *)
 let rec conforms_to st sub super =
   String.equal sub super
   || (match (sub, super) with
      | "RuntimeException", ("Exception" | "Throwable") -> true
-     | "Exception", "Throwable" -> true
+     | ("Exception" | "Error"), "Throwable" -> true
      | _ -> false)
   ||
   match find_class st sub with
@@ -73,9 +92,8 @@ let rec conforms_to st sub super =
   | Some _ | None -> false
 
 let heap_obj st r =
-  match Hashtbl.find_opt st.heap r with
-  | Some o -> o
-  | None -> error "dangling heap reference @%d" r
+  if r >= 0 && r < st.next_ref then st.heap.(r)
+  else error "dangling heap reference @%d" r
 
 let class_of_value st = function
   | Rvalue.V_object r -> (heap_obj st r).obj_class
@@ -85,16 +103,27 @@ let class_of_value st = function
   | Rvalue.V_int _ -> "int"
   | Rvalue.V_double _ -> "double"
 
-let allocate st class_name field_decls =
-  let fields = Hashtbl.create 8 in
-  List.iter
-    (fun (f : Code.Jdecl.field) ->
-      Hashtbl.replace fields f.Code.Jdecl.field_name
-        (Rvalue.default_of f.Code.Jdecl.field_type))
-    field_decls;
+(* the heap's first capacity: a woven call allocates its receiver, the
+   builtin singletons it asks for and perhaps one exception *)
+let initial_heap = 8
+
+let allocate st obj_class field_decls =
+  let fields =
+    List.fold_left
+      (fun cells (f : Code.Jdecl.field) ->
+        bind cells f.Code.Jdecl.field_name (Rvalue.default_of f.Code.Jdecl.field_type))
+      [] field_decls
+  in
   let r = st.next_ref in
+  let o = { obj_class; fields } in
+  if r < Array.length st.heap then st.heap.(r) <- o
+  else begin
+    (* the new object fills the grown array, so slot [r] already holds it *)
+    let grown = Array.make (max initial_heap (2 * r)) o in
+    Array.blit st.heap 0 grown 0 r;
+    st.heap <- grown
+  end;
   st.next_ref <- r + 1;
-  Hashtbl.replace st.heap r { obj_class = class_name; fields };
   Rvalue.V_object r
 
 (* fields of a class including inherited ones, superclasses' first *)
@@ -123,20 +152,12 @@ let new_object st class_name =
 
 (* ---- builtin middleware runtime ------------------------------------------ *)
 
-let builtin_receivers =
-  [
-    "TransactionManager";
-    "Logger";
-    "LockManager";
-    "AccessController";
-    "SecurityContext";
-    "RemoteRuntime";
-    "NamingService";
-    "PersistenceManager";
-    "MessageQueue";
-  ]
-
-let is_builtin_receiver name = List.mem name builtin_receivers
+let is_builtin_receiver = function
+  | "TransactionManager" | "Logger" | "LockManager" | "AccessController"
+  | "SecurityContext" | "RemoteRuntime" | "NamingService" | "PersistenceManager"
+  | "MessageQueue" ->
+      true
+  | _ -> false
 
 let detail_of st args =
   String.concat ", "
@@ -147,69 +168,76 @@ let detail_of st args =
          | v -> Rvalue.to_string v)
        args)
 
-(* a singleton instance per builtin "manager" class *)
+(* records [source].[action] with the call's arguments as its detail *)
+let record_call st ~source ~action args =
+  record st ~source ~action ~detail:(detail_of st args)
+
+(* a singleton instance per builtin "manager" class, allocated on first use *)
 let singleton st class_name =
-  let key = "__singleton_" ^ class_name in
-  let existing =
-    Hashtbl.fold
-      (fun r o acc -> if o.obj_class = key then Some (Rvalue.V_object r) else acc)
-      st.heap None
-  in
-  match existing with
+  match List.assoc_opt class_name st.singletons with
   | Some v -> v
-  | None -> allocate st key []
+  | None ->
+      let v = allocate st ("__singleton_" ^ class_name) [] in
+      st.singletons <- (class_name, v) :: st.singletons;
+      v
 
 let builtin_static st class_name method_name args =
-  let detail = detail_of st args in
   match (class_name, method_name) with
   | "TransactionManager", "current" -> Some (singleton st "TransactionManager")
   | "Logger", "log" ->
-      record st ~source:"Logger" ~action:"log" ~detail;
+      record_call st ~source:"Logger" ~action:"log" args;
       Some Rvalue.V_null
   | "LockManager", "of" -> Some (singleton st "LockManager")
   | "AccessController", "check" ->
-      record st ~source:"AccessController" ~action:"check" ~detail;
+      record_call st ~source:"AccessController" ~action:"check" args;
       Some (Rvalue.V_bool true)
   | "SecurityContext", "currentPrincipal" ->
-      record st ~source:"SecurityContext" ~action:"currentPrincipal" ~detail;
+      record_call st ~source:"SecurityContext" ~action:"currentPrincipal" args;
       Some (singleton st "Principal")
   | "RemoteRuntime", "ensureExported" ->
-      record st ~source:"RemoteRuntime" ~action:"ensureExported" ~detail;
+      record_call st ~source:"RemoteRuntime" ~action:"ensureExported" args;
       Some Rvalue.V_null
   | "NamingService", ("bind" | "lookup") ->
-      record st ~source:"NamingService" ~action:method_name ~detail;
+      record_call st ~source:"NamingService" ~action:method_name args;
       Some (Rvalue.V_string "naming:handle")
   | "PersistenceManager", ("markDirty" | "ensureLoaded" | "load" | "store" | "delete")
     ->
-      record st ~source:"PersistenceManager" ~action:method_name ~detail;
+      record_call st ~source:"PersistenceManager" ~action:method_name args;
       Some Rvalue.V_null
   | "MessageQueue", ("publish" | "consume") ->
-      record st ~source:"MessageQueue" ~action:method_name ~detail;
+      record_call st ~source:"MessageQueue" ~action:method_name args;
       Some Rvalue.V_null
   | _, _ -> None
 
 (* instance methods of builtin singletons *)
 let builtin_instance st obj_class method_name args =
-  let detail = detail_of st args in
   match (obj_class, method_name) with
   | "__singleton_TransactionManager", ("begin" | "commit" | "rollback") ->
-      record st ~source:"TransactionManager" ~action:method_name ~detail;
+      record_call st ~source:"TransactionManager" ~action:method_name args;
       Some Rvalue.V_null
   | "__singleton_LockManager", ("acquire" | "release") ->
-      record st ~source:"LockManager" ~action:method_name ~detail;
+      record_call st ~source:"LockManager" ~action:method_name args;
       Some Rvalue.V_null
   | _, _ -> None
+
+(* a fault named for [class_name].[method_name]; no call pays for the test
+   when none is injected *)
+let faulted st class_name method_name =
+  match st.faults with
+  | [] -> false
+  | faults ->
+      List.exists
+        (fun (c, m) -> String.equal c class_name && String.equal m method_name)
+        faults
 
 (* ---- environments --------------------------------------------------------- *)
 
 type env = {
-  vars : (string, Rvalue.t ref) Hashtbl.t;
+  mutable vars : cell list;
   this : Rvalue.t;
 }
 
-let lookup_var env name = Hashtbl.find_opt env.vars name
-
-let declare env name v = Hashtbl.replace env.vars name (ref v)
+let declare env name v = env.vars <- bind env.vars name v
 
 (* ---- evaluation ------------------------------------------------------------ *)
 
@@ -261,24 +289,24 @@ let rec eval st env (e : Code.Jexpr.t) : Rvalue.t =
   | Code.Jexpr.E_double f -> Rvalue.V_double f
   | Code.Jexpr.E_string s -> Rvalue.V_string s
   | Code.Jexpr.E_name n -> (
-      match lookup_var env n with
-      | Some r -> !r
-      | None -> (
+      match cell n env.vars with
+      | c -> c.value
+      | exception Not_found -> (
           (* unqualified field access on this *)
           match env.this with
           | Rvalue.V_object r -> (
               let o = heap_obj st r in
-              match Hashtbl.find_opt o.fields n with
-              | Some v -> v
-              | None -> error "unknown variable or field %s" n)
+              match cell n o.fields with
+              | c -> c.value
+              | exception Not_found -> error "unknown variable or field %s" n)
           | _ -> error "unknown variable %s" n))
   | Code.Jexpr.E_field (recv, f) -> (
       match eval st env recv with
       | Rvalue.V_object r -> (
           let o = heap_obj st r in
-          match Hashtbl.find_opt o.fields f with
-          | Some v -> v
-          | None -> error "class %s has no field %s" o.obj_class f)
+          match cell f o.fields with
+          | c -> c.value
+          | exception Not_found -> error "class %s has no field %s" o.obj_class f)
       | Rvalue.V_null -> raise (Java_throw (Rvalue.V_null, "RuntimeException"))
       | v -> error "field access .%s on %s" f (Rvalue.to_string v))
   | Code.Jexpr.E_call (recv, name, args) -> eval_call st env recv name args
@@ -296,22 +324,22 @@ let rec eval st env (e : Code.Jexpr.t) : Rvalue.t =
       let v = eval st env rhs in
       match lhs with
       | Code.Jexpr.E_name n -> (
-          match lookup_var env n with
-          | Some r ->
-              r := v;
+          match cell n env.vars with
+          | c ->
+              c.value <- v;
               v
-          | None -> (
+          | exception Not_found -> (
               match env.this with
               | Rvalue.V_object r ->
                   let o = heap_obj st r in
-                  Hashtbl.replace o.fields n v;
+                  o.fields <- bind o.fields n v;
                   v
               | _ -> error "assignment to unknown variable %s" n))
       | Code.Jexpr.E_field (recv, f) -> (
           match eval st env recv with
           | Rvalue.V_object r ->
               let o = heap_obj st r in
-              Hashtbl.replace o.fields f v;
+              o.fields <- bind o.fields f v;
               v
           | Rvalue.V_null -> raise (Java_throw (Rvalue.V_null, "RuntimeException"))
           | other -> error "assignment to field of %s" (Rvalue.to_string other))
@@ -368,7 +396,7 @@ and invoke st this class_name method_name arg_values =
 (* [invoke] on the already resolved declaration [decl] of [class_name] *)
 and invoke_in st this class_name decl method_name arg_values =
   let owner, m = dispatch st.program class_name decl method_name in
-  if List.mem (owner.Code.Jdecl.class_name, method_name) st.faults then begin
+  if faulted st owner.Code.Jdecl.class_name method_name then begin
     record st ~source:"FaultInjector" ~action:"throw"
       ~detail:(owner.Code.Jdecl.class_name ^ "." ^ method_name);
     raise (Java_throw (new_object st "RuntimeException", "RuntimeException"))
@@ -376,7 +404,7 @@ and invoke_in st this class_name decl method_name arg_values =
   match m.Code.Jdecl.body with
   | None -> Rvalue.default_of m.Code.Jdecl.return_type
   | Some body -> (
-      let env = { vars = Hashtbl.create 8; this } in
+      let env = { vars = []; this } in
       (try
          List.iter2
            (fun (p : Code.Jdecl.param) v -> declare env p.Code.Jdecl.param_name v)
@@ -452,7 +480,7 @@ and exec st env (stmt : Code.Jstmt.t) =
 (* ---- public API ------------------------------------------------------------- *)
 
 let create ?(faults = []) program =
-  { program; heap = Hashtbl.create 64; next_ref = 0; log = []; faults }
+  { program; heap = [||]; next_ref = 0; singletons = []; log = []; faults }
 
 let run ?(faults = []) ?(args = []) program ~class_name ~method_name =
   let st = create ~faults program in

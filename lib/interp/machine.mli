@@ -3,9 +3,9 @@
     Executes methods of a {!Code.Junit.program} with a mutable heap and a
     middleware runtime whose built-in classes ([TransactionManager],
     [Logger], [LockManager], [AccessController] + [SecurityContext],
-    [RemoteRuntime], [NamingService], [PersistenceManager]) record an
-    {!Event.t} trace instead of
-    talking to real middleware. This makes the effect of woven aspects
+    [RemoteRuntime], [NamingService], [PersistenceManager],
+    [MessageQueue]) record an {!Event.t} trace instead of talking to real
+    middleware. This makes the effect of woven aspects
     observable and testable end-to-end — the behavioural closure of the
     paper's Fig. 2.
 
@@ -14,7 +14,8 @@
     default-initialized, constructor arguments ignored — the generator emits
     no constructors); virtual dispatch along [extends]; exceptions with
     try/catch/finally ([RuntimeException] conforms to [Exception] conforms
-    to [Throwable], program classes conform along their [extends] chain);
+    to [Throwable], [Error] conforms to [Throwable] but not to [Exception],
+    program classes conform along their [extends] chain);
     [synchronized] blocks (recorded as [Monitor.enter]/[Monitor.exit]
     events); string concatenation via [+].
 
@@ -49,6 +50,15 @@ val run :
     walk [extends] from it, so only superclasses are looked up by name.
     A lookup scans the program's units in place ({!Code.Junit.find_class}),
     so what a run allocates does not grow with the number of classes.
+
+    A run allocates only what it executes. Its heap is an array indexed by
+    the references it hands out; dereferencing any other reference, such
+    as a caller-supplied [V_object] in [args], raises
+    [Runtime_error "dangling heap reference @n"]. Each builtin singleton
+    is allocated on first use and remembered for the rest of the run.
+    Locals and fields live in short lists of cells, and assigning a name
+    updates its cell in place. An event's detail is rendered only when the
+    event is recorded.
     @raise Runtime_error only for genuine interpreter errors. *)
 
 val method_params :

@@ -627,8 +627,8 @@ let class_decl ?extends ?(fields = []) name methods =
 
 (* One line per outcome: the returned value or escaping exception with the
    event signatures, or the interpreter's error text. *)
-let outcome_line ?(faults = []) program ~class_name ~method_name =
-  match Interp.Machine.run ~faults program ~class_name ~method_name with
+let outcome_line ?(faults = []) ?(args = []) program ~class_name ~method_name =
+  match Interp.Machine.run ~faults ~args program ~class_name ~method_name with
   | { Interp.Machine.result; events } ->
       Printf.sprintf "%s [%s]"
         (match result with
@@ -707,13 +707,15 @@ let lookup_tests =
     ]
   in
   (* NotFound <: AppError <: RuntimeException; go/wide/miss throw a NotFound
-     and catch it as AppError, Exception and an unrelated class *)
+     and catch it as AppError, Exception and an unrelated class, and
+     fatal/unchecked throw the builtin Error and catch it as Throwable and
+     Exception *)
   let exceptions =
-    let throwing name catch_cls =
+    let throwing ?(thrown = "NotFound") name catch_cls =
       int_method name
         [
           Jstmt.S_try
-            ( [ Jstmt.S_throw (Jexpr.E_new ("NotFound", [])) ],
+            ( [ Jstmt.S_throw (Jexpr.E_new (thrown, [])) ],
               [
                 ( Jtype.T_named catch_cls,
                   "e",
@@ -727,44 +729,159 @@ let lookup_tests =
       unit_
         [
           class_decl "T"
-            [ throwing "go" "AppError"; throwing "wide" "Exception"; throwing "miss" "T" ];
+            [
+              throwing "go" "AppError";
+              throwing "wide" "Exception";
+              throwing "miss" "T";
+              throwing ~thrown:"Error" "fatal" "Throwable";
+              throwing ~thrown:"Error" "unchecked" "Exception";
+            ];
           class_decl ~extends:"AppError" "NotFound" [];
         ];
       unit_ [ class_decl ~extends:"RuntimeException" "AppError" [] ];
     ]
   in
+  (* locals, fields, singletons and heap references: what the machine's
+     per-call state holds *)
+  let state =
+    let name n = Jexpr.E_name n in
+    let assign lhs rhs = Jstmt.S_expr (Jexpr.E_assign (lhs, rhs)) in
+    let local typ n init = Jstmt.S_local (typ, n, Some init) in
+    let bump n = assign (name n) (Jexpr.E_binary ("+", name n, Jexpr.E_int 1)) in
+    let current =
+      Jexpr.E_call (Some (Jexpr.E_name "TransactionManager"), "current", [])
+    in
+    (* sum = sum * 10 + v for a v declared afresh in each of three rounds *)
+    let redeclared =
+      mk_method ~return_type:Jtype.T_int "redeclared"
+        [
+          local Jtype.T_int "sum" (Jexpr.E_int 0);
+          local Jtype.T_int "i" (Jexpr.E_int 0);
+          Jstmt.S_while
+            ( Jexpr.E_binary ("<", name "i", Jexpr.E_int 3),
+              [
+                local Jtype.T_int "v" (Jexpr.E_binary ("+", name "i", Jexpr.E_int 1));
+                assign (name "sum")
+                  (Jexpr.E_binary
+                     ("+", Jexpr.E_binary ("*", name "sum", Jexpr.E_int 10), name "v"));
+                bump "i";
+              ] );
+          Jstmt.S_return (Some (name "sum"));
+        ]
+    in
+    (* note = 4; return note * 10 + this.note; with no field note declared *)
+    let stash =
+      mk_method ~return_type:Jtype.T_int "stash"
+        [
+          assign (name "note") (Jexpr.E_int 4);
+          Jstmt.S_return
+            (Some
+               (Jexpr.E_binary
+                  ( "+",
+                    Jexpr.E_binary ("*", name "note", Jexpr.E_int 10),
+                    this_field "note" )));
+        ]
+    in
+    let same =
+      mk_method ~return_type:Jtype.T_boolean "same"
+        [ Jstmt.S_return (Some (Jexpr.E_binary ("==", current, current))) ]
+    in
+    (* push 20 Nodes onto a list, then sum their ids from the head *)
+    let chain =
+      let field_of n f = Jexpr.E_field (name n, f) in
+      mk_method ~return_type:Jtype.T_int "chain"
+        [
+          local (Jtype.T_named "Node") "head" Jexpr.E_null;
+          local Jtype.T_int "i" (Jexpr.E_int 0);
+          Jstmt.S_while
+            ( Jexpr.E_binary ("<", name "i", Jexpr.E_int 20),
+              [
+                local (Jtype.T_named "Node") "n" (Jexpr.E_new ("Node", []));
+                assign (field_of "n" "id") (name "i");
+                assign (field_of "n" "next") (name "head");
+                assign (name "head") (name "n");
+                bump "i";
+              ] );
+          local Jtype.T_int "sum" (Jexpr.E_int 0);
+          Jstmt.S_while
+            ( Jexpr.E_binary ("!=", name "head", Jexpr.E_null),
+              [
+                assign (name "sum")
+                  (Jexpr.E_binary ("+", name "sum", field_of "head" "id"));
+                assign (name "head") (field_of "head" "next");
+              ] );
+          Jstmt.S_return (Some (name "sum"));
+        ]
+    in
+    let take =
+      mk_method "take"
+        ~params:[ { Jdecl.param_name = "o"; param_type = Jtype.T_named "Node" } ]
+        [
+          Jstmt.S_expr
+            (Jexpr.E_call (Some (Jexpr.E_name "Logger"), "log", [ name "o" ]));
+        ]
+    in
+    [
+      unit_
+        [
+          class_decl "T" [ redeclared; stash; same; chain; take ];
+          class_decl
+            ~fields:[ field "id" Jtype.T_int; field "next" (Jtype.T_named "Node") ]
+            "Node" [];
+        ];
+    ]
+  in
   let table =
     [
       ( "two units declare A: the first unit's A runs",
-        twice_declared, ("A", "id", []), "returned 1 []" );
+        twice_declared, ("A", "id", [], []), "returned 1 []" );
       ( "an interface A before a class A: the class runs",
-        behind_interface, ("A", "id", []), "returned 1 []" );
+        behind_interface, ("A", "id", [], []), "returned 1 []" );
       ( "a method inherited from a superclass in a later unit",
-        inherited, ("Sub", "ping", []), "returned 7 [Logger.log]" );
+        inherited, ("Sub", "ping", [], []), "returned 7 [Logger.log]" );
       ( "inherited fields default-initialize and take assignment",
-        inherited_fields, ("Sub", "bump", []), "returned 5 [Logger.log]" );
+        inherited_fields, ("Sub", "bump", [], []), "returned 5 [Logger.log]" );
       ( "a fault naming the declaring class fires on an inherited method",
-        inherited, ("Sub", "ping", [ ("Base", "ping") ]),
+        inherited, ("Sub", "ping", [ ("Base", "ping") ], []),
         "threw RuntimeException [FaultInjector.throw]" );
       ( "a fault naming the subclass does not fire on an inherited method",
-        inherited, ("Sub", "ping", [ ("Sub", "ping") ]), "returned 7 [Logger.log]" );
+        inherited, ("Sub", "ping", [ ("Sub", "ping") ], []), "returned 7 [Logger.log]" );
       ( "run on an unknown class",
-        inherited, ("Nope", "ping", []), "error: unknown class Nope" );
+        inherited, ("Nope", "ping", [], []), "error: unknown class Nope" );
       ( "run on the undeclared builtin RuntimeException",
-        inherited, ("RuntimeException", "ping", []),
+        inherited, ("RuntimeException", "ping", [], []),
         "error: class RuntimeException has no method ping" );
       ( "a program exception is caught by its declared superclass",
-        exceptions, ("T", "go", []), "returned 1 [Logger.log]" );
+        exceptions, ("T", "go", [], []), "returned 1 [Logger.log]" );
       ( "a program exception is caught as Exception up its chain",
-        exceptions, ("T", "wide", []), "returned 1 [Logger.log]" );
+        exceptions, ("T", "wide", [], []), "returned 1 [Logger.log]" );
       ( "a program exception escapes a handler for an unrelated class",
-        exceptions, ("T", "miss", []), "threw NotFound []" );
+        exceptions, ("T", "miss", [], []), "threw NotFound []" );
+      ( "an Error is caught as Throwable",
+        exceptions, ("T", "fatal", [], []), "returned 1 [Logger.log]" );
+      ( "an Error escapes a handler for Exception",
+        exceptions, ("T", "unchecked", [], []), "threw Error []" );
+      ( "a local redeclared in a while body reads its latest value",
+        state, ("T", "redeclared", [], []), "returned 123 []" );
+      ( "an assignment to an undeclared name lands on this's fields",
+        state, ("T", "stash", [], []), "returned 44 []" );
+      ( "TransactionManager.current() is one instance within a run",
+        state, ("T", "same", [], []), "returned true []" );
+      ( "references stay valid past the heap's first capacity",
+        state, ("T", "chain", [], []), "returned 190 []" );
+      ( "a caller-supplied reference past the heap is dangling",
+        state, ("T", "take", [], [ Interp.Rvalue.V_object 99 ]),
+        "error: dangling heap reference @99" );
+      ( "a caller-supplied reference inside the heap's capacity is dangling",
+        state, ("T", "take", [], [ Interp.Rvalue.V_object 3 ]),
+        "error: dangling heap reference @3" );
     ]
   in
   List.map
-    (fun (name, program, (class_name, method_name, faults), want) ->
+    (fun (name, program, (class_name, method_name, faults, args), want) ->
       Alcotest.test_case name `Quick (fun () ->
-          check cs name want (outcome_line ~faults program ~class_name ~method_name)))
+          check cs name want
+            (outcome_line ~faults ~args program ~class_name ~method_name)))
     table
 
 (* Minor-heap words one [Machine.run] allocates, calling [m0] of the last
