@@ -115,7 +115,7 @@ let check_xmi ~aux ~base ~edits =
             | Ok m3 when Mof.Model.equal m' m3 -> Ok ()
             | Ok _ -> Error "[xmi] the armored rendering imports to a different model"))
 
-(* ---- R4: indexes, extents, and qualified-name lookup vs fresh scans ------ *)
+(* ---- R4: indexes, extents, and an of_elements rebuild vs fresh scans ---- *)
 
 module Sm = Map.Make (String)
 
@@ -181,46 +181,6 @@ let check_query ~aux:_ ~base ~edits =
   | rebuilt ->
       if not (Mof.Model.equal m' rebuilt) then
         record "[query] of_elements rebuild differs from original");
-  (* qualified-name lookup: indexed resolution vs the scan-based spec —
-     among all elements sharing the printed qualified name, the one with
-     the deepest owner chain wins, ties to the lowest id *)
-  let by_qname =
-    List.fold_left
-      (fun m (e : Mof.Element.t) ->
-        bucket m (Mof.Query.qualified_name m' e.id) e.id)
-      Sm.empty elems
-  in
-  Sm.iter
-    (fun qname ids ->
-      let depth id = List.length (Mof.Query.owner_chain m' id) in
-      let best =
-        List.fold_left
-          (fun acc id ->
-            match acc with
-            | None -> Some id
-            | Some b ->
-                let db = depth b and di = depth id in
-                if di > db then Some id
-                else if di = db && Mof.Id.compare id b < 0 then Some id
-                else acc)
-          None
-          (Mof.Id.Set.elements ids)
-      in
-      match (Mof.Query.find_by_qualified_name m' qname, best) with
-      | Some e, Some want when Mof.Id.equal e.Mof.Element.id want -> ()
-      | got, _ ->
-          record
-            (Printf.sprintf
-               "[query] find_by_qualified_name %S resolved to %s, scan spec \
-                says %s"
-               qname
-               (match got with
-               | Some e -> Mof.Id.to_string e.Mof.Element.id
-               | None -> "none")
-               (match best with
-               | Some id -> Mof.Id.to_string id
-               | None -> "none")))
-    by_qname;
   match !fail with None -> Ok () | Some msg -> Error msg
 
 (* ---- R5: planned OCL evaluation vs naive evaluation ---------------------- *)
@@ -429,6 +389,38 @@ let outcome_tag = function
   | Ok _ -> "ok"
   | Error e -> "error: " ^ Core.Pipeline.error_to_string e
 
+(* A traced batch's events split into items: one group per run of
+   consecutive events of one session (item i is session i; the
+   [batch.run] span around them has none), in the order the trace lists
+   them. Split before normalizing, since [normalize] zeroes [sess]. Then
+   [seq] counts from 1 and [depth] from each item's first event: every
+   domain numbers its own events, and an item the submitter ran sits
+   under [batch.run] while one a worker ran is a root. *)
+let item_traces events =
+  let renumber = function
+    | [] -> []
+    | (first : Obs.Event.t) :: _ as events ->
+        List.mapi
+          (fun i (e : Obs.Event.t) ->
+            Obs.Event.normalize
+              { e with seq = i + 1; depth = e.depth - first.depth })
+          events
+  in
+  List.fold_left
+    (fun groups (e : Obs.Event.t) ->
+      match groups with
+      | _ when e.sess = 0 -> groups
+      | (s, rev) :: rest when s = e.sess -> (s, e :: rev) :: rest
+      | _ -> (e.sess, [ e ]) :: groups)
+    [] events
+  |> List.rev_map (fun (s, rev) -> (s, renumber (List.rev rev)))
+
+(* [f]'s result, and the events it emitted split into items *)
+let traced_batch f =
+  let sink, events = Obs.Sink.memory () in
+  let v = Obs.with_sink sink f in
+  (v, item_traces (events ()))
+
 let check_par ~aux ~base ~edits =
   let base_m, slots =
     Edit.apply_with_slots (Mof.Model.create ~name:"fuzz") base
@@ -476,29 +468,23 @@ let check_par ~aux ~base ~edits =
       if not was_on then Obs.Metric.disable ();
       Obs.Metric.absorb outer)
   @@ fun () ->
-  let seq = Par.Batch.refine_all_traced ~steps models in
+  let seq, seq_items = traced_batch (fun () -> Par.Batch.refine_all ~steps models) in
   let seq_totals = counter_totals (Obs.Metric.drain ()) in
-  let par2 = Par.Batch.refine_all_traced ~pool:(pool 2) ~steps models in
+  let par2, par2_items =
+    traced_batch (fun () -> Par.Batch.refine_all ~pool:(pool 2) ~steps models)
+  in
   let par2_totals = counter_totals (Obs.Metric.drain ()) in
   let par3 = Par.Batch.refine_all ~pool:(pool 3) ~steps models in
   ignore (Obs.Metric.drain ());
+  let sessions items = String.concat "," (List.map (fun (s, _) -> string_of_int s) items) in
   let rec first_mismatch i = function
     | [], [] -> Ok ()
-    | (o_seq, ev_seq) :: rest_seq, (o_par, ev_par) :: rest_par ->
+    | o_seq :: rest_seq, o_par :: rest_par ->
         if not (same_outcome o_seq o_par) then
           Error
             (Printf.sprintf
                "[par] item %d: sequential %s but 2-domain pool %s" i
                (outcome_tag o_seq) (outcome_tag o_par))
-        else if
-          List.map Obs.Event.normalize ev_seq
-          <> List.map Obs.Event.normalize ev_par
-        then
-          Error
-            (Printf.sprintf
-               "[par] item %d: normalized trace differs between sequential \
-                and 2-domain runs (%d vs %d events)"
-               i (List.length ev_seq) (List.length ev_par))
         else first_mismatch (i + 1) (rest_seq, rest_par)
     | _ ->
         Error
@@ -507,19 +493,36 @@ let check_par ~aux ~base ~edits =
   in
   match first_mismatch 0 (seq, par2) with
   | Error _ as e -> e
-  | Ok () ->
-      if
-        not
-          (List.for_all2
-             (fun (o_seq, _) o_par -> same_outcome o_seq o_par)
-             seq par3)
-      then Error "[par] 3-domain pool outcomes diverge from sequential"
-      else if seq_totals <> par2_totals then
+  | Ok () -> (
+      (* the pool replays each item's events in one run, in submission
+         order, which is what [batch --trace] relies on *)
+      if List.map fst par2_items <> List.map fst seq_items then
         Error
-          (Format.asprintf
-             "[par] merged counters differ@.sequential:%a@.2-domain:%a"
-             pp_totals seq_totals pp_totals par2_totals)
-      else Ok ()
+          (Printf.sprintf
+             "[par] 2-domain trace lists item events by session %s, the \
+              sequential one by %s"
+             (sessions par2_items) (sessions seq_items))
+      else
+        match
+          List.find_opt
+            (fun ((_, ev_seq), (_, ev_par)) -> ev_seq <> ev_par)
+            (List.combine seq_items par2_items)
+        with
+        | Some ((session, ev_seq), (_, ev_par)) ->
+            Error
+              (Printf.sprintf
+                 "[par] item %d: normalized trace differs between sequential \
+                  and 2-domain runs (%d vs %d events)"
+                 (session - 1) (List.length ev_seq) (List.length ev_par))
+        | None ->
+            if not (List.for_all2 same_outcome seq par3) then
+              Error "[par] 3-domain pool outcomes diverge from sequential"
+            else if seq_totals <> par2_totals then
+              Error
+                (Format.asprintf
+                   "[par] merged counters differ@.sequential:%a@.2-domain:%a"
+                   pp_totals seq_totals pp_totals par2_totals)
+            else Ok ())
 
 (* ---- R8: content-addressed repo ≡ naive full-copy repo ------------------ *)
 

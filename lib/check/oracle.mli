@@ -15,8 +15,9 @@
     - [xmi]: export → import → export is a fixpoint (byte-identical second
       export), reimport is {!Mof.Model.equal}, and parsing a
       character-reference-armored rendering equals parsing the plain one;
-    - [query]: every secondary index, {!Ocl.Meta.all_instances} extent, and
-      {!Mof.Query.find_by_qualified_name} lookup ≡ a fresh full scan;
+    - [query]: every secondary index and {!Ocl.Meta.all_instances} extent
+      ≡ a fresh full scan, and a rebuild by {!Mof.Model.of_elements} is
+      {!Mof.Model.equal} to the model;
     - [ocl]: {!Ocl.Constraint_.check} (planner probes) ≡
       {!Ocl.Constraint_.check_naive} (raw AST, extent folds) on random
       constraints under random [$param$] bindings, over the base and the
@@ -35,10 +36,14 @@
     - [par]: a batch of refinements pushed through a {!Par.Pool} of 2 and 3
       domains ≡ the same batch applied sequentially in the submitting
       domain — per-item outcomes ({!Mof.Model.equal} on success, rendered
-      {!Core.Pipeline.error} on failure), per-item traces after
-      {!Obs.Event.normalize}, and merged counter totals, every counter
-      included, must all agree, with pools cached across cases so leaked
-      domain-local state would be caught;
+      {!Core.Pipeline.error} on failure), per-item traces and merged
+      counter totals, every counter included, must all agree, with pools
+      cached across cases so leaked domain-local state would be caught.
+      Both runs are {!Par.Batch.refine_all} under a memory sink, so the
+      2-domain trace is the one the pool captured per item and replayed,
+      as [mdweave batch --trace] records it; it must list each item's
+      events in one run, in submission order, and each item's events
+      ({!item_traces}) must equal the sequential run's;
     - [repo]: the content-addressed {!Repository.Repo} ≡ the full-copy
       {!Repository.Naive} baseline over random commit/undo/redo/tag/
       checkout scripts — head model, sizes, undo/redo availability, tags,
@@ -71,6 +76,15 @@ val all : t list
 (** The ten oracles, in documentation order. *)
 
 val find : string -> t option
+
+val item_traces : Obs.Event.t list -> (int * Obs.Event.t list) list
+(** A traced {!Par.Batch.refine_all}'s events split into items, as the
+    [par] oracle compares them: one [(session, events)] group per run of
+    consecutive events of one session (item [i] is session [i]; events of
+    no session are dropped), in trace order. Each group's events are
+    renumbered — [seq] from 1, [depth] from the group's first event — and
+    then {!Obs.Event.normalize}d, so an item's group does not depend on
+    which domain ran it. *)
 
 val tag_of : string -> string
 (** The leading [[tag]] of a failure message (the whole message when it has

@@ -19,11 +19,11 @@ type entry = {
 val all : unit -> entry list
 (** The builtins, then everything {!register}ed, in registration order. *)
 
-val find : string -> entry option
-(** Lookup by concern key. *)
-
 val find_gmt : string -> Transform.Gmt.t option
+(** The generic model transformation of a concern key. *)
+
 val find_gac : string -> Aspects.Generic.t option
+(** The generic aspect of a concern key. *)
 
 val register : entry -> (unit, string list) result
 (** Adds a user-defined concern. Rejected (with diagnostics) when the key is

@@ -59,7 +59,11 @@ let r_int r =
     if shift = 56 && b land 0x40 <> 0 then
       raise (Corrupt "varint out of the non-negative int range");
     let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
+    if b land 0x80 <> 0 then go (shift + 7) acc
+    else if b = 0 && shift > 0 then
+      (* [w_int] writes the fewest bytes, so its last byte is never 0 *)
+      raise (Corrupt (Printf.sprintf "overlong varint ending at byte %d" (r.pos - 1)))
+    else acc
   in
   go 0 0
 

@@ -53,8 +53,10 @@ val at_end : reader -> bool
 
 val r_int : reader -> int
 (** Reads what {!w_int} writes: a non-negative int. Raises [Corrupt] on a
-    truncated varint, on one wider than nine bytes, and on one whose value
-    does not fit a non-negative int (a ninth byte with bit 6 set). *)
+    truncated varint, on one wider than nine bytes, on one whose value
+    does not fit a non-negative int (a ninth byte with bit 6 set), and on
+    an overlong one: more than one byte, the last of them 0, which
+    {!w_int} never writes. So each value reads from one byte string. *)
 
 val r_str : reader -> string
 val r_opt : (reader -> 'a) -> reader -> 'a option

@@ -109,40 +109,6 @@ let qualified_name m id =
     let names = List.map (fun o -> (Model.find_exn m o).Element.name) chain in
     String.concat "." (names @ [ e.Element.name ])
 
-let find_by_qualified_name m qname =
-  (* A matching element's simple name is the join of some suffix of the
-     dot-split of [qname] (the whole of it for the root, or for names that
-     themselves contain dots), so the name index narrows the candidates to
-     those few ids; each is then verified against its actual qualified name.
-     O(d·(log n + c·d)) for path depth d and c same-named candidates, vs the
-     historical scan's O(n·d). *)
-  let rec suffixes = function
-    | [] -> []
-    | _ :: rest as segments -> String.concat "." segments :: suffixes rest
-  in
-  let candidates =
-    List.fold_left
-      (fun acc name -> Id.Set.union acc (Model.by_name m name))
-      Id.Set.empty
-      (suffixes (String.split_on_char '.' qname))
-  in
-  (* Several elements can print the same qualified name when a simple name
-     embeds a dot (a root-level class "bank.Account" vs a class "Account"
-     in package "bank"). Prefer the structural reading — the deepest owner
-     chain — so the package-join interpretation always beats a dotted
-     simple name; ties (true duplicates) go to the lowest id. The old
-     first-in-id-order rule made the winner depend on creation order. *)
-  let depth id = List.length (owner_chain m id) in
-  Id.Set.elements candidates
-  |> List.filter (fun id -> String.equal (qualified_name m id) qname)
-  |> List.fold_left
-       (fun best id ->
-         match best with
-         | Some b when depth b >= depth id -> best
-         | _ -> Some id)
-       None
-  |> Option.map (Model.find_exn m)
-
 let find_class m name =
   Option.map (Model.find_exn m)
     (Id.Set.min_elt_opt

@@ -4,8 +4,12 @@
     All listings come back in ascending id order — the order the historical
     full-scan implementations produced — but are now served from the model's
     secondary indexes ({!Model.by_kind}, {!Model.by_name}), so a lookup
-    costs O(log n + r) for r results instead of O(n). The byte-for-byte agreement with a full scan is pinned
-    by the randomized consistency test in [test_mof.ml]. *)
+    costs O(log n + r) for r results instead of O(n). The byte-for-byte
+    agreement with a full scan is pinned by the randomized consistency test
+    in [test_mof.ml], and the [query] oracle holds the indexes to a rescan.
+
+    A qualified name is rendered, never resolved: the code generator and
+    OCL print it, and nothing looks an element up by it. *)
 
 val classes : Model.t -> Element.t list
 (** All class elements, in id order. O(log n + r). *)
@@ -51,22 +55,9 @@ val qualified_name : Model.t -> Id.t -> string
     e.g. ["bank.Account.balance"]. The root element's qualified name is its
     own name. O(depth). *)
 
-val find_by_qualified_name : Model.t -> string -> Element.t option
-(** Inverse of {!qualified_name}. Resolved through the name index:
-    candidates are the elements whose simple name is a dot-suffix of the
-    path, each verified against its actual qualified name — O(d·(log n +
-    c·d)) for depth d and c candidates, not a model scan. When several
-    elements print the same qualified name (a simple name embedding [.] can
-    collide with a package join), the structurally deepest one wins — the
-    package-path reading beats the dotted-simple-name reading — with ties
-    broken by lowest id. *)
-
 val find_class : Model.t -> string -> Element.t option
 (** First class with the given simple name (intersection of the kind and
     name indexes). *)
-
-val owner_chain : Model.t -> Id.t -> Id.t list
-(** Owners from the element's direct owner up to the root, nearest first. *)
 
 val containing_class : Model.t -> Id.t -> Id.t option
 (** Nearest enclosing class of an element, if any. *)

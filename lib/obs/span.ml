@@ -24,8 +24,8 @@ let depth () = (state ()).depth
 let request_id () = (state ()).req
 let session_id () = (state ()).sess
 
-(* [reset] renumbers (seq/depth) only: a scoped capture that restarts
-   numbering must not lose the ambient request context it runs under. *)
+(* [reset] renumbers (seq/depth) only; [Obs.reset] clears the request
+   context separately. *)
 let reset () =
   let st = state () in
   st.seq <- 0;
@@ -55,22 +55,6 @@ let with_request ?id f =
 
 let with_session ~id f =
   with_context (fun st -> st.sess) (fun st v -> st.sess <- v) id f
-
-(* Save/restore of the local counters, so a scoped trace capture (one batch
-   item recorded into its own sink) can renumber from zero without
-   corrupting the bookkeeping of whatever outer spans are open. *)
-type snapshot = { s_seq : int; s_depth : int; s_req : int; s_sess : int }
-
-let save () =
-  let st = state () in
-  { s_seq = st.seq; s_depth = st.depth; s_req = st.req; s_sess = st.sess }
-
-let restore snap =
-  let st = state () in
-  st.seq <- snap.s_seq;
-  st.depth <- snap.s_depth;
-  st.req <- snap.s_req;
-  st.sess <- snap.s_sess
 
 let next_seq st =
   st.seq <- st.seq + 1;

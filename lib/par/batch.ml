@@ -25,21 +25,23 @@ let refine_one ~steps model =
   end;
   outcome
 
-let run_batch ?pool ~label f models =
+let refine_all ?pool ~steps models =
   let jobs = match pool with None -> 1 | Some p -> Pool.jobs p in
   (* Each item is a session (its 1-based batch position) carrying a fresh
-     request id, established on whichever domain runs it — so every event
-     an item emits can be sliced out of a trace by request or session.
-     Ids are process-wide and allocation order under a pool is racy, which
-     is why Event.normalize zeroes them: the par oracle stays exact. *)
+     request id, established on whichever domain runs it, so every event
+     an item emits can be sliced out of a trace by request or session: the
+     par oracle splits a traced batch into items by session. Ids are
+     process-wide and allocation order under a pool is racy, which is why
+     Event.normalize zeroes them. *)
   let indexed = List.mapi (fun i m -> (i + 1, m)) models in
   let item (session, m) =
-    Obs.with_session ~id:session (fun () -> Obs.with_request (fun () -> f m))
+    Obs.with_session ~id:session (fun () ->
+        Obs.with_request (fun () -> refine_one ~steps m))
   in
   Obs.span ~cat:"par" "batch.run"
     ~args:
       [
-        ("kind", Obs.Event.V_string label);
+        ("kind", Obs.Event.V_string "refine");
         ("items", Obs.Event.V_int (List.length models));
         ("jobs", Obs.Event.V_int jobs);
       ]
@@ -47,26 +49,3 @@ let run_batch ?pool ~label f models =
   match pool with
   | None -> List.map item indexed
   | Some p -> Pool.map p item indexed
-
-let refine_all ?pool ~steps models =
-  run_batch ?pool ~label:"refine" (refine_one ~steps) models
-
-(* Traced item: record into a private memory sink with span numbering
-   restarted at zero, so the captured stream only depends on what the item
-   did — not on which domain ran it or what ran on that domain before.
-   The previous sink and span counters are restored either way. *)
-let traced f item =
-  let snap = Obs.Span.save () in
-  let sink, events = Obs.Sink.memory () in
-  let outcome =
-    Fun.protect
-      ~finally:(fun () -> Obs.Span.restore snap)
-      (fun () ->
-        Obs.with_sink sink (fun () ->
-            Obs.Span.reset ();
-            f item))
-  in
-  (outcome, events ())
-
-let refine_all_traced ?pool ~steps models =
-  run_batch ?pool ~label:"refine-traced" (traced (refine_one ~steps)) models

@@ -13,7 +13,10 @@
     into an unrelated item that happens to run on the same worker later —
     the [par] differential oracle and [test_par.ml] hold the parallel run
     to exact observational equality with the sequential one, every
-    counter included. *)
+    counter included. Item [i] runs as session [i], so a trace of the
+    batch splits into items by session: the [par] oracle compares each
+    item's events, as the pool captured and replayed them, with the
+    sequential run's. *)
 
 type step = {
   concern : string;
@@ -37,16 +40,3 @@ val refine_all :
     shards, and when the caller traces each item's events, are merged at
     the join (see {!Pool}), so counter totals after the call are exact and
     a trace holds every item. *)
-
-val refine_all_traced :
-  ?pool:Pool.t ->
-  steps:step list ->
-  Mof.Model.t list ->
-  (outcome * Obs.Event.t list) list
-(** Like {!refine_all}, but each item additionally records its own event
-    trace: the worker installs a private memory sink and restarts span
-    numbering for the item, so the captured list is exactly the trace a
-    sequential run of that item would record — modulo
-    {!Obs.Event.normalize} (timestamps, durations, domain ids). The par
-    oracle compares these per item between the parallel and sequential
-    arms. *)

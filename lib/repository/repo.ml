@@ -260,14 +260,6 @@ let create_branch name t =
   if Smap.mem name t.branch_map then Error (`Branch_exists name)
   else Ok { t with branch_map = Smap.add name t.head_id t.branch_map }
 
-let switch_branch name t =
-  match Smap.find_opt name t.branch_map with
-  | None -> Error (Unknown_branch name)
-  | Some id ->
-      if Int_map.mem id t.commits then
-        Ok { t with head_id = id; redo_path = []; current_branch = name }
-      else Error (Dangling { name; commit = id })
-
 let model_at t id = Option.map (version t) (find t id)
 
 let log t =
@@ -297,7 +289,6 @@ let store_bytes t = Store.bytes t.store
 let magic = "MDWREPO1"
 
 let w_id_set buf s = Mof.Canon.w_list Mof.Canon.w_id buf (Mof.Id.Set.elements s)
-let r_id_set r = Mof.Id.Set.of_list (Mof.Canon.r_list Mof.Canon.r_id r)
 
 (* Determinism is structural: objects stream in digest order (Store.fold),
    commits in id order (Int_map.iter), names in name order (Smap.bindings),
@@ -388,8 +379,28 @@ let save t =
   Mof.Canon.w_str buf t.current_branch;
   Buffer.contents buf
 
+(* The first id a delta both removes and binds, both lists ascending. *)
+let rec removed_and_bound removed set =
+  match (removed, set) with
+  | x :: removed', (y, _) :: set' ->
+      let c = Mof.Id.compare x y in
+      if c = 0 then Some x
+      else if c < 0 then removed_and_bound removed' set
+      else removed_and_bound removed set'
+  | _ -> None
+
+let ids_to_string ids = String.concat " " (List.map Mof.Id.to_string ids)
+
 let load data =
   let corrupt fmt = Printf.ksprintf (fun msg -> raise (Mof.Canon.Corrupt msg)) fmt in
+  (* [save] writes every list in one order, so a list out of it would not
+     re-save to its own bytes: [what x] names the first element out of it *)
+  let rec ascending compare what = function
+    | a :: (b :: _ as rest) ->
+        if compare a b >= 0 then corrupt "%s out of ascending order" (what b)
+        else ascending compare what rest
+    | [] | [ _ ] -> ()
+  in
   try
     if
       String.length data < String.length magic
@@ -406,9 +417,13 @@ let load data =
         corrupt "object count %d exceeds what the remaining %d bytes can hold"
           n_objects remaining;
       let store = ref Store.empty in
+      let last = ref "" in
       let objects =
         Array.init n_objects (fun i ->
             let digest = Mof.Canon.r_bytes r Mof.Canon.digest_size in
+            if String.compare !last digest >= 0 then
+              corrupt "object %d is out of ascending digest order" i;
+            last := digest;
             let bytes = Mof.Canon.r_str r in
             if not (String.equal (Digest.string bytes) digest) then
               corrupt "object digest mismatch at index %d" i;
@@ -428,11 +443,17 @@ let load data =
          what the version walks and every later build of a version rely on,
          in O(changes · log n) per commit: ids ascend, so a parent (always
          read before its child) has the smaller id; exactly one commit has
-         no parent, so every two commits share an ancestor; a tree differs
-         from its parent's only at ids the stored diff touched; each
-         binding's object holds the id it is bound to; and every tree holds
-         its root package and no id at or above its next-id counter. Only
-         the head's model is built here; see [version]. *)
+         no parent, so every two commits share an ancestor; each binding's
+         object holds the id it is bound to; and every tree holds its root
+         package and no id at or above its next-id counter. Each delta is
+         classified against its parent's tree, one lookup per entry, as
+         [save] derives it: removals of ids the parent binds, then ids bound
+         to a new object (added when the parent lacks them, else modified),
+         each list strictly ascending and no id in both. The stored diff
+         must be exactly that classification (empty for the root, which
+         removes nothing), so it says what the trees say and [save] writes
+         the same delta back. Only the head's model is built here; see
+         [version]. *)
       let n_commits = Mof.Canon.r_int r in
       let commits = ref Int_map.empty in
       for _ = 1 to n_commits do
@@ -471,34 +492,74 @@ let load data =
               (eid, digest))
             r
         in
-        let tree =
-          List.fold_left
-            (fun tr rid -> Mof.Id.Map.remove rid tr)
-            (match parent_commit with
-            | Some (pc : Commit.t) -> pc.Commit.tree
-            | None -> Mof.Id.Map.empty)
-            removed
+        let delta verb eid =
+          Printf.sprintf "commit #%d's delta %s %s" id verb (Mof.Id.to_string eid)
+        in
+        ascending Mof.Id.compare (delta "removes") removed;
+        ascending (fun (a, _) (b, _) -> Mof.Id.compare a b)
+          (fun (eid, _) -> delta "binds" eid)
+          set;
+        let parent_tree =
+          match parent_commit with
+          | Some (pc : Commit.t) -> pc.Commit.tree
+          | None -> (
+              match removed with
+              | eid :: _ -> corrupt "root commit #%d removes %s" id (Mof.Id.to_string eid)
+              | [] -> Mof.Id.Map.empty)
         in
         let tree =
           List.fold_left
-            (fun tr (eid, digest) -> Mof.Id.Map.add eid digest tr)
-            tree set
+            (fun tr rid ->
+              if not (Mof.Id.Map.mem rid parent_tree) then
+                corrupt "commit #%d removes %s, which its parent does not bind" id
+                  (Mof.Id.to_string rid);
+              Mof.Id.Map.remove rid tr)
+            parent_tree removed
         in
-        let added = r_id_set r in
-        let d_removed = r_id_set r in
-        let modified = r_id_set r in
-        let diff = { Mof.Diff.added; removed = d_removed; modified } in
-        (if parent <> None then
-           let touched = Mof.Diff.touched diff in
-           match
-             List.find_opt
-               (fun eid -> not (Mof.Id.Set.mem eid touched))
-               (removed @ List.map fst set)
-           with
-           | Some eid ->
-               corrupt "commit #%d changes %s outside its stored diff" id
-                 (Mof.Id.to_string eid)
-           | None -> ());
+        (match removed_and_bound removed set with
+        | Some eid ->
+            corrupt "commit #%d both removes and rebinds %s" id (Mof.Id.to_string eid)
+        | None -> ());
+        let tree, rev_added, rev_modified =
+          List.fold_left
+            (fun (tr, added, modified) (eid, digest) ->
+              let added, modified =
+                match Mof.Id.Map.find_opt eid parent_tree with
+                | None -> (eid :: added, modified)
+                | Some d when String.equal d digest ->
+                    corrupt "commit #%d rebinds %s to the object its parent binds" id
+                      (Mof.Id.to_string eid)
+                | Some _ -> (added, eid :: modified)
+              in
+              (Mof.Id.Map.add eid digest tr, added, modified))
+            (tree, [], []) set
+        in
+        let stored_added = Mof.Canon.r_list Mof.Canon.r_id r in
+        let stored_removed = Mof.Canon.r_list Mof.Canon.r_id r in
+        let stored_modified = Mof.Canon.r_list Mof.Canon.r_id r in
+        let diff =
+          if parent = None then begin
+            if stored_added <> [] || stored_removed <> [] || stored_modified <> []
+            then corrupt "root commit #%d's stored diff is not empty" id;
+            Mof.Diff.empty
+          end
+          else begin
+            let agree field verb stored derived =
+              if not (List.equal Mof.Id.equal stored derived) then
+                corrupt "commit #%d's stored %s ids (%s) are not the ids its delta %s (%s)"
+                  id field (ids_to_string stored) verb (ids_to_string derived)
+            in
+            let added = List.rev rev_added and modified = List.rev rev_modified in
+            agree "added" "adds" stored_added added;
+            agree "removed" "removes" stored_removed removed;
+            agree "modified" "modifies" stored_modified modified;
+            {
+              Mof.Diff.added = Mof.Id.Set.of_list added;
+              removed = Mof.Id.Set.of_list removed;
+              modified = Mof.Id.Set.of_list modified;
+            }
+          end
+        in
         if not (Mof.Id.Map.mem root tree) then
           corrupt "commit #%d does not hold its root package %s" id
             (Mof.Id.to_string root);
@@ -525,19 +586,23 @@ let load data =
       (match List.find_opt (fun id -> not (Int_map.mem id !commits)) redo_path with
       | Some id -> corrupt "redo path names unknown commit #%d" id
       | None -> ());
-      let r_named () =
-        List.fold_left
-          (fun m (name, id) -> Smap.add name id m)
-          Smap.empty
-          (Mof.Canon.r_list
-             (fun r ->
-               let name = Mof.Canon.r_str r in
-               let id = Mof.Canon.r_int r in
-               (name, id))
-             r)
+      let r_named what =
+        let named =
+          Mof.Canon.r_list
+            (fun r ->
+              let name = Mof.Canon.r_str r in
+              let id = Mof.Canon.r_int r in
+              (name, id))
+            r
+        in
+        ascending
+          (fun (a, _) (b, _) -> String.compare a b)
+          (fun (name, _) -> Printf.sprintf "the snapshot lists %s %S" what name)
+          named;
+        List.fold_left (fun m (name, id) -> Smap.add name id m) Smap.empty named
       in
-      let tag_map = r_named () in
-      let branch_map = r_named () in
+      let tag_map = r_named "tag" in
+      let branch_map = r_named "branch" in
       let current_branch = Mof.Canon.r_str r in
       if not (Mof.Canon.at_end r) then
         raise (Mof.Canon.Corrupt "trailing bytes after snapshot");

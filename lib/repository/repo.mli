@@ -12,9 +12,9 @@
     all but its changes with the model it was built from (see "Versions
     cost what changed"). The per-commit diff is computed once at [commit]
     time ({!Mof.Diff.compute} against the parent's model) and stored on the
-    commit, where [save] writes each tree delta from it and [load] checks
-    each delta against it; {!diff_between} diffs the two endpoint trees and
-    skips what they share. Tags and branches are cheap named pointers with
+    commit, where [save] writes each tree delta from it and [load] requires
+    it to be exactly what each delta does; {!diff_between} diffs the two
+    endpoint trees and skips what they share. Tags and branches are cheap named pointers with
     O(log n) lookup; the current branch pointer tracks the head through
     commit/undo/redo/checkout. {!save}/{!load} give a compact
     length-prefixed binary snapshot whose rendering is a byte-for-byte
@@ -29,8 +29,8 @@
 
     Every commit made in process keeps the model it was created with
     ({!Commit.t}'s [model] cell), so reading a version — {!head_model},
-    {!model_at}, and the new head after {!undo}, {!redo}, {!checkout} or
-    {!switch_branch} — is one O(log commits) lookup, and {!commit_on}
+    {!model_at}, and the new head after {!undo}, {!redo} or {!checkout} —
+    is one O(log commits) lookup, and {!commit_on}
     diffs against the branch head's own model. Models are persistent, so a
     commit's model shares every element and index node its diff did not
     touch with its parent's: each version costs the O(c · log n) path
@@ -109,9 +109,9 @@ val head_model : t -> Mof.Model.t
 (** The head version: the head commit's model, O(log commits) once built.
     After a commit it is physically the model that was committed, so an
     edit of it shares all but its changes with it and the next commit's
-    diff walks only those. After {!load} it is built; after an {!undo},
-    {!checkout} or {!switch_branch} on a loaded repository it may be built
-    here, as {!model_at} says. *)
+    diff walks only those. After {!load} it is built; after an {!undo} or
+    {!checkout} on a loaded repository it may be built here, as
+    {!model_at} says. *)
 
 val undo : t -> t option
 (** Move head to its parent; [None] at the root. O(log commits): no model
@@ -145,13 +145,6 @@ val branch_head : t -> string -> int option
 
 val create_branch : string -> t -> (t, [ `Branch_exists of string ]) result
 (** A new branch pointing at the head commit; does not switch to it. *)
-
-val switch_branch : string -> t -> (t, checkout_error) result
-(** Moves the head to the named branch's commit and makes it current;
-    clears the redo path. O(log commits + log branches). Only the golden
-    snapshot history in the tests switches branches, and no sequence of the
-    other operations builds that history, so it stays for the snapshot's
-    sake. *)
 
 val find : t -> int -> Commit.t option
 
@@ -210,13 +203,24 @@ val load : string -> (t, string) result
     references with a descriptive message; never raises. Also rejects what
     would break the version walks or a later build of a version, naming
     the commit and the ids: commit ids out of ascending order, a second
-    commit without a parent, a tree delta that changes an id its commit's
-    stored diff does not touch, a binding whose stored object holds a
+    commit without a parent, a binding whose stored object holds a
     different id, a commit whose tree lacks its root package or holds an
     id at or above its next-id counter, a redo path through an unknown
     commit, and a next commit id that does not exceed every stored one.
     Every check runs here, eagerly, so a snapshot that loads reads back
     every version without an error.
+
+    It accepts only what {!save} writes, so a snapshot that loads re-saves
+    to its own bytes. Each delta entry is classified against the parent's
+    tree, one lookup per entry, as [save] derives it: a removed id must be
+    bound there, a bound id is added where the parent binds nothing and
+    modified where it binds another object (never its own), both lists
+    ascend strictly and share no id, and the stored diff must list exactly
+    those ids; a root commit removes nothing and stores an empty diff. So
+    {!History.render}'s counts are {!diff_between}'s. The bytes must be
+    canonical: no overlong varint ({!Mof.Canon.r_int}), the object table in
+    strictly ascending digest order, and tag and branch names in strictly
+    ascending order.
 
     Each object is digested once, to check its payload, then decoded and
     re-encoded to check its canonical form, and stored under the digest

@@ -213,33 +213,17 @@ let info_of shadows (g : Aspects.Generator.generated) =
 
 (* --- the pair rules ---------------------------------------------------- *)
 
-(* May a pointcut match a call/set/execution shadow we only know the member
-   name of? Conservative: unknown sub-predicates answer "maybe". *)
-let rec may_match_call pc name =
-  match pc with
-  | Aspects.Pointcut.Execution _ | Aspects.Pointcut.Set_field _ -> false
-  | Aspects.Pointcut.Call mp ->
+(* May a pointcut match a shadow of [kind] we only know the member name
+   of? Conservative: unknown sub-predicates answer "maybe". *)
+let rec may_match (kind : [ `Call | `Set | `Execution ]) pc name =
+  match (kind, pc) with
+  | `Call, Aspects.Pointcut.Call mp | `Execution, Aspects.Pointcut.Execution mp ->
       Aspects.Pattern.matches mp.Aspects.Pattern.mp_method name
-  | Aspects.Pointcut.Within _ | Aspects.Pointcut.Not _ -> true
-  | Aspects.Pointcut.And (a, b) -> may_match_call a name && may_match_call b name
-  | Aspects.Pointcut.Or (a, b) -> may_match_call a name || may_match_call b name
-
-let rec may_match_set pc fname =
-  match pc with
-  | Aspects.Pointcut.Execution _ | Aspects.Pointcut.Call _ -> false
-  | Aspects.Pointcut.Set_field (_, fp) -> Aspects.Pattern.matches fp fname
-  | Aspects.Pointcut.Within _ | Aspects.Pointcut.Not _ -> true
-  | Aspects.Pointcut.And (a, b) -> may_match_set a fname && may_match_set b fname
-  | Aspects.Pointcut.Or (a, b) -> may_match_set a fname || may_match_set b fname
-
-let rec may_match_exec pc mname =
-  match pc with
-  | Aspects.Pointcut.Call _ | Aspects.Pointcut.Set_field _ -> false
-  | Aspects.Pointcut.Execution mp ->
-      Aspects.Pattern.matches mp.Aspects.Pattern.mp_method mname
-  | Aspects.Pointcut.Within _ | Aspects.Pointcut.Not _ -> true
-  | Aspects.Pointcut.And (a, b) -> may_match_exec a mname && may_match_exec b mname
-  | Aspects.Pointcut.Or (a, b) -> may_match_exec a mname || may_match_exec b mname
+  | `Set, Aspects.Pointcut.Set_field (_, fp) -> Aspects.Pattern.matches fp name
+  | _, Aspects.Pointcut.(Call _ | Execution _ | Set_field _) -> false
+  | _, Aspects.Pointcut.(Within _ | Not _) -> true
+  | _, Aspects.Pointcut.And (a, b) -> may_match kind a name && may_match kind b name
+  | _, Aspects.Pointcut.Or (a, b) -> may_match kind a name || may_match kind b name
 
 let patterns_may_overlap p q =
   Aspects.Pattern.is_wildcard p
@@ -341,7 +325,7 @@ let find_conflict ia ib =
       List.find_map
         (fun n ->
           Option.map (fun adv -> (n, adv))
-            (stmt_advice_matching (fun pc -> may_match_call pc n)))
+            (stmt_advice_matching (fun pc -> may_match `Call pc n)))
         a.intro_calls
     with
     | Some (n, _) ->
@@ -361,7 +345,7 @@ let find_conflict ia ib =
           List.find_map
             (fun f ->
               Option.map (fun adv -> (f, adv))
-                (stmt_advice_matching (fun pc -> may_match_set pc f)))
+                (stmt_advice_matching (fun pc -> may_match `Set pc f)))
             a.intro_sets
         with
         | Some (f, _) ->
@@ -387,7 +371,7 @@ let find_conflict ia ib =
           List.exists
             (fun (adv : Aspects.Advice.t) ->
               let wants_exec, _ = Matcher.kinds adv.Aspects.Advice.pointcut in
-              wants_exec && may_match_exec adv.Aspects.Advice.pointcut mname)
+              wants_exec && may_match `Execution adv.Aspects.Advice.pointcut mname)
             b.g.Aspects.Generator.aspect.Aspects.Aspect.advices
         in
         if hit then

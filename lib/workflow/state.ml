@@ -28,7 +28,6 @@ type progress = {
 }
 
 let start definition = { definition; done_rev = []; position = 0 }
-let definition p = p.definition
 
 let current_step p = List.nth_opt p.definition.steps p.position
 

@@ -29,9 +29,6 @@ type progress
 
 val start : t -> progress
 
-val definition : progress -> t
-(** The workflow a progress value tracks. *)
-
 val current_step : progress -> step option
 (** The next step to satisfy; [None] when the workflow is complete. *)
 

@@ -561,7 +561,10 @@ let registry_tests =
     Alcotest.test_case "builtins are registered" `Quick (fun () ->
         Concerns.Registry.reset ();
         List.iter
-          (fun key -> check cb key true (Concerns.Registry.find key <> None))
+          (fun key ->
+            check cb key true
+              (Concerns.Registry.find_gmt key <> None
+              && Concerns.Registry.find_gac key <> None))
           [
             "distribution";
             "transactions";
@@ -575,15 +578,17 @@ let registry_tests =
     Alcotest.test_case "find_gmt and find_gac agree" `Quick (fun () ->
         check cb "gmt" true (Concerns.Registry.find_gmt "security" <> None);
         check cb "gac" true (Concerns.Registry.find_gac "security" <> None);
-        check cb "unknown" true (Concerns.Registry.find "nope" = None));
+        check cb "unknown" true
+          (Concerns.Registry.find_gmt "nope" = None
+          && Concerns.Registry.find_gac "nope" = None));
     Alcotest.test_case "custom registration round trip" `Quick (fun () ->
         Concerns.Registry.reset ();
         (match Concerns.Registry.register (custom_entry "caching") with
         | Ok () -> ()
         | Error ds -> Alcotest.fail (String.concat "; " ds));
-        check cb "registered" true (Concerns.Registry.find "caching" <> None);
+        check cb "registered" true (Concerns.Registry.find_gmt "caching" <> None);
         Concerns.Registry.reset ();
-        check cb "reset drops it" true (Concerns.Registry.find "caching" = None));
+        check cb "reset drops it" true (Concerns.Registry.find_gmt "caching" = None));
     Alcotest.test_case "duplicate key rejected" `Quick (fun () ->
         Concerns.Registry.reset ();
         check cb "rejected" true

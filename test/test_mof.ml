@@ -334,7 +334,11 @@ let builder_tests =
         check cb "class gone" true (not (Mof.Model.mem m acct));
         check cb "children gone" true (Mof.Model.size m < before - attrs);
         let bank =
-          match Mof.Query.find_by_qualified_name m "bank" with
+          match
+            List.find_opt
+              (fun (e : Mof.Element.t) -> e.Mof.Element.name = "bank")
+              (Mof.Query.packages m)
+          with
           | Some e -> e.Mof.Element.id
           | None -> Alcotest.fail "bank package missing"
         in
@@ -402,42 +406,15 @@ let query_tests =
         let acct = Fixtures.class_id m "Account" in
         check cs "class" "bank.Account" (Mof.Query.qualified_name m acct);
         check cs "root" "banking" (Mof.Query.qualified_name m (Mof.Model.root m));
-        match Mof.Query.find_by_qualified_name m "bank.Account.balance" with
-        | Some e -> check cs "attr" "balance" e.Mof.Element.name
-        | None -> Alcotest.fail "qualified lookup failed");
-    Alcotest.test_case "dotted simple names lose to package joins" `Quick
-      (fun () ->
-        (* a root-level class literally named "pkg.Inner" prints the same
-           qualified name as class Inner in package pkg; the structural
-           (deeper) element must win regardless of creation order *)
-        let build ~collider_first =
-          let m = Mof.Model.create ~name:"m" in
-          let root = Mof.Model.root m in
-          let add_collider m = fst (Mof.Builder.add_class m ~owner:root ~name:"pkg.Inner") in
-          let add_nested m =
-            let m, pkg = Mof.Builder.add_package m ~owner:root ~name:"pkg" in
-            let m, inner = Mof.Builder.add_class m ~owner:pkg ~name:"Inner" in
-            (m, inner)
-          in
-          if collider_first then
-            let m = add_collider m in
-            add_nested m
-          else
-            let m, inner = add_nested m in
-            (add_collider m, inner)
-        in
-        List.iter
-          (fun collider_first ->
-            let m, inner = build ~collider_first in
-            match Mof.Query.find_by_qualified_name m "pkg.Inner" with
-            | Some e ->
-                check cb
-                  (Printf.sprintf "nested wins (collider_first=%b)"
-                     collider_first)
-                  true
-                  (Mof.Id.equal e.Mof.Element.id inner)
-            | None -> Alcotest.fail "qualified lookup failed")
-          [ true; false ]);
+        match
+          List.find_opt
+            (fun (e : Mof.Element.t) -> e.Mof.Element.name = "balance")
+            (Mof.Query.attributes_of m acct)
+        with
+        | Some e ->
+            check cs "attr" "bank.Account.balance"
+              (Mof.Query.qualified_name m e.Mof.Element.id)
+        | None -> Alcotest.fail "balance attribute missing");
     Alcotest.test_case "supers_transitive walks the chain" `Quick (fun () ->
         let m = fresh () in
         let root = Mof.Model.root m in
@@ -926,29 +903,6 @@ let queries_agree m =
                  (fun (e : Mof.Element.t) -> e.Mof.Element.name = n)
                  (filter (fun e -> Mof.Element.metaclass e = "Class") m)))
        names
-  && List.for_all
-       (fun q ->
-         (* among colliding matches (dotted simple names, a root-level
-            element named like the renamed root, ...) the documented rule
-            is: deepest owner chain wins, lowest id breaks ties *)
-         let depth (e : Mof.Element.t) =
-           List.length (Mof.Query.owner_chain m e.Mof.Element.id)
-         in
-         let expected =
-           List.fold_left
-             (fun best (e : Mof.Element.t) ->
-               if Mof.Query.qualified_name m e.Mof.Element.id <> q then best
-               else
-                 match best with
-                 | Some b when depth b >= depth e -> best
-                 | _ -> Some e)
-             None elements
-         in
-         eq_opt (Mof.Query.find_by_qualified_name m q) expected)
-       ("no.such.thing"
-       :: List.map
-            (fun (e : Mof.Element.t) -> Mof.Query.qualified_name m e.Mof.Element.id)
-            elements)
 
 (* Op interpreter for the scoped-wellformedness property: builder-level
    mutations seeded with every violation family, while never deleting a

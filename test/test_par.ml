@@ -268,12 +268,25 @@ let batch_tests =
     ;
     Alcotest.test_case "per-item traces equal the sequential ones" `Quick
       (fun () ->
+        (* the pool's own capture: refine_all under a sink, as a traced
+           [mdweave batch] runs it *)
+        let traced f =
+          let sink, events = Obs.Sink.memory () in
+          let outcomes = Obs.with_sink sink f in
+          (outcomes, Check.Oracle.item_traces (events ()))
+        in
         let models = Par.Workload.models ~classes:3 5 in
-        let seq = Par.Batch.refine_all_traced ~steps models in
+        let seq, seq_items = traced (fun () -> Par.Batch.refine_all ~steps models) in
         Par.Pool.with_pool ~jobs:2 (fun p ->
-            let par = Par.Batch.refine_all_traced ~pool:p ~steps models in
+            let par, par_items =
+              traced (fun () -> Par.Batch.refine_all ~pool:p ~steps models)
+            in
+            check
+              (Alcotest.list Alcotest.int)
+              "each item's events in one run, in submission order"
+              [ 1; 2; 3; 4; 5 ] (List.map fst par_items);
             List.iteri
-              (fun i ((o_seq, ev_seq), (o_par, ev_par)) ->
+              (fun i ((o_seq, (_, ev_seq)), (o_par, (_, ev_par))) ->
                 check Alcotest.bool
                   (Printf.sprintf "item %d outcome" i)
                   true
@@ -283,10 +296,10 @@ let batch_tests =
                   true (ev_seq <> []);
                 check Alcotest.bool
                   (Printf.sprintf "item %d normalized trace" i)
-                  true
-                  (List.map Obs.Event.normalize ev_seq
-                  = List.map Obs.Event.normalize ev_par))
-              (List.combine seq par)))
+                  true (ev_seq = ev_par))
+              (List.combine
+                 (List.combine seq seq_items)
+                 (List.combine par par_items))))
     ;
   ]
 

@@ -35,8 +35,8 @@ let ok_exn to_string = function
 (* A fixed history of 320 commits over the banking model, drawn from a
    local LCG so it never depends on Stdlib.Random: adds, renames, typed
    attributes, stereotypes and deletes; undo-then-commit forks; a side
-   branch committed to both as the current branch and through [commit_on];
-   tags, and a checkout that forks from one. *)
+   branch, reached and left through [commit_on] and otherwise committed to
+   as the current branch; tags, and a checkout that forks from one. *)
 let golden_history () =
   let state = ref 0x5eed in
   let draw bound =
@@ -70,20 +70,17 @@ let golden_history () =
     let r = if i mod 40 = 0 then R.tag (Printf.sprintf "v%d" (i / 40)) r else r in
     let r =
       match i with
-      | 120 ->
-          let r = ok_exn (fun (`Branch_exists b) -> b) (R.create_branch "side" r) in
-          ok_exn R.checkout_error_to_string (R.switch_branch "side" r)
-      | 170 -> ok_exn R.checkout_error_to_string (R.switch_branch "main" r)
+      | 120 -> ok_exn (fun (`Branch_exists b) -> b) (R.create_branch "side" r)
       | 250 -> ok_exn R.checkout_error_to_string (R.checkout "v2" r)
       | _ -> r
     in
     let message = Printf.sprintf "edit %d" i in
-    if i > 170 && i mod 31 = 0 then
-      let side = Option.get (R.branch_head r "side") in
-      let m = edit (Option.get (R.model_at r side)) i in
-      let r = ok_exn R.checkout_error_to_string (R.commit_on ~branch:"side" ~message m r) in
-      ok_exn R.checkout_error_to_string (R.switch_branch "main" r)
-    else R.commit ~message (edit (R.head_model r) i) r
+    let branch = if (i >= 120 && i < 170) || (i > 170 && i mod 31 = 0) then "side" else "main" in
+    if String.equal branch (R.branch r) then R.commit ~message (edit (R.head_model r) i) r
+    else
+      (* [commit_on] moves the head and the current branch to the new commit *)
+      let m = edit (Option.get (R.model_at r (Option.get (R.branch_head r branch)))) i in
+      ok_exn R.checkout_error_to_string (R.commit_on ~branch ~message m r)
   in
   let rec go r i = if i > 320 then r else go (step r i) (i + 1) in
   go (R.init (Fixtures.banking ())) 1
@@ -233,8 +230,8 @@ let repo_tests =
             (R.commit_on ~branch:"side" ~message:"side" m3 repo)
         in
         check cb "commit_on" true (R.head_model repo == m3);
-        let repo = ok_exn R.checkout_error_to_string (R.switch_branch "main" repo) in
-        check cb "switch_branch" true (R.head_model repo == m2));
+        check cb "main's head" true
+          (Option.get (R.model_at repo (Option.get (R.branch_head repo "main"))) == m2));
     Alcotest.test_case "a 1,000-commit history stays under 10x one model" `Quick
       (fun () ->
         (* Each version keeps its own model, sharing everything unchanged
@@ -324,7 +321,7 @@ let repo_tests =
         check ci "tags" 8 (List.length (Repository.Repo.tags repo));
         check (Alcotest.list cs) "branches" [ "main"; "side" ]
           (List.map fst (Repository.Repo.branches repo));
-        check cs "snapshot digest" "761579336e19653a15693740b88fbe5d"
+        check cs "snapshot digest" "afcd7fbfd9630007fb2f8adefc9715f0"
           (Digest.to_hex (Digest.string (Repository.Repo.save repo))));
     Alcotest.test_case "published store and sharing metrics match a recount"
       `Quick (fun () ->
@@ -431,18 +428,9 @@ let branch_tests =
           (Repository.Repo.branch_head repo "feature" = Some 3);
         check cb "main untouched" true
           (Repository.Repo.branch_head repo "main" = Some 2);
-        let repo =
-          match Repository.Repo.switch_branch "main" repo with
-          | Ok r -> r
-          | Error e ->
-              Alcotest.fail (Repository.Repo.checkout_error_to_string e)
-        in
-        check cb "back on main head" true
-          (Mof.Model.equal m2 (Repository.Repo.head_model repo));
-        check cb "unknown branch" true
-          (match Repository.Repo.switch_branch "nope" repo with
-          | Error (Repository.Repo.Unknown_branch "nope") -> true
-          | _ -> false);
+        check cb "main's head keeps its model" true
+          (Mof.Model.equal m2
+             (Option.get (Repository.Repo.model_at repo 2)));
         check cb "commit_on unknown branch" true
           (match
              Repository.Repo.commit_on ~branch:"nope" ~message:"x" m3 repo
@@ -834,30 +822,59 @@ let root_package name =
   Mof.Element.make ~id:(Mof.Id.of_int 0) ~name ~owner:None
     (Mof.Kind.Package { owned = [] })
 
+(* What a hand-written commit's stored diff lists. [Exact] is what [save]
+   writes: nothing for a root commit, and otherwise the ids the delta adds
+   (binds where the parent binds nothing), removes, and modifies (binds
+   where the parent binds the id too). [Unrecorded] lists nothing, and
+   [Lists (added, removed, modified)] is written verbatim. *)
+type stored = Exact | Unrecorded | Lists of int list * int list * int list
+
 (* An MDWREPO1 snapshot written field by field with the Mof.Canon writers,
    over a store holding two versions ("v0", "v1") of a lone root package e0
-   followed by the [extra] element payloads (object indexes 2, 3, …). Each
-   commit is [(id, parent, removed, set, recorded)]: its tree delta removes
-   the ids [removed] and binds each id of [set] to the object at the given
-   index, and [recorded] says whether its stored diff lists every id the
-   delta changes as modified. Every commit gives root e0 and id counter
-   [next_id]. The head is the last commit. Commit ids are written with
-   [w_any_int], so they may be negative. *)
-let hand_snapshot ?(next = 2) ?(next_id = 1) ?(extra = []) commits =
+   followed by the [extra] element payloads: a delta names them 0, 1, 2, …
+   in that order, and the object table lists them in ascending digest
+   order (or by [digest_order]), each delta index mapped to its table
+   position. Each commit is [(id, parent, removed, set, stored)]: its tree
+   delta removes the ids [removed] and binds each id of [set] to the given
+   object, and [stored] says what its stored diff lists. Every commit
+   gives root e0 and id counter [next_id]. The head is the last commit,
+   written by [head_varint]; [tags] are written in the order given, and
+   [main] is the one branch. Commit ids are written with [w_any_int], so
+   they may be negative. *)
+let hand_snapshot ?(next = 2) ?(next_id = 1) ?(extra = []) ?(tags = [])
+    ?(head_varint = w_any_int) ?(digest_order = String.compare) commits =
   let open Mof.Canon in
   let buf = Buffer.create 256 in
   Buffer.add_string buf "MDWREPO1";
   let root = Mof.Id.of_int 0 in
   let objects = List.map element_bytes [ root_package "v0"; root_package "v1" ] @ extra in
-  w_int buf (List.length objects);
+  let table =
+    List.stable_sort (fun a b -> digest_order (Digest.string a) (Digest.string b)) objects
+  in
+  let position obj =
+    match List.nth_opt objects obj with
+    | Some bytes -> Option.get (List.find_index (String.equal bytes) table)
+    | None -> obj
+  in
+  w_int buf (List.length table);
   List.iter
     (fun bytes ->
       Buffer.add_string buf (Digest.string bytes);
       w_str buf bytes)
-    objects;
+    table;
   w_int buf (List.length commits);
+  (* each commit's tree, id -> object, to classify its children's deltas *)
+  let trees = Hashtbl.create 8 in
   List.iter
-    (fun (id, parent, removed, set, recorded) ->
+    (fun (id, parent, removed, set, stored) ->
+      let parent_tree =
+        Option.value ~default:[] (Option.bind parent (Hashtbl.find_opt trees))
+      in
+      Hashtbl.replace trees id
+        (List.fold_left
+           (fun tree (eid, obj) -> (eid, obj) :: List.remove_assoc eid tree)
+           (List.filter (fun (eid, _) -> not (List.mem eid removed)) parent_tree)
+           set);
       w_any_int buf id;
       w_opt w_any_int buf parent;
       w_str buf (Printf.sprintf "c%d" id);
@@ -869,18 +886,33 @@ let hand_snapshot ?(next = 2) ?(next_id = 1) ?(extra = []) commits =
       w_list
         (fun buf (eid, obj) ->
           w_int buf eid;
-          w_int buf obj)
+          w_int buf (position obj))
         buf set;
-      w_list w_id buf [];
-      w_list w_id buf [];
-      w_list w_int buf
-        (if recorded then List.sort_uniq compare (removed @ List.map fst set) else []))
+      let added, removed, modified =
+        match stored with
+        | Unrecorded -> ([], [], [])
+        | Exact when parent = None -> ([], [], [])
+        | Exact ->
+            let added, modified =
+              List.partition (fun (eid, _) -> not (List.mem_assoc eid parent_tree)) set
+            in
+            let ids l = List.sort_uniq compare (List.map fst l) in
+            (ids added, List.sort_uniq compare removed, ids modified)
+        | Lists (added, removed, modified) -> (added, removed, modified)
+      in
+      w_list w_int buf added;
+      w_list w_int buf removed;
+      w_list w_int buf modified)
     commits;
   let head = match List.rev commits with (id, _, _, _, _) :: _ -> id | [] -> 0 in
-  w_any_int buf head;
+  head_varint buf head;
   w_list w_int buf [];
   w_int buf next;
-  w_list w_int buf [];
+  w_list
+    (fun buf (name, id) ->
+      w_str buf name;
+      w_any_int buf id)
+    buf tags;
   w_list
     (fun buf (name, id) ->
       w_str buf name;
@@ -903,7 +935,7 @@ let rejects what needle snapshot =
    versions, or that would make it allocate what the input cannot hold:
    (name, snapshot, expected error fragment). *)
 let hostile_snapshots =
-  let root_only = (0, None, [], [ (0, 0) ], false) in
+  let root_only = (0, None, [], [ (0, 0) ], Unrecorded) in
   let huge_count =
     let buf = Buffer.create 16 in
     Buffer.add_string buf "MDWREPO1";
@@ -929,44 +961,124 @@ let hostile_snapshots =
     ( "a binding to an object holding another id is rejected",
       (* replayed, e1 would be bound where the tree says e5 *)
       hand_snapshot ~next_id:6 ~extra:[ Mof.Canon.element_bytes stray ]
-        [ root_only; (1, Some 0, [], [ (5, 2) ], true) ],
+        [ root_only; (1, Some 0, [], [ (5, 2) ], Exact) ],
       "commit #1 binds e5 to an object holding e1" );
     ( "a negative commit id is rejected",
-      hand_snapshot [ (min_int, None, [], [ (0, 0) ], false) ],
+      hand_snapshot [ (min_int, None, [], [ (0, 0) ], Unrecorded) ],
       "varint out of the non-negative int range" );
     ( "a negative element id is rejected",
       hand_snapshot ~extra:[ negative_root ] [ root_only ],
       "varint out of the non-negative int range" );
     ( "a non-head commit without its root package is rejected",
       hand_snapshot ~next:3
-        [ root_only; (1, Some 0, [ 0 ], [], true); (2, Some 1, [], [ (0, 1) ], true) ],
+        [ root_only; (1, Some 0, [ 0 ], [], Exact); (2, Some 1, [], [ (0, 1) ], Exact) ],
       "commit #1 does not hold its root package e0" );
+    (* each row below holds one thing [save] never writes: loaded, it
+       would keep a stored diff its trees contradict, or re-save to other
+       bytes *)
+    ( "a stored diff that lists an id its delta leaves alone is rejected",
+      (* the log would say +2 where diff_between says +1 *)
+      hand_snapshot ~next_id:2 ~extra:[ Mof.Canon.element_bytes stray ]
+        [ root_only; (1, Some 0, [], [ (1, 2) ], Lists ([ 0; 1 ], [], [])) ],
+      "commit #1's stored added ids (e0 e1) are not the ids its delta adds (e1)" );
+    ( "a delta that rebinds an id to its parent's object is rejected",
+      hand_snapshot [ root_only; (1, Some 0, [], [ (0, 0) ], Exact) ],
+      "commit #1 rebinds e0 to the object its parent binds" );
+    ( "a delta that removes an id its parent does not bind is rejected",
+      hand_snapshot [ root_only; (1, Some 0, [ 1 ], [], Exact) ],
+      "commit #1 removes e1, which its parent does not bind" );
+    ( "a delta that removes and rebinds one id is rejected",
+      hand_snapshot [ root_only; (1, Some 0, [ 0 ], [ (0, 1) ], Lists ([], [ 0 ], [ 0 ])) ],
+      "commit #1 both removes and rebinds e0" );
+    ( "a delta out of ascending id order is rejected",
+      hand_snapshot ~next_id:2 ~extra:[ Mof.Canon.element_bytes stray ]
+        [ (0, None, [], [ (1, 2); (0, 0) ], Unrecorded) ],
+      "commit #0's delta binds e0 out of ascending order" );
+    ( "a root commit that removes an id is rejected",
+      hand_snapshot ~next_id:4 [ (0, None, [ 3 ], [ (0, 0) ], Unrecorded) ],
+      "root commit #0 removes e3" );
+    ( "a root commit with a stored diff is rejected",
+      hand_snapshot [ (0, None, [], [ (0, 0) ], Lists ([ 0 ], [], [])) ],
+      "root commit #0's stored diff is not empty" );
+    ( "an overlong varint is rejected",
+      (* the head id 0 written as 80 00 *)
+      hand_snapshot ~head_varint:(fun buf _ -> Buffer.add_string buf "\x80\x00") [ root_only ],
+      "overlong varint ending at byte" );
+    ( "tags out of name order are rejected",
+      hand_snapshot ~tags:[ ("b", 0); ("a", 0) ] [ root_only ],
+      "the snapshot lists tag \"a\" out of ascending order" );
+    ( "an object table out of digest order is rejected",
+      hand_snapshot
+        ~digest_order:(fun a b -> String.compare b a)
+        [ root_only; (1, Some 0, [], [ (0, 1) ], Exact) ],
+      "object 1 is out of ascending digest order" );
   ]
 
 let load_tests =
-  let root_only = (0, None, [], [ (0, 0) ], false) in
+  let root_only = (0, None, [], [ (0, 0) ], Unrecorded) in
   [
     Alcotest.test_case "commit ids out of ascending order are rejected" `Quick (fun () ->
         rejects "out of order" "ascending"
           (hand_snapshot ~next:3
              [
                root_only;
-               (2, Some 0, [], [ (0, 1) ], true);
-               (1, Some 0, [], [ (0, 1) ], true);
+               (2, Some 0, [], [ (0, 1) ], Exact);
+               (1, Some 0, [], [ (0, 1) ], Exact);
              ]));
     Alcotest.test_case "a second parent-less commit is rejected" `Quick (fun () ->
         rejects "two roots" "without a parent"
-          (hand_snapshot [ root_only; (1, None, [], [ (0, 1) ], false) ]));
+          (hand_snapshot [ root_only; (1, None, [], [ (0, 1) ], Unrecorded) ]));
     Alcotest.test_case "a tree delta outside the stored diff is rejected" `Quick (fun () ->
         (* loaded, commit #1 would change the root while its diff says
            nothing changed, and diff_between 0 1 would come back empty *)
-        rejects "unrecorded change" "outside its stored diff"
-          (hand_snapshot [ root_only; (1, Some 0, [], [ (0, 1) ], false) ]));
+        rejects "unrecorded change" "commit #1's stored modified ids () are not"
+          (hand_snapshot [ root_only; (1, Some 0, [], [ (0, 1) ], Unrecorded) ]));
     Alcotest.test_case "a next commit id that reuses a stored id is rejected" `Quick
       (fun () ->
         rejects "stale next id" "next commit id"
-          (hand_snapshot ~next:1 [ root_only; (1, Some 0, [], [ (0, 1) ], true) ]));
+          (hand_snapshot ~next:1 [ root_only; (1, Some 0, [], [ (0, 1) ], Exact) ]));
   ]
+  @ [
+      Alcotest.test_case "single-byte mutants fail to load or re-save to their own bytes"
+        `Quick (fun () ->
+          (* a history with a tag, a side branch and a redo path *)
+          let module R = Repository.Repo in
+          let repo, _, m1, _ = three_versions () in
+          let repo = R.tag "v" repo in
+          let repo = ok_exn (fun (`Branch_exists b) -> b) (R.create_branch "side" repo) in
+          let m3, _ = Mof.Builder.add_class m1 ~owner:(Mof.Model.root m1) ~name:"Side" in
+          let repo =
+            ok_exn R.checkout_error_to_string
+              (R.commit_on ~branch:"side" ~message:"side" m3 repo)
+          in
+          let snapshot = R.save (Option.get (R.undo repo)) in
+          let n = String.length snapshot in
+          let rng = Random.State.make [| 2000 |] in
+          for k = 1 to 2000 do
+            let kind, i, mutant =
+              match k mod 3 with
+              | 0 ->
+                  let i = Random.State.int rng n in
+                  let b = Bytes.of_string snapshot in
+                  Bytes.set b i
+                    (Char.chr (Char.code snapshot.[i] lxor (1 + Random.State.int rng 255)));
+                  ("flip", i, Bytes.to_string b)
+              | 1 ->
+                  let i = Random.State.int rng (n + 1) in
+                  let c = String.make 1 (Char.chr (Random.State.int rng 256)) in
+                  ("insert", i, String.sub snapshot 0 i ^ c ^ String.sub snapshot i (n - i))
+              | _ ->
+                  let i = Random.State.int rng n in
+                  ("delete", i, String.sub snapshot 0 i ^ String.sub snapshot (i + 1) (n - i - 1))
+            in
+            match R.load mutant with
+            | Error _ -> ()
+            | Ok r ->
+                if not (String.equal (R.save r) mutant) then
+                  Alcotest.failf "mutant %d (%s at byte %d of %d) loads, but re-saves to other bytes"
+                    k kind i n
+          done);
+    ]
   @ List.map
       (fun (name, snapshot, needle) ->
         Alcotest.test_case name `Quick (fun () -> rejects name needle snapshot))

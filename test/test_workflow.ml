@@ -95,8 +95,8 @@ let color_tests =
 
 (* What is left of the workflow can be skipped: every step from the current
    one on is optional. *)
-let only_optional_left p =
-  let steps = (Workflow.State.definition p).Workflow.State.steps in
+let only_optional_left (wf : Workflow.State.t) p =
+  let steps = wf.Workflow.State.steps in
   match Workflow.State.current_step p with
   | None -> true
   | Some current ->
@@ -120,14 +120,14 @@ let state_tests =
         let p = advance p "distribution" in
         let p = advance p "transactions" in
         let p = advance p "security" in
-        check cb "complete after mandatory steps" true (only_optional_left p);
+        check cb "complete after mandatory steps" true (only_optional_left wf p);
         check (Alcotest.list cs) "applied"
           [ "distribution"; "transactions"; "security" ]
           (List.map snd (Workflow.State.completed p));
         (* optional steps still available *)
         let p = advance p "concurrency" in
         let p = advance p "logging" in
-        check cb "still complete" true (only_optional_left p));
+        check cb "still complete" true (only_optional_left wf p));
     Alcotest.test_case "wrong order is rejected with a helpful message" `Quick
       (fun () ->
         let p = Workflow.State.start wf in
@@ -144,7 +144,7 @@ let state_tests =
         (* jump straight to logging, skipping the optional concurrency step *)
         match Workflow.State.advance p ~concern:"logging" with
         | Ok p' ->
-            check cb "complete" true (only_optional_left p');
+            check cb "complete" true (only_optional_left wf p');
             check cb "workflow exhausted" true
               (Workflow.State.current_step p' = None)
         | Error e -> Alcotest.fail e);
@@ -182,9 +182,6 @@ let state_tests =
         let p = Result.get_ok (Workflow.State.advance p ~concern:"distribution") in
         check cb "pair" true
           (Workflow.State.completed p = [ ("distribute", "distribution") ]));
-    Alcotest.test_case "definition is recoverable" `Quick (fun () ->
-        let p = Workflow.State.start wf in
-        check ci "steps" 5 (List.length (Workflow.State.definition p).Workflow.State.steps));
   ]
 
 (* ---- derive ------------------------------------------------------------------- *)
@@ -261,7 +258,7 @@ let derive_tests =
         let p = Result.get_ok (Workflow.State.advance p ~concern:"distribution") in
         let p = Result.get_ok (Workflow.State.advance p ~concern:"transactions") in
         let p = Result.get_ok (Workflow.State.advance p ~concern:"security") in
-        check cb "complete" true (only_optional_left p));
+        check cb "complete" true (only_optional_left wf p));
   ]
 
 (* ---- guidance ----------------------------------------------------------------- *)
