@@ -171,7 +171,7 @@ let out_arg =
    [Transform.Cmt.specialize] checks them against the formals as a whole. *)
 let parse_params concern params =
   match Concerns.Registry.find_gmt concern with
-  | None -> Error (Printf.sprintf "unknown concern %s" concern)
+  | None -> Error (Core.Pipeline.error_to_string (Core.Pipeline.Unknown_concern concern))
   | Some gmt ->
       Result.map
         (fun assignments -> (gmt, assignments))
@@ -185,11 +185,9 @@ let resolve_cmt concern params =
       | Ok cmt -> Ok (cmt, assignments)
       | Error problems ->
           Error
-            (Format.asprintf "%a"
-               (Format.pp_print_list
-                  ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
-                  Transform.Params.pp_problem)
-               problems))
+            (Core.Pipeline.error_to_string
+               (Core.Pipeline.Invalid_params
+                  { transformation = gmt.Transform.Gmt.name; problems })))
 
 let apply_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
@@ -199,7 +197,11 @@ let apply_cmd =
     let cmt, _ = or_die (resolve_cmt concern params) in
     match Transform.Engine.apply cmt m with
     | Error failure ->
-        or_die (Error (Format.asprintf "%a" Transform.Engine.pp_failure failure))
+        or_die
+          (Error
+             (Core.Pipeline.error_to_string
+                (Core.Pipeline.Engine_failure
+                   { transformation = Transform.Cmt.name cmt; failure })))
     | Ok { Transform.Engine.model; diff } ->
         Xmi.Export.write_file out model;
         Printf.printf "%s\n-> %s\n"

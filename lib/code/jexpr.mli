@@ -18,5 +18,24 @@ type t =
   | E_cast of Jtype.t * t
   | E_instanceof of t * string
 
+(** {1 Traversals}
+
+    The walks below are the only structural recursions over expressions
+    outside the interpreter and the printer: a new constructor is handled
+    here, and every caller follows. *)
+
 val fold_calls : ('a -> t option * string * t list -> 'a) -> 'a -> t -> 'a
-(** Folds over every call node, outermost last. *)
+(** Folds over every call node, children first: a call's receiver, then
+    its arguments in order, then the call itself, so the outermost call is
+    last. *)
+
+val fold_assigns : ('a -> t * t -> 'a) -> 'a -> t -> 'a
+(** Folds over every assignment node [(target, value)], children first as
+    {!fold_calls}: the target, then the value, then the assignment. The walk
+    descends into targets, so [this.m(this.n = 0).f = 1] yields the inner
+    assignment before the outer one. *)
+
+val map : (t -> t) -> t -> t
+(** Rebuilds the expression bottom-up: [f] is applied once to every node,
+    after its children were rebuilt (so it sees their rewrites), meeting
+    the nodes in {!fold_calls}'s order. *)

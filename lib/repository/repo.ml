@@ -609,6 +609,16 @@ let load data =
       match Int_map.find_opt head_id !commits with
       | None -> Error (Printf.sprintf "snapshot head #%d is not stored" head_id)
       | Some head ->
+          (* in process the current branch always points at the head, so a
+             commit on it builds on one parent however it is named *)
+          (match Smap.find_opt current_branch branch_map with
+          | Some id when id = head_id -> ()
+          | Some id ->
+              corrupt "current branch %S points at commit #%d, not at the head #%d"
+                current_branch id head_id
+          | None ->
+              corrupt "current branch %S is not listed; the head is commit #%d"
+                current_branch head_id);
           let t =
             {
               store = !store;

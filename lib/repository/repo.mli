@@ -206,7 +206,8 @@ val load : string -> (t, string) result
     commit without a parent, a binding whose stored object holds a
     different id, a commit whose tree lacks its root package or holds an
     id at or above its next-id counter, a redo path through an unknown
-    commit, and a next commit id that does not exceed every stored one.
+    commit, a next commit id that does not exceed every stored one, and a
+    current branch that is not listed or does not point at the head.
     Every check runs here, eagerly, so a snapshot that loads reads back
     every version without an error.
 

@@ -74,43 +74,16 @@ let expr_calls acc e =
       if String.equal name "proceed" && recv = None then acc else name :: acc)
     acc e
 
-let rec expr_sets acc e =
-  match e with
-  | Code.Jexpr.E_assign (lhs, rhs) ->
-      let acc = expr_sets acc rhs in
-      (match lhs with
-      | Code.Jexpr.E_field (r, f) -> expr_sets (f :: acc) r
-      | _ -> expr_sets acc lhs)
-  | Code.Jexpr.E_null | Code.Jexpr.E_this | Code.Jexpr.E_bool _
-  | Code.Jexpr.E_int _ | Code.Jexpr.E_double _ | Code.Jexpr.E_string _
-  | Code.Jexpr.E_name _ ->
-      acc
-  | Code.Jexpr.E_field (r, _) -> expr_sets acc r
-  | Code.Jexpr.E_call (r, _, args) ->
-      let acc = match r with Some r -> expr_sets acc r | None -> acc in
-      List.fold_left expr_sets acc args
-  | Code.Jexpr.E_new (_, args) -> List.fold_left expr_sets acc args
-  | Code.Jexpr.E_binary (_, a, b) -> expr_sets (expr_sets acc a) b
-  | Code.Jexpr.E_unary (_, a) -> expr_sets acc a
-  | Code.Jexpr.E_cast (_, a) -> expr_sets acc a
-  | Code.Jexpr.E_instanceof (a, _) -> expr_sets acc a
+let expr_sets acc e =
+  Code.Jexpr.fold_assigns
+    (fun acc (lhs, _) ->
+      match lhs with Code.Jexpr.E_field (_, f) -> f :: acc | _ -> acc)
+    acc e
 
-let rec stmts_named_locals stmts =
-  List.exists
-    (fun s ->
-      match s with
-      | Code.Jstmt.S_local (Code.Jtype.T_named _, _, _) -> true
-      | Code.Jstmt.S_if (_, t, f) -> stmts_named_locals t || stmts_named_locals f
-      | Code.Jstmt.S_while (_, b)
-      | Code.Jstmt.S_sync (_, b)
-      | Code.Jstmt.S_block b ->
-          stmts_named_locals b
-      | Code.Jstmt.S_try (b, catches, fin) ->
-          stmts_named_locals b
-          || List.exists (fun (_, _, s) -> stmts_named_locals s) catches
-          || stmts_named_locals fin
-      | _ -> false)
-    stmts
+let named_local found stmt =
+  match stmt with
+  | Code.Jstmt.S_local (Code.Jtype.T_named _, _, _) -> true
+  | _ -> found
 
 type aspect_info = {
   g : Aspects.Generator.generated;
@@ -174,7 +147,7 @@ let info_of shadows (g : Aspects.Generator.generated) =
     List.sort_uniq String.compare (List.fold_left expr_sets [] exprs)
   in
   let intro_named_decl =
-    List.exists stmts_named_locals woven_bodies
+    List.fold_left (List.fold_left (Code.Jstmt.fold named_local)) false woven_bodies
     || List.exists
          (fun it ->
            match it with

@@ -77,36 +77,16 @@ let scope_of_method (c : Code.Jdecl.class_) (m : Code.Jdecl.method_) =
       c.Code.Jdecl.fields
   in
   let local_types =
-    match m.Code.Jdecl.body with
-    | None -> []
-    | Some body ->
-        let rec collect acc stmts =
-          List.fold_left
-            (fun acc stmt ->
-              match stmt with
-              | Code.Jstmt.S_local (t, name, _) -> (
-                  match class_of_jtype t with
-                  | Some cls -> (name, cls) :: acc
-                  | None -> acc)
-              | Code.Jstmt.S_if (_, a, b) -> collect (collect acc a) b
-              | Code.Jstmt.S_while (_, b)
-              | Code.Jstmt.S_sync (_, b)
-              | Code.Jstmt.S_block b ->
-                  collect acc b
-              | Code.Jstmt.S_try (b, catches, fin) ->
-                  let acc = collect acc b in
-                  let acc =
-                    List.fold_left
-                      (fun acc (_, _, stmts) -> collect acc stmts)
-                      acc catches
-                  in
-                  collect acc fin
-              | Code.Jstmt.S_expr _ | Code.Jstmt.S_return _
-              | Code.Jstmt.S_throw _ | Code.Jstmt.S_comment _ ->
-                  acc)
-            acc stmts
-        in
-        collect [] body
+    List.fold_left
+      (Code.Jstmt.fold (fun acc stmt ->
+           match stmt with
+           | Code.Jstmt.S_local (t, name, _) -> (
+               match class_of_jtype t with
+               | Some cls -> (name, cls) :: acc
+               | None -> acc)
+           | _ -> acc))
+      []
+      (Option.value ~default:[] m.Code.Jdecl.body)
   in
   {
     current_class = c.Code.Jdecl.class_name;
@@ -139,66 +119,40 @@ let call_shadows_in_expr scope ~within_method e =
         :: acc)
     [] e
 
+(* Field-set shadows occurring anywhere inside an expression, assignment
+   targets included. *)
 let field_set_shadows_in_expr scope ~within_method e =
-  let rec walk acc e =
-    match e with
-    | Code.Jexpr.E_assign (lhs, rhs) ->
-        let acc = walk acc rhs in
-        let target =
-          match lhs with
-          | Code.Jexpr.E_field (Code.Jexpr.E_this, f) ->
-              Some (scope.current_class, f)
-          | Code.Jexpr.E_field (Code.Jexpr.E_name v, f) ->
-              Option.map (fun cls -> (cls, f)) (List.assoc_opt v scope.var_types)
-          | _ -> None
-        in
-        (match target with
-        | Some (target_class, field_name) ->
-            Sh_field_set
-              {
-                within_class = scope.current_class;
-                within_method;
-                target_class;
-                field_name;
-              }
-            :: acc
-        | None -> acc)
-    | Code.Jexpr.E_null | Code.Jexpr.E_this | Code.Jexpr.E_bool _
-    | Code.Jexpr.E_int _ | Code.Jexpr.E_double _ | Code.Jexpr.E_string _
-    | Code.Jexpr.E_name _ ->
-        acc
-    | Code.Jexpr.E_field (r, _) -> walk acc r
-    | Code.Jexpr.E_call (r, _, args) ->
-        let acc = match r with Some r -> walk acc r | None -> acc in
-        List.fold_left walk acc args
-    | Code.Jexpr.E_new (_, args) -> List.fold_left walk acc args
-    | Code.Jexpr.E_binary (_, a, b) -> walk (walk acc a) b
-    | Code.Jexpr.E_unary (_, a) -> walk acc a
-    | Code.Jexpr.E_cast (_, a) -> walk acc a
-    | Code.Jexpr.E_instanceof (a, _) -> walk acc a
-  in
-  walk [] e
-
-(* Expressions held directly by a statement (not those of nested
-   statements). Every expression of a body is a direct expression of
-   exactly one statement, so walking all statements through this covers
-   every call/set shadow exactly once. *)
-let direct_exprs = function
-  | Code.Jstmt.S_expr e -> [ e ]
-  | Code.Jstmt.S_local (_, _, Some e) -> [ e ]
-  | Code.Jstmt.S_return (Some e) -> [ e ]
-  | Code.Jstmt.S_if (c, _, _) -> [ c ]
-  | Code.Jstmt.S_while (c, _) -> [ c ]
-  | Code.Jstmt.S_throw e -> [ e ]
-  | Code.Jstmt.S_sync (e, _) -> [ e ]
-  | _ -> []
+  Code.Jexpr.fold_assigns
+    (fun acc (lhs, _) ->
+      let target =
+        match lhs with
+        | Code.Jexpr.E_field (Code.Jexpr.E_this, f) ->
+            Some (scope.current_class, f)
+        | Code.Jexpr.E_field (Code.Jexpr.E_name v, f) ->
+            Option.map (fun cls -> (cls, f)) (List.assoc_opt v scope.var_types)
+        | _ -> None
+      in
+      match target with
+      | Some (target_class, field_name) ->
+          Sh_field_set
+            {
+              within_class = scope.current_class;
+              within_method;
+              target_class;
+              field_name;
+            }
+          :: acc
+      | None -> acc)
+    [] e
 
 let expr_shadows scope ~within_method e =
   call_shadows_in_expr scope ~within_method e
   @ field_set_shadows_in_expr scope ~within_method e
 
 let statement_shadows scope ~within_method stmt =
-  List.concat_map (expr_shadows scope ~within_method) (direct_exprs stmt)
+  match Code.Jstmt.direct_expr stmt with
+  | Some e -> expr_shadows scope ~within_method e
+  | None -> []
 
 let shadows_of_method (c : Code.Jdecl.class_) (m : Code.Jdecl.method_) =
   match m.Code.Jdecl.body with

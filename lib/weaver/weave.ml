@@ -12,60 +12,24 @@ type result = {
 (* Substitute the pseudo-variables of advice bodies for a concrete shadow. *)
 let instantiate_body shadow stmts =
   let rewrite_names e =
-    let rec walk e =
-      match e with
-      | Code.Jexpr.E_name "thisJoinPoint" ->
-          Code.Jexpr.E_string (Joinpoint.describe shadow)
-      | Code.Jexpr.E_name "targetName" ->
-          Code.Jexpr.E_string (Joinpoint.enclosing_class shadow)
-      | Code.Jexpr.E_null | Code.Jexpr.E_this | Code.Jexpr.E_bool _
-      | Code.Jexpr.E_int _ | Code.Jexpr.E_double _ | Code.Jexpr.E_string _
-      | Code.Jexpr.E_name _ ->
-          e
-      | Code.Jexpr.E_field (r, f) -> Code.Jexpr.E_field (walk r, f)
-      | Code.Jexpr.E_call (r, m, args) ->
-          Code.Jexpr.E_call (Option.map walk r, m, List.map walk args)
-      | Code.Jexpr.E_new (c, args) -> Code.Jexpr.E_new (c, List.map walk args)
-      | Code.Jexpr.E_binary (op, a, b) -> Code.Jexpr.E_binary (op, walk a, walk b)
-      | Code.Jexpr.E_unary (op, a) -> Code.Jexpr.E_unary (op, walk a)
-      | Code.Jexpr.E_assign (l, r) -> Code.Jexpr.E_assign (walk l, walk r)
-      | Code.Jexpr.E_cast (t, a) -> Code.Jexpr.E_cast (t, walk a)
-      | Code.Jexpr.E_instanceof (a, c) -> Code.Jexpr.E_instanceof (walk a, c)
-    in
-    walk e
+    match e with
+    | Code.Jexpr.E_name "thisJoinPoint" ->
+        Code.Jexpr.E_string (Joinpoint.describe shadow)
+    | Code.Jexpr.E_name "targetName" ->
+        Code.Jexpr.E_string (Joinpoint.enclosing_class shadow)
+    | e -> e
   in
-  List.map (Code.Jstmt.map_expr rewrite_names) stmts
+  List.map (Code.Jstmt.map_expr (Code.Jexpr.map rewrite_names)) stmts
 
 (* Replace the statement containing the proceed() marker by the original
    body (wrapped in a block). *)
 let rec splice_proceed original stmts =
-  List.concat_map
+  List.map
     (fun stmt ->
-      let is_marker =
-        match stmt with
-        | Code.Jstmt.S_expr (Code.Jexpr.E_call (None, "proceed", [])) -> true
-        | _ -> false
-      in
-      if is_marker then [ Code.Jstmt.S_block original ]
-      else
-        match stmt with
-        | Code.Jstmt.S_if (c, t, f) ->
-            [ Code.Jstmt.S_if (c, splice_proceed original t, splice_proceed original f) ]
-        | Code.Jstmt.S_while (c, b) ->
-            [ Code.Jstmt.S_while (c, splice_proceed original b) ]
-        | Code.Jstmt.S_try (b, catches, fin) ->
-            [
-              Code.Jstmt.S_try
-                ( splice_proceed original b,
-                  List.map
-                    (fun (t, n, stmts) -> (t, n, splice_proceed original stmts))
-                    catches,
-                  splice_proceed original fin );
-            ]
-        | Code.Jstmt.S_sync (e, b) ->
-            [ Code.Jstmt.S_sync (e, splice_proceed original b) ]
-        | Code.Jstmt.S_block b -> [ Code.Jstmt.S_block (splice_proceed original b) ]
-        | stmt -> [ stmt ])
+      match stmt with
+      | Code.Jstmt.S_expr (Code.Jexpr.E_call (None, "proceed", [])) ->
+          Code.Jstmt.S_block original
+      | stmt -> Code.Jstmt.map_bodies (splice_proceed original) stmt)
     stmts
 
 (* Weave one piece of execution advice into a method body. *)
@@ -88,19 +52,7 @@ let weave_statement_advice (a : Aspects.Advice.t) decide scope ~within_method
   let rec rewrite stmts =
     List.map
       (fun stmt ->
-        let nested =
-          match stmt with
-          | Code.Jstmt.S_if (c, t, f) -> Code.Jstmt.S_if (c, rewrite t, rewrite f)
-          | Code.Jstmt.S_while (c, b) -> Code.Jstmt.S_while (c, rewrite b)
-          | Code.Jstmt.S_try (b, catches, fin) ->
-              Code.Jstmt.S_try
-                ( rewrite b,
-                  List.map (fun (t, n, s) -> (t, n, rewrite s)) catches,
-                  rewrite fin )
-          | Code.Jstmt.S_sync (e, b) -> Code.Jstmt.S_sync (e, rewrite b)
-          | Code.Jstmt.S_block b -> Code.Jstmt.S_block (rewrite b)
-          | stmt -> stmt
-        in
+        let nested = Code.Jstmt.map_bodies rewrite stmt in
         (* only direct expressions of this statement, not nested ones —
            nested statements were handled by the recursion above *)
         let shadows = Joinpoint.statement_shadows scope ~within_method nested in

@@ -59,36 +59,145 @@ let jtype_tests =
 
 (* ---- expression / statement traversals ---------------------------------- *)
 
+(* One row per expression constructor, at the root: [make child] builds it
+   over the children [child "a"], [child "b"], … it names, in program
+   order. *)
+let expr_shapes =
+  let open Code.Jexpr in
+  [
+    ("null", (fun _ -> E_null), []);
+    ("this", (fun _ -> E_this), []);
+    ("bool", (fun _ -> E_bool true), []);
+    ("int", (fun _ -> E_int 1), []);
+    ("double", (fun _ -> E_double 1.5), []);
+    ("string", (fun _ -> E_string "s"), []);
+    ("name", (fun _ -> E_name "n"), []);
+    ("field", (fun c -> E_field (c "a", "f")), [ "a" ]);
+    ("call", (fun c -> E_call (Some (c "a"), "m", [ c "b"; c "c" ])), [ "a"; "b"; "c" ]);
+    ("unqualified call", (fun c -> E_call (None, "m", [ c "a" ])), [ "a" ]);
+    ("new", (fun c -> E_new ("C", [ c "a"; c "b" ])), [ "a"; "b" ]);
+    ("binary", (fun c -> E_binary ("+", c "a", c "b")), [ "a"; "b" ]);
+    ("unary", (fun c -> E_unary ("!", c "a")), [ "a" ]);
+    ("assign", (fun c -> E_assign (c "a", c "b")), [ "a"; "b" ]);
+    ("cast", (fun c -> E_cast (Code.Jtype.T_int, c "a")), [ "a" ]);
+    ("instanceof", (fun c -> E_instanceof (c "a", "C")), [ "a" ]);
+  ]
+
+(* One row per statement kind: [make body] builds it over the bodies
+   [body "then"], … it names, in program order; [direct] is the expression
+   it holds itself. *)
+let stmt_shapes =
+  let open Code.Jstmt in
+  let e = Code.Jexpr.E_name "e" in
+  let catch cls body = (Code.Jtype.T_named cls, "x", body) in
+  [
+    ("expr", (fun _ -> S_expr e), Some e, []);
+    ("local", (fun _ -> S_local (Code.Jtype.T_int, "v", Some e)), Some e, []);
+    ("local without initializer", (fun _ -> S_local (Code.Jtype.T_int, "v", None)), None, []);
+    ("return", (fun _ -> S_return (Some e)), Some e, []);
+    ("bare return", (fun _ -> S_return None), None, []);
+    ("if", (fun b -> S_if (e, b "then", b "else")), Some e, [ "then"; "else" ]);
+    ("while", (fun b -> S_while (e, b "loop")), Some e, [ "loop" ]);
+    ("throw", (fun _ -> S_throw e), Some e, []);
+    ( "try",
+      (fun b -> S_try (b "try", [ catch "A" (b "catch A"); catch "B" (b "catch B") ], b "finally")),
+      None,
+      [ "try"; "catch A"; "catch B"; "finally" ] );
+    ("sync", (fun b -> S_sync (e, b "lock")), Some e, [ "lock" ]);
+    ("comment", (fun _ -> S_comment "c"), None, []);
+    ("block", (fun b -> S_block (b "block")), None, [ "block" ]);
+  ]
+
+(* A nested body: a block holding one expression statement. *)
+let nested label = [ Code.Jstmt.S_block [ Code.Jstmt.S_expr (Code.Jexpr.E_name label) ] ]
+
 let traversal_tests =
-  let call recv name args = Code.Jexpr.E_call (recv, name, args) in
+  let open Code.Jexpr in
+  let expr = Alcotest.testable (fun ppf e -> Format.pp_print_string ppf (expr_text e)) ( = ) in
+  let exprs = Alcotest.list expr in
+  let stmts =
+    Alcotest.list
+      (Alcotest.testable
+         (fun ppf s -> Format.pp_print_string ppf (Code.Printer.stmt_to_string s))
+         ( = ))
+  in
   [
     Alcotest.test_case "fold_calls visits every call" `Quick (fun () ->
-        let e =
-          call (Some (call None "a" [])) "b" [ call None "c" [] ]
-        in
-        let names =
-          Code.Jexpr.fold_calls (fun acc (_, name, _) -> name :: acc) [] e
-        in
-        check ci "three calls" 3 (List.length names));
-    Alcotest.test_case "stmt map_expr recurses through structure" `Quick
+        List.iter
+          (fun (row, make, children) ->
+            let e = make (fun name -> E_call (None, name, [])) in
+            let root = match e with E_call (_, m, _) -> [ m ] | _ -> [] in
+            check (Alcotest.list cs) row (children @ root)
+              (List.rev (fold_calls (fun acc (_, name, _) -> name :: acc) [] e)))
+          expr_shapes);
+    Alcotest.test_case "fold_assigns visits every assignment, children first" `Quick
       (fun () ->
-        let stmt =
-          Code.Jstmt.S_if
-            ( Code.Jexpr.E_name "x",
-              [ Code.Jstmt.S_return (Some (Code.Jexpr.E_name "x")) ],
-              [ Code.Jstmt.S_expr (Code.Jexpr.E_name "x") ] )
-        in
-        let renamed =
-          Code.Jstmt.map_expr
-            (fun _ -> Code.Jexpr.E_name "y")
-            stmt
-        in
-        let count =
-          Code.Jstmt.fold_expr
-            (fun acc e -> if e = Code.Jexpr.E_name "y" then acc + 1 else acc)
-            0 renamed
-        in
-        check ci "all three rewritten" 3 count);
+        List.iter
+          (fun (row, make, children) ->
+            let e = make (fun name -> E_assign (E_name name, E_int 0)) in
+            let root = match e with E_assign (lhs, _) -> [ lhs ] | _ -> [] in
+            check exprs row
+              (List.map (fun name -> E_name name) children @ root)
+              (List.rev (fold_assigns (fun acc (lhs, _) -> lhs :: acc) [] e)))
+          expr_shapes);
+    Alcotest.test_case "map rebuilds every subexpression once, children first" `Quick
+      (fun () ->
+        List.iter
+          (fun (row, make, children) ->
+            let e = make (fun name -> E_name name) in
+            let seen = ref [] in
+            let rename = function E_name n -> E_name (n ^ "'") | e -> e in
+            let mapped = map (fun e -> seen := e :: !seen; rename e) e in
+            (* [f] meets each child before its parent, and the parent
+               already rebuilt over the renamed children *)
+            let renamed = make (fun name -> E_name (name ^ "'")) in
+            check exprs row
+              (List.map (fun name -> E_name name) children @ [ renamed ])
+              (List.rev !seen);
+            check exprs row [ rename renamed ] [ mapped ])
+          expr_shapes);
+    Alcotest.test_case "stmt map_expr recurses through structure" `Quick (fun () ->
+        List.iter
+          (fun (row, make, direct, bodies) ->
+            let s = make nested in
+            let all = Code.Jstmt.fold_expr (fun acc e -> e :: acc) [] s |> List.rev in
+            check exprs row
+              (Option.to_list direct @ List.map (fun l -> E_name l) bodies)
+              all;
+            let negate e = E_unary ("-", e) in
+            check exprs row (List.map negate all)
+              (List.rev
+                 (Code.Jstmt.fold_expr (fun acc e -> e :: acc) [] (Code.Jstmt.map_expr negate s))))
+          stmt_shapes);
+    Alcotest.test_case "map_bodies reaches every nested list" `Quick (fun () ->
+        List.iter
+          (fun (row, make, _, bodies) ->
+            let seen = ref [] in
+            let unwrap body =
+              seen := body :: !seen;
+              match body with [ Code.Jstmt.S_block inner ] -> inner | _ -> body
+            in
+            let flat label = [ Code.Jstmt.S_expr (E_name label) ] in
+            check stmts row [ make flat ] [ Code.Jstmt.map_bodies unwrap (make nested) ];
+            check
+              (Alcotest.list stmts) row
+              (List.sort compare (List.map nested bodies))
+              (List.sort compare !seen))
+          stmt_shapes);
+    Alcotest.test_case "fold visits parents first, in program order" `Quick (fun () ->
+        List.iter
+          (fun (row, make, _, bodies) ->
+            let s = make nested in
+            check stmts row
+              (s :: List.concat_map (fun l -> nested l @ [ Code.Jstmt.S_expr (E_name l) ]) bodies)
+              (List.rev (Code.Jstmt.fold (fun acc s -> s :: acc) [] s)))
+          stmt_shapes);
+    Alcotest.test_case "direct_expr is each statement's own expression" `Quick
+      (fun () ->
+        List.iter
+          (fun (row, make, direct, _) ->
+            check (Alcotest.option expr) row direct (Code.Jstmt.direct_expr (make nested)))
+          stmt_shapes);
   ]
 
 (* ---- jdecl / junit -------------------------------------------------------- *)

@@ -839,10 +839,12 @@ type stored = Exact | Unrecorded | Lists of int list * int list * int list
    object, and [stored] says what its stored diff lists. Every commit
    gives root e0 and id counter [next_id]. The head is the last commit,
    written by [head_varint]; [tags] are written in the order given, and
-   [main] is the one branch. Commit ids are written with [w_any_int], so
-   they may be negative. *)
+   [main] is the one branch, pointing at commit [main] (the head by
+   default); [current] names the current branch ("main" by default).
+   Commit ids are written with [w_any_int], so they may be negative. *)
 let hand_snapshot ?(next = 2) ?(next_id = 1) ?(extra = []) ?(tags = [])
-    ?(head_varint = w_any_int) ?(digest_order = String.compare) commits =
+    ?(head_varint = w_any_int) ?(digest_order = String.compare) ?main
+    ?(current = "main") commits =
   let open Mof.Canon in
   let buf = Buffer.create 256 in
   Buffer.add_string buf "MDWREPO1";
@@ -917,8 +919,9 @@ let hand_snapshot ?(next = 2) ?(next_id = 1) ?(extra = []) ?(tags = [])
     (fun buf (name, id) ->
       w_str buf name;
       w_any_int buf id)
-    buf [ ("main", head) ];
-  w_str buf "main";
+    buf
+    [ ("main", Option.value ~default:head main) ];
+  w_str buf current;
   Buffer.contents buf
 
 (* [load]'s errors are its own: a message raised inside Mof.Model would say
@@ -1012,6 +1015,16 @@ let hostile_snapshots =
         ~digest_order:(fun a b -> String.compare b a)
         [ root_only; (1, Some 0, [], [ (0, 1) ], Exact) ],
       "object 1 is out of ascending digest order" );
+    (* loaded, [commit] would build on the head and [commit_on "main"] on
+       the commit main names *)
+    ( "a current branch that is not at the head is rejected",
+      hand_snapshot ~main:0 [ root_only; (1, Some 0, [], [ (0, 1) ], Exact) ],
+      "current branch \"main\" points at commit #0, not at the head #1" );
+    (* loaded, [branch] would name a branch [branches] does not list, and
+       the next commit would create it *)
+    ( "an unlisted current branch is rejected",
+      hand_snapshot ~current:"zzzz" [ root_only; (1, Some 0, [], [ (0, 1) ], Exact) ],
+      "current branch \"zzzz\" is not listed; the head is commit #1" );
   ]
 
 let load_tests =

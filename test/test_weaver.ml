@@ -183,6 +183,40 @@ let joinpoint_tests =
             "call(Helper.v)"; "call(Helper.w)";
           ]
           (List.map Weaver.Joinpoint.describe (Weaver.Joinpoint.all_shadows program)));
+    Alcotest.test_case "set shadows inside an assignment target are found" `Quick
+      (fun () ->
+        let open Code.Jexpr in
+        (* this.helper(this.count = 0).value = 1 *)
+        let target =
+          E_field
+            ( E_call
+                (Some E_this, "helper", [ E_assign (E_field (E_this, "count"), E_int 0) ]),
+              "value" )
+        in
+        let c =
+          {
+            Code.Jdecl.class_name = "C";
+            class_mods = [];
+            extends = None;
+            implements = [];
+            fields = [];
+            methods =
+              [
+                {
+                  Code.Jdecl.method_name = "m";
+                  method_mods = [];
+                  return_type = Code.Jtype.T_void;
+                  params = [];
+                  throws = [];
+                  body = Some [ Code.Jstmt.S_expr (E_assign (target, E_int 1)) ];
+                };
+              ];
+          }
+        in
+        let program = [ Code.Junit.unit_ ~package:"app" [ Code.Jdecl.Class c ] ] in
+        check (Alcotest.list cs) "call and set"
+          [ "execution(C.m)"; "call(C.helper)"; "set(C.count)" ]
+          (List.map Weaver.Joinpoint.describe (Weaver.Joinpoint.all_shadows program)));
   ]
 
 (* ---- matcher ------------------------------------------------------------- *)
